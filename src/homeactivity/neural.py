@@ -21,6 +21,7 @@ candidate_activation="tanh" for the more common variant.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -340,22 +341,32 @@ def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _missing_keys_named(path):
+    """Re-raise a key missing from a model file as a BundleError naming it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise BundleError(f"{path}: missing key {exc}") from None
+
+
 def load_bundle(path: str | Path) -> WeightsBundle:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != BUNDLE_FORMAT:
         raise BundleError(f"unsupported bundle format {doc.get('format')!r}")
-    layers = tuple(
-        LayerSpec(kind=d["kind"], params=d.get("params", {}), weights=d.get("weights"))
-        for d in doc["layers"]
-    )
-    return WeightsBundle(
-        layers=layers,
-        class_names=tuple(doc["class_names"]),
-        input_len=int(doc["input_len"]),
-        input_channels=int(doc["input_channels"]),
-        feature_norm=doc.get("feature_norm"),
-    )
+    with _missing_keys_named(path):
+        layers = tuple(
+            LayerSpec(kind=d["kind"], params=d.get("params", {}), weights=d.get("weights"))
+            for d in doc["layers"]
+        )
+        return WeightsBundle(
+            layers=layers,
+            class_names=tuple(doc["class_names"]),
+            input_len=int(doc["input_len"]),
+            input_channels=int(doc["input_channels"]),
+            feature_norm=doc.get("feature_norm"),
+        )
 
 
 def make_default_bundle(
@@ -459,10 +470,6 @@ class CentroidModel:
         return min(self.class_names[i] for i in best)
 
 
-def centroid_classify(model: CentroidModel, matrix: np.ndarray) -> list[str]:
-    return [model.classify(row) for row in np.asarray(matrix, dtype=np.float64)]
-
-
 def save_centroids(path: str | Path, model: CentroidModel) -> None:
     doc = {
         "format": CENTROID_FORMAT,
@@ -482,9 +489,10 @@ def load_centroids(path: str | Path) -> CentroidModel:
     if doc.get("format") != CENTROID_FORMAT:
         raise BundleError(f"unsupported centroid format {doc.get('format')!r}")
     scale = doc.get("scale")
-    return CentroidModel(
-        class_names=tuple(doc["class_names"]),
-        centroids=np.asarray(doc["centroids"], dtype=np.float64),
-        layout=doc["layout"],
-        scale=None if scale is None else np.asarray(scale, dtype=np.float64),
-    )
+    with _missing_keys_named(path):
+        return CentroidModel(
+            class_names=tuple(doc["class_names"]),
+            centroids=np.asarray(doc["centroids"], dtype=np.float64),
+            layout=doc["layout"],
+            scale=None if scale is None else np.asarray(scale, dtype=np.float64),
+        )

@@ -17,6 +17,11 @@ from pathlib import Path
 from .ambient import EVENT_KINDS, AmbientEvent
 
 DEFAULT_ROOM = "Outside"
+INTERVAL_COLUMNS = ("kind", "location", "start_ts", "end_ts", "truncated")
+
+
+class IntervalFileError(ValueError):
+    """Raised when an intervals file is malformed."""
 
 
 @dataclass(frozen=True, order=True)
@@ -153,7 +158,7 @@ def active_at(intervals, ts: int) -> set[str]:
 def write_intervals(path: str | Path, intervals) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["kind", "location", "start_ts", "end_ts", "truncated"])
+        writer.writerow(INTERVAL_COLUMNS)
         for iv in intervals:
             writer.writerow(
                 [iv.kind, iv.location, iv.start_ts, iv.end_ts, int(iv.truncated)]
@@ -163,16 +168,23 @@ def write_intervals(path: str | Path, intervals) -> None:
 def read_intervals(path: str | Path) -> list[Interval]:
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                Interval(
-                    start_ts=int(row["start_ts"]),
-                    end_ts=int(row["end_ts"]),
-                    kind=row["kind"],
-                    location=row["location"],
-                    truncated=bool(int(row["truncated"])),
+        reader = csv.DictReader(fh)
+        missing = [c for c in INTERVAL_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise IntervalFileError(f"{path}: line 1: missing column {', '.join(missing)}")
+        for row in reader:
+            try:
+                out.append(
+                    Interval(
+                        start_ts=int(row["start_ts"]),
+                        end_ts=int(row["end_ts"]),
+                        kind=row["kind"],
+                        location=row["location"],
+                        truncated=bool(int(row["truncated"])),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:
+                raise IntervalFileError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -6,7 +6,9 @@ operations are pure: they return new objects and never mutate inputs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -263,20 +265,26 @@ def parse_inertial_line(line: str, lineno: int | None = None):
         values = [float(v) for v in parts[3:]]
     except ValueError as exc:
         raise InertialParseError(str(exc), lineno) from None
+    if not -(2**63) <= ts < 2**63:
+        raise InertialParseError(f"timestamp {ts} outside the int64 range", lineno)
     if not all(np.isfinite(values)):
         raise InertialParseError("non-finite sample value", lineno)
     return parts[0], parts[1], ts, values
 
 
-def load_inertial(
-    path: str | Path, period_ms: int = DEFAULT_PERIOD_MS
-) -> list[SampleSeries]:
-    """Read an inertial log, returning one series per subject_id.
+# Lines per block of the columnar reader and writer.
+_BLOCK_LINES = 16384
 
-    Subjects are returned in order of first appearance; samples keep file
-    order and must be strictly increasing in time per subject.
+
+def _load_inertial_lines(path, period_ms: int) -> list[SampleSeries]:
+    """Parse the log one line at a time.
+
+    This is the reference reader: it accepts every form of the format
+    (several subjects, blank lines, CRLF, a missing or doubled `;`) and
+    is the path that names the file and line of any error.
     """
     rows: dict[str, list] = {}
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -285,26 +293,111 @@ def load_inertial(
                 subject, _hint, ts, values = parse_inertial_line(line, lineno)
             except InertialParseError as exc:
                 raise InertialParseError(f"{path}: {exc}") from None
-            rows.setdefault(subject, []).append((ts, values))
+            rows.setdefault(subject, []).append((lineno, ts, values))
     if not rows:
-        raise SeriesError("empty input")
+        raise SeriesError(f"{path}: line {lineno + 1}: empty input")
     out = []
     for subject, samples in rows.items():
-        if len({len(s[1]) for s in samples}) != 1:
-            raise SeriesError(f"{path}: subject {subject!r} mixes 6- and 9-field lines")
-        ts = np.array([s[0] for s in samples], dtype=np.int64)
-        data = np.array([s[1] for s in samples], dtype=np.float64)
-        gyro = data[:, 3:6] if data.shape[1] == 6 else None
-        out.append(
-            SampleSeries(
-                subject_id=subject,
-                period_ms=period_ms,
-                ts=ts,
-                xyz=data[:, 0:3],
-                gyro=gyro,
+        width = len(samples[0][2])
+        for line_at, _ts, values in samples:
+            if len(values) != width:
+                raise SeriesError(
+                    f"{path}: line {line_at}: subject {subject!r} mixes 6- and "
+                    "9-field lines"
+                )
+        ts = np.array([s[1] for s in samples], dtype=np.int64)
+        back = np.flatnonzero(np.diff(ts) <= 0)
+        if back.size:
+            raise SeriesError(
+                f"{path}: line {samples[back[0] + 1][0]}: "
+                "timestamps must be strictly increasing"
             )
-        )
+        data = np.array([s[2] for s in samples], dtype=np.float64)
+        out.append(_series(subject, period_ms, ts, data))
     return out
+
+
+def _series(subject: str, period_ms: int, ts: np.ndarray, data: np.ndarray):
+    """One series from a timestamp column and an (n, 3 or 6) value block."""
+    gyro = data[:, 3:6] if data.shape[1] == 6 else None
+    return SampleSeries(
+        subject_id=subject, period_ms=period_ms, ts=ts, xyz=data[:, 0:3], gyro=gyro
+    )
+
+
+def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
+    """Parse a plain single-subject log block by block with np.loadtxt.
+
+    Each block must pass whole-block tests: ASCII without `\\r` or
+    `\\x1c`-`\\x1f`, one subject prefix, a constant width of 6 or 9
+    fields, and exactly one `;` per line, right before its `\\n`.
+    Timestamps must increase and values be finite. Returns None for any
+    log outside that shape, so the caller can fall back to the per-line
+    reader, which accepts it or names the bad line.
+    """
+    columns = None
+    blocks = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        while True:
+            try:
+                lines = list(islice(fh, _BLOCK_LINES))
+            except UnicodeDecodeError:
+                return None
+            if not lines:
+                break
+            text = "".join(lines)
+            if columns is None:
+                subject = lines[0].partition(",")[0]
+                prefix = subject + ","
+                width = lines[0].count(",") + 1
+                if width not in (6, 9) or subject != subject.lstrip():
+                    return None
+                columns = np.dtype([("ts", np.int64), ("v", np.float64, (width - 3,))])
+            n = len(lines)
+            if not (
+                text.isascii()
+                # np.loadtxt strips \x1c-\x1f around numbers; int() and float() do not
+                and not any(c in text for c in "\r\x1c\x1d\x1e\x1f")
+                and text.startswith(prefix)
+                and text.count("\n" + prefix) == n - 1
+                and text.count(",") == n * (width - 1)
+                and text.count(";") == n
+                and text.count(";\n") == n
+            ):
+                return None
+            try:
+                with warnings.catch_warnings():
+                    # NumPy 1.x parses "1.0" as an int64 with a warning only
+                    warnings.simplefilter("error")
+                    blocks.append(np.loadtxt(
+                        lines, dtype=columns, delimiter=",", comments=";",
+                        usecols=range(2, width), ndmin=1,
+                    ))
+            except (ValueError, Warning):
+                return None
+    if columns is None:
+        return None
+    table = np.concatenate(blocks)
+    ts, data = table["ts"].copy(), table["v"].copy()
+    if np.any(np.diff(ts) <= 0) or not np.all(np.isfinite(data)):
+        return None
+    return [_series(subject, period_ms, ts, data)]
+
+
+def load_inertial(
+    path: str | Path, period_ms: int = DEFAULT_PERIOD_MS
+) -> list[SampleSeries]:
+    """Read an inertial log, returning one series per subject_id.
+
+    Subjects are returned in order of first appearance; samples keep file
+    order and must be strictly increasing in time per subject. A plain
+    single-subject log is parsed in blocks; any other log, and any log
+    with an error, goes through the per-line reader.
+    """
+    series = _load_inertial_columnar(path, period_ms)
+    if series is None:
+        series = _load_inertial_lines(path, period_ms)
+    return series
 
 
 def write_inertial(
@@ -313,14 +406,21 @@ def write_inertial(
     hints: list[str] | None = None,
     append: bool = False,
 ) -> None:
+    """Write one series as log lines, formatted and written in blocks.
+
+    `%.6f` and `f"{v:.6f}"` share one float formatter, so the bytes are
+    those of formatting each value on its own.
+    """
     if hints is not None and len(hints) != len(series):
         raise ValueError("one hint per sample required")
+    values = series.xyz if series.gyro is None else np.hstack([series.xyz, series.gyro])
+    line = series.subject_id.replace("%", "%%") + ("," if hints is None else ",%s")
+    line += ",%d" + ",%.6f" * values.shape[1] + ";\n"
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8") as fh:
-        for i in range(len(series)):
-            hint = hints[i] if hints is not None else ""
-            fields = [series.subject_id, hint, str(int(series.ts[i]))]
-            fields += [f"{v:.6f}" for v in series.xyz[i]]
-            if series.gyro is not None:
-                fields += [f"{v:.6f}" for v in series.gyro[i]]
-            fh.write(",".join(fields) + ";\n")
+        for lo in range(0, len(series), _BLOCK_LINES):
+            hi = lo + _BLOCK_LINES
+            columns = [series.ts[lo:hi].tolist(), *values[lo:hi].T.tolist()]
+            if hints is not None:
+                columns.insert(0, hints[lo:hi])
+            fh.write("".join([line % row for row in zip(*columns)]))

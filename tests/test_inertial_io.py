@@ -1,0 +1,274 @@
+"""The block-wise inertial reader and writer against per-line oracles.
+
+The per-line reader stays in the package as the fallback path, so it is
+the oracle for `load_inertial`: on any log, generated or mutated, both
+must return equal series or raise the same exception with the same
+message. The writer's oracle is the per-sample f-string writer it
+replaced, kept here.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homeactivity import timeseries
+from homeactivity.timeseries import (
+    DEFAULT_PERIOD_MS,
+    SampleSeries,
+    load_inertial,
+    series_equal,
+    write_inertial,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+FLOAT_FORMATS = ("{:.6f}", "{!r}", "{:g}", "{:.3e}", "{:+.2f}")
+
+
+def oracle_write(path, series, hints=None, append=False):
+    """The writer before block formatting: one f-string per value."""
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        for i in range(len(series)):
+            hint = hints[i] if hints is not None else ""
+            fields = [series.subject_id, hint, str(int(series.ts[i]))]
+            fields += [f"{v:.6f}" for v in series.xyz[i]]
+            if series.gyro is not None:
+                fields += [f"{v:.6f}" for v in series.gyro[i]]
+            fh.write(",".join(fields) + ";\n")
+
+
+def outcome(reader, path):
+    try:
+        return reader(path, DEFAULT_PERIOD_MS)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@contextmanager
+def block_lines(n):
+    with mock.patch.object(timeseries, "_BLOCK_LINES", n):
+        yield
+
+
+def assert_readers_agree(path, block=timeseries._BLOCK_LINES):
+    want = outcome(timeseries._load_inertial_lines, path)
+    with block_lines(block):
+        got = outcome(load_inertial, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert series_equal(a, b)
+            assert (a.xyz.strides, a.ts.strides) == (b.xyz.strides, b.ts.strides)
+
+
+def takes_block_path(path, block=timeseries._BLOCK_LINES) -> bool:
+    with block_lines(block):
+        return timeseries._load_inertial_columnar(path, DEFAULT_PERIOD_MS) is not None
+
+
+subjects = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=",;%"),
+    min_size=1, max_size=6,
+) | st.sampled_from(["sim", "33", "a b", "50%"])
+hints = st.text(
+    st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=",;"),
+    max_size=8,
+)
+values = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# Small enough that no FLOAT_FORMATS rounding overflows to inf.
+log_values = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def logs(draw):
+    """A valid single-subject log as a list of lines, values in mixed syntax."""
+    subject = draw(subjects)
+    width = draw(st.sampled_from((6, 9)))
+    n = draw(st.integers(1, 40))
+    steps = draw(st.lists(st.integers(1, 200), min_size=n, max_size=n))
+    ts = draw(st.integers(-(10**12), 10**12)) + np.cumsum(steps)
+    fmt = draw(st.sampled_from(FLOAT_FORMATS))
+    lines = []
+    for t in ts:
+        row = [fmt.format(draw(log_values)) for _ in range(width - 3)]
+        lines.append(",".join([subject, draw(hints), str(t), *row]) + ";\n")
+    return lines
+
+
+def _edit(i, fn):
+    def mutate(lines):
+        lines = list(lines)
+        k = i % len(lines)
+        lines[k] = fn(lines[k])
+        return lines
+    return mutate
+
+
+def mutations(i):
+    """Each known way for a log to leave the block reader's shape."""
+    return {
+        "crlf": lambda lines: [l.replace("\n", "\r\n") for l in lines],
+        "no final newline": lambda lines: lines[:-1] + [lines[-1].rstrip("\n")],
+        "double semicolon": _edit(i, lambda l: l.replace(";", ";;")),
+        "missing semicolon": _edit(i, lambda l: l.replace(";", "")),
+        "blank line": lambda lines: lines[:i] + ["\n"] + lines[i:],
+        "whitespace line": lambda lines: lines[:i] + ["  \t\n"] + lines[i:],
+        "comment line": lambda lines: lines[:i] + ["# note\n"] + lines[i:],
+        "hash in a value": _edit(i, lambda l: l.replace(";", "#;")),
+        "padding spaces": _edit(i, lambda l: "  " + l.replace(",", " , ")),
+        "leading space": _edit(i, lambda l: " " + l),
+        "second subject": _edit(i, lambda l: "other" + l[l.index(","):]),
+        "wider line": _edit(i, lambda l: l.replace(";", ",1,2,3;")),
+        "narrower line": _edit(i, lambda l: l[: l.rindex(",", 0, l.rindex(","))] + ";\n"),
+        "short line": _edit(i, lambda l: l[: l.rindex(",")] + ";\n"),
+        "nan": _edit(i, lambda l: l[: l.rindex(",")] + ",nan;\n"),
+        "inf": _edit(i, lambda l: l[: l.rindex(",")] + ",-inf;\n"),
+        "overflow": _edit(i, lambda l: l[: l.rindex(",")] + ",1e999;\n"),
+        "bad number": _edit(i, lambda l: l[: l.rindex(",")] + ",oops;\n"),
+        "underscore": _edit(i, lambda l: l[: l.rindex(",")] + ",1_0.5;\n"),
+        "float timestamp": _edit(i, lambda l: _field(l, 2, "5.0")),
+        "signed timestamp": _edit(i, lambda l: _field(l, 2, "+" + l.split(",")[2])),
+        "huge timestamp": _edit(i, lambda l: _field(l, 2, "9" * 25)),
+        "repeated timestamp": lambda lines: lines + [lines[-1]],
+        "non-ascii subject": lambda lines: [_field(l, 0, "é") for l in lines],
+        "non-ascii hint": _edit(i, lambda l: _field(l, 1, "café")),
+        "tab": _edit(i, lambda l: l.replace(";", "\t;")),
+        "separator character": _edit(i, lambda l: l.replace(";", "\x1c;")),
+        "separator in a timestamp": _edit(i, lambda l: _field(l, 2, "\x1f" + l.split(",")[2])),
+        "nul": _edit(i, lambda l: _field(l, 1, "a\x00b")),
+        "byte order mark": lambda lines: ["\ufeff" + lines[0]] + lines[1:],
+    }
+
+
+# Mutations that both readers accept with the same values.
+KEPT_ON_BLOCK_PATH = {"signed timestamp", "tab", "nul"}
+
+
+def _field(line, k, text):
+    parts = line.split(",")
+    parts[k] = text
+    return ",".join(parts)
+
+
+class TestReaderAgainstOracle:
+    @SETTINGS
+    @given(lines=logs(), block=st.integers(1, 9))
+    def test_generated_logs(self, tmp_path_factory, lines, block):
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert_readers_agree(path, block)
+        assert takes_block_path(path, block)
+
+    @SETTINGS
+    @given(
+        lines=logs(),
+        block=st.integers(1, 9),
+        name=st.sampled_from(sorted(mutations(0))),
+        at=st.integers(0, 50),
+    )
+    def test_mutated_logs(self, tmp_path_factory, lines, block, name, at):
+        path = tmp_path_factory.mktemp("log") / "log.csv"
+        text = "".join(mutations(at)[name](lines))
+        path.write_bytes(text.encode("utf-8"))
+        assert_readers_agree(path, block)
+
+    @pytest.mark.parametrize("name", sorted(mutations(0)))
+    def test_bad_line_opens_a_block(self, tmp_path, name):
+        """The mutated line is the first line of the second block."""
+        lines = [f"s,,{50 * i},{i}.5,-1.25,9.8;\n" for i in range(12)]
+        path = tmp_path / "log.csv"
+        path.write_bytes("".join(mutations(4)[name](lines)).encode("utf-8"))
+        assert_readers_agree(path, block=4)
+        if name not in KEPT_ON_BLOCK_PATH:
+            assert not takes_block_path(path, block=4), name
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n  \n"])
+    def test_empty_logs(self, tmp_path, text):
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8")
+        assert_readers_agree(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"s,,0,1,2,3;\ns,\xff,50,1,2,3;\n")
+        assert_readers_agree(path, block=1)
+
+
+# Values %.6f must round exactly as f"{v:.6f}" does: signed zeros, exact
+# binary ties at the seventh decimal (1/128 = 0.0078125 rounds to even),
+# decimal near-ties that are not binary ties, and magnitudes needing
+# hundreds of digits.
+EDGE_VALUES = [
+    0.0, -0.0, 1 / 128, -1 / 128, 3 / 128, 0.5 + 1 / 128, 2.5e-6, 1.0000005,
+    0.0000005, -0.0000005, 9.9999995, 1e-7, -4e-7, 5e-324, 2.0**53 + 2,
+    1e300, -1.7976931348623157e308, 123456789.1234565,
+]
+
+
+def make_series(subject, ts, xyz, gyro=None):
+    return SampleSeries(subject_id=subject, period_ms=50, ts=ts, xyz=xyz, gyro=gyro)
+
+
+class TestWriterAgainstOracle:
+    def assert_same_bytes(self, tmp_path, series, hints=None, block=None):
+        oracle_write(tmp_path / "want.csv", series, hints)
+        with block_lines(block or timeseries._BLOCK_LINES):
+            write_inertial(tmp_path / "got.csv", series, hints)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_edge_values(self, tmp_path):
+        v = np.array(EDGE_VALUES, dtype=np.float64)
+        xyz = np.column_stack([v, -v, v[::-1]])
+        ts = np.arange(v.size, dtype=np.int64) * 50 - 500
+        self.assert_same_bytes(tmp_path, make_series("s", ts, xyz, gyro=xyz[::-1]), block=4)
+
+    @SETTINGS
+    @given(
+        subject=subjects,
+        n=st.integers(1, 30),
+        gyro=st.booleans(),
+        with_hints=st.booleans(),
+        block=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_generated_series(self, tmp_path_factory, subject, n, gyro, with_hints,
+                              block, data):
+        tmp_path = tmp_path_factory.mktemp("w")
+        floats = st.lists(values, min_size=3 * n, max_size=3 * n)
+        xyz = np.array(data.draw(floats)).reshape(n, 3)
+        g = np.array(data.draw(floats)).reshape(n, 3) if gyro else None
+        start = data.draw(st.integers(-(10**12), 10**12))
+        ts = start + 50 * np.arange(n, dtype=np.int64)
+        hint_list = data.draw(st.lists(hints, min_size=n, max_size=n)) if with_hints else None
+        self.assert_same_bytes(tmp_path, make_series(subject, ts, xyz, g), hint_list, block)
+
+    def test_append_continues_the_file(self, tmp_path):
+        rng = np.random.default_rng(3)
+        first = make_series("s", np.arange(7, dtype=np.int64) * 50, rng.normal(size=(7, 3)))
+        second = make_series("s", 1000 + np.arange(5, dtype=np.int64) * 50,
+                             rng.normal(size=(5, 3)))
+        oracle_write(tmp_path / "want.csv", first)
+        oracle_write(tmp_path / "want.csv", second, hints=list("abcde"), append=True)
+        with block_lines(3):
+            write_inertial(tmp_path / "got.csv", first)
+            write_inertial(tmp_path / "got.csv", second, hints=list("abcde"), append=True)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_hint_count_checked(self, tmp_path):
+        series = make_series("s", np.array([0, 50]), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="one hint per sample"):
+            write_inertial(tmp_path / "log.csv", series, hints=["a"])
+
+    def test_written_logs_take_the_block_path(self, tmp_path):
+        rng = np.random.default_rng(11)
+        series = make_series("sim", 21_600_000 + 50 * np.arange(40, dtype=np.int64),
+                             rng.normal(0, 5, size=(40, 3)), rng.normal(size=(40, 3)))
+        write_inertial(tmp_path / "log.csv", series)
+        assert takes_block_path(tmp_path / "log.csv", block=7)
+        assert_readers_agree(tmp_path / "log.csv", block=7)

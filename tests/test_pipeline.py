@@ -5,6 +5,7 @@ tests then hold each intermediate file to its contract, so a regression
 in any stage points at the first file that went wrong.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -315,6 +316,82 @@ class TestCli:
         assert code == 1
         assert "pipeline needs --script" in err
 
+    @staticmethod
+    def error_line(err: str) -> str:
+        """The one `error:` line of a failed command; no traceback."""
+        lines = [l for l in err.splitlines() if not l.startswith("config: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    def test_empty_inertial_log_names_the_file(self, tmp_path, capsys):
+        log = tmp_path / "empty.csv"
+        log.write_text("", encoding="utf-8")
+        code, err = run_cli(["filter", "--in", str(log), "--out", str(tmp_path / "o.csv")],
+                            capsys)
+        assert code == 1
+        assert self.error_line(err) == f"error: {log}: line 1: empty input"
+
+    def test_backwards_timestamps_name_the_line(self, tmp_path, capsys):
+        log = tmp_path / "back.csv"
+        log.write_text("u,,0,1,2,3;\nu,,100,1,2,3;\n\nu,,50,1,2,3;\n", encoding="utf-8")
+        code, err = run_cli(["filter", "--in", str(log), "--out", str(tmp_path / "o.csv")],
+                            capsys)
+        assert code == 1
+        assert self.error_line(err) == (
+            f"error: {log}: line 4: timestamps must be strictly increasing"
+        )
+
+    def fuse(self, chain, intervals, tmp_path, capsys):
+        return run_cli(
+            ["fuse", "--windows", str(chain / "basic.csv"), "--intervals", str(intervals),
+             "--out", str(tmp_path / "d.csv")],
+            capsys,
+        )
+
+    def test_intervals_without_a_column(self, chain, tmp_path, capsys):
+        path = tmp_path / "iv.csv"
+        path.write_text("kind,start_ts,end_ts,truncated\npir,0,5000,0\n", encoding="utf-8")
+        code, err = self.fuse(chain, path, tmp_path, capsys)
+        assert code == 1
+        assert self.error_line(err) == f"error: {path}: line 1: missing column location"
+
+    def test_intervals_with_a_short_row(self, chain, tmp_path, capsys):
+        path = tmp_path / "iv.csv"
+        path.write_text(
+            "kind,location,start_ts,end_ts,truncated\npir,Hall,0,5000,0\npir,Hall,9000\n",
+            encoding="utf-8",
+        )
+        code, err = self.fuse(chain, path, tmp_path, capsys)
+        assert code == 1
+        assert self.error_line(err).startswith(f"error: {path}: line 3: ")
+
+    def classify(self, chain, model, tmp_path, capsys):
+        return run_cli(
+            ["classify", "--in", str(chain / "features.csv"), "--model", str(model),
+             "--out", str(tmp_path / "w.csv")],
+            capsys,
+        )
+
+    def test_bundle_without_layers(self, chain, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({
+            "format": neural.BUNDLE_FORMAT, "class_names": ["a"],
+            "input_len": 128, "input_channels": 3,
+        }))
+        code, err = self.classify(chain, path, tmp_path, capsys)
+        assert code == 1
+        assert self.error_line(err) == f"error: {path}: missing key 'layers'"
+
+    def test_centroids_without_a_matrix(self, chain, tmp_path, capsys):
+        path = tmp_path / "centroids.json"
+        path.write_text(json.dumps({
+            "format": neural.CENTROID_FORMAT, "class_names": ["a"],
+            "layout": features.LAYOUT_ACC,
+        }))
+        code, err = self.classify(chain, path, tmp_path, capsys)
+        assert code == 1
+        assert self.error_line(err) == f"error: {path}: missing key 'centroids'"
+
     def test_simulate_is_byte_deterministic(self, chain, tmp_path, capsys):
         outs = []
         for name in ("one", "two"):
@@ -348,3 +425,67 @@ class TestCli:
         )
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["days"]) == 1
+
+
+# One noisy day with a tight gap limit, so filtering writes the log in
+# many appended pieces.
+GATE_NOISE = ["--sigma", "0.3", "--dropout", "0.05", "--seed", "5"]
+GATE_MAX_GAP = ["--max-gap-ms", "100"]
+
+# sha256 of the gate run's inertial, filtered and feature files, recorded
+# with the per-line inertial reader and the per-sample f-string writer.
+GATE_DIGESTS = {
+    "inertial.csv": "3722ed300814e9e5e845018d19e421745bbef25396e9659495b2ae462f0f46df",
+    "filtered.csv": "7522905b4e13aeb1a5ee18a174410036abcb47b19a4377c90edc616c2e8b1d49",
+    "features.csv": "4212851bc84e8104bd740d6dbe64b70cbac64d9fa05e3e3d90cfdf5cf4965fc4",
+}
+
+
+@pytest.fixture(scope="module")
+def gate_runs(chain, tmp_path_factory):
+    """The same day run once as `pipeline` and once stage by stage."""
+    d = tmp_path_factory.mktemp("gate")
+    script, model = str(chain / "script.csv"), str(chain / "model.json")
+    auto, hand = d / "pipeline", d / "hand"
+    argv = ["pipeline", "--script", script, "--out", str(auto), "--model", model]
+    assert cli.main(argv + GATE_NOISE + GATE_MAX_GAP) == 0
+
+    def at(name):
+        return str(hand / name)
+
+    steps = [
+        ["simulate", "--script", script, "--out", str(hand), *GATE_NOISE],
+        ["filter", "--in", at("inertial.csv"), "--out", at("filtered.csv"), *GATE_MAX_GAP],
+        ["features", "--in", at("filtered.csv"), "--out", at("features.csv")],
+        ["classify", "--in", at("features.csv"), "--model", model,
+         "--out", at("basic_windows.csv")],
+        ["occupancy", "--events", at("events.ndjson"), "--out", at("intervals.csv")],
+        ["fuse", "--windows", at("basic_windows.csv"), "--intervals", at("intervals.csv"),
+         "--out", at("derived.csv")],
+        ["label", "--in", at("derived.csv"), "--out", at("window_labels.csv")],
+        ["profile", "--in", at("window_labels.csv"), "--out", at("report.json")],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv[0]
+    return auto, hand
+
+
+class TestByteGate:
+    def test_pipeline_matches_stages_by_hand(self, gate_runs):
+        auto, hand = gate_runs
+        names = sorted(p.name for p in hand.iterdir())
+        assert names == sorted(p.name for p in auto.iterdir())
+        for name in names:
+            assert (auto / name).read_bytes() == (hand / name).read_bytes(), name
+
+    def test_filter_appends_many_pieces(self, gate_runs):
+        (series,) = timeseries.load_inertial(gate_runs[0] / "filtered.csv")
+        assert len(timeseries.split_on_gaps(series)) > 10
+
+    def test_inertial_and_feature_digests_are_pinned(self, gate_runs):
+        auto, _ = gate_runs
+        got = {
+            name: hashlib.sha256((auto / name).read_bytes()).hexdigest()
+            for name in GATE_DIGESTS
+        }
+        assert got == GATE_DIGESTS

@@ -81,6 +81,10 @@ class TestInertialFormat:
         with pytest.raises(InertialParseError, match="non-finite"):
             parse_inertial_line("u,,0,1,nan,3")
 
+    def test_timestamp_range_checked(self):
+        with pytest.raises(InertialParseError, match="int64 range"):
+            parse_inertial_line("u,,9223372036854775808,1,2,3", 4)
+
     def test_roundtrip(self, tmp_path):
         s = make_series(np.linspace(-2, 2, 7))
         path = tmp_path / "log.csv"
