@@ -1,54 +1,67 @@
 """Command-line entry point exposing every stage and the full pipeline.
 
-Option precedence is flags over config file over built-in defaults; the
-effective configuration is echoed to stderr at startup so runs are
-auditable. All outputs are deterministic given the same configuration
-and seed.
+Every option is declared once in OPTIONS and every command once in
+COMMANDS; the parser, config-key validation, the echoed configuration
+and dispatch all come from these two tables. Option precedence is flags
+over config file over built-in defaults; the effective configuration is
+echoed to stderr at startup so runs are auditable. All outputs are
+deterministic given the same configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import fusion, labelling, neural, pipeline, simulate, timeseries
 
-DEFAULTS = {
-    "order": 3,
-    "cutoff_hz": 3.0,
-    "sample_rate_hz": 20.0,
-    "max_gap_ms": timeseries.DEFAULT_MAX_GAP_MS,
-    "window_len": timeseries.DEFAULT_WINDOW_LEN,
-    "overlap": timeseries.DEFAULT_OVERLAP,
-    "span": 2,
-    "timezone": "UTC",
-    "sigma": "0",
-    "dropout": 0.0,
-    "seed": 0,
-    "tick_ms": fusion.DEFAULT_TICK_MS,
-    "min_still_ms": fusion.DEFAULT_MIN_STILL_MS,
-    "days": 1,
-    "start_day_ms": 0,
-    "subject": "sim",
-    "timeout_ms": None,
-    "format": "json",
-    "gyro": False,
-    "probs": None,
-    "model": None,
-    "rules": None,
-    "priorities": None,
-    "script": None,
-    "inertial": None,
-    "events": None,
+
+class Option(NamedTuple):
+    """One option: `--name-with-dashes` on the command line, `name` in a
+    config file. A bool option is a flag that can only switch on."""
+
+    type: type
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+OPTIONS = {
+    "order": Option(int, 3),
+    "cutoff_hz": Option(float, 3.0),
+    "sample_rate_hz": Option(float, 20.0),
+    "max_gap_ms": Option(int, timeseries.DEFAULT_MAX_GAP_MS),
+    "window_len": Option(int, timeseries.DEFAULT_WINDOW_LEN),
+    "overlap": Option(float, timeseries.DEFAULT_OVERLAP),
+    "span": Option(int, 2),
+    "timezone": Option(str, "UTC"),
+    "sigma": Option(str, "0", "gaussian sigma, scalar or x,y,z"),
+    "dropout": Option(float, 0.0),
+    "seed": Option(int, 0),
+    "tick_ms": Option(int, fusion.DEFAULT_TICK_MS),
+    "min_still_ms": Option(int, fusion.DEFAULT_MIN_STILL_MS),
+    "days": Option(int, 1),
+    "start_day_ms": Option(int, 0),
+    "subject": Option(str, "sim"),
+    "timeout_ms": Option(int, None),
+    "format": Option(str, "json", choices=("json", "csv")),
+    "gyro": Option(bool, False),
+    "probs": Option(str, None, "also write per-class probabilities (bundle only)"),
+    "model": Option(str, None, "centroid or weights JSON"),
+    "rules": Option(str, None, "fusion rule CSV"),
+    "priorities": Option(str, None, "priority CSV"),
+    "script": Option(str, None, "simulate this daily script first"),
+    "inertial": Option(str, None, "existing inertial log"),
+    "events": Option(str, None, "existing ambient event log"),
 }
 
 
-def _parse_sigma(value) -> tuple[float, float, float]:
-    if isinstance(value, (int, float)):
-        return (float(value),) * 3
-    parts = [float(p) for p in str(value).split(",")]
+def _parse_sigma(value: str) -> tuple[float, float, float]:
+    parts = [float(p) for p in value.split(",")]
     if len(parts) == 1:
         return (parts[0],) * 3
     if len(parts) == 3:
@@ -56,93 +69,189 @@ def _parse_sigma(value) -> tuple[float, float, float]:
     raise ValueError(f"sigma must be one value or three, got {value!r}")
 
 
+def _from_config(path, key: str, value):
+    """Convert a config value as the flag converts the same text; a bool
+    option takes only true or false, and null means unset."""
+    opt = OPTIONS[key]
+    if value is None or (opt.type is bool and isinstance(value, bool)):
+        return value
+    if opt.type is not bool and type(value) in (str, int, float):
+        with contextlib.suppress(ValueError):
+            converted = opt.type(str(value))
+            if opt.choices is None or converted in opt.choices:
+                return converted
+    if opt.type is bool:
+        expected = "true or false"
+    else:
+        expected = "one of " + ", ".join(opt.choices) if opt.choices else opt.type.__name__
+    raise ValueError(f"{path}: {key}: expected {expected}, got {json.dumps(value)}")
+
+
 def _effective(args: argparse.Namespace, keys) -> dict:
     config = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = set(config) - set(DEFAULTS)
+    if args.config:
+        config = pipeline.read_json_object(args.config)
+        unknown = set(config) - set(OPTIONS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        config = {k: _from_config(args.config, k, v) for k, v in config.items()}
     eff = {}
     for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            eff[key] = flag
-        elif key in config:
-            eff[key] = config[key]
-        else:
-            eff[key] = DEFAULTS[key]
+        value = getattr(args, key)
+        if value is None:
+            value = config.get(key)
+        eff[key] = OPTIONS[key].default if value is None else value
     return eff
-
-
-def _echo_config(command: str, eff: dict) -> None:
-    doc = {"command": command, **{k: str(v) if isinstance(v, Path) else v for k, v in eff.items()}}
-    print(f"config: {json.dumps(doc, sort_keys=True)}", file=sys.stderr)
 
 
 def _filter_spec(eff) -> timeseries.FilterSpec:
     return timeseries.FilterSpec(
-        order=int(eff["order"]),
-        cutoff_hz=float(eff["cutoff_hz"]),
-        sample_rate_hz=float(eff["sample_rate_hz"]),
+        order=eff["order"], cutoff_hz=eff["cutoff_hz"], sample_rate_hz=eff["sample_rate_hz"]
     )
 
 
 def _noise(eff) -> simulate.NoiseSpec:
     return simulate.NoiseSpec(
-        gaussian_sigma=_parse_sigma(eff["sigma"]),
-        dropout_prob=float(eff["dropout"]),
-        seed=int(eff["seed"]),
+        gaussian_sigma=_parse_sigma(eff["sigma"]), dropout_prob=eff["dropout"], seed=eff["seed"]
     )
 
 
-def _rules(eff) -> fusion.FusionRuleTable:
-    if eff["rules"]:
-        return fusion.load_rules(eff["rules"])
-    return fusion.load_default_rules()
+def _with_tables(eff: dict) -> dict:
+    """eff with the rules and priorities options replaced by their tables."""
+    eff = dict(eff)
+    if "rules" in eff:
+        path = eff["rules"]
+        eff["rules"] = fusion.load_rules(path) if path else fusion.load_default_rules()
+    if "priorities" in eff:
+        path = eff["priorities"]
+        eff["priorities"] = (
+            labelling.load_priorities(path) if path else labelling.load_default_priorities()
+        )
+    return eff
 
 
-def _priorities(eff) -> labelling.PriorityTable:
-    if eff["priorities"]:
-        return labelling.load_priorities(eff["priorities"])
-    return labelling.load_default_priorities()
+# Runners take the effective options, then the command's files in order.
+# They look every stage up on its module at call time, so wrappers
+# installed on those modules (as the benchmark's tracer does) see the call.
+
+def _simulate(eff, script, out) -> None:
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    pipeline.stage_simulate(
+        script, out / "inertial.csv", out / "events.ndjson", out / "truth_derived.csv",
+        _noise(eff), eff["rules"], days=eff["days"], start_day_ms=eff["start_day_ms"],
+        tick_ms=eff["tick_ms"], subject_id=eff["subject"],
+    )
 
 
-def _add_common(sub: argparse.ArgumentParser, *names) -> None:
-    flags = {
-        "config": lambda: sub.add_argument("--config", help="JSON file of option defaults"),
-        "order": lambda: sub.add_argument("--order", type=int),
-        "cutoff_hz": lambda: sub.add_argument("--cutoff-hz", type=float, dest="cutoff_hz"),
-        "sample_rate_hz": lambda: sub.add_argument(
-            "--sample-rate-hz", type=float, dest="sample_rate_hz"
-        ),
-        "max_gap_ms": lambda: sub.add_argument("--max-gap-ms", type=int, dest="max_gap_ms"),
-        "window_len": lambda: sub.add_argument("--window-len", type=int, dest="window_len"),
-        "overlap": lambda: sub.add_argument("--overlap", type=float),
-        "span": lambda: sub.add_argument("--span", type=int),
-        "timezone": lambda: sub.add_argument("--timezone"),
-        "sigma": lambda: sub.add_argument("--sigma", help="gaussian sigma, scalar or x,y,z"),
-        "dropout": lambda: sub.add_argument("--dropout", type=float),
-        "seed": lambda: sub.add_argument("--seed", type=int),
-        "tick_ms": lambda: sub.add_argument("--tick-ms", type=int, dest="tick_ms"),
-        "min_still_ms": lambda: sub.add_argument(
-            "--min-still-ms", type=int, dest="min_still_ms"
-        ),
-        "days": lambda: sub.add_argument("--days", type=int),
-        "start_day_ms": lambda: sub.add_argument(
-            "--start-day-ms", type=int, dest="start_day_ms"
-        ),
-        "subject": lambda: sub.add_argument("--subject"),
-        "timeout_ms": lambda: sub.add_argument("--timeout-ms", type=int, dest="timeout_ms"),
-        "rules": lambda: sub.add_argument("--rules", help="fusion rule CSV"),
-        "priorities": lambda: sub.add_argument("--priorities", help="priority CSV"),
-        "model": lambda: sub.add_argument("--model", help="centroid or weights JSON"),
-    }
-    for name in names:
-        flags[name]()
+def _classify(eff, features_or_log, out) -> None:
+    if not eff["model"]:
+        raise pipeline.PipelineError("classify requires --model")
+    pipeline.stage_classify(
+        features_or_log, eff["model"], out, probs_path=eff["probs"],
+        window_len=eff["window_len"], overlap_frac=eff["overlap"],
+    )
+
+
+def _run_pipeline(eff, out) -> None:
+    """The stage commands chained over fixed file names in one directory."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    spec, noise = _filter_spec(eff), _noise(eff)  # checked before any stage runs
+
+    def stage(name, *files):
+        own = {key: OPTIONS[key].default for key in COMMANDS[name].own}
+        COMMANDS[name].run({**own, **eff}, *files)
+
+    inertial, events = eff["inertial"], eff["events"]
+    if eff["script"]:
+        inertial, events = out / "inertial.csv", out / "events.ndjson"
+        stage("simulate", eff["script"], out)
+    elif not (inertial and events):
+        raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
+    stage("filter", inertial, out / "filtered.csv")
+    stage("features", out / "filtered.csv", out / "features.csv")
+    if eff["model"] is None:
+        eff["model"] = out / "centroids.json"
+        centroids = simulate.calibrate_centroids(noise, spec, eff["window_len"], eff["overlap"])
+        neural.save_centroids(eff["model"], centroids)
+    centroid = pipeline._model_format(eff["model"]) == neural.CENTROID_FORMAT
+    stage("classify", out / ("features.csv" if centroid else "filtered.csv"),
+          out / "basic_windows.csv")
+    stage("occupancy", events, out / "intervals.csv")
+    stage("fuse", out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv")
+    stage("label", out / "derived.csv", out / "window_labels.csv")
+    stage("profile", out / "window_labels.csv", out / "report.json")
+
+
+class Command(NamedTuple):
+    help: str
+    files: dict[str, str | None]  # dest of each required file flag -> help
+    options: tuple[str, ...]  # OPTIONS keys, also taken by `pipeline`
+    run: Callable[..., object]
+    own: tuple[str, ...] = ()  # OPTIONS keys of this command alone
+
+
+IN_OUT = {"in_path": None, "out": None}
+
+COMMANDS = {
+    "simulate": Command(
+        "run a daily script into sensor logs", {"script": None, "out": "output directory"},
+        ("days", "start_day_ms", "sigma", "dropout", "seed", "rules", "tick_ms", "subject"),
+        _simulate),
+    "filter": Command(
+        "gap-repair and low-pass an inertial log", IN_OUT,
+        ("order", "cutoff_hz", "sample_rate_hz", "max_gap_ms"),
+        lambda eff, log, out: pipeline.stage_filter(
+            log, out, _filter_spec(eff), eff["max_gap_ms"])),
+    "segment": Command(
+        "write the sliding-window plan", IN_OUT, ("window_len", "overlap"),
+        lambda eff, log, out: pipeline.stage_segment(
+            log, out, eff["window_len"], eff["overlap"])),
+    "features": Command(
+        "extract per-window feature vectors", IN_OUT, ("window_len", "overlap"),
+        lambda eff, log, out: pipeline.stage_features(
+            log, out, eff["window_len"], eff["overlap"], include_gyro=eff["gyro"]),
+        own=("gyro",)),
+    "classify": Command(
+        "label windows with a model file",
+        {"in_path": "feature file (centroids) or filtered log (bundle)", "out": None},
+        ("model", "window_len", "overlap"), _classify, own=("probs",)),
+    "occupancy": Command(
+        "events to room/appliance intervals", {"events": None, "out": None}, ("timeout_ms",),
+        lambda eff, events, out: pipeline.stage_occupancy(
+            events, out, timeout_ms=eff["timeout_ms"])),
+    "fuse": Command(
+        "windows + intervals to derived timeline",
+        {"windows": "classified windows CSV", "intervals": None, "out": None},
+        ("rules", "tick_ms", "min_still_ms"),
+        lambda eff, windows, intervals, out: pipeline.stage_fuse(
+            windows, intervals, out, eff["rules"],
+            tick_ms=eff["tick_ms"], min_still_ms=eff["min_still_ms"])),
+    "label": Command(
+        "derived timeline to profiling windows", IN_OUT, ("span", "priorities"),
+        lambda eff, derived, out: pipeline.stage_label(
+            derived, out, eff["span"], eff["priorities"])),
+    "profile": Command(
+        "window labels to day/week JSON report", IN_OUT, ("timezone",),
+        lambda eff, labels, out: pipeline.stage_profile(labels, out, eff["timezone"])),
+    "report": Command(
+        "window labels to json or plot-ready csv", IN_OUT, ("timezone",),
+        lambda eff, labels, out: pipeline.stage_report(
+            labels, out, eff["format"], eff["timezone"]),
+        own=("format",)),
+}
+
+# The stages `pipeline` runs: it takes their options, but not their own.
+PIPELINE_STAGES = ("simulate", "filter", "features", "classify", "occupancy", "fuse",
+                   "label", "profile")
+
+COMMANDS["pipeline"] = Command(
+    "chain every stage into a directory", {"out": "output directory"},
+    ("script", "inertial", "events",
+     *dict.fromkeys(key for name in PIPELINE_STAGES for key in COMMANDS[name].options)),
+    _run_pipeline,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,204 +260,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Activity recognition pipeline over inertial and ambient sensor logs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("simulate", help="run a daily script into sensor logs")
-    p.add_argument("--script", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, "config", "days", "start_day_ms", "sigma", "dropout", "seed",
-                "rules", "tick_ms", "subject")
-
-    p = subs.add_parser("filter", help="gap-repair and low-pass an inertial log")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, "config", "order", "cutoff_hz", "sample_rate_hz", "max_gap_ms")
-
-    p = subs.add_parser("segment", help="write the sliding-window plan")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, "config", "window_len", "overlap")
-
-    p = subs.add_parser("features", help="extract per-window feature vectors")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--gyro", action="store_const", const=True)
-    _add_common(p, "config", "window_len", "overlap")
-
-    p = subs.add_parser("classify", help="label windows with a model file")
-    p.add_argument("--in", dest="in_path", required=True,
-                   help="feature file (centroids) or filtered log (bundle)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--probs", help="also write per-class probabilities (bundle only)")
-    _add_common(p, "config", "model", "window_len", "overlap")
-
-    p = subs.add_parser("occupancy", help="events to room/appliance intervals")
-    p.add_argument("--events", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, "config", "timeout_ms")
-
-    p = subs.add_parser("fuse", help="windows + intervals to derived timeline")
-    p.add_argument("--windows", required=True, help="classified windows CSV")
-    p.add_argument("--intervals", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, "config", "rules", "tick_ms", "min_still_ms")
-
-    p = subs.add_parser("label", help="derived timeline to profiling windows")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, "config", "span", "priorities")
-
-    p = subs.add_parser("profile", help="window labels to day/week JSON report")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, "config", "timezone")
-
-    p = subs.add_parser("report", help="window labels to json or plot-ready csv")
-    p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("json", "csv"))
-    _add_common(p, "config", "timezone")
-
-    p = subs.add_parser("pipeline", help="chain every stage into a directory")
-    p.add_argument("--script", help="simulate this daily script first")
-    p.add_argument("--inertial", help="existing inertial log")
-    p.add_argument("--events", help="existing ambient event log")
-    p.add_argument("--out", required=True, help="output directory")
-    _add_common(p, "config", "days", "start_day_ms", "sigma", "dropout", "seed",
-                "rules", "priorities", "model", "order", "cutoff_hz",
-                "sample_rate_hz", "max_gap_ms", "window_len", "overlap", "span",
-                "tick_ms", "min_still_ms", "timezone", "subject", "timeout_ms")
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for dest, help_text in command.files.items():
+            flag = "--in" if dest == "in_path" else f"--{dest}"
+            sub.add_argument(flag, dest=dest, required=True, help=help_text)
+        sub.add_argument("--config", help="JSON file of option defaults")
+        for key in command.options + command.own:
+            opt = OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if opt.type is bool:
+                sub.add_argument(flag, action="store_const", const=True, help=opt.help)
+            else:
+                sub.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
-
-
-_COMMAND_KEYS = {
-    "simulate": ("days", "start_day_ms", "sigma", "dropout", "seed", "rules",
-                 "tick_ms", "subject"),
-    "filter": ("order", "cutoff_hz", "sample_rate_hz", "max_gap_ms"),
-    "segment": ("window_len", "overlap"),
-    "features": ("window_len", "overlap", "gyro"),
-    "classify": ("model", "window_len", "overlap", "probs"),
-    "occupancy": ("timeout_ms",),
-    "fuse": ("rules", "tick_ms", "min_still_ms"),
-    "label": ("span", "priorities"),
-    "profile": ("timezone",),
-    "report": ("timezone", "format"),
-    "pipeline": ("script", "inertial", "events", "days", "start_day_ms", "sigma",
-                 "dropout", "seed", "rules", "priorities", "model", "order",
-                 "cutoff_hz", "sample_rate_hz", "max_gap_ms", "window_len",
-                 "overlap", "span", "tick_ms", "min_still_ms", "timezone",
-                 "subject", "timeout_ms"),
-}
-
-
-def _run_pipeline(args, eff) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rules = _rules(eff)
-    priorities = _priorities(eff)
-    spec = _filter_spec(eff)
-    noise = _noise(eff)
-    window_len, overlap = int(eff["window_len"]), float(eff["overlap"])
-
-    inertial, events = eff["inertial"], eff["events"]
-    if eff["script"]:
-        inertial = out / "inertial.csv"
-        events = out / "events.ndjson"
-        pipeline.stage_simulate(
-            eff["script"], inertial, events, out / "truth_derived.csv",
-            noise, rules,
-            days=int(eff["days"]),
-            start_day_ms=int(eff["start_day_ms"]),
-            tick_ms=int(eff["tick_ms"]),
-            subject_id=eff["subject"],
-        )
-    elif not (inertial and events):
-        raise pipeline.PipelineError(
-            "pipeline needs --script, or both --inertial and --events"
-        )
-
-    pipeline.stage_filter(inertial, out / "filtered.csv", spec, int(eff["max_gap_ms"]))
-    pipeline.stage_features(
-        out / "filtered.csv", out / "features.csv", window_len, overlap
-    )
-
-    model = eff["model"]
-    if model is None:
-        centroids = simulate.calibrate_centroids(noise, spec, window_len, overlap)
-        model = out / "centroids.json"
-        neural.save_centroids(model, centroids)
-    classify_in = (
-        out / "features.csv"
-        if pipeline._model_format(model) == neural.CENTROID_FORMAT
-        else out / "filtered.csv"
-    )
-    pipeline.stage_classify(
-        classify_in, model, out / "basic_windows.csv",
-        window_len=window_len, overlap_frac=overlap,
-    )
-    pipeline.stage_occupancy(events, out / "intervals.csv", timeout_ms=eff["timeout_ms"])
-    pipeline.stage_fuse(
-        out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv",
-        rules, tick_ms=int(eff["tick_ms"]), min_still_ms=int(eff["min_still_ms"]),
-    )
-    pipeline.stage_label(
-        out / "derived.csv", out / "window_labels.csv", int(eff["span"]), priorities
-    )
-    pipeline.stage_profile(out / "window_labels.csv", out / "report.json", eff["timezone"])
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        eff = _effective(args, _COMMAND_KEYS[args.command])
-        _echo_config(args.command, eff)
-        if args.command == "simulate":
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            pipeline.stage_simulate(
-                args.script,
-                out / "inertial.csv", out / "events.ndjson", out / "truth_derived.csv",
-                _noise(eff), _rules(eff),
-                days=int(eff["days"]),
-                start_day_ms=int(eff["start_day_ms"]),
-                tick_ms=int(eff["tick_ms"]),
-                subject_id=eff["subject"],
-            )
-        elif args.command == "filter":
-            pipeline.stage_filter(
-                args.in_path, args.out, _filter_spec(eff), int(eff["max_gap_ms"])
-            )
-        elif args.command == "segment":
-            pipeline.stage_segment(
-                args.in_path, args.out, int(eff["window_len"]), float(eff["overlap"])
-            )
-        elif args.command == "features":
-            pipeline.stage_features(
-                args.in_path, args.out,
-                int(eff["window_len"]), float(eff["overlap"]),
-                include_gyro=bool(eff["gyro"]),
-            )
-        elif args.command == "classify":
-            if not eff["model"]:
-                raise pipeline.PipelineError("classify requires --model")
-            pipeline.stage_classify(
-                args.in_path, eff["model"], args.out, probs_path=eff["probs"],
-                window_len=int(eff["window_len"]), overlap_frac=float(eff["overlap"]),
-            )
-        elif args.command == "occupancy":
-            pipeline.stage_occupancy(args.events, args.out, timeout_ms=eff["timeout_ms"])
-        elif args.command == "fuse":
-            pipeline.stage_fuse(
-                args.windows, args.intervals, args.out, _rules(eff),
-                tick_ms=int(eff["tick_ms"]), min_still_ms=int(eff["min_still_ms"]),
-            )
-        elif args.command == "label":
-            pipeline.stage_label(args.in_path, args.out, int(eff["span"]), _priorities(eff))
-        elif args.command == "profile":
-            pipeline.stage_profile(args.in_path, args.out, eff["timezone"])
-        elif args.command == "report":
-            pipeline.stage_report(args.in_path, args.out, eff["format"], eff["timezone"])
-        elif args.command == "pipeline":
-            _run_pipeline(args, eff)
+        eff = _effective(args, command.options + command.own)
+        doc = {"command": args.command, **eff}
+        print(f"config: {json.dumps(doc, sort_keys=True)}", file=sys.stderr)
+        command.run(_with_tables(eff), *(getattr(args, dest) for dest in command.files))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

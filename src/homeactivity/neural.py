@@ -312,10 +312,13 @@ def forward_bundle(bundle: WeightsBundle, window: np.ndarray) -> np.ndarray:
     return x
 
 
+def best_class(class_names, scores: np.ndarray) -> str:
+    """The highest-scoring class; a tie goes to the alphabetically first name."""
+    return min(class_names[i] for i in np.flatnonzero(scores == scores.max()))
+
+
 def classify_window(bundle: WeightsBundle, window: np.ndarray) -> str:
-    probs = forward_bundle(bundle, window)
-    best = np.flatnonzero(probs == probs.max())
-    return min(bundle.class_names[i] for i in best)
+    return best_class(bundle.class_names, forward_bundle(bundle, window))
 
 
 def _weights_to_lists(weights):
@@ -465,9 +468,7 @@ class CentroidModel:
         delta = self.centroids - features
         if self.scale is not None:
             delta = delta / self.scale
-        dist = np.linalg.norm(delta, axis=1)
-        best = np.flatnonzero(dist == dist.min())
-        return min(self.class_names[i] for i in best)
+        return best_class(self.class_names, -np.linalg.norm(delta, axis=1))
 
 
 def save_centroids(path: str | Path, model: CentroidModel) -> None:

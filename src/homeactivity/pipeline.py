@@ -171,9 +171,22 @@ def stage_features(
     return {"windows": len(windows), "layout": layout}
 
 
-def _model_format(path) -> str:
+def read_json_object(path) -> dict:
+    """Parse a file holding one JSON object; errors name the file and line."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh).get("format", "")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise PipelineError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise PipelineError(f"{path}: byte {exc.start}: not UTF-8") from None
+    if not isinstance(doc, dict):
+        raise PipelineError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _model_format(path) -> str:
+    return read_json_object(path).get("format", "")
 
 
 def stage_classify(
@@ -205,11 +218,7 @@ def stage_classify(
         for piece in timeseries.split_on_gaps(series):
             for w in timeseries.segment(piece, window_len, overlap_frac):
                 probs = neural.forward_bundle(bundle, w.xyz)
-                best = min(
-                    bundle.class_names[i]
-                    for i in range(len(probs))
-                    if probs[i] == probs.max()
-                )
+                best = neural.best_class(bundle.class_names, probs)
                 rows.append((w.start_ts, w.end_ts, best))
                 probs_rows.append((w.start_ts, w.end_ts, probs))
         class_names = bundle.class_names
@@ -298,11 +307,11 @@ def stage_profile(windows_path, out_path, tz="UTC") -> dict:
 
 
 def stage_report(windows_path, out_path, fmt: str = "json", tz="UTC") -> dict:
-    days = _day_profiles(windows_path, tz)
     if fmt == "json":
         return stage_profile(windows_path, out_path, tz)
     if fmt != "csv":
         raise PipelineError(f"unknown report format {fmt!r}")
+    days = _day_profiles(windows_path, tz)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day", "label", "duration_ms", "share"])

@@ -8,7 +8,6 @@ add day-by-day occurrence booleans.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
@@ -213,16 +212,3 @@ def write_report_json(path: str | Path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_share_csv(path: str | Path, profile: DayProfile) -> None:
-    """Plot-ready per-label duration shares for one day."""
-    doc = day_report(profile)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "duration_ms", "share"])
-        for row in doc["activities"]:
-            writer.writerow([row["label"], row["duration_ms"], f"{row['share']:.6f}"])
-        if profile.nodata_ms > 0:
-            share = profile.nodata_ms / profile.coverage_ms if profile.coverage_ms else 0.0
-            writer.writerow([NO_DATA, profile.nodata_ms, f"{share:.6f}"])

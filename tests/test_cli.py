@@ -1,0 +1,304 @@
+"""The command-line surface: flags, echoed configuration, dispatch.
+
+The surface table below was recorded from the parser before the option
+and command tables replaced the hand-written one, so any change to a
+flag, its destination, required-ness, choices or action shows here.
+"""
+
+import argparse
+import json
+
+import pytest
+
+from homeactivity import cli, fusion, labelling, pipeline
+
+# command -> {option strings: (dest, required, choices, store_const)}
+SURFACE = {
+    "simulate": {
+        ("--script",): ("script", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--days",): ("days", False, None, False),
+        ("--start-day-ms",): ("start_day_ms", False, None, False),
+        ("--sigma",): ("sigma", False, None, False),
+        ("--dropout",): ("dropout", False, None, False),
+        ("--seed",): ("seed", False, None, False),
+        ("--rules",): ("rules", False, None, False),
+        ("--tick-ms",): ("tick_ms", False, None, False),
+        ("--subject",): ("subject", False, None, False),
+    },
+    "filter": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--order",): ("order", False, None, False),
+        ("--cutoff-hz",): ("cutoff_hz", False, None, False),
+        ("--sample-rate-hz",): ("sample_rate_hz", False, None, False),
+        ("--max-gap-ms",): ("max_gap_ms", False, None, False),
+    },
+    "segment": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--window-len",): ("window_len", False, None, False),
+        ("--overlap",): ("overlap", False, None, False),
+    },
+    "features": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--gyro",): ("gyro", False, None, True),
+        ("--config",): ("config", False, None, False),
+        ("--window-len",): ("window_len", False, None, False),
+        ("--overlap",): ("overlap", False, None, False),
+    },
+    "classify": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--probs",): ("probs", False, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--model",): ("model", False, None, False),
+        ("--window-len",): ("window_len", False, None, False),
+        ("--overlap",): ("overlap", False, None, False),
+    },
+    "occupancy": {
+        ("--events",): ("events", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--timeout-ms",): ("timeout_ms", False, None, False),
+    },
+    "fuse": {
+        ("--windows",): ("windows", True, None, False),
+        ("--intervals",): ("intervals", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--rules",): ("rules", False, None, False),
+        ("--tick-ms",): ("tick_ms", False, None, False),
+        ("--min-still-ms",): ("min_still_ms", False, None, False),
+    },
+    "label": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--span",): ("span", False, None, False),
+        ("--priorities",): ("priorities", False, None, False),
+    },
+    "profile": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--timezone",): ("timezone", False, None, False),
+    },
+    "report": {
+        ("--in",): ("in_path", True, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--format",): ("format", False, ("json", "csv"), False),
+        ("--config",): ("config", False, None, False),
+        ("--timezone",): ("timezone", False, None, False),
+    },
+    "pipeline": {
+        ("--script",): ("script", False, None, False),
+        ("--inertial",): ("inertial", False, None, False),
+        ("--events",): ("events", False, None, False),
+        ("--out",): ("out", True, None, False),
+        ("--config",): ("config", False, None, False),
+        ("--days",): ("days", False, None, False),
+        ("--start-day-ms",): ("start_day_ms", False, None, False),
+        ("--sigma",): ("sigma", False, None, False),
+        ("--dropout",): ("dropout", False, None, False),
+        ("--seed",): ("seed", False, None, False),
+        ("--rules",): ("rules", False, None, False),
+        ("--priorities",): ("priorities", False, None, False),
+        ("--model",): ("model", False, None, False),
+        ("--order",): ("order", False, None, False),
+        ("--cutoff-hz",): ("cutoff_hz", False, None, False),
+        ("--sample-rate-hz",): ("sample_rate_hz", False, None, False),
+        ("--max-gap-ms",): ("max_gap_ms", False, None, False),
+        ("--window-len",): ("window_len", False, None, False),
+        ("--overlap",): ("overlap", False, None, False),
+        ("--span",): ("span", False, None, False),
+        ("--tick-ms",): ("tick_ms", False, None, False),
+        ("--min-still-ms",): ("min_still_ms", False, None, False),
+        ("--timezone",): ("timezone", False, None, False),
+        ("--subject",): ("subject", False, None, False),
+        ("--timeout-ms",): ("timeout_ms", False, None, False),
+    },
+}
+
+# Keys of the `config:` line each command echoes, besides "command".
+ECHOED = {
+    "simulate": {"days", "start_day_ms", "sigma", "dropout", "seed", "rules",
+                 "tick_ms", "subject"},
+    "filter": {"order", "cutoff_hz", "sample_rate_hz", "max_gap_ms"},
+    "segment": {"window_len", "overlap"},
+    "features": {"window_len", "overlap", "gyro"},
+    "classify": {"model", "window_len", "overlap", "probs"},
+    "occupancy": {"timeout_ms"},
+    "fuse": {"rules", "tick_ms", "min_still_ms"},
+    "label": {"span", "priorities"},
+    "profile": {"timezone"},
+    "report": {"timezone", "format"},
+    "pipeline": {"script", "inertial", "events", "days", "start_day_ms", "sigma",
+                 "dropout", "seed", "rules", "priorities", "model", "order",
+                 "cutoff_hz", "sample_rate_hz", "max_gap_ms", "window_len",
+                 "overlap", "span", "tick_ms", "min_still_ms", "timezone",
+                 "subject", "timeout_ms"},
+}
+
+STAGES = ("simulate", "filter", "segment", "features", "classify", "occupancy",
+          "fuse", "label", "profile", "report")
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def required_argv(command: str, where) -> list:
+    """The command's required flags, each pointing at an absent file."""
+    argv = [command]
+    for options, (_dest, required, _choices, _const) in SURFACE[command].items():
+        if required:
+            argv += [options[0], str(where / options[0].lstrip("-"))]
+    return argv
+
+
+def echoed_config(stderr: str) -> dict:
+    line = next(l for l in stderr.splitlines() if l.startswith("config: "))
+    return json.loads(line[len("config: "):])
+
+
+def error_line(stderr: str) -> str:
+    """The one `error:` line of a failed command; no traceback."""
+    lines = [l for l in stderr.splitlines() if not l.startswith("config: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    return lines[0]
+
+
+class TestSurface:
+    def test_subcommands(self):
+        assert sorted(subparsers()) == sorted(SURFACE)
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_flags(self, command):
+        got = {
+            tuple(a.option_strings): (
+                a.dest, a.required,
+                None if a.choices is None else tuple(a.choices),
+                isinstance(a, argparse._StoreConstAction),
+            )
+            for a in subparsers()[command]._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert got == SURFACE[command]
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_echoed_config_keys(self, command, tmp_path, capsys):
+        cli.main(required_argv(command, tmp_path))
+        eff = echoed_config(capsys.readouterr().err)
+        assert eff.pop("command") == command
+        assert set(eff) == ECHOED[command]
+
+
+class TestDispatch:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every pipeline stage replaced by a recorder of its name."""
+        made = []
+        for stage in STAGES:
+            def record(*args, _stage=stage, **kwargs):
+                made.append(_stage)
+                return {}
+            monkeypatch.setattr(pipeline, f"stage_{stage}", record)
+        return made
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_stage_command_calls_its_stage(self, stage, calls, tmp_path):
+        argv = required_argv(stage, tmp_path)
+        if stage == "classify":
+            argv += ["--model", str(tmp_path / "model.json")]
+        assert cli.main(argv) == 0
+        assert calls == [stage]
+
+    def test_pipeline_calls_every_stage_in_order(self, calls, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline, "_model_format", lambda path: "centroids.v1")
+        for module, loader in ((fusion, "load_default_rules"),
+                               (labelling, "load_default_priorities")):
+            def load(_loader=loader):
+                calls.append(_loader)
+            monkeypatch.setattr(module, loader, load)
+        argv = ["pipeline", "--script", str(tmp_path / "script.csv"),
+                "--out", str(tmp_path / "run"), "--model", str(tmp_path / "model.json")]
+        assert cli.main(argv) == 0
+        assert calls == ["load_default_rules", "load_default_priorities",
+                         "simulate", "filter", "features", "classify", "occupancy",
+                         "fuse", "label", "profile"]
+
+
+def write_config(where, doc) -> str:
+    path = where / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestTypedConfig:
+    @pytest.mark.parametrize("command, doc, expected", [
+        ("occupancy", {"timeout_ms": "abc"}, 'timeout_ms: expected int, got "abc"'),
+        ("features", {"gyro": "false"}, 'gyro: expected true or false, got "false"'),
+        ("segment", {"window_len": 64.5}, "window_len: expected int, got 64.5"),
+        ("segment", {"overlap": True}, "overlap: expected float, got true"),
+        ("report", {"format": "txt"}, 'format: expected one of json, csv, got "txt"'),
+        ("profile", {"timezone": ["UTC"]}, 'timezone: expected str, got ["UTC"]'),
+    ])
+    def test_rejected_value_names_file_and_key(self, command, doc, expected, tmp_path,
+                                               capsys):
+        config = write_config(tmp_path, doc)
+        code = cli.main(required_argv(command, tmp_path) + ["--config", config])
+        assert code == 1
+        assert error_line(capsys.readouterr().err) == f"error: {config}: {expected}"
+
+    def test_values_take_their_flag_type(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"window_len": "64", "overlap": 1, "gyro": False})
+        cli.main(required_argv("features", tmp_path) + ["--config", config])
+        eff = echoed_config(capsys.readouterr().err)
+        assert (eff["window_len"], eff["overlap"], eff["gyro"]) == (64, 1.0, False)
+
+    def test_null_means_unset(self, tmp_path, capsys):
+        derived = tmp_path / "derived.csv"
+        fusion.write_derived(
+            derived, [(i * 5_000, fusion.DerivedActivity("Sitting")) for i in range(48)]
+        )
+        labels = tmp_path / "labels.csv"
+        config = write_config(tmp_path, {"span": None, "priorities": None})
+        argv = ["label", "--in", str(derived), "--out", str(labels), "--config", config]
+        assert cli.main(argv) == 0
+        assert echoed_config(capsys.readouterr().err)["span"] == 2
+        rows = labelling.read_window_labels(labels)
+        assert [w.end_ts - w.start_ts for w in rows] == [120_000, 120_000]
+
+
+class TestJsonErrors:
+    def test_truncated_config_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"window_len": 64\n"overlap": 0.5}', encoding="utf-8")
+        code = cli.main(required_argv("segment", tmp_path) + ["--config", str(config)])
+        assert code == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {config}: line 2: Expecting ',' delimiter"
+        )
+
+    def test_config_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"span": 2, "timezone": "\xff"}')
+        code = cli.main(required_argv("label", tmp_path) + ["--config", str(config)])
+        assert code == 1
+        assert error_line(capsys.readouterr().err) == f"error: {config}: byte 25: not UTF-8"
+
+    def test_truncated_model_names_file_and_line(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"format": "centroids.v1", ', encoding="utf-8")
+        argv = required_argv("classify", tmp_path) + ["--model", str(model)]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {model}: line 1: Expecting property name enclosed in double quotes"
+        )

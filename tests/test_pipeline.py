@@ -11,7 +11,17 @@ import json
 import numpy as np
 import pytest
 
-from homeactivity import cli, features, fusion, labelling, neural, occupancy, pipeline, timeseries
+from homeactivity import (
+    cli,
+    features,
+    fusion,
+    labelling,
+    neural,
+    occupancy,
+    pipeline,
+    profiles,
+    timeseries,
+)
 from homeactivity.pipeline import PipelineError, ticks_from_windows
 from homeactivity.simulate import MS_PER_DAY, QUIET, ScheduleEntry, write_script
 
@@ -153,6 +163,19 @@ class TestStageChain:
         labels = [row["label"] for row in day["activities"]]
         assert labels == ["Sleeping in Bedroom", "Watching TV Sitting"]
         assert day["activities"][0]["duration_ms"] == 480_000
+
+    def test_json_report_builds_each_day_once(self, chain, tmp_path, monkeypatch):
+        built = []
+        day_profile = profiles.day_profile
+
+        def counted(*args):
+            built.append(args)
+            return day_profile(*args)
+
+        monkeypatch.setattr(profiles, "day_profile", counted)
+        pipeline.stage_report(chain / "labels.csv", tmp_path / "r.json", fmt="json")
+        assert len(built) == 1
+        assert (tmp_path / "r.json").read_bytes() == (chain / "report.json").read_bytes()
 
     def test_csv_report(self, chain, tmp_path):
         pipeline.stage_report(chain / "labels.csv", tmp_path / "r.csv", fmt="csv")

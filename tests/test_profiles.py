@@ -5,7 +5,8 @@ from datetime import date
 
 import pytest
 
-from homeactivity.labelling import NO_DATA, WindowLabel
+from homeactivity import cli
+from homeactivity.labelling import NO_DATA, WindowLabel, write_window_labels
 from homeactivity.profiles import (
     DAY_BOUNDARY_ERROR,
     Bout,
@@ -17,7 +18,6 @@ from homeactivity.profiles import (
     week_profile,
     week_report,
     write_report_json,
-    write_share_csv,
 )
 
 SPAN = 120_000
@@ -145,11 +145,13 @@ class TestReports:
         assert p1.read_bytes() == p2.read_bytes()
         assert json.loads(p1.read_text())["occurrence"]["walk"][0] is True
 
-    def test_share_csv_appends_nodata_row(self, tmp_path):
-        p = day_profile(seq(DAY1, ["a", NO_DATA]))
-        path = tmp_path / "share.csv"
-        write_share_csv(path, p)
+    def test_report_csv_appends_nodata_row(self, tmp_path):
+        labels, path = tmp_path / "labels.csv", tmp_path / "share.csv"
+        write_window_labels(labels, seq(DAY1, ["a", NO_DATA]))
+        argv = ["report", "--in", str(labels), "--out", str(path), "--format", "csv"]
+        assert cli.main(argv) == 0
         lines = path.read_text().splitlines()
-        assert lines[0] == "label,duration_ms,share"
-        assert lines[1].startswith("a,120000,0.5")
-        assert lines[2].startswith("NoData,120000,0.5")
+        assert lines[0] == "day,label,duration_ms,share"
+        assert lines[1] == "2023-12-09,a,120000,0.500000"
+        assert lines[2] == "2023-12-09,NoData,120000,0.500000"
+        assert len(lines) == 3
