@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .tables import TableError, read_lines
 from .timeseries import SampleWindow
 
 BIN_COUNT = 10
@@ -122,32 +123,39 @@ def write_features(path: str | Path, matrix: np.ndarray, spans, layout: str) -> 
 
 
 def read_features(path: str | Path, expect_layout: str | None = None):
-    """Read a feature file; returns (matrix, spans, layout)."""
+    """Read a feature file; returns (matrix, spans, layout). Errors name the line."""
     layout = None
     spans = []
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
-        for line in fh:
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key.strip() == "layout":
-                    layout = value.strip()
-                continue
+    header = None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if header is not None and line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            if key.strip() == "layout":
+                layout = value.strip()
+                if layout not in FEATURE_COUNTS:
+                    raise FeatureLayoutError(f"{path}: line {lineno}: unknown layout: {layout}")
+            continue
+        try:
             fields = next(csv.reader([line]))
-            spans.append((int(fields[0]), int(fields[1])))
-            rows.append([float(v) for v in fields[2:]])
+            if header is None:
+                header = fields
+            elif len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+            else:
+                spans.append((int(fields[0]), int(fields[1])))
+                rows.append([float(v) for v in fields[2:]])
+        except (ValueError, csv.Error) as exc:
+            raise TableError(f"{path}: line {lineno}: {exc}") from None
     if layout is None:
-        raise FeatureLayoutError("feature file is missing its layout marker")
-    if layout not in FEATURE_COUNTS:
-        raise FeatureLayoutError(f"unknown layout: {layout}")
-    matrix = np.array(rows, dtype=np.float64).reshape(-1, FEATURE_COUNTS[layout])
-    n_cols = len(header.strip().split(",")) - 2
+        raise FeatureLayoutError(f"{path}: line 2: missing the layout marker")
+    n_cols = len(header) - 2
     if n_cols != FEATURE_COUNTS[layout]:
         raise FeatureLayoutError(
-            f"header advertises {n_cols} features but layout {layout} "
+            f"{path}: line 1: header advertises {n_cols} features but layout {layout} "
             f"defines {FEATURE_COUNTS[layout]}"
         )
     if expect_layout is not None and layout != expect_layout:
-        raise FeatureLayoutError(f"expected layout {expect_layout}, file has {layout}")
+        raise FeatureLayoutError(f"{path}: expected layout {expect_layout}, file has {layout}")
+    matrix = np.array(rows, dtype=np.float64).reshape(-1, FEATURE_COUNTS[layout])
     return matrix, spans, layout

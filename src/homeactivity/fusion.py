@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import tables
 from .ambient import APPLIANCES, ROOMS
 
 BASIC_ACTIVITIES = ("Walk", "Jog", "Sit", "Stand", "Lie", "Sleep", "StairUp", "StairDown")
 FLAGS = ("Normal", "Unnatural", "Anomaly")
 APPLIANCE_PRECEDENCE = ("water_bottle", "mirror_bulb", "bathroom_switch", "tv")
+RULE_COLUMNS = ("basic", "room", "appliance", "derived_name", "flag")
+DERIVED_COLUMNS = ("ts", "derived_name", "flag")
 
 DEFAULT_MIN_STILL_MS = 300_000
 DEFAULT_TICK_MS = 5_000
@@ -102,54 +105,53 @@ class FusionRuleTable:
         return tuple(seen)
 
 
-def _parse_rule_row(row: dict, lineno: int) -> FusionRule:
-    basic = row["basic"].strip() or None
-    room = row["room"].strip() or None
-    appliance = row["appliance"].strip() or None
-    name = row["derived_name"].strip()
-    flag = row["flag"].strip()
+def _parse_rule_row(basic, room, appliance, name, flag) -> FusionRule:
+    """One stripped row; empty basic, room and appliance are wildcards."""
+    basic = basic or None
+    room = room or None
+    appliance = appliance or None
     if basic is not None and basic not in BASIC_ACTIVITIES:
-        raise RuleFileError(f"line {lineno}: unknown basic activity {basic!r}")
+        raise RuleFileError(f"unknown basic activity {basic!r}")
     if room is not None and room not in ROOMS:
-        raise RuleFileError(f"line {lineno}: unknown room {room!r}")
+        raise RuleFileError(f"unknown room {room!r}")
     if appliance is not None and appliance not in APPLIANCES:
-        raise RuleFileError(f"line {lineno}: unknown appliance {appliance!r}")
+        raise RuleFileError(f"unknown appliance {appliance!r}")
     if not name:
-        raise RuleFileError(f"line {lineno}: empty derived_name")
-    if flag not in FLAGS:
-        raise RuleFileError(f"line {lineno}: unknown flag {flag!r}")
+        raise RuleFileError("empty derived_name")
     if basic is None and room is None and appliance is None:
-        raise RuleFileError(f"line {lineno}: rule matches everything")
+        raise RuleFileError("rule matches everything")
     return FusionRule(basic, room, appliance, DerivedActivity(name, flag))
 
 
 def load_rules(path: str | Path) -> FusionRuleTable:
+    """Unlike the stage tables, a rule table may hold `#` comment lines."""
     rules = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = None
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = next(csv.reader([line]))
+    header = None
+    lineno = 0
+    for lineno, line in enumerate(tables.read_lines(path, RuleFileError), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            fields = [f.strip() for f in next(csv.reader([line]))]
             if header is None:
-                header = [f.strip() for f in fields]
-                if header != ["basic", "room", "appliance", "derived_name", "flag"]:
-                    raise RuleFileError(f"line {lineno}: unexpected header {header}")
-                continue
-            rules.append(_parse_rule_row(dict(zip(header, fields)), lineno))
+                header = fields
+                if header != list(RULE_COLUMNS):
+                    raise RuleFileError(f"unexpected header {header}")
+            elif len(fields) != len(header):
+                raise RuleFileError(f"expected {len(header)} fields, got {len(fields)}")
+            else:
+                rules.append(_parse_rule_row(*fields))
+        except (ValueError, csv.Error) as exc:
+            raise RuleFileError(f"{path}: line {lineno}: {exc}") from None
     if not rules:
-        raise RuleFileError("rule file contains no rules")
+        raise RuleFileError(f"{path}: line {lineno + 1}: rule file contains no rules")
     return FusionRuleTable(rules)
 
 
 def write_rules(path: str | Path, table: FusionRuleTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["basic", "room", "appliance", "derived_name", "flag"])
-        for r in table.rules:
-            writer.writerow(
-                [r.basic or "", r.room or "", r.appliance or "", r.derived.name, r.derived.flag]
-            )
+    rows = ((r.basic or "", r.room or "", r.appliance or "", r.derived.name, r.derived.flag)
+            for r in table.rules)
+    tables.write_table(path, RULE_COLUMNS, rows)
 
 
 def default_rules_path() -> Path:
@@ -214,16 +216,10 @@ def flag_stream(derived_timeline, tick_ms: int = DEFAULT_TICK_MS):
 
 def write_derived(path: str | Path, timeline) -> None:
     """Serialize an ordered (ts, DerivedActivity) timeline."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ts", "derived_name", "flag"])
-        for ts, derived in timeline:
-            writer.writerow([ts, derived.name, derived.flag])
+    tables.write_table(path, DERIVED_COLUMNS, ((ts, d.name, d.flag) for ts, d in timeline))
 
 
 def read_derived(path: str | Path):
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((int(row["ts"]), DerivedActivity(row["derived_name"], row["flag"])))
-    return out
+    return tables.read_table(
+        path, DERIVED_COLUMNS, lambda ts, name, flag: (int(ts), DerivedActivity(name, flag))
+    )

@@ -12,11 +12,12 @@ matched case-insensitively and reported in canonical form.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+from . import tables
 
 WINDOW_SPANS_MIN = (2, 5, 10)
 NO_DATA = "NoData"
@@ -25,6 +26,8 @@ METHOD_PRIORITY = "priority"
 METHOD_FREQUENCY = "frequency"
 METHOD_TIE = "tie"
 METHOD_NO_DATA = "nodata"
+PRIORITY_COLUMNS = ("activity", "priority")
+WINDOW_LABEL_COLUMNS = ("window_start", "window_end", "label", "method")
 
 
 class PriorityFileError(ValueError):
@@ -162,38 +165,27 @@ def ranks_from_frequencies(freq: dict[str, int]) -> dict[str, int]:
 def load_priorities(path: str | Path) -> PriorityTable:
     ranks: dict[str, int] = {}
     vocabulary: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["activity", "priority"]:
-            raise PriorityFileError(f"unexpected header {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            name = row["activity"].strip()
-            raw = (row["priority"] or "").strip()
-            if not name:
-                raise PriorityFileError(f"line {lineno}: empty activity name")
-            if name in ranks or name in vocabulary:
-                raise PriorityFileError(f"line {lineno}: duplicate activity {name!r}")
-            if raw:
-                try:
-                    rank = int(raw)
-                except ValueError:
-                    raise PriorityFileError(
-                        f"line {lineno}: priority must be an integer, got {raw!r}"
-                    ) from None
-                if rank < 1:
-                    raise PriorityFileError(f"line {lineno}: priority must be >= 1")
-                ranks[name] = rank
-            else:
-                vocabulary.append(name)
+
+    def add(name, raw):
+        name, raw = name.strip(), raw.strip()
+        if not name:
+            raise PriorityFileError("empty activity name")
+        if name in ranks or name in vocabulary:
+            raise PriorityFileError(f"duplicate activity {name!r}")
+        if not raw:
+            vocabulary.append(name)
+        elif int(raw) < 1:
+            raise PriorityFileError("priority must be >= 1")
+        else:
+            ranks[name] = int(raw)
+
+    tables.read_table(path, PRIORITY_COLUMNS, add, PriorityFileError)
     return PriorityTable(ranks, vocabulary)
 
 
 def write_priorities(path: str | Path, table: PriorityTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["activity", "priority"])
-        for name, rank in table.items():
-            writer.writerow([name, "" if rank is None else rank])
+    rows = ((name, "" if rank is None else rank) for name, rank in table.items())
+    tables.write_table(path, PRIORITY_COLUMNS, rows)
 
 
 def load_default_priorities() -> PriorityTable:
@@ -203,23 +195,13 @@ def load_default_priorities() -> PriorityTable:
 
 
 def write_window_labels(path: str | Path, windows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "window_end", "label", "method"])
-        for w in windows:
-            writer.writerow([w.start_ts, w.end_ts, w.label, w.method])
+    rows = ((w.start_ts, w.end_ts, w.label, w.method) for w in windows)
+    tables.write_table(path, WINDOW_LABEL_COLUMNS, rows)
 
 
 def read_window_labels(path: str | Path) -> list[WindowLabel]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                WindowLabel(
-                    start_ts=int(row["window_start"]),
-                    end_ts=int(row["window_end"]),
-                    label=row["label"],
-                    method=row["method"],
-                )
-            )
-    return out
+    return tables.read_table(
+        path,
+        WINDOW_LABEL_COLUMNS,
+        lambda start, end, label, method: WindowLabel(int(start), int(end), label, method),
+    )

@@ -9,19 +9,15 @@ overlap resolution) rather than observed as that sensor's own off edge.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import tables
 from .ambient import EVENT_KINDS, AmbientEvent
 
 DEFAULT_ROOM = "Outside"
 INTERVAL_COLUMNS = ("kind", "location", "start_ts", "end_ts", "truncated")
-
-
-class IntervalFileError(ValueError):
-    """Raised when an intervals file is malformed."""
 
 
 @dataclass(frozen=True, order=True)
@@ -156,36 +152,16 @@ def active_at(intervals, ts: int) -> set[str]:
 
 
 def write_intervals(path: str | Path, intervals) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INTERVAL_COLUMNS)
-        for iv in intervals:
-            writer.writerow(
-                [iv.kind, iv.location, iv.start_ts, iv.end_ts, int(iv.truncated)]
-            )
+    rows = ((iv.kind, iv.location, iv.start_ts, iv.end_ts, int(iv.truncated)) for iv in intervals)
+    tables.write_table(path, INTERVAL_COLUMNS, rows)
+
+
+def _interval(kind, location, start_ts, end_ts, truncated) -> Interval:
+    return Interval(int(start_ts), int(end_ts), kind, location, bool(int(truncated)))
 
 
 def read_intervals(path: str | Path) -> list[Interval]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in INTERVAL_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise IntervalFileError(f"{path}: line 1: missing column {', '.join(missing)}")
-        for row in reader:
-            try:
-                out.append(
-                    Interval(
-                        start_ts=int(row["start_ts"]),
-                        end_ts=int(row["end_ts"]),
-                        kind=row["kind"],
-                        location=row["location"],
-                        truncated=bool(int(row["truncated"])),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise IntervalFileError(f"{path}: line {reader.line_num}: {exc}") from None
-    return out
+    return tables.read_table(path, INTERVAL_COLUMNS, _interval)
 
 
 def events_from_intervals(intervals) -> list[AmbientEvent]:

@@ -9,9 +9,7 @@ byte-level comparison of two runs meaningful.
 
 from __future__ import annotations
 
-import csv
 import json
-from pathlib import Path
 
 from . import (
     ambient,
@@ -22,10 +20,12 @@ from . import (
     occupancy,
     profiles,
     simulate,
+    tables,
     timeseries,
 )
 
 MS_PER_DAY = simulate.MS_PER_DAY
+BASIC_WINDOW_COLUMNS = ("window_start", "window_end", "label")
 
 
 class PipelineError(ValueError):
@@ -42,20 +42,20 @@ def _single_series(path) -> timeseries.SampleSeries:
     return series[0]
 
 
+def _windows(path, window_len, overlap_frac) -> list[timeseries.SampleWindow]:
+    """Every complete window of a single-subject log, never across a gap."""
+    pieces = timeseries.split_on_gaps(_single_series(path))
+    return [w for piece in pieces for w in timeseries.segment(piece, window_len, overlap_frac)]
+
+
 def write_basic_windows(path, windows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "window_end", "label"])
-        for start, end, label in windows:
-            writer.writerow([start, end, label])
+    tables.write_table(path, BASIC_WINDOW_COLUMNS, windows)
 
 
 def read_basic_windows(path) -> list[tuple[int, int, str]]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append((int(row["window_start"]), int(row["window_end"]), row["label"]))
-    return out
+    return tables.read_table(
+        path, BASIC_WINDOW_COLUMNS, lambda start, end, label: (int(start), int(end), label)
+    )
 
 
 def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
@@ -140,16 +140,9 @@ def stage_segment(
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
 ) -> dict:
     """Write the window plan (spans only) for a repaired log."""
-    series = _single_series(in_path)
-    count = 0
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_start", "window_end"])
-        for piece in timeseries.split_on_gaps(series):
-            for w in timeseries.segment(piece, window_len, overlap_frac):
-                writer.writerow([w.start_ts, w.end_ts])
-                count += 1
-    return {"windows": count}
+    spans = [(w.start_ts, w.end_ts) for w in _windows(in_path, window_len, overlap_frac)]
+    tables.write_table(out_path, ("window_start", "window_end"), spans)
+    return {"windows": len(spans)}
 
 
 def stage_features(
@@ -159,10 +152,7 @@ def stage_features(
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
     include_gyro: bool = False,
 ) -> dict:
-    series = _single_series(in_path)
-    windows = []
-    for piece in timeseries.split_on_gaps(series):
-        windows.extend(timeseries.segment(piece, window_len, overlap_frac))
+    windows = _windows(in_path, window_len, overlap_frac)
     if not windows:
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
     matrix, spans = features.extract_all(windows, include_gyro)
@@ -213,14 +203,12 @@ def stage_classify(
         class_names = model.class_names
     elif fmt == neural.BUNDLE_FORMAT:
         bundle = neural.load_bundle(model_path)
-        series = _single_series(in_path)
         probs_rows = []
-        for piece in timeseries.split_on_gaps(series):
-            for w in timeseries.segment(piece, window_len, overlap_frac):
-                probs = neural.forward_bundle(bundle, w.xyz)
-                best = neural.best_class(bundle.class_names, probs)
-                rows.append((w.start_ts, w.end_ts, best))
-                probs_rows.append((w.start_ts, w.end_ts, probs))
+        for w in _windows(in_path, window_len, overlap_frac):
+            probs = neural.forward_bundle(bundle, w.xyz)
+            best = neural.best_class(bundle.class_names, probs)
+            rows.append((w.start_ts, w.end_ts, best))
+            probs_rows.append([w.start_ts, w.end_ts, *(f"{p:.9g}" for p in probs)])
         class_names = bundle.class_names
     else:
         raise PipelineError(f"{model_path}: unrecognized model format {fmt!r}")
@@ -228,11 +216,7 @@ def stage_classify(
     if probs_path is not None:
         if probs_rows is None:
             raise PipelineError("probability output requires a weights bundle")
-        with open(probs_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["window_start", "window_end"] + list(class_names))
-            for start, end, probs in probs_rows:
-                writer.writerow([start, end] + [f"{p:.9g}" for p in probs])
+        tables.write_table(probs_path, ["window_start", "window_end", *class_names], probs_rows)
     return {"windows": len(rows), "model": fmt}
 
 
@@ -312,18 +296,13 @@ def stage_report(windows_path, out_path, fmt: str = "json", tz="UTC") -> dict:
     if fmt != "csv":
         raise PipelineError(f"unknown report format {fmt!r}")
     days = _day_profiles(windows_path, tz)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "label", "duration_ms", "share"])
-        for p in days:
-            doc = profiles.day_report(p)
-            for row in doc["activities"]:
-                writer.writerow(
-                    [doc["day"], row["label"], row["duration_ms"], f"{row['share']:.6f}"]
-                )
-            if p.nodata_ms > 0:
-                share = p.nodata_ms / p.coverage_ms if p.coverage_ms else 0.0
-                writer.writerow(
-                    [doc["day"], labelling.NO_DATA, p.nodata_ms, f"{share:.6f}"]
-                )
+    rows = []
+    for p in days:
+        doc = profiles.day_report(p)
+        for row in doc["activities"]:
+            rows.append([doc["day"], row["label"], row["duration_ms"], f"{row['share']:.6f}"])
+        if p.nodata_ms > 0:
+            share = p.nodata_ms / p.coverage_ms if p.coverage_ms else 0.0
+            rows.append([doc["day"], labelling.NO_DATA, p.nodata_ms, f"{share:.6f}"])
+    tables.write_table(out_path, ("day", "label", "duration_ms", "share"), rows)
     return {"days": len(days)}

@@ -8,17 +8,16 @@ NoiseSpec seed, so identical inputs reproduce identical bytes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import signal as _sig
 
+from . import tables
 from .ambient import APPLIANCES, ROOMS, AmbientEvent
 from .features import extract_features, layout_for
 from .fusion import (
-    BASIC_ACTIVITIES,
     DEFAULT_TICK_MS,
     FusionRuleTable,
     derive_sleep,
@@ -40,6 +39,7 @@ CLASSIFIER_CLASSES = ("Jog", "Lie", "Sit", "Stand", "StairDown", "StairUp", "Wal
 
 GRAVITY = 9.81
 MS_PER_DAY = 86_400_000
+SCRIPT_COLUMNS = ("clock_start", "duration_s", "room", "basic", "appliances")
 
 
 class ScriptError(ValueError):
@@ -124,37 +124,34 @@ def _parse_clock_ms(text: str) -> int:
 
 def load_script(path: str | Path) -> list[ScheduleEntry]:
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        want = ["clock_start", "duration_s", "room", "basic", "appliances"]
-        if reader.fieldnames != want:
-            raise ScriptError(f"unexpected header {reader.fieldnames}, want {want}")
-        for row in reader:
-            appliances = frozenset(
-                a.strip() for a in row["appliances"].split("|") if a.strip()
+
+    def add(clock_start, duration_s, room, basic, appliances):
+        entries.append(
+            ScheduleEntry(
+                clock_start_ms=_parse_clock_ms(clock_start),
+                duration_ms=int(duration_s) * 1000,
+                room=room.strip(),
+                basic=basic.strip(),
+                appliances=frozenset(a.strip() for a in appliances.split("|") if a.strip()),
             )
-            entries.append(
-                ScheduleEntry(
-                    clock_start_ms=_parse_clock_ms(row["clock_start"]),
-                    duration_ms=int(row["duration_s"]) * 1000,
-                    room=row["room"].strip(),
-                    basic=row["basic"].strip(),
-                    appliances=appliances,
-                )
-            )
-    return _validate_script(entries)
+        )
+        _validate_script(entries[-2:])
+
+    tables.read_table(path, SCRIPT_COLUMNS, add, ScriptError)
+    if not entries:
+        raise ScriptError(f"{path}: line 2: script has no entries")
+    return entries
 
 
 def write_script(path: str | Path, script) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clock_start", "duration_s", "room", "basic", "appliances"])
-        for e in script:
-            total_s = e.clock_start_ms // 1000
-            clock = f"{total_s // 3600:02d}:{total_s % 3600 // 60:02d}:{total_s % 60:02d}"
-            writer.writerow(
-                [clock, e.duration_ms // 1000, e.room, e.basic, "|".join(sorted(e.appliances))]
-            )
+    rows = []
+    for e in script:
+        total_s = e.clock_start_ms // 1000
+        clock = f"{total_s // 3600:02d}:{total_s % 3600 // 60:02d}:{total_s % 60:02d}"
+        rows.append(
+            [clock, e.duration_ms // 1000, e.room, e.basic, "|".join(sorted(e.appliances))]
+        )
+    tables.write_table(path, SCRIPT_COLUMNS, rows)
 
 
 def _motion_signal(basic: str, t: np.ndarray) -> np.ndarray:

@@ -135,6 +135,24 @@ class TestFeatureFile:
         with pytest.raises(FeatureLayoutError, match="accgyro49"):
             read_features(path, expect_layout="accgyro49.v1")
 
+    @pytest.mark.parametrize(
+        "edit, line, reason",
+        [
+            (lambda text: text[: text.rindex(",") - 1], 4, "expected 45 fields, got 44"),
+            (lambda text: text.replace("0\r\n", "0,1\r\n"), 3, "expected 45 fields, got 46"),
+            (lambda text: text[: text.rindex(",")] + ",1.5x\r\n", 4,
+             "could not convert string to float: '1.5x'"),
+        ],
+        ids=["truncated", "long", "non_numeric"],
+    )
+    def test_bad_rows_name_file_and_line(self, tmp_path, edit, line, reason):
+        path = tmp_path / "features.csv"
+        write_features(path, np.zeros((2, 43)), [(0, 6400), (3200, 9600)], "acc43.v1")
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        with pytest.raises(ValueError) as exc:
+            read_features(path)
+        assert str(exc.value) == f"{path}: line {line}: {reason}"
+
     def test_width_must_match_layout(self, tmp_path):
         with pytest.raises(FeatureLayoutError, match="43"):
             write_features(tmp_path / "x.csv", np.zeros((1, 10)), [(0, 1)], "acc43.v1")

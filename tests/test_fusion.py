@@ -116,6 +116,28 @@ class TestRuleFiles:
         )
         assert len(load_rules(path).rules) == 1
 
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        path.write_text(
+            "basic,room,appliance,derived_name,flag\n"
+            "# household-specific\n"
+            "Walk,Hall\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RuleFileError) as exc:
+            load_rules(path)
+        assert str(exc.value) == f"{path}: line 3: expected 5 fields, got 2"
+
+    def test_row_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "rules.csv"
+        path.write_text(
+            "basic,room,appliance,derived_name,flag\nSit,Attic,,X,Normal\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(RuleFileError) as exc:
+            load_rules(path)
+        assert str(exc.value) == f"{path}: line 2: unknown room 'Attic'"
+
 
 class TestDeriveSleep:
     def ticks(self, spec, tick_ms=5000, start=0):
