@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import tables
+
 ROOMS = ("Bedroom", "Kitchen", "Hall", "Worship", "Stairs", "Bathroom", "Outside")
 APPLIANCES = ("tv", "mirror_bulb", "bathroom_switch", "water_bottle")
 EVENT_KINDS = ("pir", "relay", "force")
@@ -93,14 +95,13 @@ def parse_event_line(line: str, lineno: int | None = None) -> AmbientEvent:
 
 def load_events(path: str | Path) -> list[AmbientEvent]:
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                events.append(parse_event_line(line, lineno))
-            except EventParseError as exc:
-                raise EventParseError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(tables.read_lines(path, EventParseError), start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(parse_event_line(line, lineno))
+        except EventParseError as exc:
+            raise EventParseError(f"{path}: {exc}") from None
     return events
 
 

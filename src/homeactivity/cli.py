@@ -254,13 +254,17 @@ COMMANDS["pipeline"] = Command(
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command `only` alone; its
+    usage line still lists every command."""
     parser = argparse.ArgumentParser(
         prog="homeactivity",
         description="Activity recognition pipeline over inertial and ambient sensor logs",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    metavar = None if only is None else "{" + ",".join(COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if only is None else (only,):
+        command = COMMANDS[name]
         sub = subs.add_parser(name, help=command.help)
         for dest, help_text in command.files.items():
             flag = "--in" if dest == "in_path" else f"--{dest}"
@@ -277,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(only).parse_args(argv)
     command = COMMANDS[args.command]
     try:
         eff = _effective(args, command.options + command.own)

@@ -165,13 +165,15 @@ def ranks_from_frequencies(freq: dict[str, int]) -> dict[str, int]:
 def load_priorities(path: str | Path) -> PriorityTable:
     ranks: dict[str, int] = {}
     vocabulary: list[str] = []
+    seen: set[str] = set()  # lower case, as PriorityTable matches names
 
     def add(name, raw):
         name, raw = name.strip(), raw.strip()
         if not name:
             raise PriorityFileError("empty activity name")
-        if name in ranks or name in vocabulary:
+        if name.lower() in seen:
             raise PriorityFileError(f"duplicate activity {name!r}")
+        seen.add(name.lower())
         if not raw:
             vocabulary.append(name)
         elif int(raw) < 1:

@@ -327,6 +327,13 @@ def _weights_to_lists(weights):
     return {k: np.asarray(v, dtype=np.float64).tolist() for k, v in weights.items()}
 
 
+def _weights_to_arrays(weights):
+    """Convert once at load, not again in every forward pass."""
+    if weights is None:
+        return None
+    return {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
+
+
 def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
     doc = {
         "format": BUNDLE_FORMAT,
@@ -360,7 +367,8 @@ def load_bundle(path: str | Path) -> WeightsBundle:
         raise BundleError(f"unsupported bundle format {doc.get('format')!r}")
     with _missing_keys_named(path):
         layers = tuple(
-            LayerSpec(kind=d["kind"], params=d.get("params", {}), weights=d.get("weights"))
+            LayerSpec(kind=d["kind"], params=d.get("params", {}),
+                      weights=_weights_to_arrays(d.get("weights")))
             for d in doc["layers"]
         )
         return WeightsBundle(

@@ -9,6 +9,7 @@ overlap resolution) rather than observed as that sensor's own off edge.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -149,6 +150,40 @@ def locate(resolved, ts: int, default: str = DEFAULT_ROOM) -> str:
 def active_at(intervals, ts: int) -> set[str]:
     """Locations of intervals (possibly overlapping) covering ts."""
     return {iv.location for iv in intervals if iv.contains(ts)}
+
+
+def context_sweep(timestamps, rooms, appliances):
+    """(room, frozenset of active appliance locations) at each timestamp.
+
+    One merge pass over non-decreasing timestamps and the intervals
+    sorted by start: each answer equals locate(sorted(rooms), ts) and
+    active_at(appliances, ts), in time linear in timestamps plus
+    intervals.
+    """
+    rooms = sorted(rooms)
+    pending = sorted(appliances)
+    r = a = 0
+    ends = []  # heap of (end_ts, location) of started appliance intervals
+    active = frozenset()
+    prev = None
+    for ts in timestamps:
+        if prev is not None and ts < prev:
+            raise ValueError(f"timestamps must not decrease: {ts} after {prev}")
+        prev = ts
+        while r < len(rooms) and rooms[r].start_ts <= ts:
+            r += 1
+        room = rooms[r - 1].location if r and ts < rooms[r - 1].end_ts else DEFAULT_ROOM
+        changed = False
+        while a < len(pending) and pending[a].start_ts <= ts:
+            heapq.heappush(ends, (pending[a].end_ts, pending[a].location))
+            a += 1
+            changed = True
+        while ends and ends[0][0] <= ts:
+            heapq.heappop(ends)
+            changed = True
+        if changed:
+            active = frozenset(location for _, location in ends)
+        yield room, active
 
 
 def write_intervals(path: str | Path, intervals) -> None:

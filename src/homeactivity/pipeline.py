@@ -252,10 +252,14 @@ def stage_fuse(
     appliances = [iv for iv in intervals if iv.kind != "pir"]
     ticks = ticks_from_windows(basic_windows, tick_ms)
     with_sleep = fusion.derive_sleep(ticks, min_still_ms=min_still_ms, tick_ms=tick_ms)
-    derived = [
-        (ts, rules.fuse(basic, occupancy.locate(rooms, ts), occupancy.active_at(appliances, ts)))
-        for ts, basic in with_sleep
-    ]
+    contexts = occupancy.context_sweep((ts for ts, _ in with_sleep), rooms, appliances)
+    fused = {}  # (basic, room, appliances) -> the rule table's answer
+    derived = []
+    for (ts, basic), (room, active) in zip(with_sleep, contexts):
+        key = (basic, room, active)
+        if key not in fused:
+            fused[key] = rules.fuse(basic, room, active)
+        derived.append((ts, fused[key]))
     fusion.write_derived(out_path, derived)
     return {"ticks": len(derived)}
 

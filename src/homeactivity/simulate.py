@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sig
 
 from . import tables
 from .ambient import APPLIANCES, ROOMS, AmbientEvent
@@ -173,10 +172,11 @@ def _motion_signal(basic: str, t: np.ndarray) -> np.ndarray:
         z = np.full(n, 0.5)
         # Ramp period (1.6 s) divides the window hop so every window sees
         # the same phase and the per-window peak count never collapses.
-        if basic == "StairUp":
-            z = z + 1.5 + _sig.sawtooth(2 * np.pi * 0.625 * t)
-        elif basic == "StairDown":
-            z = z - 1.5 + _sig.sawtooth(2 * np.pi * 0.625 * t)
+        if basic in ("StairUp", "StairDown"):
+            from scipy.signal import sawtooth  # commands that never simulate skip the import
+
+            ramp = sawtooth(2 * np.pi * 0.625 * t)
+            z = z + 1.5 + ramp if basic == "StairUp" else z - 1.5 + ramp
         return np.column_stack([x, y, z])
     raise ValueError(f"no motion generator for {basic!r}")
 

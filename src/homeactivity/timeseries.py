@@ -12,7 +12,6 @@ from itertools import islice
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sig
 
 DEFAULT_PERIOD_MS = 50
 DEFAULT_WINDOW_LEN = 128
@@ -184,11 +183,13 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
             f"filter designed for {spec.sample_rate_hz} Hz but series is "
             f"sampled at {grid_rate} Hz"
         )
-    b, a = _sig.butter(spec.order, spec.cutoff_hz / (spec.sample_rate_hz / 2))
-    zi = _sig.lfilter_zi(b, a)
+    from scipy import signal  # imported here so commands that never filter skip it
+
+    b, a = signal.butter(spec.order, spec.cutoff_hz / (spec.sample_rate_hz / 2))
+    zi = signal.lfilter_zi(b, a)
 
     def run(channel: np.ndarray) -> np.ndarray:
-        y, _ = _sig.lfilter(b, a, channel, zi=zi * channel[0])
+        y, _ = signal.lfilter(b, a, channel, zi=zi * channel[0])
         return y
 
     xyz = np.column_stack([run(series.xyz[:, k]) for k in range(3)])

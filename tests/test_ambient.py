@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from homeactivity import cli
 from homeactivity.ambient import (
     APPLIANCES,
     EVENT_KINDS,
@@ -87,6 +88,17 @@ class TestFiles:
         path.write_text('{"ts": 1, "topic": "home/pir/hall", "payload": "2"}\n')
         with pytest.raises(EventParseError, match=r"bad\.ndjson"):
             load_events(path)
+
+
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "events.ndjson"
+        write_events(path, [ev(0, "pir", "Hall", True), ev(5_000, "pir", "Hall", False)])
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second.replace(b"Hall", b"H\xffll"))
+        argv = ["occupancy", "--events", str(path), "--out", str(tmp_path / "iv.csv")]
+        assert cli.main(argv) == 1
+        err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert err == [f"error: {path}: line 2: not UTF-8"]
 
 
 class TestMerge:

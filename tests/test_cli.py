@@ -7,10 +7,14 @@ flag, its destination, required-ness, choices or action shows here.
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from homeactivity import cli, fusion, labelling, pipeline
+from homeactivity import ambient, cli, fusion, labelling, pipeline
 
 # command -> {option strings: (dest, required, choices, store_const)}
 SURFACE = {
@@ -148,8 +152,8 @@ STAGES = ("simulate", "filter", "segment", "features", "classify", "occupancy",
           "fuse", "label", "profile", "report")
 
 
-def subparsers() -> dict:
-    parser = cli.build_parser()
+def subparsers(parser=None) -> dict:
+    parser = parser or cli.build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
 
@@ -198,6 +202,72 @@ class TestSurface:
         eff = echoed_config(capsys.readouterr().err)
         assert eff.pop("command") == command
         assert set(eff) == ECHOED[command]
+
+
+class TestOneSubparser:
+    """A command builds its own subparser only; what argparse prints does not move."""
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_only_the_named_command_is_built(self, command):
+        alone = subparsers(cli.build_parser(command))
+        assert list(alone) == [command]
+        assert alone[command].format_help() == subparsers()[command].format_help()
+
+    def test_usage_still_lists_every_command(self):
+        assert cli.build_parser("fuse").format_usage() == cli.build_parser().format_usage()
+
+    def test_main_builds_the_invoked_command_alone(self, monkeypatch, tmp_path):
+        built = []
+
+        def build(only=None, _real=cli.build_parser):
+            built.append(only)
+            return _real(only)
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        cli.main(required_argv("profile", tmp_path))
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        assert built == ["profile", None]
+
+    def test_unknown_command_lists_every_choice(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["fusee"])
+        choices = ", ".join(repr(name) for name in SURFACE)
+        assert f"invalid choice: 'fusee' (choose from {choices})" in capsys.readouterr().err
+
+
+def test_context_commands_never_import_scipy_signal(tmp_path):
+    """Only filtering and the stair motions need scipy.signal; nothing else pays for it."""
+    events = tmp_path / "events.ndjson"
+    ambient.write_events(events, [
+        ambient.AmbientEvent(0, "pir", "Hall", True),
+        ambient.AmbientEvent(2_000, "relay", "tv", True),
+        ambient.AmbientEvent(9_000, "relay", "tv", False),
+        ambient.AmbientEvent(9_600, "pir", "Hall", False),
+    ])
+    windows = tmp_path / "windows.csv"
+    pipeline.write_basic_windows(windows, [(0, 6400, "Sit"), (3200, 9600, "Sit")])
+    intervals, derived = tmp_path / "intervals.csv", tmp_path / "derived.csv"
+    runs = [["occupancy", "--events", str(events), "--out", str(intervals)],
+            ["fuse", "--windows", str(windows), "--intervals", str(intervals),
+             "--out", str(derived)]]
+    code = (
+        "import sys\n"
+        "from homeactivity import cli\n"
+        "loaded = ['scipy.signal' in sys.modules]\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == 0\n"
+        "    loaded.append('scipy.signal' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=False)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[False, False, False]"
+    assert len(fusion.read_derived(derived)) == 2
 
 
 class TestDispatch:

@@ -140,6 +140,14 @@ class TestPriorityFiles:
         with pytest.raises(PriorityFileError, match="duplicate"):
             load_priorities(path)
 
+    def test_duplicate_differing_only_in_case_rejected(self, tmp_path):
+        path = tmp_path / "priorities.csv"
+        path.write_text("activity,priority\nDrinking Activity,1\ndrinking activity,3\n",
+                        encoding="utf-8")
+        with pytest.raises(PriorityFileError) as exc:
+            load_priorities(path)
+        assert str(exc.value) == f"{path}: line 3: duplicate activity 'drinking activity'"
+
     def test_default_table_contents(self):
         table = load_default_priorities()
         got = dict(table.items())

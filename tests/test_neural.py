@@ -239,6 +239,14 @@ class TestBundle:
             forward_bundle(back, window), forward_bundle(bundle, window)
         )
 
+    def test_loaded_weights_are_float_arrays(self, tmp_path):
+        """Converted once at load, so no forward pass converts them again."""
+        path = tmp_path / "weights.json"
+        save_bundle(path, tiny_bundle())
+        for spec in load_bundle(path).layers:
+            for value in (spec.weights or {}).values():
+                assert isinstance(value, np.ndarray) and value.dtype == np.float64
+
     def test_format_token_checked(self, tmp_path):
         path = tmp_path / "weights.json"
         path.write_text(json.dumps({"format": "weights.v9"}), encoding="utf-8")

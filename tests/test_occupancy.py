@@ -1,12 +1,15 @@
 """Interval state machine, single-occupant resolution, room lookup."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homeactivity.ambient import AmbientEvent
+from homeactivity.ambient import APPLIANCES, ROOMS, AmbientEvent
 from homeactivity.occupancy import (
     Interval,
     active_at,
     appliance_intervals,
+    context_sweep,
     detect_intervals,
     detect_room_intervals,
     events_from_intervals,
@@ -132,6 +135,38 @@ class TestLookup:
                Interval(1_000, 2_000, "force", "water_bottle")]
         assert active_at(ivs, 1_500) == {"tv", "water_bottle"}
         assert active_at(ivs, 4_000) == {"tv"}
+
+
+def intervals(kinds, locations):
+    """Small clock, short spans: overlaps, equal starts, touching ends, gaps."""
+    return st.lists(st.builds(
+        lambda start, length, kind, location: Interval(start, start + length, kind, location),
+        st.integers(0, 40), st.integers(1, 15), st.sampled_from(kinds),
+        st.sampled_from(locations),
+    ), max_size=8)
+
+
+class TestContextSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(rooms=intervals(("pir",), ROOMS),
+           appliances=intervals(("relay", "force"), APPLIANCES),
+           ticks=st.lists(st.integers(-3, 60), max_size=30).map(sorted))
+    def test_equals_the_point_queries(self, rooms, appliances, ticks):
+        got = list(context_sweep(ticks, rooms, appliances))
+        want = [(locate(sorted(rooms), ts), active_at(appliances, ts)) for ts in ticks]
+        assert got == want
+        assert all(isinstance(active, frozenset) for _room, active in got)
+
+    def test_default_room_and_touching_ends(self):
+        rooms = [Interval(5, 10, "pir", "Hall"), Interval(10, 12, "pir", "Kitchen")]
+        tv = [Interval(0, 10, "relay", "tv"), Interval(10, 11, "relay", "tv")]
+        got = list(context_sweep([0, 9, 10, 11, 12], rooms, tv))
+        assert got == [("Outside", {"tv"}), ("Hall", {"tv"}), ("Kitchen", {"tv"}),
+                       ("Kitchen", set()), ("Outside", set())]
+
+    def test_decreasing_timestamps_rejected(self):
+        with pytest.raises(ValueError, match="must not decrease"):
+            list(context_sweep([5, 4], [], []))
 
 
 class TestRoundTrips:

@@ -4,7 +4,8 @@ Every table a subcommand reads is checked three ways: a matrix of broken
 files run through the CLI, a write-then-read round trip on generated
 rows (labels with commas, quotes, line breaks and non-ASCII text), and
 every byte-prefix of a written file, which must read cleanly or fail
-with one error naming the file and a line.
+with one error naming the file and a line. The ambient event log, one
+JSON object per line, gets the round trip and the prefix check too.
 """
 
 import csv
@@ -16,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from homeactivity import cli, features, fusion, labelling, occupancy, pipeline, simulate
-from homeactivity.ambient import APPLIANCES, EVENT_KINDS, ROOMS
+from homeactivity import ambient, cli, features, fusion, labelling, occupancy, pipeline, simulate
+from homeactivity.ambient import APPLIANCES, EVENT_KINDS, ROOMS, AmbientEvent, EventParseError
 from homeactivity.features import FeatureLayoutError
 from homeactivity.fusion import DerivedActivity, FusionRule, FusionRuleTable, RuleFileError
 from homeactivity.labelling import PriorityFileError, PriorityTable, WindowLabel
@@ -352,3 +353,33 @@ def test_a_field_over_the_csv_limit_names_its_line(table, line, tmp_path):
     with pytest.raises(errors) as exc:
         read(path)
     assert str(exc.value).startswith(f"{path}: line {line}: field larger than field limit")
+
+
+EVENTS = st.lists(st.builds(
+    lambda ts, kind, room, appliance, state: AmbientEvent(
+        ts, kind, room if kind == "pir" else appliance, state),
+    TS, st.sampled_from(EVENT_KINDS), st.sampled_from(ROOMS), st.sampled_from(APPLIANCES),
+    st.booleans(),
+), max_size=5)
+
+
+@SETTINGS
+@given(events=EVENTS)
+def test_event_log_roundtrip(events, tmp_path_factory):
+    path = tmp_path_factory.mktemp("events") / "events.ndjson"
+    ambient.write_events(path, events)
+    assert ambient.load_events(path) == events
+
+
+@settings(max_examples=8, deadline=None)
+@given(events=EVENTS)
+def test_any_prefix_of_an_event_log_reads_or_names_a_line(events, tmp_path_factory):
+    path = tmp_path_factory.mktemp("events") / "events.ndjson"
+    ambient.write_events(path, events)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        try:
+            ambient.load_events(path)
+        except EventParseError as exc:
+            assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
