@@ -51,7 +51,8 @@ print(f"y-axis std before {repaired.xyz[:, 1].std():.2f}  "
       f"after {smooth.xyz[:, 1].std():.2f}")
 
 # 128-sample windows with 50% overlap: starts advance by 64 samples.
+# One batch holds them all: spans plus an (n, 128, 3) sample stack.
 windows = timeseries.segment(smooth)
-print(f"{len(windows)} windows of {len(windows[0])} samples:")
-for w in windows:
-    print(f"  [{w.start_ts:5d}, {w.end_ts:5d})")
+print(f"{len(windows)} windows of {windows.xyz.shape[1]} samples:")
+for start, end in windows.spans():
+    print(f"  [{start:5d}, {end:5d})")

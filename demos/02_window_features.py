@@ -22,9 +22,10 @@ xyz = np.column_stack([
 series = timeseries.SampleSeries(
     subject_id="demo", period_ms=50, ts=np.arange(128, dtype=np.int64) * 50, xyz=xyz
 )
-(window,) = timeseries.segment(series)
+windows = timeseries.segment(series)
 
-vec = features.extract_features(window)
+matrix, spans = features.extract_all(windows)  # one row per window
+(vec,) = matrix
 print(f"layout {features.layout_for(include_gyro=False)}: {vec.shape[0]} values")
 
 names = ["x", "y", "z"]

@@ -10,7 +10,7 @@ pipeline/cli chain the stages over files.
 """
 
 from .ambient import AmbientEvent, merge_streams, parse_event_line
-from .features import extract_features
+from .features import extract_all
 from .fusion import DerivedActivity, FusionRuleTable, derive_sleep, load_default_rules
 from .labelling import PriorityTable, label_window, windowize
 from .neural import CentroidModel, WeightsBundle, gru_cell_step, lstm_cell_step
@@ -44,7 +44,7 @@ __all__ = [
     "day_profile",
     "derive_sleep",
     "detect_room_intervals",
-    "extract_features",
+    "extract_all",
     "generate_day",
     "gru_cell_step",
     "interpolate_gaps",

@@ -113,14 +113,6 @@ def write_events(path: str | Path, events, append: bool = False) -> None:
             fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def shift_events(events, offset_ms: int) -> list[AmbientEvent]:
-    """Apply a constant clock offset to one source before merging."""
-    return [
-        AmbientEvent(ev.ts + offset_ms, ev.kind, ev.location, ev.state)
-        for ev in events
-    ]
-
-
 def merge_streams(streams) -> list[AmbientEvent]:
     """Merge per-source event lists into one timeline.
 

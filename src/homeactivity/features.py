@@ -1,4 +1,4 @@
-"""Per-window feature extraction for triaxial accelerometer windows.
+"""Feature extraction for a batch of triaxial accelerometer windows.
 
 The accelerometer layout "acc43.v1" emits 43 values per window:
 
@@ -23,82 +23,83 @@ from pathlib import Path
 import numpy as np
 
 from .tables import TableError, read_lines
-from .timeseries import SampleWindow
+from .timeseries import WindowBatch
 
 BIN_COUNT = 10
 BIN_RANGE = (-20.0, 20.0)
 LAYOUT_ACC = "acc43.v1"
 LAYOUT_ACC_GYRO = "accgyro49.v1"
 FEATURE_COUNTS = {LAYOUT_ACC: 43, LAYOUT_ACC_GYRO: 49}
+BIN_EDGES = np.linspace(BIN_RANGE[0], BIN_RANGE[1], BIN_COUNT + 1)
 
 
 class FeatureLayoutError(ValueError):
     """Raised when a feature file's layout token is unknown or mismatched."""
 
 
-def peak_indices(channel: np.ndarray) -> np.ndarray:
-    """Indices of strict local maxima exceeding mean + 0.5 * std.
+def _peak_spacing(axis: np.ndarray, period_ms: int) -> np.ndarray:
+    """Average spacing in ms of the peaks of each row; 0.0 below two peaks.
 
-    A peak is a sample strictly greater than both neighbours; endpoints
-    are never peaks. The threshold suppresses ripple on near-flat signals.
+    A peak is a sample strictly greater than both neighbours and than
+    the row's mean + 0.5 * std; endpoints are never peaks, and the
+    threshold suppresses ripple on near-flat signals.
     """
-    x = np.asarray(channel, dtype=np.float64)
-    if x.size < 3:
-        return np.array([], dtype=np.int64)
-    interior = np.arange(1, x.size - 1)
-    is_peak = (x[interior] > x[interior - 1]) & (x[interior] > x[interior + 1])
-    threshold = x.mean() + 0.5 * x.std()
-    return interior[is_peak & (x[interior] > threshold)]
+    n, length = axis.shape
+    threshold = axis.mean(axis=1) + 0.5 * axis.std(axis=1)
+    peak = np.zeros((n, length), dtype=bool)
+    mid = axis[:, 1:-1]
+    peak[:, 1:-1] = (mid > axis[:, :-2]) & (mid > axis[:, 2:]) & (mid > threshold[:, None])
+    count = peak.sum(axis=1)
+    span = length - 1 - peak[:, ::-1].argmax(axis=1) - peak.argmax(axis=1)  # last - first
+    return np.where(count >= 2, span / np.maximum(count - 1, 1) * period_ms, 0.0)
 
 
-def time_between_peaks(channel: np.ndarray, period_ms: int) -> float:
-    """Average spacing of detected peaks in milliseconds; 0.0 if < 2 peaks."""
-    peaks = peak_indices(channel)
-    if peaks.size < 2:
-        return 0.0
-    return float(np.diff(peaks).mean() * period_ms)
+def _bin_shares(axis: np.ndarray) -> np.ndarray:
+    """Share of each row's samples in each bin, values clipped into range.
 
-
-def _bin_fractions(channel: np.ndarray) -> np.ndarray:
-    clipped = np.clip(channel, BIN_RANGE[0], BIN_RANGE[1])
-    counts, _ = np.histogram(clipped, bins=BIN_COUNT, range=BIN_RANGE)
-    return counts / channel.size
-
-
-def extract_features(window: SampleWindow, include_gyro: bool = False) -> np.ndarray:
-    """Compute the feature vector for one window.
-
-    include_gyro requires gyroscope samples and switches the layout to
-    accgyro49.v1 (43 accelerometer values plus gyro means and stds).
+    Bin i holds BIN_EDGES[i] <= v < BIN_EDGES[i + 1], the last bin its
+    right edge too: np.histogram's bins, exact at every edge.
     """
-    xyz = window.xyz
-    parts = [
-        xyz.mean(axis=0),
-        xyz.std(axis=0),
-        np.abs(xyz - xyz.mean(axis=0)).mean(axis=0),
-        [np.linalg.norm(xyz, axis=1).mean()],
-        [time_between_peaks(xyz[:, k], window.period_ms) for k in range(3)],
-    ]
-    parts += [_bin_fractions(xyz[:, k]) for k in range(3)]
-    vec = np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
-    if include_gyro:
-        if window.gyro is None:
-            raise ValueError("window has no gyroscope samples")
-        vec = np.concatenate([vec, window.gyro.mean(axis=0), window.gyro.std(axis=0)])
-    return vec
+    n, length = axis.shape
+    bins = np.clip(np.searchsorted(BIN_EDGES, axis, side="right") - 1, 0, BIN_COUNT - 1)
+    bins += BIN_COUNT * np.arange(n)[:, None]
+    return np.bincount(bins.ravel(), minlength=n * BIN_COUNT).reshape(n, BIN_COUNT) / length
 
 
 def layout_for(include_gyro: bool) -> str:
     return LAYOUT_ACC_GYRO if include_gyro else LAYOUT_ACC
 
 
-def extract_all(windows, include_gyro: bool = False):
-    """Feature matrix plus (start_ts, end_ts) spans for a window list."""
-    mat = np.array(
-        [extract_features(w, include_gyro) for w in windows], dtype=np.float64
-    )
-    spans = [(w.start_ts, w.end_ts) for w in windows]
-    return mat, spans
+def extract_all(batch: WindowBatch, include_gyro: bool = False):
+    """Feature matrix, one row per window, plus the (start_ts, end_ts) spans.
+
+    include_gyro requires gyroscope samples and switches the layout to
+    accgyro49.v1 (43 accelerometer values plus gyro means and stds).
+
+    Each value sums its samples in the order that fixes its bytes: the
+    per-axis statistics reduce axis 1 of the (n, window_len, 3) stack,
+    which NumPy sums sample by sample; the peak threshold reduces a
+    contiguous copy of one axis, which NumPy sums pairwise.
+    """
+    xyz = batch.xyz
+    mean = xyz.mean(axis=1)
+    columns = [
+        mean,
+        xyz.std(axis=1),
+        np.abs(xyz - mean[:, None, :]).mean(axis=1),
+        np.linalg.norm(xyz, axis=2).mean(axis=1)[:, None],
+    ]
+    spacing, shares = [], []
+    for k in range(3):
+        axis = np.ascontiguousarray(xyz[:, :, k])
+        spacing.append(_peak_spacing(axis, batch.period_ms))
+        shares.append(_bin_shares(axis))
+    columns += [np.column_stack(spacing), *shares]
+    if include_gyro:
+        if batch.gyro is None:
+            raise ValueError("window has no gyroscope samples")
+        columns += [batch.gyro.mean(axis=1), batch.gyro.std(axis=1)]
+    return np.concatenate(columns, axis=1), batch.spans()
 
 
 def write_features(path: str | Path, matrix: np.ndarray, spans, layout: str) -> None:

@@ -148,12 +148,6 @@ def load_rules(path: str | Path) -> FusionRuleTable:
     return FusionRuleTable(rules)
 
 
-def write_rules(path: str | Path, table: FusionRuleTable) -> None:
-    rows = ((r.basic or "", r.room or "", r.appliance or "", r.derived.name, r.derived.flag)
-            for r in table.rules)
-    tables.write_table(path, RULE_COLUMNS, rows)
-
-
 def default_rules_path() -> Path:
     return Path(str(resources.files("homeactivity") / "data" / "fusion_rules.csv"))
 

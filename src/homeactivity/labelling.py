@@ -185,11 +185,6 @@ def load_priorities(path: str | Path) -> PriorityTable:
     return PriorityTable(ranks, vocabulary)
 
 
-def write_priorities(path: str | Path, table: PriorityTable) -> None:
-    rows = ((name, "" if rank is None else rank) for name, rank in table.items())
-    tables.write_table(path, PRIORITY_COLUMNS, rows)
-
-
 def load_default_priorities() -> PriorityTable:
     return load_priorities(
         Path(str(resources.files("homeactivity") / "data" / "priority_default.csv"))

@@ -466,17 +466,16 @@ class CentroidModel:
             if not np.all(scale > 0):
                 raise ValueError("scale values must be positive")
 
-    def classify(self, features: np.ndarray) -> str:
+    def classify(self, features: np.ndarray) -> list[str]:
+        """The nearest class of each row of an (n, width) feature matrix."""
         features = np.asarray(features, dtype=np.float64)
-        if features.shape != (self.centroids.shape[1],):
-            raise ValueError(
-                f"feature vector {features.shape} != centroid width "
-                f"{self.centroids.shape[1]}"
-            )
-        delta = self.centroids - features
-        if self.scale is not None:
-            delta = delta / self.scale
-        return best_class(self.class_names, -np.linalg.norm(delta, axis=1))
+        width = self.centroids.shape[1]
+        if features.ndim != 2 or features.shape[1] != width:
+            raise ValueError(f"feature matrix {features.shape} != (n, {width})")
+        scale = 1.0 if self.scale is None else self.scale  # x / 1.0 is exactly x
+        distances = np.column_stack(
+            [np.linalg.norm((c - features) / scale, axis=1) for c in self.centroids])
+        return [best_class(self.class_names, -row) for row in distances]
 
 
 def save_centroids(path: str | Path, model: CentroidModel) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import tables
-from .ambient import EVENT_KINDS, AmbientEvent
+from .ambient import EVENT_KINDS
 
 DEFAULT_ROOM = "Outside"
 INTERVAL_COLUMNS = ("kind", "location", "start_ts", "end_ts", "truncated")
@@ -198,13 +198,3 @@ def _interval(kind, location, start_ts, end_ts, truncated) -> Interval:
 def read_intervals(path: str | Path) -> list[Interval]:
     return tables.read_table(path, INTERVAL_COLUMNS, _interval)
 
-
-def events_from_intervals(intervals) -> list[AmbientEvent]:
-    """Reconstruct the edge stream that would produce these intervals."""
-    events = []
-    for iv in intervals:
-        events.append(AmbientEvent(iv.start_ts, iv.kind, iv.location, True))
-        if not iv.truncated:
-            events.append(AmbientEvent(iv.end_ts, iv.kind, iv.location, False))
-    events.sort()
-    return events

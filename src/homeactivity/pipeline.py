@@ -42,12 +42,6 @@ def _single_series(path) -> timeseries.SampleSeries:
     return series[0]
 
 
-def _windows(path, window_len, overlap_frac) -> list[timeseries.SampleWindow]:
-    """Every complete window of a single-subject log, never across a gap."""
-    pieces = timeseries.split_on_gaps(_single_series(path))
-    return [w for piece in pieces for w in timeseries.segment(piece, window_len, overlap_frac)]
-
-
 def write_basic_windows(path, windows) -> None:
     tables.write_table(path, BASIC_WINDOW_COLUMNS, windows)
 
@@ -140,9 +134,9 @@ def stage_segment(
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
 ) -> dict:
     """Write the window plan (spans only) for a repaired log."""
-    spans = [(w.start_ts, w.end_ts) for w in _windows(in_path, window_len, overlap_frac)]
-    tables.write_table(out_path, ("window_start", "window_end"), spans)
-    return {"windows": len(spans)}
+    batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
+    tables.write_table(out_path, ("window_start", "window_end"), batch.spans())
+    return {"windows": len(batch)}
 
 
 def stage_features(
@@ -152,13 +146,13 @@ def stage_features(
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
     include_gyro: bool = False,
 ) -> dict:
-    windows = _windows(in_path, window_len, overlap_frac)
-    if not windows:
+    batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
+    if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
-    matrix, spans = features.extract_all(windows, include_gyro)
+    matrix, spans = features.extract_all(batch, include_gyro)
     layout = features.layout_for(include_gyro)
     features.write_features(out_path, matrix, spans, layout)
-    return {"windows": len(windows), "layout": layout}
+    return {"windows": len(batch), "layout": layout}
 
 
 def read_json_object(path) -> dict:
@@ -193,31 +187,28 @@ def stage_classify(
     filtered inertial log and can also emit per-class probabilities.
     """
     fmt = _model_format(model_path)
-    rows = []
-    probs_rows = None
+    probs = None
     if fmt == neural.CENTROID_FORMAT:
         model = neural.load_centroids(model_path)
         matrix, spans, _layout = features.read_features(in_path, model.layout)
-        for (start, end), vec in zip(spans, matrix):
-            rows.append((start, end, model.classify(vec)))
+        labels = model.classify(matrix)
         class_names = model.class_names
     elif fmt == neural.BUNDLE_FORMAT:
         bundle = neural.load_bundle(model_path)
-        probs_rows = []
-        for w in _windows(in_path, window_len, overlap_frac):
-            probs = neural.forward_bundle(bundle, w.xyz)
-            best = neural.best_class(bundle.class_names, probs)
-            rows.append((w.start_ts, w.end_ts, best))
-            probs_rows.append([w.start_ts, w.end_ts, *(f"{p:.9g}" for p in probs)])
+        batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
+        spans = batch.spans()
+        probs = [neural.forward_bundle(bundle, window) for window in batch.xyz]
+        labels = [neural.best_class(bundle.class_names, p) for p in probs]
         class_names = bundle.class_names
     else:
         raise PipelineError(f"{model_path}: unrecognized model format {fmt!r}")
-    write_basic_windows(out_path, rows)
+    write_basic_windows(out_path, [(*span, label) for span, label in zip(spans, labels)])
     if probs_path is not None:
-        if probs_rows is None:
+        if probs is None:
             raise PipelineError("probability output requires a weights bundle")
-        tables.write_table(probs_path, ["window_start", "window_end", *class_names], probs_rows)
-    return {"windows": len(rows), "model": fmt}
+        rows = [[*span, *(f"{p:.9g}" for p in row)] for span, row in zip(spans, probs)]
+        tables.write_table(probs_path, ["window_start", "window_end", *class_names], rows)
+    return {"windows": len(spans), "model": fmt}
 
 
 def stage_occupancy(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tables
 from .ambient import APPLIANCES, ROOMS, AmbientEvent
-from .features import extract_features, layout_for
+from .features import extract_all, layout_for
 from .fusion import (
     DEFAULT_TICK_MS,
     FusionRuleTable,
@@ -376,17 +376,13 @@ def calibrate_centroids(
             ))
         feats = []
         for run_idx, run in enumerate(runs):
-            kept = 0
+            rows = []
             for piece in interpolate_gaps(run):
-                filtered = butterworth_lowpass(piece, filter_spec)
-                for w in segment(filtered, window_len, overlap_frac):
-                    if run_idx == 0:
-                        feats.append(extract_features(w))
-                    elif w.start_ts >= boundary_ts and kept < 2:
-                        feats.append(extract_features(w))
-                        kept += 1
-            if run_idx == 0:
-                del feats[:skip]
+                batch = segment(butterworth_lowpass(piece, filter_spec), window_len, overlap_frac)
+                matrix, _ = extract_all(batch)
+                rows.append(matrix if run_idx == 0 else matrix[batch.start_ts >= boundary_ts])
+            rows = np.vstack(rows)
+            feats.append(rows[skip:] if run_idx == 0 else rows[:2])
         feats_by_class.append(np.vstack(feats))
     centroids = np.vstack([f.mean(axis=0) for f in feats_by_class])
     pooled = np.sqrt(np.mean([f.var(axis=0) for f in feats_by_class], axis=0))

@@ -105,29 +105,21 @@ class SampleSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class SampleWindow:
-    """Fixed-length slice of a series; [start_ts, end_ts) is half-open."""
+class WindowBatch:
+    """Window i covers [start_ts[i], end_ts[i]) with samples xyz[i] (and
+    gyro[i]), each (window_len, 3); read-only views of a gapless series."""
 
-    start_ts: int
-    end_ts: int
     period_ms: int
+    start_ts: np.ndarray
+    end_ts: np.ndarray
     xyz: np.ndarray
     gyro: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return int(self.xyz.shape[0])
+        return int(self.start_ts.size)
 
-
-def series_equal(a: SampleSeries, b: SampleSeries) -> bool:
-    if a.subject_id != b.subject_id or a.period_ms != b.period_ms:
-        return False
-    if a.ts.shape != b.ts.shape or not np.array_equal(a.ts, b.ts):
-        return False
-    if not np.array_equal(a.xyz, b.xyz):
-        return False
-    if (a.gyro is None) != (b.gyro is None):
-        return False
-    return a.gyro is None or np.array_equal(a.gyro, b.gyro)
+    def spans(self) -> list[tuple[int, int]]:
+        return list(zip(self.start_ts.tolist(), self.end_ts.tolist()))
 
 
 def interpolate_gaps(
@@ -203,36 +195,44 @@ def segment(
     series: SampleSeries,
     window_len: int = DEFAULT_WINDOW_LEN,
     overlap_frac: float = DEFAULT_OVERLAP,
-) -> list[SampleWindow]:
-    """Slice a gapless series into fixed-length windows.
+) -> WindowBatch:
+    """Slice a series into fixed-length windows, never across a gap.
 
-    hop = round(window_len * (1 - overlap_frac)), clamped to >= 1; the
-    number of windows is floor((n - window_len) / hop) + 1 and any
-    trailing remainder shorter than window_len is dropped. A series
-    shorter than one window yields an empty list.
+    Each gapless piece of the series (split_on_gaps) of n samples gives
+    floor((n - window_len) / hop) + 1 windows, hop = round(window_len *
+    (1 - overlap_frac)) clamped to >= 1; a trailing remainder shorter
+    than window_len is dropped, and a piece shorter than one window
+    gives none.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be positive, got {window_len}")
     if not (0 <= overlap_frac < 1):
         raise ValueError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
-    n = len(series)
-    if n < window_len:
-        return []
     hop = max(1, round(window_len * (1 - overlap_frac)))
-    count = (n - window_len) // hop + 1
-    windows = []
-    for i in range(0, count * hop, hop):
-        j = i + window_len
-        windows.append(
-            SampleWindow(
-                start_ts=int(series.ts[i]),
-                end_ts=int(series.ts[j - 1]) + series.period_ms,
-                period_ms=series.period_ms,
-                xyz=series.xyz[i:j].copy(),
-                gyro=None if series.gyro is None else series.gyro[i:j].copy(),
-            )
-        )
-    return windows
+    pieces = split_on_gaps(series)
+    first_rows, lo = [], 0
+    for piece in pieces:
+        first_rows.append(np.arange(lo, lo + len(piece) - window_len + 1, hop))
+        lo += len(piece)
+    rows = np.concatenate(first_rows)  # the first sample of each window
+    # one piece: a strided slice keeps the stacks views of the series
+    take = slice(0, rows.size * hop, hop) if len(pieces) == 1 else rows
+
+    def stack(values):
+        if values is None:
+            return None
+        if not rows.size:
+            return np.empty((0, window_len, 3))
+        view = np.lib.stride_tricks.sliding_window_view(values, window_len, axis=0)
+        return view.transpose(0, 2, 1)[take]
+
+    return WindowBatch(
+        period_ms=series.period_ms,
+        start_ts=series.ts[rows],
+        end_ts=series.ts[rows + window_len - 1] + series.period_ms,
+        xyz=stack(series.xyz),
+        gyro=stack(series.gyro),
+    )
 
 
 def split_on_gaps(series: SampleSeries) -> list[SampleSeries]:

@@ -1,10 +1,22 @@
-"""Reference implementations used to check the numeric kernels.
+"""Reference implementations used to check the numeric kernels, and
+writers and comparisons that only tests need.
 
-Everything here is deliberately written as plain Python loops over
-nested lists, independent of the vectorized code under test.
+The kernel oracles are deliberately written as plain Python loops over
+nested lists, independent of the vectorized code under test. The
+feature oracles are the per-window definitions: each sums a window's
+samples in the order that fixes the bytes of a feature file, so the
+batched `features.extract_all` must equal them exactly.
 """
 
 import math
+
+import numpy as np
+
+from homeactivity import tables
+from homeactivity.ambient import AmbientEvent
+from homeactivity.features import BIN_COUNT, BIN_RANGE
+from homeactivity.fusion import RULE_COLUMNS
+from homeactivity.labelling import PRIORITY_COLUMNS
 
 
 def sig(v):
@@ -113,3 +125,85 @@ def butterworth_gain(freq_hz, cutoff_hz, sample_rate_hz, order):
     warped = math.tan(math.pi * freq_hz / sample_rate_hz)
     warped_cut = math.tan(math.pi * cutoff_hz / sample_rate_hz)
     return 1.0 / math.sqrt(1.0 + (warped / warped_cut) ** (2 * order))
+
+
+def peak_indices(channel):
+    """Indices of strict local maxima exceeding mean + 0.5 * std.
+
+    A peak is a sample strictly greater than both neighbours; endpoints
+    are never peaks. The threshold suppresses ripple on near-flat signals.
+    """
+    x = np.asarray(channel, dtype=np.float64)
+    if x.size < 3:
+        return np.array([], dtype=np.int64)
+    interior = np.arange(1, x.size - 1)
+    is_peak = (x[interior] > x[interior - 1]) & (x[interior] > x[interior + 1])
+    threshold = x.mean() + 0.5 * x.std()
+    return interior[is_peak & (x[interior] > threshold)]
+
+
+def time_between_peaks(channel, period_ms):
+    """Average spacing of detected peaks in milliseconds; 0.0 if < 2 peaks."""
+    peaks = peak_indices(channel)
+    if peaks.size < 2:
+        return 0.0
+    return float(np.diff(peaks).mean() * period_ms)
+
+
+def bin_fractions(channel):
+    clipped = np.clip(channel, BIN_RANGE[0], BIN_RANGE[1])
+    counts, _ = np.histogram(clipped, bins=BIN_COUNT, range=BIN_RANGE)
+    return counts / channel.size
+
+
+def extract_features(xyz, period_ms, gyro=None):
+    """The feature vector of one (window_len, 3) window; with gyro, the
+    accgyro49.v1 layout."""
+    parts = [
+        xyz.mean(axis=0),
+        xyz.std(axis=0),
+        np.abs(xyz - xyz.mean(axis=0)).mean(axis=0),
+        [np.linalg.norm(xyz, axis=1).mean()],
+        [time_between_peaks(xyz[:, k], period_ms) for k in range(3)],
+    ]
+    parts += [bin_fractions(xyz[:, k]) for k in range(3)]
+    vec = np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+    if gyro is not None:
+        vec = np.concatenate([vec, gyro.mean(axis=0), gyro.std(axis=0)])
+    return vec
+
+
+def series_equal(a, b):
+    if a.subject_id != b.subject_id or a.period_ms != b.period_ms:
+        return False
+    if a.ts.shape != b.ts.shape or not np.array_equal(a.ts, b.ts):
+        return False
+    if not np.array_equal(a.xyz, b.xyz):
+        return False
+    if (a.gyro is None) != (b.gyro is None):
+        return False
+    return a.gyro is None or np.array_equal(a.gyro, b.gyro)
+
+
+def events_from_intervals(intervals):
+    """Reconstruct the edge stream that would produce these intervals."""
+    events = []
+    for iv in intervals:
+        events.append(AmbientEvent(iv.start_ts, iv.kind, iv.location, True))
+        if not iv.truncated:
+            events.append(AmbientEvent(iv.end_ts, iv.kind, iv.location, False))
+    events.sort()
+    return events
+
+
+def write_rules(path, table):
+    """A fusion rule file that `fusion.load_rules` reads back as table."""
+    rows = ((r.basic or "", r.room or "", r.appliance or "", r.derived.name, r.derived.flag)
+            for r in table.rules)
+    tables.write_table(path, RULE_COLUMNS, rows)
+
+
+def write_priorities(path, table):
+    """A priority file that `labelling.load_priorities` reads back as table."""
+    rows = ((name, "" if rank is None else rank) for name, rank in table.items())
+    tables.write_table(path, PRIORITY_COLUMNS, rows)

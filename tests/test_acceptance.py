@@ -299,7 +299,7 @@ def test_occupancy_intervals_roundtrip_and_disjointness():
             occupancy.Interval(times[i], times[i + 1], "pir", rooms[idx[i]])
             for i in range(len(idx))
         ]
-        events = occupancy.events_from_intervals(truth)
+        events = oracles.events_from_intervals(truth)
         resolved = occupancy.resolve_single_person(
             occupancy.detect_room_intervals(events)
         )

@@ -16,7 +16,6 @@ from homeactivity.ambient import (
     merge_streams,
     parse_event,
     parse_event_line,
-    shift_events,
     write_events,
 )
 
@@ -122,11 +121,6 @@ class TestMerge:
     def test_unordered_stream_is_reported_with_position(self):
         with pytest.raises(ValueError, match="stream 1 is out of order at index 1"):
             merge_streams([[ev(0)], [ev(50), ev(10)]])
-
-
-def test_shift_events_applies_clock_offset():
-    shifted = shift_events([ev(100), ev(200)], -40)
-    assert [e.ts for e in shifted] == [60, 160]
 
 
 def test_known_sensor_universe():

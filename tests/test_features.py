@@ -2,31 +2,40 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from homeactivity.features import (
+    BIN_EDGES,
     FeatureLayoutError,
     extract_all,
-    extract_features,
     layout_for,
-    peak_indices,
     read_features,
-    time_between_peaks,
     write_features,
 )
-from homeactivity.timeseries import SampleWindow
+from homeactivity.timeseries import SampleSeries, WindowBatch, segment
 
 
-def make_window(xyz, period_ms=50, start=0, gyro=None):
+def make_windows(xyz, period_ms=50, gyro=None):
+    """A batch of (n, window_len, 3) windows, or of one (window_len, 3)
+    window; a 1-D xyz is one window with that signal on every axis."""
     xyz = np.asarray(xyz, dtype=np.float64)
     if xyz.ndim == 1:
         xyz = np.column_stack([xyz, xyz, xyz])
-    return SampleWindow(
-        start_ts=start,
-        end_ts=start + period_ms * xyz.shape[0],
-        period_ms=period_ms,
-        xyz=xyz,
-        gyro=gyro,
-    )
+    if xyz.ndim == 2:
+        xyz = xyz[None]
+        gyro = None if gyro is None else np.asarray(gyro)[None]
+    n, length, _ = xyz.shape
+    starts = period_ms * length * np.arange(n, dtype=np.int64)
+    return WindowBatch(period_ms, starts, starts + period_ms * length, xyz, gyro)
+
+
+def features_of(xyz, gyro=None, include_gyro=False):
+    """The feature vector of one window."""
+    matrix, _ = extract_all(make_windows(xyz, gyro=gyro), include_gyro)
+    (vec,) = matrix
+    return vec
 
 
 def naive_peaks(x):
@@ -40,40 +49,41 @@ def naive_peaks(x):
 
 
 class TestPeaks:
+    """The peak rule on the per-window oracle, and its spacing in the batch."""
+
     def test_matches_naive_scan(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             n = int(rng.integers(3, 120))
             x = rng.normal(size=n)
-            assert peak_indices(x).tolist() == naive_peaks(x)
+            assert oracles.peak_indices(x).tolist() == naive_peaks(x)
 
     def test_plateaus_are_not_peaks(self):
         x = np.array([0.0, 5.0, 5.0, 0.0, 0.0])
-        assert peak_indices(x).size == 0
+        assert oracles.peak_indices(x).size == 0
 
     def test_endpoints_excluded(self):
         x = np.array([9.0, 0.0, 9.0])
-        assert peak_indices(x).size == 0
+        assert oracles.peak_indices(x).size == 0
 
     def test_spacing_in_milliseconds(self):
         x = np.zeros(40)
         x[[5, 15, 30]] = 10.0
         # gaps of 10 and 15 samples at 50 ms each
-        assert time_between_peaks(x, 50) == pytest.approx(12.5 * 50)
+        assert features_of(x)[10] == pytest.approx(12.5 * 50)
 
     def test_fewer_than_two_peaks_is_zero(self):
-        assert time_between_peaks(np.zeros(40), 50) == 0.0
+        assert features_of(np.zeros(40))[10] == 0.0
         one = np.zeros(40)
         one[7] = 1.0
-        assert time_between_peaks(one, 50) == 0.0
+        assert features_of(one)[10] == 0.0
 
 
 class TestExtract:
     def test_vector_layout_and_values(self):
         rng = np.random.default_rng(3)
         xyz = rng.normal(scale=4.0, size=(128, 3))
-        w = make_window(xyz)
-        vec = extract_features(w)
+        vec = features_of(xyz)
         assert vec.shape == (43,)
         np.testing.assert_allclose(vec[0:3], xyz.mean(axis=0))
         np.testing.assert_allclose(vec[3:6], xyz.std(axis=0))
@@ -82,18 +92,18 @@ class TestExtract:
         )
         np.testing.assert_allclose(vec[9], np.sqrt((xyz**2).sum(axis=1)).mean())
         for k in range(3):
-            assert vec[10 + k] == time_between_peaks(xyz[:, k], 50)
+            assert vec[10 + k] == oracles.time_between_peaks(xyz[:, k], 50)
 
     def test_bin_fractions_sum_to_one_per_axis(self):
         rng = np.random.default_rng(4)
-        vec = extract_features(make_window(rng.normal(scale=30, size=(64, 3))))
+        vec = features_of(rng.normal(scale=30, size=(64, 3)))
         bins = vec[13:].reshape(3, 10)
         np.testing.assert_allclose(bins.sum(axis=1), 1.0)
 
     def test_bins_cover_minus20_to_20_clipped(self):
         # all mass beyond the range lands in the edge bins
         xyz = np.column_stack([np.full(16, -99.0), np.full(16, 99.0), np.zeros(16)])
-        vec = extract_features(make_window(xyz))
+        vec = features_of(xyz)
         bins = vec[13:].reshape(3, 10)
         assert bins[0, 0] == 1.0  # x pinned at the low edge
         assert bins[1, 9] == 1.0  # y pinned at the high edge
@@ -103,23 +113,106 @@ class TestExtract:
         rng = np.random.default_rng(5)
         xyz = rng.normal(size=(32, 3))
         gyro = rng.normal(size=(32, 3))
-        vec = extract_features(make_window(xyz, gyro=gyro), include_gyro=True)
+        vec = features_of(xyz, gyro=gyro, include_gyro=True)
         assert vec.shape == (49,)
         np.testing.assert_allclose(vec[43:46], gyro.mean(axis=0))
         np.testing.assert_allclose(vec[46:49], gyro.std(axis=0))
         with pytest.raises(ValueError, match="gyro"):
-            extract_features(make_window(xyz), include_gyro=True)
+            features_of(xyz, include_gyro=True)
 
     def test_layout_tokens(self):
         assert layout_for(False) == "acc43.v1"
         assert layout_for(True) == "accgyro49.v1"
 
 
+def _ulps_around(x, count):
+    out, lo, hi = [x], x, x
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+# Every bin edge and the 3 floats either side of it, where a cast of
+# (x - lo) * 10 / 40 to int disagrees with np.histogram; the range
+# limits and values beyond them; and ordinary values.
+EDGE_VALUES = sorted({float(v) for edge in BIN_EDGES for v in _ulps_around(edge, 3)})
+BEYOND = [-1e3, -25.0, 20.000000000000004, 25.0, 1e3, -20.000000000000004]
+VALUES = (st.sampled_from(EDGE_VALUES) | st.sampled_from(BEYOND)
+          | st.floats(-30, 30, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def axis_samples(draw, n):
+    """n samples of one axis: free, constant, in plateaus, or flat with
+    any number of spikes (so windows have 0, 1, 2 or many peaks)."""
+    kind = draw(st.sampled_from(["free", "constant", "plateaus", "spikes"]))
+    if kind == "constant":
+        return [draw(VALUES)] * n
+    if kind == "plateaus":
+        runs = draw(st.lists(st.tuples(VALUES, st.integers(1, 6)), min_size=1, max_size=8))
+        flat = [v for v, width in runs for _ in range(width)]
+        return (flat * n)[:n]
+    if kind == "spikes":
+        base, spike = draw(VALUES), draw(VALUES)
+        at = draw(st.sets(st.integers(0, n - 1), max_size=n))
+        return [spike if i in at else base for i in range(n)]
+    return draw(st.lists(VALUES, min_size=n, max_size=n))
+
+
+@st.composite
+def segmented_series(draw):
+    """segment() of a drawn series: window_len 1 to 40, optional gyro
+    (then xyz is a strided column view, as a 9-field log loads), and up
+    to three dropped samples, each a gap that segment splits at."""
+    window_len = draw(st.sampled_from([1, 2, 3]) | st.integers(4, 40))
+    overlap = draw(st.sampled_from([0.0, 0.5, 0.75]))
+    n = draw(st.integers(window_len, 3 * window_len + 8))
+    with_gyro = draw(st.booleans())
+    data = np.column_stack([draw(axis_samples(n)) for _ in range(6 if with_gyro else 3)])
+    keep = np.ones(n, dtype=bool)
+    keep[list(draw(st.sets(st.integers(0, n - 1), max_size=min(3, n - 1))))] = False
+    series = SampleSeries(
+        "s", 50, 50 * np.arange(n, dtype=np.int64)[keep], data[keep, :3],
+        data[keep, 3:] if with_gyro else None,
+    )
+    return segment(series, window_len, overlap), with_gyro
+
+
+class TestBatchMatchesOracle:
+    @given(segmented_series())
+    @settings(max_examples=400, deadline=None)
+    def test_extract_all_equals_stacked_per_window_oracle(self, case):
+        batch, with_gyro = case
+        matrix, spans = extract_all(batch, include_gyro=with_gyro)
+        want = [
+            oracles.extract_features(
+                np.array(batch.xyz[i]), batch.period_ms,
+                np.array(batch.gyro[i]) if with_gyro else None,
+            )
+            for i in range(len(batch))
+        ]
+        width = 49 if with_gyro else 43
+        assert np.array_equal(matrix, np.array(want).reshape(len(batch), width))
+        assert spans == batch.spans()
+
+    def test_every_edge_value_lands_in_the_histogram_bin(self):
+        for value in EDGE_VALUES + BEYOND:
+            vec = features_of(np.full(4, value))
+            assert np.array_equal(vec[13:23], oracles.bin_fractions(np.full(4, value))), value
+
+    @pytest.mark.parametrize("window_len", [1, 2, 3])
+    def test_windows_too_short_for_a_peak(self, window_len):
+        batch = segment(SampleSeries("s", 50, 50 * np.arange(8), np.ones((8, 3))), window_len)
+        matrix, _ = extract_all(batch)
+        assert matrix.shape == (len(batch), 43)
+        assert np.all(matrix[:, 10:13] == 0.0)
+
+
 class TestFeatureFile:
     def test_roundtrip_preserves_matrix(self, tmp_path):
         rng = np.random.default_rng(6)
-        windows = [make_window(rng.normal(size=(128, 3)), start=i * 3200)
-                   for i in range(4)]
+        windows = make_windows(rng.normal(size=(4, 128, 3)))
         mat, spans = extract_all(windows)
         path = tmp_path / "features.csv"
         write_features(path, mat, spans, "acc43.v1")

@@ -15,8 +15,8 @@ from homeactivity.fusion import (
     load_rules,
     read_derived,
     write_derived,
-    write_rules,
 )
+from oracles import write_rules
 
 
 def rule(basic, room, appliance, name, flag="Normal"):

@@ -20,9 +20,9 @@ from homeactivity.timeseries import (
     DEFAULT_PERIOD_MS,
     SampleSeries,
     load_inertial,
-    series_equal,
     write_inertial,
 )
+from oracles import series_equal
 
 SETTINGS = settings(max_examples=150, deadline=None)
 

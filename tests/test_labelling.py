@@ -15,9 +15,9 @@ from homeactivity.labelling import (
     ranks_from_frequencies,
     read_window_labels,
     windowize,
-    write_priorities,
     write_window_labels,
 )
+from oracles import write_priorities
 
 
 class TestPriorityTable:

@@ -261,7 +261,7 @@ class TestCentroids:
             centroids=np.array([[10.0, 10.0], [1.0, 1.0]]),
             layout="acc43.v1",
         )
-        assert model.classify(np.array([0.0, 0.0])) == "near"
+        assert model.classify(np.array([[0.0, 0.0]])) == ["near"]
 
     def test_tie_prefers_lexicographic_name(self):
         model = CentroidModel(
@@ -269,17 +269,17 @@ class TestCentroids:
             centroids=np.array([[1.0], [-1.0]]),
             layout="acc43.v1",
         )
-        assert model.classify(np.array([0.0])) == "a"
+        assert model.classify(np.array([[0.0]])) == ["a"]
 
     def test_scale_reweights_distance(self):
         # unscaled, the first axis dominates; scaling flips the winner
         centroids = np.array([[6.0, 0.0], [0.0, 2.0]])
-        x = np.array([0.0, 0.0])
+        x = np.array([[0.0, 0.0]])
         flat = CentroidModel(("wide", "tall"), centroids, "acc43.v1")
-        assert flat.classify(x) == "tall"
+        assert flat.classify(x) == ["tall"]
         scaled = CentroidModel(("wide", "tall"), centroids, "acc43.v1",
                                scale=np.array([10.0, 0.1]))
-        assert scaled.classify(x) == "wide"
+        assert scaled.classify(x) == ["wide"]
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):

@@ -12,12 +12,12 @@ from homeactivity.occupancy import (
     context_sweep,
     detect_intervals,
     detect_room_intervals,
-    events_from_intervals,
     locate,
     read_intervals,
     resolve_single_person,
     write_intervals,
 )
+from oracles import events_from_intervals
 
 
 def pir(ts, room, state):

@@ -18,7 +18,7 @@ from homeactivity.simulate import (
     write_script,
 )
 from homeactivity.timeseries import FilterSpec, butterworth_lowpass, segment
-from homeactivity.features import extract_features
+from homeactivity.features import extract_all
 
 
 class TestNoiseSpec:
@@ -165,8 +165,9 @@ class TestCalibration:
         for basic in CLASSIFIER_CLASSES:
             series = synth_motion(basic, 64_000)
             filtered = butterworth_lowpass(series, spec)
-            for w in segment(filtered)[2:]:
-                assert quiet_model.classify(extract_features(w)) == basic
+            matrix, _ = extract_all(segment(filtered))
+            for label in quiet_model.classify(matrix[2:]):
+                assert label == basic
 
     def test_calibration_is_deterministic(self):
         noise = NoiseSpec(0.25, 0.01, seed=5)

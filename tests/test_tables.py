@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from homeactivity import ambient, cli, features, fusion, labelling, occupancy, pipeline, simulate
 from homeactivity.ambient import APPLIANCES, EVENT_KINDS, ROOMS, AmbientEvent, EventParseError
 from homeactivity.features import FeatureLayoutError
@@ -127,14 +128,14 @@ MATRIX = {
         1,
     ),
     "priorities": (
-        lambda p: labelling.write_priorities(
+        lambda p: oracles.write_priorities(
             p, PriorityTable({"Drinking Activity": 1, "Walking Outside": 2})
         ),
         lambda t, bad: ["label", "--in", t / "good_derived.csv", "--priorities", bad],
         1,
     ),
     "rules": (
-        lambda p: fusion.write_rules(
+        lambda p: oracles.write_rules(
             p, FusionRuleTable([
                 FusionRule("Sit", "Hall", None, DerivedActivity("Sitting in Hall")),
                 FusionRule("Walk", "Hall", None, DerivedActivity("Walking in Hall")),
@@ -298,12 +299,12 @@ TABLES = {
         scripts(), simulate.write_script, simulate.load_script, list, (ScriptError,),
     ),
     "priorities": (
-        priority_tables(), labelling.write_priorities,
+        priority_tables(), oracles.write_priorities,
         lambda p: dict(labelling.load_priorities(p).items()),
         lambda t: dict(t.items()), (PriorityFileError,),
     ),
     "rules": (
-        rule_tables(), fusion.write_rules, lambda p: fusion.load_rules(p).rules,
+        rule_tables(), oracles.write_rules, lambda p: fusion.load_rules(p).rules,
         lambda t: t.rules, (RuleFileError,),
     ),
     "features": (

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeactivity.timeseries import (
     DEFAULT_PERIOD_MS,
@@ -14,10 +16,10 @@ from homeactivity.timeseries import (
     load_inertial,
     parse_inertial_line,
     segment,
-    series_equal,
     split_on_gaps,
     write_inertial,
 )
+from oracles import series_equal
 
 
 def make_series(values, period_ms=50, start=0, subject="s1"):
@@ -213,17 +215,17 @@ class TestSegment:
         s = make_series(np.arange(256, dtype=np.float64))
         windows = segment(s)
         assert len(windows) == 3  # hop 64: starts at 0, 64, 128
-        assert [w.start_ts for w in windows] == [0, 3200, 6400]
-        assert all(len(w) == 128 for w in windows)
-        np.testing.assert_array_equal(windows[1].xyz[:, 0], np.arange(64, 192))
+        assert windows.start_ts.tolist() == [0, 3200, 6400]
+        assert windows.xyz.shape == (3, 128, 3)
+        np.testing.assert_array_equal(windows.xyz[1][:, 0], np.arange(64, 192))
 
     def test_window_end_is_exclusive(self):
         s = make_series(np.zeros(128))
-        (w,) = segment(s)
-        assert w.end_ts == 128 * 50
+        ((_, end),) = segment(s).spans()
+        assert end == 128 * 50
 
     def test_short_series_yields_nothing(self):
-        assert segment(make_series(np.zeros(127))) == []
+        assert segment(make_series(np.zeros(127))).spans() == []
 
     def test_count_formula_holds(self):
         rng = np.random.default_rng(17)
@@ -234,6 +236,39 @@ class TestSegment:
             hop = max(1, round(w * (1 - f)))
             got = segment(make_series(np.zeros(n)), w, f)
             assert len(got) == (n - w) // hop + 1
+
+    def test_never_crosses_a_gap(self):
+        # a 1 s hole after sample 200: the window at sample 128 would
+        # span 7,400 ms, so only the two windows before the hole remain
+        ts = 50 * np.arange(320, dtype=np.int64)
+        ts[200:] += 1000
+        s = SampleSeries(subject_id="s1", period_ms=50, ts=ts, xyz=np.zeros((320, 3)))
+        assert segment(s).spans() == [(0, 6400), (3200, 9600)]
+
+    @given(
+        runs=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        holes=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+        window_len=st.integers(1, 12),
+        overlap=st.sampled_from([0.0, 0.5, 0.9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_windows_tile_each_gapless_run(self, runs, holes, window_len, overlap):
+        ts, t = [], 0
+        for n, hole in zip(runs, [0] + holes):
+            t += 50 * hole  # a missing stretch of 1 to 3 samples before each later run
+            ts += range(t, t + 50 * n, 50)
+            t = ts[-1] + 50
+        ts = np.array(ts, dtype=np.int64)
+        xyz = np.arange(3 * ts.size, dtype=np.float64).reshape(-1, 3)
+        batch = segment(SampleSeries("s", 50, ts, xyz), window_len, overlap)
+        hop = max(1, round(window_len * (1 - overlap)))
+        want, lo = [], 0
+        for n in runs:
+            want += range(lo, lo + n - window_len + 1, hop)
+            lo += n
+        assert batch.spans() == [(ts[r], ts[r + window_len - 1] + 50) for r in want]
+        for i, r in enumerate(want):
+            np.testing.assert_array_equal(batch.xyz[i], xyz[r:r + window_len])
 
     def test_overlap_bounds_checked(self):
         s = make_series(np.zeros(16))
