@@ -102,6 +102,9 @@ def extract_all(batch: WindowBatch, include_gyro: bool = False):
     return np.concatenate(columns, axis=1), batch.spans()
 
 
+_BLOCK_ROWS = 1024
+
+
 def write_features(path: str | Path, matrix: np.ndarray, spans, layout: str) -> None:
     if layout not in FEATURE_COUNTS:
         raise FeatureLayoutError(f"unknown layout: {layout}")
@@ -112,15 +115,15 @@ def write_features(path: str | Path, matrix: np.ndarray, spans, layout: str) -> 
         )
     if len(spans) != matrix.shape[0]:
         raise ValueError("one span per feature row required")
+    # `%.9g` and `f"{v:.9g}"` share one float formatter; no field needs
+    # csv quoting, so each row is one `%` string ending as csv.writer ends it.
+    header = ["window_start", "window_end"] + [f"f{i:02d}" for i in range(matrix.shape[1])]
+    line = "%d,%d" + ",%.9g" * matrix.shape[1] + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["window_start", "window_end"]
-            + [f"f{i:02d}" for i in range(matrix.shape[1])]
-        )
-        fh.write(f"# layout={layout}\n")
-        for (start, end), row in zip(spans, matrix):
-            writer.writerow([start, end] + [f"{v:.9g}" for v in row])
+        fh.write(",".join(header) + f"\r\n# layout={layout}\n")
+        for lo in range(0, len(spans), _BLOCK_ROWS):
+            rows = zip(spans[lo:lo + _BLOCK_ROWS], matrix[lo:lo + _BLOCK_ROWS].tolist())
+            fh.write("".join([line % (*span, *row) for span, row in rows]))
 
 
 def read_features(path: str | Path, expect_layout: str | None = None):

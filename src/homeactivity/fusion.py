@@ -156,6 +156,27 @@ def load_default_rules() -> FusionRuleTable:
     return load_rules(default_rules_path())
 
 
+def runs(items):
+    """Maximal runs of ordered (start, end, value) items, as
+    (start, end, value, count).
+
+    A run goes on while the value stays the same and each item starts no
+    later than the previous one ends, so a hole ends it. A tick at ts is
+    the item (ts, ts + tick_ms, value).
+    """
+    run = None
+    for start, end, value in items:
+        if run is not None and value == run[2] and start <= run[1]:
+            run[1] = end
+            run[3] += 1
+        else:
+            if run is not None:
+                yield tuple(run)
+            run = [start, end, value, 1]
+    if run is not None:
+        yield tuple(run)
+
+
 def derive_sleep(
     timeline,
     min_still_ms: int = DEFAULT_MIN_STILL_MS,
@@ -164,48 +185,27 @@ def derive_sleep(
     """Rewrite sustained stillness to Sleep.
 
     timeline is an ordered list of (ts, basic) pairs at tick_ms cadence.
-    Every maximal run of Lie whose covered duration (last tick start to
-    last tick end) reaches min_still_ms becomes Sleep for its whole
-    duration; shorter runs are untouched.
+    Every run of Lie ticks (see `runs`: a hole ends it) whose covered
+    duration (first tick start to last tick end) reaches min_still_ms
+    becomes Sleep for its whole duration; shorter runs are untouched.
     """
-    timeline = list(timeline)
     out = list(timeline)
     i = 0
-    while i < len(timeline):
-        if timeline[i][1] != "Lie":
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(timeline) and timeline[j + 1][1] == "Lie":
-            j += 1
-        duration = timeline[j][0] + tick_ms - timeline[i][0]
-        if duration >= min_still_ms:
-            for k in range(i, j + 1):
-                out[k] = (timeline[k][0], "Sleep")
-        i = j + 1
+    for start, end, basic, count in runs([(ts, ts + tick_ms, basic) for ts, basic in out]):
+        if basic == "Lie" and end - start >= min_still_ms:
+            out[i:i + count] = [(ts, "Sleep") for ts, _ in out[i:i + count]]
+        i += count
     return out
 
 
 def flag_stream(derived_timeline, tick_ms: int = DEFAULT_TICK_MS):
-    """Maximal non-Normal runs as (start_ts, end_ts, flag) report entries.
+    """The non-Normal runs (see `runs`) as (start_ts, end_ts, flag) entries.
 
     derived_timeline is an ordered list of (ts, DerivedActivity). Adjacent
     ticks sharing a flag coalesce even when the activity name changes.
     """
-    report = []
-    run_start = None
-    run_flag = None
-    prev_ts = None
-    for ts, derived in derived_timeline:
-        flag = derived.flag
-        if flag != run_flag:
-            if run_flag is not None and run_flag != "Normal":
-                report.append((run_start, prev_ts + tick_ms, run_flag))
-            run_start, run_flag = ts, flag
-        prev_ts = ts
-    if run_flag is not None and run_flag != "Normal":
-        report.append((run_start, prev_ts + tick_ms, run_flag))
-    return report
+    ticks = ((ts, ts + tick_ms, d.flag) for ts, d in derived_timeline)
+    return [(start, end, flag) for start, end, flag, _ in runs(ticks) if flag != "Normal"]
 
 
 def write_derived(path: str | Path, timeline) -> None:

@@ -200,8 +200,8 @@ def validate_bundle(bundle: WeightsBundle) -> None:
         raise BundleError("bundle declares no class names")
     if bundle.feature_norm is not None:
         for key in ("mean", "scale"):
-            vals = bundle.feature_norm.get(key)
-            if vals is None or len(vals) != bundle.input_channels:
+            vals = np.asarray(bundle.feature_norm.get(key), dtype=np.float64)
+            if vals.shape != (bundle.input_channels,):
                 raise BundleError(f"feature_norm.{key} must list one value per channel")
         if any(s == 0 for s in bundle.feature_norm["scale"]):
             raise BundleError("feature_norm.scale contains a zero")
@@ -229,6 +229,8 @@ def validate_bundle(bundle: WeightsBundle) -> None:
         elif spec.kind == "maxpool1d":
             pool = int(spec.params.get("pool", 2))
             stride = int(spec.params.get("stride", pool))
+            if pool < 1 or stride < 1:
+                raise BundleError(f"maxpool1d pool {pool} and stride {stride} must be positive")
             if steps is None:
                 raise BundleError("maxpool1d after a non-sequence layer")
             if steps < pool:
@@ -243,6 +245,9 @@ def validate_bundle(bundle: WeightsBundle) -> None:
                 raise BundleError(f"{spec.kind} after a non-sequence layer")
             gates = LSTM_GATES if spec.kind == "lstm" else GRU_GATES
             _gate_weights(spec, gates, dim)
+            candidate = spec.params.get("candidate_activation", "sigmoid")
+            if spec.kind == "lstm" and candidate not in ACTIVATIONS:
+                raise BundleError(f"unknown activation {candidate!r}")
             dim = int(spec.params["units"])
             if not spec.params.get("return_sequences", False):
                 steps = None
@@ -352,20 +357,26 @@ def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
 
 
 @contextmanager
-def _missing_keys_named(path):
-    """Re-raise a key missing from a model file as a BundleError naming it."""
+def _model_file(path, doc):
+    """Yield doc, or the JSON object parsed from the model file when doc
+    is None; any defect of the content is re-raised as one BundleError
+    that names the file."""
     try:
-        yield
+        if doc is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        yield doc
     except KeyError as exc:
         raise BundleError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise BundleError(f"{path}: {exc}") from None
 
 
-def load_bundle(path: str | Path) -> WeightsBundle:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != BUNDLE_FORMAT:
-        raise BundleError(f"unsupported bundle format {doc.get('format')!r}")
-    with _missing_keys_named(path):
+def load_bundle(path: str | Path, doc: dict | None = None) -> WeightsBundle:
+    """doc, when given, is the file's already-parsed JSON object."""
+    with _model_file(path, doc) as doc:
+        if doc.get("format") != BUNDLE_FORMAT:
+            raise BundleError(f"unsupported bundle format {doc.get('format')!r}")
         layers = tuple(
             LayerSpec(kind=d["kind"], params=d.get("params", {}),
                       weights=_weights_to_arrays(d.get("weights")))
@@ -491,13 +502,12 @@ def save_centroids(path: str | Path, model: CentroidModel) -> None:
         fh.write("\n")
 
 
-def load_centroids(path: str | Path) -> CentroidModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CENTROID_FORMAT:
-        raise BundleError(f"unsupported centroid format {doc.get('format')!r}")
-    scale = doc.get("scale")
-    with _missing_keys_named(path):
+def load_centroids(path: str | Path, doc: dict | None = None) -> CentroidModel:
+    """doc, when given, is the file's already-parsed JSON object."""
+    with _model_file(path, doc) as doc:
+        if doc.get("format") != CENTROID_FORMAT:
+            raise BundleError(f"unsupported centroid format {doc.get('format')!r}")
+        scale = doc.get("scale")
         return CentroidModel(
             class_names=tuple(doc["class_names"]),
             centroids=np.asarray(doc["centroids"], dtype=np.float64),

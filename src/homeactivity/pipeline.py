@@ -186,15 +186,16 @@ def stage_classify(
     A centroid model reads a feature file; a weights bundle reads a
     filtered inertial log and can also emit per-class probabilities.
     """
-    fmt = _model_format(model_path)
+    doc = read_json_object(model_path)
+    fmt = doc.get("format", "")
     probs = None
     if fmt == neural.CENTROID_FORMAT:
-        model = neural.load_centroids(model_path)
+        model = neural.load_centroids(model_path, doc)
         matrix, spans, _layout = features.read_features(in_path, model.layout)
         labels = model.classify(matrix)
         class_names = model.class_names
     elif fmt == neural.BUNDLE_FORMAT:
-        bundle = neural.load_bundle(model_path)
+        bundle = neural.load_bundle(model_path, doc)
         batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
         spans = batch.spans()
         probs = [neural.forward_bundle(bundle, window) for window in batch.xyz]

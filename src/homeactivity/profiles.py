@@ -14,6 +14,7 @@ from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
+from .fusion import runs
 from .labelling import NO_DATA, WindowLabel
 
 UTC = ZoneInfo("UTC")
@@ -64,58 +65,32 @@ def _local(ts_ms: int, tz: ZoneInfo) -> datetime:
 
 
 def bouts(window_labels) -> list[Bout]:
-    """Coalesce ordered windows into maximal same-label runs.
+    """The same-label runs (see `fusion.runs`) of ordered windows.
 
     NoData windows never produce bouts and always terminate the current
     run, as does any hole between consecutive windows.
     """
-    out: list[Bout] = []
-    current: Bout | None = None
-    prev_end = None
-    for w in window_labels:
-        if prev_end is not None and w.start_ts < prev_end:
-            raise ValueError("windows must be ordered and non-overlapping")
-        contiguous = prev_end is not None and w.start_ts == prev_end
-        if w.label == NO_DATA:
-            if current is not None:
-                out.append(current)
-                current = None
-        elif current is not None and contiguous and w.label == current.label:
-            current = Bout(current.label, current.start_ts, w.end_ts)
-        else:
-            if current is not None:
-                out.append(current)
-            current = Bout(w.label, w.start_ts, w.end_ts)
-        prev_end = w.end_ts
-    if current is not None:
-        out.append(current)
-    return out
-
-
-def _check_same_day(windows, tz: ZoneInfo) -> date:
-    days = set()
-    for w in windows:
-        start_day = _local(w.start_ts, tz).date()
-        end_day = _local(w.end_ts - 1, tz).date()
-        if start_day != end_day:
-            raise ValueError(DAY_BOUNDARY_ERROR)
-        days.add(start_day)
-    if len(days) != 1:
-        raise ValueError(DAY_BOUNDARY_ERROR)
-    return days.pop()
+    windows = list(window_labels)
+    if any(b.start_ts < a.end_ts for a, b in zip(windows, windows[1:])):
+        raise ValueError("windows must be ordered and non-overlapping")
+    items = ((w.start_ts, w.end_ts, w.label) for w in windows)
+    return [Bout(label, start, end) for start, end, label, _ in runs(items) if label != NO_DATA]
 
 
 def day_profile(window_labels, tz=UTC) -> DayProfile:
     """Aggregate one calendar day of windows.
 
-    Every window must fall entirely inside the same local day; duration
-    attributes each window's full span to its label.
+    Every window must fall entirely inside the same local day, as
+    `split_days` groups them; duration attributes each window's full
+    span to its label.
     """
     windows = list(window_labels)
     if not windows:
         raise ValueError("no windows to profile")
     tz = _resolve_tz(tz)
-    day = _check_same_day(windows, tz)
+    if len(split_days(windows, tz)) != 1:
+        raise ValueError(DAY_BOUNDARY_ERROR)
+    day = _local(windows[0].start_ts, tz).date()
 
     duration: dict[str, int] = {}
     coverage = 0

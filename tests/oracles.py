@@ -5,7 +5,9 @@ The kernel oracles are deliberately written as plain Python loops over
 nested lists, independent of the vectorized code under test. The
 feature oracles are the per-window definitions: each sums a window's
 samples in the order that fixes the bytes of a feature file, so the
-batched `features.extract_all` must equal them exactly.
+batched `features.extract_all` must equal them exactly. The run oracles
+are hand-written loops over one timeline each; the sleep and flag loops
+do not look at holes, so they are references on hole-free pieces only.
 """
 
 import math
@@ -16,7 +18,8 @@ from homeactivity import tables
 from homeactivity.ambient import AmbientEvent
 from homeactivity.features import BIN_COUNT, BIN_RANGE
 from homeactivity.fusion import RULE_COLUMNS
-from homeactivity.labelling import PRIORITY_COLUMNS
+from homeactivity.labelling import NO_DATA, PRIORITY_COLUMNS
+from homeactivity.profiles import Bout
 
 
 def sig(v):
@@ -207,3 +210,80 @@ def write_priorities(path, table):
     """A priority file that `labelling.load_priorities` reads back as table."""
     rows = ((name, "" if rank is None else rank) for name, rank in table.items())
     tables.write_table(path, PRIORITY_COLUMNS, rows)
+
+
+def derive_sleep_loop(timeline, min_still_ms, tick_ms):
+    """Every maximal run of Lie ticks covering min_still_ms becomes Sleep."""
+    timeline = list(timeline)
+    out = list(timeline)
+    i = 0
+    while i < len(timeline):
+        if timeline[i][1] != "Lie":
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(timeline) and timeline[j + 1][1] == "Lie":
+            j += 1
+        duration = timeline[j][0] + tick_ms - timeline[i][0]
+        if duration >= min_still_ms:
+            for k in range(i, j + 1):
+                out[k] = (timeline[k][0], "Sleep")
+        i = j + 1
+    return out
+
+
+def flag_stream_loop(derived_timeline, tick_ms):
+    """Maximal runs of ticks sharing a non-Normal flag."""
+    report = []
+    run_start = None
+    run_flag = None
+    prev_ts = None
+    for ts, derived in derived_timeline:
+        flag = derived.flag
+        if flag != run_flag:
+            if run_flag is not None and run_flag != "Normal":
+                report.append((run_start, prev_ts + tick_ms, run_flag))
+            run_start, run_flag = ts, flag
+        prev_ts = ts
+    if run_flag is not None and run_flag != "Normal":
+        report.append((run_start, prev_ts + tick_ms, run_flag))
+    return report
+
+
+def bouts_loop(window_labels):
+    """Maximal runs of contiguous same-label windows; NoData and holes
+    end a run."""
+    out = []
+    current = None
+    prev_end = None
+    for w in window_labels:
+        if prev_end is not None and w.start_ts < prev_end:
+            raise ValueError("windows must be ordered and non-overlapping")
+        contiguous = prev_end is not None and w.start_ts == prev_end
+        if w.label == NO_DATA:
+            if current is not None:
+                out.append(current)
+                current = None
+        elif current is not None and contiguous and w.label == current.label:
+            current = Bout(current.label, current.start_ts, w.end_ts)
+        else:
+            if current is not None:
+                out.append(current)
+            current = Bout(w.label, w.start_ts, w.end_ts)
+        prev_end = w.end_ts
+    if current is not None:
+        out.append(current)
+    return out
+
+
+def hole_free_pieces(timeline, tick_ms):
+    """Split an ordered (ts, value) timeline wherever the next tick starts
+    after the previous tick's end."""
+    pieces = []
+    prev_end = None
+    for tick in timeline:
+        if prev_end is None or tick[0] > prev_end:
+            pieces.append([])
+        pieces[-1].append(tick)
+        prev_end = tick[0] + tick_ms
+    return pieces

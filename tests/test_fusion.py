@@ -1,6 +1,8 @@
 """Context fusion rules, the sleep rewrite, and flag runs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeactivity.fusion import (
     APPLIANCE_PRECEDENCE,
@@ -14,9 +16,10 @@ from homeactivity.fusion import (
     load_default_rules,
     load_rules,
     read_derived,
+    runs,
     write_derived,
 )
-from oracles import write_rules
+from oracles import derive_sleep_loop, flag_stream_loop, hole_free_pieces, write_rules
 
 
 def rule(basic, room, appliance, name, flag="Normal"):
@@ -174,6 +177,19 @@ class TestDeriveSleep:
         got = derive_sleep(timeline)
         assert not any(label == "Sleep" for _, label in got)
 
+    def test_lie_either_side_of_a_hole_does_not_sleep(self):
+        # 2 min of Lie, an hour with no ticks, 2 min of Lie: neither run
+        # reaches the five-minute threshold
+        timeline = self.ticks([("Lie", 24)]) + self.ticks([("Lie", 24)], start=3_720_000)
+        got = derive_sleep(timeline)
+        assert [label for _, label in got] == ["Lie"] * 48
+
+    def test_ticks_closer_than_a_tick_are_contiguous(self):
+        # the second run starts 2.5 s before the first one's last tick
+        # ends; together they cover 302.5 s
+        timeline = self.ticks([("Lie", 30)]) + self.ticks([("Lie", 31)], start=147_500)
+        assert all(label == "Sleep" for _, label in derive_sleep(timeline))
+
     def test_threshold_is_configurable(self):
         timeline = self.ticks([("Lie", 4)])
         got = derive_sleep(timeline, min_still_ms=20_000)
@@ -196,6 +212,66 @@ class TestFlagStream:
     def test_trailing_run_closed_by_tick_length(self):
         timeline = [(0, DerivedActivity("Lying in Worship", "Anomaly"))]
         assert flag_stream(timeline, tick_ms=5000) == [(0, 5_000, "Anomaly")]
+
+    def test_ticks_an_hour_apart_are_two_runs(self):
+        timeline = [(0, DerivedActivity("Lying in Worship", "Anomaly")),
+                    (3_600_000, DerivedActivity("Lying in Worship", "Anomaly"))]
+        assert flag_stream(timeline) == [
+            (0, 5_000, "Anomaly"), (3_600_000, 3_605_000, "Anomaly")]
+
+
+class TestRuns:
+    def test_a_hole_ends_a_run(self):
+        items = [(0, 5, "a"), (5, 10, "a"), (11, 16, "a"), (16, 21, "b")]
+        assert list(runs(items)) == [(0, 10, "a", 2), (11, 16, "a", 1), (16, 21, "b", 1)]
+
+    def test_an_item_starting_before_the_previous_end_continues(self):
+        assert list(runs([(0, 5, "a"), (3, 8, "a")])) == [(0, 8, "a", 2)]
+
+    def test_no_items_no_runs(self):
+        assert list(runs([])) == []
+
+
+TICK_MS = 5_000
+BASICS = ("Lie", "Sit")
+FLAGS_DRAWN = (
+    DerivedActivity("Sitting in Hall"),
+    DerivedActivity("Jogging in Hall", "Unnatural"),
+    DerivedActivity("Lying in Worship", "Anomaly"),
+)
+
+
+@st.composite
+def holey_timelines(draw, values):
+    """Ordered ticks: most follow at most one tick apart (some closer),
+    some after a hole."""
+    steps = draw(st.lists(st.tuples(
+        st.one_of(st.integers(1, TICK_MS), st.just(TICK_MS), st.integers(TICK_MS + 1, 10**6)),
+        st.sampled_from(values)), max_size=80))
+    ts = draw(st.integers(0, 10**9))
+    out = []
+    for step, value in steps:
+        ts += step
+        out.append((ts, value))
+    return out
+
+
+class TestRunsMatchTheLoops:
+    """On every hole-free piece the run rule is the old per-timeline loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(timeline=holey_timelines(BASICS), min_still_ms=st.integers(1, 60_000))
+    def test_derive_sleep(self, timeline, min_still_ms):
+        want = [tick for piece in hole_free_pieces(timeline, TICK_MS)
+                for tick in derive_sleep_loop(piece, min_still_ms, TICK_MS)]
+        assert derive_sleep(timeline, min_still_ms, TICK_MS) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(timeline=holey_timelines(FLAGS_DRAWN))
+    def test_flag_stream(self, timeline):
+        want = [run for piece in hole_free_pieces(timeline, TICK_MS)
+                for run in flag_stream_loop(piece, TICK_MS)]
+        assert flag_stream(timeline, TICK_MS) == want
 
 
 def test_derived_csv_roundtrip(tmp_path):

@@ -415,6 +415,76 @@ class TestCli:
         assert code == 1
         assert self.error_line(err) == f"error: {path}: missing key 'centroids'"
 
+    @staticmethod
+    def small_bundle() -> dict:
+        """A valid weights bundle over the chain's filtered log, as JSON."""
+        rng = np.random.default_rng(4)
+        return {
+            "format": neural.BUNDLE_FORMAT, "class_names": ["a", "b"],
+            "input_len": 128, "input_channels": 3,
+            "feature_norm": {"mean": [0.0, 0.0, 0.0], "scale": [1.0, 1.0, 1.0]},
+            "layers": [
+                {"kind": "conv1d", "params": {"activation": "relu"},
+                 "weights": {"kernel": rng.normal(size=(3, 3, 2)).tolist(),
+                             "bias": [0.0, 0.0]}},
+                {"kind": "maxpool1d", "params": {"pool": 2, "stride": 2}},
+                {"kind": "lstm", "params": {"units": 2},
+                 "weights": {"W": rng.normal(size=(4, 2, 2)).tolist(),
+                             "U": rng.normal(size=(4, 2, 2)).tolist(),
+                             "b": np.zeros((4, 2)).tolist()}},
+                {"kind": "dense", "params": {"activation": "softmax"},
+                 "weights": {"weights": np.eye(2).tolist(), "bias": [0.0, 0.0]}},
+            ],
+        }
+
+    BAD_BUNDLES = {
+        "unknown_candidate_activation":
+            lambda doc: doc["layers"][2]["params"].update(candidate_activation="foo"),
+        "conv_weights_null": lambda doc: doc["layers"][0].update(weights=None),
+        "maxpool_stride_zero": lambda doc: doc["layers"][1]["params"].update(stride=0),
+        "layers_not_a_list": lambda doc: doc.update(layers=5),
+        "params_null": lambda doc: doc["layers"][0].update(params=None),
+        "scale_not_numbers": lambda doc: doc["feature_norm"].update(scale=["x", "y", "z"]),
+        "scale_too_short": lambda doc: doc["feature_norm"].update(scale=[1.0, 1.0]),
+    }
+
+    def test_small_bundle_classifies(self, chain, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(self.small_bundle()))
+        code, _ = run_cli(["classify", "--in", str(chain / "filtered.csv"), "--model",
+                           str(path), "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("case", BAD_BUNDLES)
+    def test_malformed_bundle_is_one_line_naming_the_file(self, chain, tmp_path, capsys,
+                                                          case):
+        doc = self.small_bundle()
+        self.BAD_BUNDLES[case](doc)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli(["classify", "--in", str(chain / "filtered.csv"), "--model",
+                             str(path), "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 1
+        assert self.error_line(err).startswith(f"error: {path}: ")
+
+    BAD_CENTROIDS = {
+        "class_names_not_a_list": {"class_names": 3},
+        "centroids_not_numbers": {"centroids": "abc"},
+        "ragged_centroids": {"centroids": [[0.0] * 43, [0.0] * 42]},
+        "scale_too_short": {"scale": [1.0]},
+    }
+
+    @pytest.mark.parametrize("case", BAD_CENTROIDS)
+    def test_malformed_centroids_are_one_line_naming_the_file(
+            self, chain, quiet_model, tmp_path, capsys, case):
+        path = tmp_path / "centroids.json"
+        neural.save_centroids(path, quiet_model)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, **self.BAD_CENTROIDS[case]}))
+        code, err = self.classify(chain, path, tmp_path, capsys)
+        assert code == 1
+        assert self.error_line(err).startswith(f"error: {path}: ")
+
     def test_simulate_is_byte_deterministic(self, chain, tmp_path, capsys):
         outs = []
         for name in ("one", "two"):

@@ -1,9 +1,13 @@
 """Bout formation and day/week aggregation of labelled windows."""
 
 import json
-from datetime import date
+import re
+from datetime import date, datetime
+from zoneinfo import ZoneInfo
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeactivity import cli
 from homeactivity.labelling import NO_DATA, WindowLabel, write_window_labels
@@ -19,6 +23,7 @@ from homeactivity.profiles import (
     week_report,
     write_report_json,
 )
+from oracles import bouts_loop
 
 SPAN = 120_000
 DAY1 = 1_000 * 86_400 * 19_700  # 2023-12-09 UTC midnight
@@ -55,6 +60,24 @@ class TestBouts:
         with pytest.raises(ValueError, match="ordered"):
             bouts(windows)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-SPAN, 3 * SPAN), st.integers(1, 2 * SPAN),
+                              st.sampled_from(["a", "b", NO_DATA])), max_size=40))
+    def test_matches_the_loop(self, steps):
+        """Steps from the previous end: negative overlaps, zero is
+        contiguous, positive leaves a hole."""
+        windows, end = [], 0
+        for step, span, label in steps:
+            windows.append(WindowLabel(end + step, end + step + span, label, "frequency"))
+            end += step + span
+        try:
+            want = bouts_loop(windows)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                bouts(windows)
+        else:
+            assert bouts(windows) == want
+
 
 class TestDayProfile:
     def test_durations_counts_and_coverage(self):
@@ -70,6 +93,11 @@ class TestDayProfile:
     def test_windows_crossing_midnight_rejected(self):
         windows = [WindowLabel(DAY1 + 86_400_000 - SPAN // 2,
                                DAY1 + 86_400_000 + SPAN // 2, "a", "frequency")]
+        with pytest.raises(ValueError, match=DAY_BOUNDARY_ERROR):
+            day_profile(windows)
+
+    def test_windows_of_two_days_rejected(self):
+        windows = seq(DAY1, ["a"]) + seq(DAY1 + 86_400_000, ["a"])
         with pytest.raises(ValueError, match=DAY_BOUNDARY_ERROR):
             day_profile(windows)
 
@@ -99,6 +127,34 @@ class TestSplitAndWeek:
         week = week_profile([day_profile(g) for g in split_days(self.week_windows())])
         assert week.occurrence["walk"] == (True, False, True, False, True, False, True)
         assert week.occurrence["sit"] == (True,) * 7
+
+    def london_windows(self):
+        """Walking from 2024-03-30 to 2024-04-01 local time; Europe/London
+        springs forward at 01:00 UTC on 2024-03-31, a day of 23 hours."""
+        tz = ZoneInfo("Europe/London")
+        start = int(datetime(2024, 3, 30, tzinfo=tz).timestamp() * 1000)
+        end = int(datetime(2024, 4, 2, tzinfo=tz).timestamp() * 1000)
+        return seq(start, ["walk"] * ((end - start) // SPAN))
+
+    def test_days_across_a_dst_change(self):
+        london = "Europe/London"
+        days = [day_profile(g, london) for g in split_days(self.london_windows(), london)]
+        assert [d.day for d in days] == [date(2024, 3, 30), date(2024, 3, 31),
+                                          date(2024, 4, 1)]
+        hour = 3_600_000
+        assert [d.coverage_ms for d in days] == [24 * hour, 23 * hour, 24 * hour]
+        assert [d.bout_count for d in days] == [{"walk": 1}] * 3
+
+    def test_profile_command_across_a_dst_change(self, tmp_path):
+        labels, path = tmp_path / "labels.csv", tmp_path / "report.json"
+        write_window_labels(labels, self.london_windows())
+        argv = ["profile", "--in", str(labels), "--out", str(path),
+                "--timezone", "Europe/London"]
+        assert cli.main(argv) == 0
+        doc = json.loads(path.read_text())
+        assert [(d["day"], d["coverage_ms"]) for d in doc["days"]] == [
+            ("2024-03-30", 86_400_000), ("2024-03-31", 82_800_000),
+            ("2024-04-01", 86_400_000)]
 
     def test_week_needs_seven_consecutive_days(self):
         days = [day_profile(g) for g in split_days(self.week_windows())]
