@@ -6,7 +6,7 @@ The classifier is plain forward inference: conv1d, max pooling, GRU
 layers, a dense head, and softmax, all driven from a JSON weights
 bundle. This script first steps an LSTM cell with all-zero weights,
 where every gate sits at exactly 0.5 and the numbers can be checked on
-paper, then runs a full bundle over a window of samples.
+paper, then runs a full bundle over one window and over a stack of them.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ bundle = neural.make_default_bundle(classes)
 window = np.random.default_rng(1).normal(9.0, 2.0, (128, 3))
 probs = neural.forward_bundle(bundle, window)
 print("\nzero-weight bundle probabilities:", np.round(probs, 4))
-print("predicted (tie broken by name):", neural.classify_window(bundle, window))
+print("predicted (tie broken by name):", neural.best_class(classes, probs))
 
 # Seeded random weights give a real forward pass; probabilities still
 # sum to one because softmax is the final layer.
@@ -43,4 +43,9 @@ bundle = neural.make_default_bundle(classes, seed=7)
 probs = neural.forward_bundle(bundle, window)
 print("\nseeded bundle probabilities:", np.round(probs, 4))
 print("sum:", probs.sum())
-print("predicted:", neural.classify_window(bundle, window))
+print("predicted:", neural.best_class(classes, probs))
+
+# A stack of windows runs in one call, one row of scores per window.
+stack = np.random.default_rng(2).normal(9.0, 2.0, (4, 128, 3))
+print("\npredicted for a stack of 4:",
+      [neural.best_class(classes, p) for p in neural.forward_bundle(bundle, stack)])

@@ -10,6 +10,7 @@ without touching code. Lookup precedence: appliance-bound rules first
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -214,6 +215,9 @@ def write_derived(path: str | Path, timeline) -> None:
 
 
 def read_derived(path: str | Path):
+    """(ts, DerivedActivity) per row; rows with the same name and flag
+    share one DerivedActivity, built and checked at its first row."""
+    derived = functools.cache(DerivedActivity)
     return tables.read_table(
-        path, DERIVED_COLUMNS, lambda ts, name, flag: (int(ts), DerivedActivity(name, flag))
+        path, DERIVED_COLUMNS, lambda ts, name, flag: (int(ts), derived(name, flag))
     )

@@ -3,7 +3,10 @@
 Everything here is inference only and written against plain numpy so the
 arithmetic stays inspectable: conv/pool/dense layers, LSTM and GRU cells,
 a JSON weights-bundle format that composes them into a stack, and a
-nearest-centroid fallback classifier for feature vectors.
+nearest-centroid fallback classifier for feature vectors. Every layer
+acts on the last axes and carries leading batch axes through, so a
+bundle runs on one (steps, channels) window or an (n, steps, channels)
+stack of them.
 
 The LSTM cell follows the gate equations
 
@@ -47,9 +50,10 @@ def relu(x):
 
 
 def softmax(x):
+    """Softmax over the last axis."""
     v = np.asarray(x, dtype=np.float64)
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 ACTIVATIONS = {
@@ -64,20 +68,20 @@ ACTIVATIONS = {
 def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation along time.
 
-    x is (steps, channels), kernel is (kernel_len, channels, filters),
-    bias is (filters,); output is (steps - kernel_len + 1, filters).
+    x is (..., steps, channels), kernel is (kernel_len, channels, filters),
+    bias is (filters,); output is (..., steps - kernel_len + 1, filters).
     """
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    steps, channels = x.shape
+    steps, channels = x.shape[-2:]
     kernel_len, in_channels, filters = kernel.shape
     if in_channels != channels:
         raise ValueError(f"kernel expects {in_channels} channels, input has {channels}")
     if steps < kernel_len:
         raise ValueError(f"input of {steps} steps is shorter than kernel {kernel_len}")
-    taps = np.lib.stride_tricks.sliding_window_view(x, kernel_len, axis=0)
-    # taps is (out_steps, channels, kernel_len)
-    return np.einsum("tck,kcf->tf", taps, kernel) + np.asarray(bias, dtype=np.float64)
+    taps = np.lib.stride_tricks.sliding_window_view(x, kernel_len, axis=-2)
+    # taps is (..., out_steps, channels, kernel_len)
+    return np.einsum("...tck,kcf->...tf", taps, kernel) + np.asarray(bias, dtype=np.float64)
 
 
 def maxpool1d(x: np.ndarray, pool: int = 2, stride: int = 2) -> np.ndarray:
@@ -85,32 +89,34 @@ def maxpool1d(x: np.ndarray, pool: int = 2, stride: int = 2) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if pool < 1 or stride < 1:
         raise ValueError(f"pool and stride must be positive, got {pool}, {stride}")
-    steps = x.shape[0]
+    steps = x.shape[-2]
     if steps < pool:
         raise ValueError(f"input of {steps} steps is shorter than pool {pool}")
     count = (steps - pool) // stride + 1
     idx = np.arange(count)[:, None] * stride + np.arange(pool)
-    return x[idx].max(axis=1)
+    return x[..., idx, :].max(axis=-2)
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """weights is (units, in_dim); returns weights @ x + bias."""
+    """weights is (units, in_dim); returns weights @ x + bias for each
+    in_dim vector on the last axis of x."""
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 1 or weights.shape[1] != x.size:
+    if x.ndim < 1 or weights.shape[1] != x.shape[-1]:
         raise ValueError(f"dense weights {weights.shape} cannot act on input {x.shape}")
-    return weights @ x + np.asarray(bias, dtype=np.float64)
+    return x @ weights.T + np.asarray(bias, dtype=np.float64)
 
 
 def lstm_cell_step(x, h_prev, s_prev, W, U, b, candidate_activation="sigmoid"):
     """One LSTM step; W is (4, units, units), U is (4, units, in_dim),
     b is (4, units) in gate order input, forget, output, candidate.
+    x is (..., in_dim), h_prev and s_prev are (..., units).
     Returns (h_t, s_t)."""
     g = ACTIVATIONS[candidate_activation]
-    i = sigmoid(W[0] @ h_prev + U[0] @ x + b[0])
-    f = sigmoid(W[1] @ h_prev + U[1] @ x + b[1])
-    o = sigmoid(W[2] @ h_prev + U[2] @ x + b[2])
-    s_tilde = g(W[3] @ h_prev + U[3] @ x + b[3])
+    i = sigmoid(h_prev @ W[0].T + x @ U[0].T + b[0])
+    f = sigmoid(h_prev @ W[1].T + x @ U[1].T + b[1])
+    o = sigmoid(h_prev @ W[2].T + x @ U[2].T + b[2])
+    s_tilde = g(h_prev @ W[3].T + x @ U[3].T + b[3])
     s = f * s_prev + i * s_tilde
     h = o * g(s)
     return h, s
@@ -118,45 +124,53 @@ def lstm_cell_step(x, h_prev, s_prev, W, U, b, candidate_activation="sigmoid"):
 
 def gru_cell_step(x, h_prev, W, U, b):
     """One GRU step; W is (3, units, units), U is (3, units, in_dim),
-    b is (3, units) in gate order update, reset, candidate."""
-    z = sigmoid(W[0] @ h_prev + U[0] @ x + b[0])
-    r = sigmoid(W[1] @ h_prev + U[1] @ x + b[1])
-    h_tilde = np.tanh(W[2] @ (r * h_prev) + U[2] @ x + b[2])
+    b is (3, units) in gate order update, reset, candidate.
+    x is (..., in_dim), h_prev is (..., units)."""
+    z = sigmoid(h_prev @ W[0].T + x @ U[0].T + b[0])
+    r = sigmoid(h_prev @ W[1].T + x @ U[1].T + b[1])
+    h_tilde = np.tanh((r * h_prev) @ W[2].T + x @ U[2].T + b[2])
     return (1.0 - z) * h_prev + z * h_tilde
 
 
 def lstm_forward(
     x, W, U, b, return_sequences=False, candidate_activation="sigmoid"
 ):
-    """Run an LSTM over (steps, in_dim) input from zero initial state."""
+    """Run an LSTM over (..., steps, in_dim) input from zero initial state."""
     x = np.asarray(x, dtype=np.float64)
     units = np.asarray(b).shape[1]
-    h = np.zeros(units)
-    s = np.zeros(units)
-    outputs = np.empty((x.shape[0], units))
-    for t in range(x.shape[0]):
-        h, s = lstm_cell_step(x[t], h, s, W, U, b, candidate_activation)
-        outputs[t] = h
+    h = np.zeros(x.shape[:-2] + (units,))
+    s = np.zeros(x.shape[:-2] + (units,))
+    outputs = np.empty(x.shape[:-1] + (units,))
+    for t in range(x.shape[-2]):
+        h, s = lstm_cell_step(x[..., t, :], h, s, W, U, b, candidate_activation)
+        outputs[..., t, :] = h
     return outputs if return_sequences else h
 
 
 def gru_forward(x, W, U, b, return_sequences=False):
-    """Run a GRU over (steps, in_dim) input from zero initial state."""
+    """Run a GRU over (..., steps, in_dim) input from zero initial state."""
     x = np.asarray(x, dtype=np.float64)
     units = np.asarray(b).shape[1]
-    h = np.zeros(units)
-    outputs = np.empty((x.shape[0], units))
-    for t in range(x.shape[0]):
-        h = gru_cell_step(x[t], h, W, U, b)
-        outputs[t] = h
+    h = np.zeros(x.shape[:-2] + (units,))
+    outputs = np.empty(x.shape[:-1] + (units,))
+    for t in range(x.shape[-2]):
+        h = gru_cell_step(x[..., t, :], h, W, U, b)
+        outputs[..., t, :] = h
     return outputs if return_sequences else h
 
 
 @dataclass(frozen=True, eq=False)
 class LayerSpec:
+    """One layer of a bundle; its weights are held as float64 arrays."""
+
     kind: str
     params: dict = field(default_factory=dict)
     weights: dict | None = None
+
+    def __post_init__(self):
+        if self.weights is not None:
+            object.__setattr__(self, "weights", {
+                k: np.asarray(v, dtype=np.float64) for k, v in self.weights.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,21 +191,6 @@ class WeightsBundle:
         validate_bundle(self)
 
 
-def _gate_weights(spec: LayerSpec, gates: tuple[str, ...], in_dim: int):
-    units = int(spec.params["units"])
-    n = len(gates)
-    W = np.asarray(spec.weights["W"], dtype=np.float64)
-    U = np.asarray(spec.weights["U"], dtype=np.float64)
-    b = np.asarray(spec.weights["b"], dtype=np.float64)
-    if W.shape != (n, units, units):
-        raise BundleError(f"{spec.kind} W has shape {W.shape}, want {(n, units, units)}")
-    if U.shape != (n, units, in_dim):
-        raise BundleError(f"{spec.kind} U has shape {U.shape}, want {(n, units, in_dim)}")
-    if b.shape != (n, units):
-        raise BundleError(f"{spec.kind} b has shape {b.shape}, want {(n, units)}")
-    return W, U, b
-
-
 def validate_bundle(bundle: WeightsBundle) -> None:
     """Check that layer weight shapes compose from input to class scores."""
     if bundle.input_len < 1 or bundle.input_channels < 1:
@@ -209,8 +208,7 @@ def validate_bundle(bundle: WeightsBundle) -> None:
     steps, dim = bundle.input_len, bundle.input_channels
     for spec in bundle.layers:
         if spec.kind == "conv1d":
-            kernel = np.asarray(spec.weights["kernel"], dtype=np.float64)
-            bias = np.asarray(spec.weights["bias"], dtype=np.float64)
+            kernel, bias = spec.weights["kernel"], spec.weights["bias"]
             if steps is None:
                 raise BundleError("conv1d after a non-sequence layer")
             if kernel.ndim != 3 or kernel.shape[1] != dim:
@@ -243,17 +241,21 @@ def validate_bundle(bundle: WeightsBundle) -> None:
         elif spec.kind in ("lstm", "gru"):
             if steps is None:
                 raise BundleError(f"{spec.kind} after a non-sequence layer")
-            gates = LSTM_GATES if spec.kind == "lstm" else GRU_GATES
-            _gate_weights(spec, gates, dim)
+            n = len(LSTM_GATES if spec.kind == "lstm" else GRU_GATES)
+            units = int(spec.params["units"])
+            for key, want in (("W", (n, units, units)), ("U", (n, units, dim)),
+                              ("b", (n, units))):
+                if spec.weights[key].shape != want:
+                    raise BundleError(
+                        f"{spec.kind} {key} has shape {spec.weights[key].shape}, want {want}")
             candidate = spec.params.get("candidate_activation", "sigmoid")
             if spec.kind == "lstm" and candidate not in ACTIVATIONS:
                 raise BundleError(f"unknown activation {candidate!r}")
-            dim = int(spec.params["units"])
+            dim = units
             if not spec.params.get("return_sequences", False):
                 steps = None
         elif spec.kind == "dense":
-            weights = np.asarray(spec.weights["weights"], dtype=np.float64)
-            bias = np.asarray(spec.weights["bias"], dtype=np.float64)
+            weights, bias = spec.weights["weights"], spec.weights["bias"]
             if steps is not None:
                 raise BundleError("dense layer requires a vector, not a sequence")
             if weights.ndim != 2 or weights.shape[1] != dim:
@@ -273,70 +275,46 @@ def validate_bundle(bundle: WeightsBundle) -> None:
         )
 
 
-def forward_bundle(bundle: WeightsBundle, window: np.ndarray) -> np.ndarray:
-    """Run one (input_len, input_channels) window through the stack."""
-    x = np.asarray(window, dtype=np.float64)
-    if x.shape != (bundle.input_len, bundle.input_channels):
+def forward_bundle(bundle: WeightsBundle, windows: np.ndarray) -> np.ndarray:
+    """Class scores of one (input_len, input_channels) window, or of each
+    window of an (n, input_len, input_channels) stack as an
+    (n, classes) array. Dropout is the identity at inference."""
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-2:] != (bundle.input_len, bundle.input_channels):
         raise ValueError(
-            f"window shape {x.shape} != ({bundle.input_len}, {bundle.input_channels})"
+            f"window shape {x.shape} != ([n,] {bundle.input_len}, {bundle.input_channels})"
         )
     if bundle.feature_norm is not None:
         mean = np.asarray(bundle.feature_norm["mean"], dtype=np.float64)
         scale = np.asarray(bundle.feature_norm["scale"], dtype=np.float64)
         x = (x - mean) / scale
-    dim = bundle.input_channels
     for spec in bundle.layers:
         if spec.kind == "conv1d":
             act = ACTIVATIONS[spec.params.get("activation", "relu")]
             x = act(conv1d_forward(x, spec.weights["kernel"], spec.weights["bias"]))
-            dim = x.shape[1]
         elif spec.kind == "maxpool1d":
             pool = int(spec.params.get("pool", 2))
             x = maxpool1d(x, pool, int(spec.params.get("stride", pool)))
-        elif spec.kind == "dropout":
-            pass  # inference: identity
         elif spec.kind == "lstm":
-            W, U, b = _gate_weights(spec, LSTM_GATES, dim)
             x = lstm_forward(
-                x, W, U, b,
+                x, spec.weights["W"], spec.weights["U"], spec.weights["b"],
                 return_sequences=bool(spec.params.get("return_sequences", False)),
                 candidate_activation=spec.params.get("candidate_activation", "sigmoid"),
             )
-            dim = int(spec.params["units"])
         elif spec.kind == "gru":
-            W, U, b = _gate_weights(spec, GRU_GATES, dim)
             x = gru_forward(
-                x, W, U, b,
+                x, spec.weights["W"], spec.weights["U"], spec.weights["b"],
                 return_sequences=bool(spec.params.get("return_sequences", False)),
             )
-            dim = int(spec.params["units"])
         elif spec.kind == "dense":
             act = ACTIVATIONS[spec.params.get("activation", "linear")]
             x = act(dense_forward(x, spec.weights["weights"], spec.weights["bias"]))
-            dim = x.size
     return x
 
 
 def best_class(class_names, scores: np.ndarray) -> str:
     """The highest-scoring class; a tie goes to the alphabetically first name."""
     return min(class_names[i] for i in np.flatnonzero(scores == scores.max()))
-
-
-def classify_window(bundle: WeightsBundle, window: np.ndarray) -> str:
-    return best_class(bundle.class_names, forward_bundle(bundle, window))
-
-
-def _weights_to_lists(weights):
-    if weights is None:
-        return None
-    return {k: np.asarray(v, dtype=np.float64).tolist() for k, v in weights.items()}
-
-
-def _weights_to_arrays(weights):
-    """Convert once at load, not again in every forward pass."""
-    if weights is None:
-        return None
-    return {k: np.asarray(v, dtype=np.float64) for k, v in weights.items()}
 
 
 def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
@@ -347,7 +325,9 @@ def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
         "class_names": list(bundle.class_names),
         "feature_norm": bundle.feature_norm,
         "layers": [
-            {"kind": s.kind, "params": s.params, "weights": _weights_to_lists(s.weights)}
+            {"kind": s.kind, "params": s.params,
+             "weights": None if s.weights is None
+             else {k: v.tolist() for k, v in s.weights.items()}}
             for s in bundle.layers
         ],
     }
@@ -378,8 +358,7 @@ def load_bundle(path: str | Path, doc: dict | None = None) -> WeightsBundle:
         if doc.get("format") != BUNDLE_FORMAT:
             raise BundleError(f"unsupported bundle format {doc.get('format')!r}")
         layers = tuple(
-            LayerSpec(kind=d["kind"], params=d.get("params", {}),
-                      weights=_weights_to_arrays(d.get("weights")))
+            LayerSpec(kind=d["kind"], params=d.get("params", {}), weights=d.get("weights"))
             for d in doc["layers"]
         )
         return WeightsBundle(

@@ -198,7 +198,7 @@ def stage_classify(
         bundle = neural.load_bundle(model_path, doc)
         batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
         spans = batch.spans()
-        probs = [neural.forward_bundle(bundle, window) for window in batch.xyz]
+        probs = neural.forward_bundle(bundle, batch.xyz)
         labels = [neural.best_class(bundle.class_names, p) for p in probs]
         class_names = bundle.class_names
     else:

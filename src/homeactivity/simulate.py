@@ -222,6 +222,21 @@ class DayData:
     derived_ticks: list[tuple[int, object]]
 
 
+def _context_edges(ts: int, old, new) -> list[AmbientEvent]:
+    """The PIR and appliance edges at ts of a move between two contexts,
+    each (room, appliances) with room None when nobody is in. The
+    water_bottle is a force pad; every other appliance is a relay."""
+    (room, appliances), (new_room, new_appliances) = old, new
+    edges = []
+    if new_room != room:
+        edges += [AmbientEvent(ts, "pir", r, on)
+                  for r, on in ((room, False), (new_room, True)) if r is not None]
+    for name in sorted(appliances ^ new_appliances):
+        kind = "force" if name == "water_bottle" else "relay"
+        edges.append(AmbientEvent(ts, kind, name, name in new_appliances))
+    return edges
+
+
 def generate_day(
     script,
     noise: NoiseSpec,
@@ -246,29 +261,17 @@ def generate_day(
     basic_ticks: list[tuple[int, str]] = []
     tick_context: list[tuple[str, frozenset]] = []
 
-    prev_room: str | None = None
-    prev_appliances: frozenset = frozenset()
-    prev_end: int | None = None
+    nobody = (None, frozenset())
+    context, prev_end = nobody, None
     for entry in entries:
         start = day_start_ms + entry.clock_start_ms
         end = day_start_ms + entry.clock_end_ms
         if prev_end is not None and start > prev_end:
             # Script gap: close out the previous context entirely.
-            events.append(AmbientEvent(prev_end, "pir", prev_room, False))
-            for name in sorted(prev_appliances):
-                kind = "force" if name == "water_bottle" else "relay"
-                events.append(AmbientEvent(prev_end, kind, name, False))
-            prev_room, prev_appliances = None, frozenset()
-        if entry.room != prev_room:
-            if prev_room is not None:
-                events.append(AmbientEvent(start, "pir", prev_room, False))
-            events.append(AmbientEvent(start, "pir", entry.room, True))
-        for name in sorted(prev_appliances - entry.appliances):
-            kind = "force" if name == "water_bottle" else "relay"
-            events.append(AmbientEvent(start, kind, name, False))
-        for name in sorted(entry.appliances - prev_appliances):
-            kind = "force" if name == "water_bottle" else "relay"
-            events.append(AmbientEvent(start, kind, name, True))
+            events += _context_edges(prev_end, context, nobody)
+            context = nobody
+        here = (entry.room, entry.appliances)
+        events += _context_edges(start, context, here)
 
         pieces.append(
             synth_motion(
@@ -282,13 +285,10 @@ def generate_day(
         )
         for ts in range(start, end, tick_ms):
             basic_ticks.append((ts, entry.basic))
-            tick_context.append((entry.room, entry.appliances))
-        prev_room, prev_appliances, prev_end = entry.room, entry.appliances, end
+            tick_context.append(here)
+        context, prev_end = here, end
 
-    events.append(AmbientEvent(prev_end, "pir", prev_room, False))
-    for name in sorted(prev_appliances):
-        kind = "force" if name == "water_bottle" else "relay"
-        events.append(AmbientEvent(prev_end, kind, name, False))
+    events += _context_edges(prev_end, context, nobody)
     events.sort()
 
     series = SampleSeries(

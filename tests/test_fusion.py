@@ -19,6 +19,7 @@ from homeactivity.fusion import (
     runs,
     write_derived,
 )
+from homeactivity.tables import TableError
 from oracles import derive_sleep_loop, flag_stream_loop, hole_free_pieces, write_rules
 
 
@@ -282,6 +283,17 @@ def test_derived_csv_roundtrip(tmp_path):
     path = tmp_path / "derived.csv"
     write_derived(path, timeline)
     assert read_derived(path) == timeline
+
+
+def test_derived_rows_share_one_activity_and_a_bad_flag_fails_at_its_first_row(tmp_path):
+    path = tmp_path / "derived.csv"
+    good = "ts,derived_name,flag\r\n0,Sit,Normal\r\n5000,Sit,Normal\r\n"
+    path.write_text(good, newline="")
+    (_, first), (_, second) = read_derived(path)
+    assert first is second
+    path.write_text(good + "10000,Sit,Odd\r\n15000,Sit,Odd\r\n", newline="")
+    with pytest.raises(TableError, match=f"{path}: line 4: unknown flag 'Odd'"):
+        read_derived(path)
 
 
 def test_default_rules_loadable_without_a_path():

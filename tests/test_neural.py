@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from homeactivity.neural import (
@@ -11,7 +13,7 @@ from homeactivity.neural import (
     CentroidModel,
     LayerSpec,
     WeightsBundle,
-    classify_window,
+    best_class,
     conv1d_forward,
     dense_forward,
     forward_bundle,
@@ -192,7 +194,8 @@ class TestBundle:
 
     def test_classify_breaks_ties_lexicographically(self):
         bundle = make_default_bundle(class_names=("b", "a"))  # zero weights
-        assert classify_window(bundle, np.zeros((128, 3))) == "a"
+        probs = forward_bundle(bundle, np.zeros((128, 3)))
+        assert best_class(bundle.class_names, probs) == "a"
 
     def test_validation_rejects_bad_stacks(self):
         base = tiny_bundle()
@@ -252,6 +255,83 @@ class TestBundle:
         path.write_text(json.dumps({"format": "weights.v9"}), encoding="utf-8")
         with pytest.raises(BundleError, match="weights.v9"):
             load_bundle(path)
+
+
+@st.composite
+def stacks(draw):
+    """A random valid bundle and an (n, input_len, input_channels) stack:
+    sequence layers (conv1d, maxpool1d, dropout, and LSTM or GRU
+    returning sequences), a closing LSTM or GRU, then dropout and dense
+    layers, the last naming the classes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    input_len, channels = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    steps, dim, layers = input_len, channels, []
+
+    def recurrent(kind, units, return_sequences):
+        n = 4 if kind == "lstm" else 3
+        params = {"units": units, "return_sequences": return_sequences}
+        if kind == "lstm":
+            params["candidate_activation"] = draw(st.sampled_from(["sigmoid", "tanh"]))
+        return LayerSpec(kind, params, {"W": rng.normal(size=(n, units, units)),
+                                        "U": rng.normal(size=(n, units, dim)),
+                                        "b": rng.normal(size=(n, units))})
+
+    for kind in draw(st.lists(st.sampled_from(
+            ["conv1d", "maxpool1d", "dropout", "lstm", "gru"]), max_size=4)):
+        if kind == "conv1d":
+            klen, filters = draw(st.integers(1, steps)), draw(st.integers(1, 3))
+            activation = draw(st.sampled_from(["relu", "tanh", "sigmoid", "linear"]))
+            layers.append(LayerSpec("conv1d", {"activation": activation},
+                                    {"kernel": rng.normal(size=(klen, dim, filters)),
+                                     "bias": rng.normal(size=filters)}))
+            steps, dim = steps - klen + 1, filters
+        elif kind == "maxpool1d":
+            pool, stride = draw(st.integers(1, steps)), draw(st.integers(1, 3))
+            layers.append(LayerSpec("maxpool1d", {"pool": pool, "stride": stride}))
+            steps = (steps - pool) // stride + 1
+        elif kind == "dropout":
+            layers.append(LayerSpec("dropout", {"rate": 0.5}))
+        else:
+            units = draw(st.integers(1, 3))
+            layers.append(recurrent(kind, units, True))
+            dim = units
+    units = draw(st.integers(1, 3))
+    layers.append(recurrent(draw(st.sampled_from(["lstm", "gru"])), units, False))
+    dim = units
+    for out in draw(st.lists(st.integers(1, 3), max_size=2)) + [draw(st.integers(1, 4))]:
+        if draw(st.booleans()):
+            layers.append(LayerSpec("dropout", {"rate": 0.2}))
+        activation = draw(st.sampled_from(["linear", "softmax"]))
+        layers.append(LayerSpec("dense", {"activation": activation},
+                                {"weights": rng.normal(size=(out, dim)),
+                                 "bias": rng.normal(size=out)}))
+        dim = out
+    feature_norm = None
+    if draw(st.booleans()):
+        feature_norm = {"mean": rng.normal(size=channels).tolist(),
+                        "scale": rng.uniform(0.5, 2.0, size=channels).tolist()}
+    bundle = WeightsBundle(layers=tuple(layers),
+                           class_names=tuple(f"c{i}" for i in range(dim)),
+                           input_len=input_len, input_channels=channels,
+                           feature_norm=feature_norm)
+    return bundle, rng.normal(size=(draw(st.integers(0, 5)), input_len, channels))
+
+
+class TestStack:
+    @settings(max_examples=300, deadline=None)
+    @given(stacks())
+    def test_stack_equals_its_windows(self, drawn):
+        bundle, stack = drawn
+        got = forward_bundle(bundle, stack)
+        assert got.shape == (len(stack), len(bundle.class_names))
+        for row, window in zip(got, stack):
+            np.testing.assert_allclose(row, forward_bundle(bundle, window),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 9, 2), (1, 4, 10, 2), (2,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="window shape"):
+            forward_bundle(tiny_bundle(), np.zeros(shape))
 
 
 class TestCentroids:

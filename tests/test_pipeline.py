@@ -455,6 +455,31 @@ class TestCli:
                            str(path), "--out", str(tmp_path / "w.csv")], capsys)
         assert code == 0
 
+    def classify_short_log(self, tmp_path, capsys, *flags):
+        """classify a 127-sample log with the small bundle (input_len 128)."""
+        from homeactivity.simulate import synth_motion
+
+        walk = synth_motion("Walk", 128 * 50)
+        timeseries.write_inertial(tmp_path / "log.csv", timeseries.SampleSeries(
+            walk.subject_id, walk.period_ms, walk.ts[:127], walk.xyz[:127]))
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(self.small_bundle()))
+        return run_cli(["classify", "--in", str(tmp_path / "log.csv"), "--model",
+                        str(path), "--out", str(tmp_path / "w.csv"),
+                        "--probs", str(tmp_path / "p.csv"), *flags], capsys)
+
+    def test_bundle_on_a_log_shorter_than_one_window_writes_headers(self, tmp_path,
+                                                                   capsys):
+        code, _ = self.classify_short_log(tmp_path, capsys)
+        assert code == 0
+        assert (tmp_path / "w.csv").read_text() == "window_start,window_end,label\n"
+        assert (tmp_path / "p.csv").read_text() == "window_start,window_end,a,b\n"
+
+    def test_bundle_rejects_another_window_length_with_no_window(self, tmp_path, capsys):
+        code, err = self.classify_short_log(tmp_path, capsys, "--window-len", "200")
+        assert code == 1
+        assert self.error_line(err).startswith("error: window shape (0, 200, 3)")
+
     @pytest.mark.parametrize("case", BAD_BUNDLES)
     def test_malformed_bundle_is_one_line_naming_the_file(self, chain, tmp_path, capsys,
                                                           case):
