@@ -196,6 +196,9 @@ def stage_classify(
         class_names = model.class_names
     elif fmt == neural.BUNDLE_FORMAT:
         bundle = neural.load_bundle(model_path, doc)
+        if window_len != bundle.input_len:
+            raise PipelineError(f"{model_path}: bundle takes {bundle.input_len}-sample "
+                                f"windows, not --window-len {window_len}")
         batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
         spans = batch.spans()
         probs = neural.forward_bundle(bundle, batch.xyz)

@@ -153,6 +153,11 @@ def write_script(path: str | Path, script) -> None:
     tables.write_table(path, SCRIPT_COLUMNS, rows)
 
 
+def sawtooth(phase: np.ndarray) -> np.ndarray:
+    """Ramp rising from -1 to 1 over each 2*pi of phase (scipy.signal.sawtooth)."""
+    return np.mod(phase, 2 * np.pi) / np.pi - 1
+
+
 def _motion_signal(basic: str, t: np.ndarray) -> np.ndarray:
     """Noise-free (n, 3) acceleration for one activity; t in seconds."""
     n = t.size
@@ -173,8 +178,6 @@ def _motion_signal(basic: str, t: np.ndarray) -> np.ndarray:
         # Ramp period (1.6 s) divides the window hop so every window sees
         # the same phase and the per-window peak count never collapses.
         if basic in ("StairUp", "StairDown"):
-            from scipy.signal import sawtooth  # commands that never simulate skip the import
-
             ramp = sawtooth(2 * np.pi * 0.625 * t)
             z = z + 1.5 + ramp if basic == "StairUp" else z - 1.5 + ramp
         return np.column_stack([x, y, z])

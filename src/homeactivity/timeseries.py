@@ -159,13 +159,65 @@ def interpolate_gaps(
     return out
 
 
+def butter(order: int, wn: float) -> tuple[np.ndarray, np.ndarray]:
+    """Digital Butterworth low-pass coefficients (b, a); a[0] is exactly 1.
+
+    wn is the cutoff as a fraction of Nyquist, in (0, 1). The steps and
+    their arithmetic are those of scipy.signal.butter(order, wn), so the
+    coefficients are the same bits: the analog prototype's poles
+    (buttap), moved to the pre-warped cutoff (lp2lp_zpk), mapped by the
+    bilinear transform at fs = 2 (bilinear_zpk, which puts every zero at
+    z = -1), then multiplied out by sequential convolution (zpk2tf).
+    """
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = -np.exp(1j * np.pi * m / (2 * order))  # the middle pole is exactly real
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
+    poles = warped * poles
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
+    poles = (4.0 + poles) / (4.0 - poles)
+    return gain * np.poly(-np.ones(order)), np.poly(poles).real
+
+
+def lfilter_zi(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Step-response steady state of the filter's delays (a[0] must be 1).
+
+    Solves zi = A·zi + B for the companion matrix A of a, as
+    scipy.signal.lfilter_zi does, with the same single linear solve.
+    """
+    n = a.size - 1
+    companion = np.eye(n, k=-1)
+    companion[0] = -a[1:]
+    return np.linalg.solve(np.eye(n) - companion.T, b[1:] - a[1:] * b[0])
+
+
+def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Run the filter (b, a), a[0] == 1, forward over x from delay state zi.
+
+    Direct form II transposed, one sample at a time over Python floats in
+    the operation order of scipy.signal.lfilter's C loop, so the output
+    is the same bits as scipy.signal.lfilter(b, a, x, zi=zi)[0].
+    """
+    b0, bs, as_ = float(b[0]), b[1:].tolist(), a[1:].tolist()
+    last = len(bs) - 1
+    middle = range(last)
+    z = zi.tolist()
+    out = []
+    for xi in x.tolist():
+        y = z[0] + b0 * xi
+        for i in middle:
+            z[i] = z[i + 1] + xi * bs[i] - y * as_[i]
+        z[last] = xi * bs[last] - y * as_[last]
+        out.append(y)
+    return np.array(out, dtype=np.float64)
+
+
 def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     """Apply a causal digital Butterworth low-pass to each axis.
 
-    The filter is designed by bilinear transform (scipy.signal.butter) and
-    run forward-only. Initial conditions are set to the step steady state
-    of the first sample, so a constant signal passes through unchanged
-    from sample zero. Timestamps are preserved.
+    The filter is designed by bilinear transform (butter) and run
+    forward-only (lfilter). Initial conditions are set to the step steady
+    state of the first sample, so a constant signal passes through
+    unchanged from sample zero. Timestamps are preserved.
     """
     if not series.is_grid_aligned():
         raise SeriesError("series must be gapless and grid-aligned before filtering")
@@ -175,14 +227,11 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
             f"filter designed for {spec.sample_rate_hz} Hz but series is "
             f"sampled at {grid_rate} Hz"
         )
-    from scipy import signal  # imported here so commands that never filter skip it
-
-    b, a = signal.butter(spec.order, spec.cutoff_hz / (spec.sample_rate_hz / 2))
-    zi = signal.lfilter_zi(b, a)
+    b, a = butter(spec.order, spec.cutoff_hz / (spec.sample_rate_hz / 2))
+    zi = lfilter_zi(b, a)
 
     def run(channel: np.ndarray) -> np.ndarray:
-        y, _ = signal.lfilter(b, a, channel, zi=zi * channel[0])
-        return y
+        return lfilter(b, a, channel, zi * channel[0])
 
     xyz = np.column_stack([run(series.xyz[:, k]) for k in range(3)])
     gyro = None

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from homeactivity import ambient, cli, fusion, labelling, pipeline
+from homeactivity import ambient, cli, fusion, labelling, pipeline, simulate
 
 # command -> {option strings: (dest, required, choices, store_const)}
 SURFACE = {
@@ -236,8 +236,13 @@ class TestOneSubparser:
         assert f"invalid choice: 'fusee' (choose from {choices})" in capsys.readouterr().err
 
 
-def test_context_commands_never_import_scipy_signal(tmp_path):
-    """Only filtering and the stair motions need scipy.signal; nothing else pays for it."""
+def test_no_command_imports_scipy(tmp_path):
+    """SciPy is a test oracle only: no command loads any of it, stairs and filter included."""
+    script = tmp_path / "script.csv"
+    simulate.write_script(script, [
+        simulate.ScheduleEntry(21_600_000, 60_000, "Stairs", "StairUp"),
+        simulate.ScheduleEntry(21_660_000, 60_000, "Stairs", "StairDown"),
+    ])
     events = tmp_path / "events.ndjson"
     ambient.write_events(events, [
         ambient.AmbientEvent(0, "pir", "Hall", True),
@@ -248,16 +253,20 @@ def test_context_commands_never_import_scipy_signal(tmp_path):
     windows = tmp_path / "windows.csv"
     pipeline.write_basic_windows(windows, [(0, 6400, "Sit"), (3200, 9600, "Sit")])
     intervals, derived = tmp_path / "intervals.csv", tmp_path / "derived.csv"
+    sim, run = tmp_path / "sim", tmp_path / "run"
     runs = [["occupancy", "--events", str(events), "--out", str(intervals)],
             ["fuse", "--windows", str(windows), "--intervals", str(intervals),
-             "--out", str(derived)]]
+             "--out", str(derived)],
+            ["simulate", "--script", str(script), "--out", str(sim)],
+            ["filter", "--in", str(sim / "inertial.csv"), "--out", str(sim / "filtered.csv")],
+            ["pipeline", "--script", str(script), "--out", str(run)]]
     code = (
         "import sys\n"
         "from homeactivity import cli\n"
-        "loaded = ['scipy.signal' in sys.modules]\n"
+        "loaded = ['scipy' in sys.modules]\n"
         f"for argv in {runs!r}:\n"
         "    assert cli.main(argv) == 0\n"
-        "    loaded.append('scipy.signal' in sys.modules)\n"
+        "    loaded.append('scipy' in sys.modules)\n"
         "print(loaded)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -266,8 +275,10 @@ def test_context_commands_never_import_scipy_signal(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=False)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[False, False, False]"
+    assert out.stdout.strip() == str([False] * (len(runs) + 1))
     assert len(fusion.read_derived(derived)) == 2
+    assert (sim / "filtered.csv").stat().st_size > 0
+    assert (run / "report.json").exists()
 
 
 class TestDispatch:

@@ -478,7 +478,19 @@ class TestCli:
     def test_bundle_rejects_another_window_length_with_no_window(self, tmp_path, capsys):
         code, err = self.classify_short_log(tmp_path, capsys, "--window-len", "200")
         assert code == 1
-        assert self.error_line(err).startswith("error: window shape (0, 200, 3)")
+        assert self.error_line(err) == (f"error: {tmp_path / 'bundle.json'}: bundle takes "
+                                        "128-sample windows, not --window-len 200")
+
+    def test_bundle_window_length_is_checked_before_the_log_is_read(self, tmp_path,
+                                                                   capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(self.small_bundle()))
+        code, err = run_cli(["classify", "--in", str(tmp_path / "absent.csv"), "--model",
+                             str(path), "--out", str(tmp_path / "w.csv"),
+                             "--window-len", "32"], capsys)
+        assert code == 1
+        assert self.error_line(err) == (f"error: {path}: bundle takes 128-sample "
+                                        "windows, not --window-len 32")
 
     @pytest.mark.parametrize("case", BAD_BUNDLES)
     def test_malformed_bundle_is_one_line_naming_the_file(self, chain, tmp_path, capsys,

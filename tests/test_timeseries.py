@@ -161,6 +161,44 @@ class TestInterpolateGaps:
         assert np.array_equal(out.ts, [0, 50, 100])
         np.testing.assert_allclose(out.xyz[1], [5.0, 5.0, 5.0])
 
+    @given(
+        start=st.integers(-10**12, 10**12),
+        steps=st.lists(st.integers(1, 3000), max_size=60),
+        period_ms=st.integers(1, 100),
+        max_gap_ms=st.integers(1, 2000),
+        gyro=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_off_grid_pieces_follow_the_input(self, start, steps, period_ms, max_gap_ms,
+                                              gyro, data):
+        ts = start + np.cumsum([0, *steps], dtype=np.int64)
+        values = st.floats(-1e6, 1e6)
+        xyz, gy = (np.array(data.draw(st.lists(st.tuples(values, values, values),
+                                               min_size=ts.size, max_size=ts.size)))
+                   for _ in range(2))
+        s = SampleSeries("s", period_ms, ts, xyz, gy if gyro else None)
+        pieces = interpolate_gaps(s, max_gap_ms=max_gap_ms)
+        firsts = [int(p.ts[0]) for p in pieces]
+        assert firsts[0] == ts[0]
+        for k, p in enumerate(pieces):
+            # the input samples of this piece: from its first timestamp to the next piece's
+            hi = firsts[k + 1] if k + 1 < len(pieces) else ts[-1] + 1
+            src = (ts >= firsts[k]) & (ts < hi)
+            src_ts = ts[src]
+            assert np.array_equal(p.ts, p.ts[0] + period_ms * np.arange(len(p)))
+            assert p.ts[-1] <= src_ts[-1] < p.ts[-1] + period_ms
+            assert (np.diff(src_ts) <= max_gap_ms).all()
+            if k + 1 < len(pieces):
+                assert p.ts[-1] < firsts[k + 1]
+                assert firsts[k + 1] - src_ts[-1] > max_gap_ms
+            for axis in range(3):
+                assert np.array_equal(p.xyz[:, axis], np.interp(p.ts, src_ts, xyz[src, axis]))
+                if gyro:
+                    assert np.array_equal(p.gyro[:, axis],
+                                          np.interp(p.ts, src_ts, gy[src, axis]))
+            assert gyro or p.gyro is None
+
 
 class TestButterworth:
     def test_spec_validation(self):
