@@ -14,7 +14,7 @@ against that truth. The same stages are available on the command line:
 import tempfile
 from pathlib import Path
 
-from homeactivity import fusion, labelling, neural, pipeline, simulate
+from homeactivity import fusion, labelling, pipeline, simulate
 
 SIX_AM = 21_600_000
 
@@ -44,10 +44,10 @@ print(f"simulated {info['truth_ticks']} ticks into {out}")
 pipeline.stage_filter(out / "inertial.csv", out / "filtered.csv")
 pipeline.stage_features(out / "filtered.csv", out / "features.csv")
 
-# Calibrate a centroid model from the same noise level, then classify.
+# Calibrate a centroid model from the same noise level and classify with
+# it as loaded; `pipeline.load_model(path)` loads one from a model file.
 model = simulate.calibrate_centroids(noise)
-neural.save_centroids(out / "model.json", model)
-pipeline.stage_classify(out / "features.csv", out / "model.json", out / "basic.csv")
+pipeline.stage_classify(out / "features.csv", model, out / "basic.csv")
 
 # Ambient context and fusion.
 pipeline.stage_occupancy(out / "events.ndjson", out / "intervals.csv")

@@ -16,8 +16,9 @@ import json
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
+from zoneinfo import ZoneInfo
 
-from . import fusion, labelling, neural, pipeline, simulate, timeseries
+from . import fusion, labelling, neural, pipeline, simulate, tables, timeseries
 
 
 class Option(NamedTuple):
@@ -90,7 +91,7 @@ def _from_config(path, key: str, value):
 def _effective(args: argparse.Namespace, keys) -> dict:
     config = {}
     if args.config:
-        config = pipeline.read_json_object(args.config)
+        config = tables.read_json_object(args.config)
         unknown = set(config) - set(OPTIONS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
@@ -117,7 +118,7 @@ def _noise(eff) -> simulate.NoiseSpec:
 
 
 def _with_tables(eff: dict) -> dict:
-    """eff with the rules and priorities options replaced by their tables."""
+    """eff with each option that names an input replaced by the loaded object."""
     eff = dict(eff)
     if "rules" in eff:
         path = eff["rules"]
@@ -127,6 +128,13 @@ def _with_tables(eff: dict) -> dict:
         eff["priorities"] = (
             labelling.load_priorities(path) if path else labelling.load_default_priorities()
         )
+    if eff.get("model"):
+        eff["model"] = pipeline.load_model(eff["model"], eff["window_len"])
+    if "timezone" in eff:
+        try:
+            eff["timezone"] = ZoneInfo(eff["timezone"])
+        except (KeyError, ValueError):  # ZoneInfoNotFoundError is a KeyError
+            raise ValueError(f"unknown time zone {eff['timezone']!r}") from None
     return eff
 
 
@@ -149,7 +157,7 @@ def _classify(eff, features_or_log, out) -> None:
         raise pipeline.PipelineError("classify requires --model")
     pipeline.stage_classify(
         features_or_log, eff["model"], out, probs_path=eff["probs"],
-        window_len=eff["window_len"], overlap_frac=eff["overlap"],
+        overlap_frac=eff["overlap"],
     )
 
 
@@ -171,11 +179,11 @@ def _run_pipeline(eff, out) -> None:
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
     stage("filter", inertial, out / "filtered.csv")
     stage("features", out / "filtered.csv", out / "features.csv")
-    if eff["model"] is None:
-        eff["model"] = out / "centroids.json"
-        centroids = simulate.calibrate_centroids(noise, spec, eff["window_len"], eff["overlap"])
-        neural.save_centroids(eff["model"], centroids)
-    centroid = pipeline._model_format(eff["model"]) == neural.CENTROID_FORMAT
+    if not eff["model"]:
+        eff["model"] = simulate.calibrate_centroids(
+            noise, spec, eff["window_len"], eff["overlap"])
+        neural.save_centroids(out / "centroids.json", eff["model"])
+    centroid = isinstance(eff["model"], neural.CentroidModel)
     stage("classify", out / ("features.csv" if centroid else "filtered.csv"),
           out / "basic_windows.csv")
     stage("occupancy", events, out / "intervals.csv")

@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
+
 BUNDLE_FORMAT = "weights.v1"
 CENTROID_FORMAT = "centroids.v1"
 
@@ -338,13 +340,12 @@ def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
 
 @contextmanager
 def _model_file(path, doc):
-    """Yield doc, or the JSON object parsed from the model file when doc
-    is None; any defect of the content is re-raised as one BundleError
-    that names the file."""
+    """Yield doc, or the JSON object read from the model file when doc is
+    None; any defect of the content is re-raised as one BundleError that
+    names the file."""
+    if doc is None:
+        doc = tables.read_json_object(path)
     try:
-        if doc is None:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
         yield doc
     except KeyError as exc:
         raise BundleError(f"{path}: missing key {exc}") from None

@@ -108,14 +108,11 @@ def appliance_intervals(events, **kwargs) -> list[Interval]:
 def resolve_single_person(intervals) -> list[Interval]:
     """Collapse overlapping room intervals under a one-occupant assumption.
 
-    Accepts a flat interval list or a room -> intervals mapping. The most
-    recent motion wins: when a new interval starts inside the current
-    one, the current interval is cut at the new start (flagged truncated)
-    and its remainder discarded. Intervals starting at the same
-    millisecond keep only the lexicographically last location.
+    The most recent motion wins: when a new interval starts inside the
+    current one, the current interval is cut at the new start (flagged
+    truncated) and its remainder discarded. Intervals starting at the
+    same millisecond keep only the lexicographically last location.
     """
-    if isinstance(intervals, dict):
-        intervals = [iv for group in intervals.values() for iv in group]
     pending = sorted(intervals, key=lambda iv: (iv.start_ts, iv.location))
     out: list[Interval] = []
     current: Interval | None = None

@@ -2,14 +2,13 @@
 
 Each stage reads and writes the module file formats, so chaining the
 stage functions is exactly equivalent to chaining the CLI subcommands;
-the `pipeline` command calls these same functions in order. Every
-writer is deterministic (fixed float formats, sorted keys), which makes
+the `pipeline` command loads the model and the time zone before the
+first stage, then calls these same functions in order. Every writer is
+deterministic (fixed float formats, sorted keys), which makes
 byte-level comparison of two runs meaningful.
 """
 
 from __future__ import annotations
-
-import json
 
 from . import (
     ambient,
@@ -60,7 +59,8 @@ def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
     latest-starting window that covers it, and ticks in coverage holes
     are omitted.
     """
-    windows = list(windows)
+    if tick_ms < 1:
+        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
     if not windows:
         return []
     ticks = []
@@ -155,63 +155,56 @@ def stage_features(
     return {"windows": len(batch), "layout": layout}
 
 
-def read_json_object(path) -> dict:
-    """Parse a file holding one JSON object; errors name the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise PipelineError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise PipelineError(f"{path}: byte {exc.start}: not UTF-8") from None
-    if not isinstance(doc, dict):
-        raise PipelineError(f"{path}: expected a JSON object")
-    return doc
-
-
+# Unused here; the benchmark's tracer still names it (bench/tracing.py).
 def _model_format(path) -> str:
-    return read_json_object(path).get("format", "")
+    return tables.read_json_object(path).get("format", "")
+
+
+def load_model(path, window_len: int = timeseries.DEFAULT_WINDOW_LEN):
+    """The centroid model or weights bundle in a model file; a bundle
+    must take window_len-sample windows."""
+    doc = tables.read_json_object(path)
+    fmt = doc.get("format", "")
+    if fmt == neural.CENTROID_FORMAT:
+        return neural.load_centroids(path, doc)
+    if fmt != neural.BUNDLE_FORMAT:
+        raise PipelineError(f"{path}: unrecognized model format {fmt!r}")
+    bundle = neural.load_bundle(path, doc)
+    if window_len != bundle.input_len:
+        raise PipelineError(f"{path}: bundle takes {bundle.input_len}-sample "
+                            f"windows, not --window-len {window_len}")
+    return bundle
 
 
 def stage_classify(
     in_path,
-    model_path,
+    model: neural.CentroidModel | neural.WeightsBundle,
     out_path,
     probs_path=None,
-    window_len: int = timeseries.DEFAULT_WINDOW_LEN,
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
 ) -> dict:
-    """Label windows with either model kind.
+    """Label windows with a loaded model of either kind.
 
     A centroid model reads a feature file; a weights bundle reads a
     filtered inertial log and can also emit per-class probabilities.
     """
-    doc = read_json_object(model_path)
-    fmt = doc.get("format", "")
     probs = None
-    if fmt == neural.CENTROID_FORMAT:
-        model = neural.load_centroids(model_path, doc)
+    if isinstance(model, neural.CentroidModel):
+        fmt = neural.CENTROID_FORMAT
         matrix, spans, _layout = features.read_features(in_path, model.layout)
         labels = model.classify(matrix)
-        class_names = model.class_names
-    elif fmt == neural.BUNDLE_FORMAT:
-        bundle = neural.load_bundle(model_path, doc)
-        if window_len != bundle.input_len:
-            raise PipelineError(f"{model_path}: bundle takes {bundle.input_len}-sample "
-                                f"windows, not --window-len {window_len}")
-        batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
-        spans = batch.spans()
-        probs = neural.forward_bundle(bundle, batch.xyz)
-        labels = [neural.best_class(bundle.class_names, p) for p in probs]
-        class_names = bundle.class_names
     else:
-        raise PipelineError(f"{model_path}: unrecognized model format {fmt!r}")
+        fmt = neural.BUNDLE_FORMAT
+        batch = timeseries.segment(_single_series(in_path), model.input_len, overlap_frac)
+        spans = batch.spans()
+        probs = neural.forward_bundle(model, batch.xyz)
+        labels = [neural.best_class(model.class_names, p) for p in probs]
     write_basic_windows(out_path, [(*span, label) for span, label in zip(spans, labels)])
     if probs_path is not None:
         if probs is None:
             raise PipelineError("probability output requires a weights bundle")
         rows = [[*span, *(f"{p:.9g}" for p in row)] for span, row in zip(spans, probs)]
-        tables.write_table(probs_path, ["window_start", "window_end", *class_names], rows)
+        tables.write_table(probs_path, ["window_start", "window_end", *model.class_names], rows)
     return {"windows": len(spans), "model": fmt}
 
 
@@ -278,7 +271,7 @@ def _day_profiles(windows_path, tz):
     return [profiles.day_profile(day, tz) for day in profiles.split_days(windows, tz)]
 
 
-def stage_profile(windows_path, out_path, tz="UTC") -> dict:
+def stage_profile(windows_path, out_path, tz=profiles.UTC) -> dict:
     """Day reports, plus a week report when exactly 7 days are present."""
     days = _day_profiles(windows_path, tz)
     doc = {"days": [profiles.day_report(p) for p in days]}
@@ -289,7 +282,7 @@ def stage_profile(windows_path, out_path, tz="UTC") -> dict:
     return {"days": len(days)}
 
 
-def stage_report(windows_path, out_path, fmt: str = "json", tz="UTC") -> dict:
+def stage_report(windows_path, out_path, fmt: str = "json", tz=profiles.UTC) -> dict:
     if fmt == "json":
         return stage_profile(windows_path, out_path, tz)
     if fmt != "csv":

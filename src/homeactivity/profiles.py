@@ -56,10 +56,6 @@ class WeekProfile:
     occurrence: dict[str, tuple[bool, ...]]
 
 
-def _resolve_tz(tz) -> ZoneInfo:
-    return ZoneInfo(tz) if isinstance(tz, str) else tz
-
-
 def _local(ts_ms: int, tz: ZoneInfo) -> datetime:
     return datetime.fromtimestamp(ts_ms / 1000.0, tz)
 
@@ -77,7 +73,7 @@ def bouts(window_labels) -> list[Bout]:
     return [Bout(label, start, end) for start, end, label, _ in runs(items) if label != NO_DATA]
 
 
-def day_profile(window_labels, tz=UTC) -> DayProfile:
+def day_profile(window_labels, tz: ZoneInfo = UTC) -> DayProfile:
     """Aggregate one calendar day of windows.
 
     Every window must fall entirely inside the same local day, as
@@ -87,7 +83,6 @@ def day_profile(window_labels, tz=UTC) -> DayProfile:
     windows = list(window_labels)
     if not windows:
         raise ValueError("no windows to profile")
-    tz = _resolve_tz(tz)
     if len(split_days(windows, tz)) != 1:
         raise ValueError(DAY_BOUNDARY_ERROR)
     day = _local(windows[0].start_ts, tz).date()
@@ -104,9 +99,8 @@ def day_profile(window_labels, tz=UTC) -> DayProfile:
     return DayProfile(day=day, duration_ms=duration, bout_count=counts, coverage_ms=coverage)
 
 
-def split_days(window_labels, tz=UTC) -> list[list[WindowLabel]]:
+def split_days(window_labels, tz: ZoneInfo = UTC) -> list[list[WindowLabel]]:
     """Group ordered windows by local calendar day, preserving order."""
-    tz = _resolve_tz(tz)
     groups: dict[date, list[WindowLabel]] = {}
     for w in window_labels:
         start_day = _local(w.start_ts, tz).date()
@@ -131,24 +125,18 @@ def week_profile(day_profiles) -> WeekProfile:
     return WeekProfile(days=days, occurrence=occurrence)
 
 
-def _parse_clock(value) -> time:
-    if isinstance(value, time):
-        return value
-    return time.fromisoformat(value)
-
-
-def interval_query(window_labels, clock_start, clock_end, label: str, tz=UTC):
+def interval_query(window_labels, clock_start: str, clock_end: str, label: str,
+                   tz: ZoneInfo = UTC):
     """Count bouts and total duration of label inside a clock-time range.
 
-    The range is local-time half-open [clock_start, clock_end) and
-    filters windows by their start time; bouts are then formed within
-    the filtered subsequence.
+    The range is local-time half-open [clock_start, clock_end), given as
+    "HH:MM[:SS]", and filters windows by their start time; bouts are then
+    formed within the filtered subsequence.
     """
-    start = _parse_clock(clock_start)
-    end = _parse_clock(clock_end)
+    start = time.fromisoformat(clock_start)
+    end = time.fromisoformat(clock_end)
     if start >= end:
         raise ValueError(f"inverted clock range {start}..{end}")
-    tz = _resolve_tz(tz)
     hits = [
         w for w in window_labels if start <= _local(w.start_ts, tz).timetz().replace(tzinfo=None) < end
     ]

@@ -256,6 +256,8 @@ def generate_day(
     and the ground-truth timeline is fused per tick with the sleep rule
     applied to sustained lying.
     """
+    if tick_ms < 1:
+        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
     entries = _validate_script(script)
     rng = np.random.default_rng([noise.seed, day_start_ms % (2**31)])
 

@@ -4,12 +4,13 @@ errors name the file and line: `<file>: line N: <reason>`."""
 
 import csv
 import io
+import json
 from operator import itemgetter
 from pathlib import Path
 
 
 class TableError(ValueError):
-    """Raised when a table file is malformed."""
+    """Raised when a table or JSON-object file is malformed."""
 
 
 def write_table(path: str | Path, columns, rows) -> None:
@@ -53,3 +54,17 @@ def read_table(path: str | Path, columns, convert, error=TableError) -> list:
         # An empty file has read no line; its missing header is line 1.
         raise error(f"{path}: line {reader.line_num or 1}: {exc}") from None
     return out
+
+
+def read_json_object(path: str | Path) -> dict:
+    """Parse a file holding one JSON object; errors name the file and line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TableError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise TableError(f"{path}: byte {exc.start}: not UTF-8") from None
+    if not isinstance(doc, dict):
+        raise TableError(f"{path}: expected a JSON object")
+    return doc

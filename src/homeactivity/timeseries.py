@@ -453,7 +453,6 @@ def load_inertial(
 def write_inertial(
     path: str | Path,
     series: SampleSeries,
-    hints: list[str] | None = None,
     append: bool = False,
 ) -> None:
     """Write one series as log lines, formatted and written in blocks.
@@ -461,16 +460,11 @@ def write_inertial(
     `%.6f` and `f"{v:.6f}"` share one float formatter, so the bytes are
     those of formatting each value on its own.
     """
-    if hints is not None and len(hints) != len(series):
-        raise ValueError("one hint per sample required")
     values = series.xyz if series.gyro is None else np.hstack([series.xyz, series.gyro])
-    line = series.subject_id.replace("%", "%%") + ("," if hints is None else ",%s")
-    line += ",%d" + ",%.6f" * values.shape[1] + ";\n"
+    line = series.subject_id.replace("%", "%%") + ",,%d" + ",%.6f" * values.shape[1] + ";\n"
     mode = "a" if append else "w"
     with open(path, mode, encoding="utf-8") as fh:
         for lo in range(0, len(series), _BLOCK_LINES):
             hi = lo + _BLOCK_LINES
             columns = [series.ts[lo:hi].tolist(), *values[lo:hi].T.tolist()]
-            if hints is not None:
-                columns.insert(0, hints[lo:hi])
             fh.write("".join([line % row for row in zip(*columns)]))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from homeactivity import ambient, cli, fusion, labelling, pipeline, simulate
+from homeactivity import ambient, cli, fusion, labelling, occupancy, pipeline, simulate
 
 # command -> {option strings: (dest, required, choices, store_const)}
 SURFACE = {
@@ -281,6 +281,36 @@ def test_no_command_imports_scipy(tmp_path):
     assert (run / "report.json").exists()
 
 
+class TestTickMs:
+    """A tick below 1 ms is one error line. Each command runs in a child,
+    since a grid that never advances loops without end."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        script = tmp_path / "script.csv"
+        simulate.write_script(script, [
+            simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Sit")])
+        windows, intervals = tmp_path / "windows.csv", tmp_path / "intervals.csv"
+        pipeline.write_basic_windows(windows, [(0, 6400, "Sit"), (3200, 9600, "Sit")])
+        occupancy.write_intervals(intervals, [])
+        return script, windows, intervals
+
+    @pytest.mark.parametrize("tick", [0, -5])
+    def test_fuse(self, tick, inputs, cli_child, tmp_path):
+        _script, windows, intervals = inputs
+        code, err = cli_child("fuse", "--windows", windows, "--intervals", intervals,
+                              "--out", tmp_path / "derived.csv", "--tick-ms", tick)
+        assert code == 1
+        assert error_line(err) == f"error: tick_ms must be positive, got {tick}"
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_simulating_commands(self, command, inputs, cli_child, tmp_path):
+        code, err = cli_child(command, "--script", inputs[0], "--out", tmp_path / "run",
+                              "--tick-ms", 0)
+        assert code == 1
+        assert error_line(err) == "error: tick_ms must be positive, got 0"
+
+
 class TestDispatch:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -294,15 +324,18 @@ class TestDispatch:
         return made
 
     @pytest.mark.parametrize("stage", STAGES)
-    def test_stage_command_calls_its_stage(self, stage, calls, tmp_path):
+    def test_stage_command_calls_its_stage(self, stage, calls, monkeypatch, quiet_model,
+                                           tmp_path):
         argv = required_argv(stage, tmp_path)
         if stage == "classify":
+            monkeypatch.setattr(pipeline, "load_model", lambda path, window_len: quiet_model)
             argv += ["--model", str(tmp_path / "model.json")]
         assert cli.main(argv) == 0
         assert calls == [stage]
 
-    def test_pipeline_calls_every_stage_in_order(self, calls, monkeypatch, tmp_path):
-        monkeypatch.setattr(pipeline, "_model_format", lambda path: "centroids.v1")
+    def test_pipeline_calls_every_stage_in_order(self, calls, monkeypatch, quiet_model,
+                                                 tmp_path):
+        monkeypatch.setattr(pipeline, "load_model", lambda path, window_len: quiet_model)
         for module, loader in ((fusion, "load_default_rules"),
                                (labelling, "load_default_priorities")):
             def load(_loader=loader):

@@ -29,12 +29,11 @@ SETTINGS = settings(max_examples=150, deadline=None)
 FLOAT_FORMATS = ("{:.6f}", "{!r}", "{:g}", "{:.3e}", "{:+.2f}")
 
 
-def oracle_write(path, series, hints=None, append=False):
+def oracle_write(path, series, append=False):
     """The writer before block formatting: one f-string per value."""
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
         for i in range(len(series)):
-            hint = hints[i] if hints is not None else ""
-            fields = [series.subject_id, hint, str(int(series.ts[i]))]
+            fields = [series.subject_id, "", str(int(series.ts[i]))]
             fields += [f"{v:.6f}" for v in series.xyz[i]]
             if series.gyro is not None:
                 fields += [f"{v:.6f}" for v in series.gyro[i]]
@@ -216,10 +215,10 @@ def make_series(subject, ts, xyz, gyro=None):
 
 
 class TestWriterAgainstOracle:
-    def assert_same_bytes(self, tmp_path, series, hints=None, block=None):
-        oracle_write(tmp_path / "want.csv", series, hints)
+    def assert_same_bytes(self, tmp_path, series, block=None):
+        oracle_write(tmp_path / "want.csv", series)
         with block_lines(block or timeseries._BLOCK_LINES):
-            write_inertial(tmp_path / "got.csv", series, hints)
+            write_inertial(tmp_path / "got.csv", series)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_edge_values(self, tmp_path):
@@ -233,20 +232,17 @@ class TestWriterAgainstOracle:
         subject=subjects,
         n=st.integers(1, 30),
         gyro=st.booleans(),
-        with_hints=st.booleans(),
         block=st.integers(1, 9),
         data=st.data(),
     )
-    def test_generated_series(self, tmp_path_factory, subject, n, gyro, with_hints,
-                              block, data):
+    def test_generated_series(self, tmp_path_factory, subject, n, gyro, block, data):
         tmp_path = tmp_path_factory.mktemp("w")
         floats = st.lists(values, min_size=3 * n, max_size=3 * n)
         xyz = np.array(data.draw(floats)).reshape(n, 3)
         g = np.array(data.draw(floats)).reshape(n, 3) if gyro else None
         start = data.draw(st.integers(-(10**12), 10**12))
         ts = start + 50 * np.arange(n, dtype=np.int64)
-        hint_list = data.draw(st.lists(hints, min_size=n, max_size=n)) if with_hints else None
-        self.assert_same_bytes(tmp_path, make_series(subject, ts, xyz, g), hint_list, block)
+        self.assert_same_bytes(tmp_path, make_series(subject, ts, xyz, g), block)
 
     def test_append_continues_the_file(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -254,16 +250,11 @@ class TestWriterAgainstOracle:
         second = make_series("s", 1000 + np.arange(5, dtype=np.int64) * 50,
                              rng.normal(size=(5, 3)))
         oracle_write(tmp_path / "want.csv", first)
-        oracle_write(tmp_path / "want.csv", second, hints=list("abcde"), append=True)
+        oracle_write(tmp_path / "want.csv", second, append=True)
         with block_lines(3):
             write_inertial(tmp_path / "got.csv", first)
-            write_inertial(tmp_path / "got.csv", second, hints=list("abcde"), append=True)
+            write_inertial(tmp_path / "got.csv", second, append=True)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    def test_hint_count_checked(self, tmp_path):
-        series = make_series("s", np.array([0, 50]), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="one hint per sample"):
-            write_inertial(tmp_path / "log.csv", series, hints=["a"])
 
     def test_written_logs_take_the_block_path(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -91,14 +91,6 @@ class TestResolve:
                  Interval(0, 3_000, "pir", "Hall")]
         assert resolve_single_person(rooms) == [Interval(0, 3_000, "pir", "Hall")]
 
-    def test_accepts_room_keyed_mapping(self):
-        by_room = {
-            "Hall": [Interval(0, 2_000, "pir", "Hall")],
-            "Kitchen": [Interval(3_000, 4_000, "pir", "Kitchen")],
-        }
-        got = resolve_single_person(by_room)
-        assert [iv.location for iv in got] == ["Hall", "Kitchen"]
-
     def test_output_is_always_disjoint(self):
         import random
 

@@ -20,6 +20,7 @@ from homeactivity import (
     occupancy,
     pipeline,
     profiles,
+    tables,
     timeseries,
 )
 from homeactivity.pipeline import PipelineError, ticks_from_windows
@@ -87,7 +88,8 @@ def chain(tmp_path_factory, default_rules, quiet_model):
     pipeline.stage_segment(d / "filtered.csv", d / "plan.csv")
     pipeline.stage_features(d / "filtered.csv", d / "features.csv")
     neural.save_centroids(d / "model.json", quiet_model)
-    pipeline.stage_classify(d / "features.csv", d / "model.json", d / "basic.csv")
+    model = pipeline.load_model(d / "model.json")
+    pipeline.stage_classify(d / "features.csv", model, d / "basic.csv")
     pipeline.stage_occupancy(d / "events.ndjson", d / "intervals.csv")
     pipeline.stage_fuse(
         d / "basic.csv", d / "intervals.csv", d / "derived.csv", default_rules
@@ -211,7 +213,7 @@ class TestStageGuards:
         path = tmp_path / "m.json"
         path.write_text('{"format": "other.v1"}')
         with pytest.raises(PipelineError, match="unrecognized model format"):
-            pipeline.stage_classify(path, path, tmp_path / "out.csv")
+            pipeline.load_model(path)
 
     def test_unknown_report_format(self, chain, tmp_path):
         with pytest.raises(PipelineError, match="unknown report format"):
@@ -244,8 +246,8 @@ class TestBundleClassify:
         bundle = neural.make_default_bundle(("a", "b"), seed=3)
         neural.save_bundle(tmp_path / "b.json", bundle)
         info = pipeline.stage_classify(
-            tmp_path / "log.csv", tmp_path / "b.json", tmp_path / "out.csv",
-            probs_path=tmp_path / "probs.csv",
+            tmp_path / "log.csv", pipeline.load_model(tmp_path / "b.json"),
+            tmp_path / "out.csv", probs_path=tmp_path / "probs.csv",
         )
         assert info == {"windows": 17, "model": neural.BUNDLE_FORMAT}
         rows = pipeline.read_basic_windows(tmp_path / "out.csv")
@@ -259,8 +261,8 @@ class TestBundleClassify:
         neural.save_centroids(tmp_path / "c.json", quiet_model)
         with pytest.raises(PipelineError, match="requires a weights bundle"):
             pipeline.stage_classify(
-                chain / "features.csv", tmp_path / "c.json", tmp_path / "out.csv",
-                probs_path=tmp_path / "p.csv",
+                chain / "features.csv", pipeline.load_model(tmp_path / "c.json"),
+                tmp_path / "out.csv", probs_path=tmp_path / "p.csv",
             )
 
 
@@ -491,6 +493,46 @@ class TestCli:
         assert code == 1
         assert self.error_line(err) == (f"error: {path}: bundle takes 128-sample "
                                         "windows, not --window-len 32")
+
+    def test_pipeline_checks_the_bundle_before_any_stage(self, chain, tmp_path, capsys):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(self.small_bundle()))
+        out = tmp_path / "run"
+        code, err = run_cli(["pipeline", "--script", str(chain / "script.csv"), "--out",
+                             str(out), "--model", str(path), "--window-len", "32"], capsys)
+        assert code == 1
+        assert self.error_line(err) == (f"error: {path}: bundle takes 128-sample "
+                                        "windows, not --window-len 32")
+        assert not out.exists()
+
+    def test_pipeline_parses_the_bundle_once(self, chain, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps({**self.small_bundle(), "class_names": ["Lie", "Sit"]}))
+        parsed = []
+
+        def read_json_object(p, _read=tables.read_json_object):
+            parsed.append(p)
+            return _read(p)
+
+        monkeypatch.setattr(tables, "read_json_object", read_json_object)
+        code, _ = run_cli(["pipeline", "--script", str(chain / "script.csv"), "--out",
+                           str(tmp_path / "run"), "--model", str(path)], capsys)
+        assert code == 0
+        assert parsed == [str(path)]
+
+    def test_unknown_time_zone_is_one_line_before_any_stage(self, chain, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, err = run_cli(["pipeline", "--script", str(chain / "script.csv"), "--out",
+                             str(out), "--model", str(chain / "model.json"),
+                             "--timezone", "Mars/Base"], capsys)
+        assert code == 1
+        assert self.error_line(err) == "error: unknown time zone 'Mars/Base'"
+        assert not out.exists()
+        code, err = run_cli(["profile", "--in", str(chain / "labels.csv"), "--out",
+                             str(tmp_path / "report.json"), "--timezone", "Mars/Base"], capsys)
+        assert code == 1
+        assert self.error_line(err) == "error: unknown time zone 'Mars/Base'"
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("case", BAD_BUNDLES)
     def test_malformed_bundle_is_one_line_naming_the_file(self, chain, tmp_path, capsys,

@@ -103,9 +103,9 @@ class TestDayProfile:
 
     def test_timezone_changes_the_day(self):
         windows = seq(DAY1, ["a"])
-        east = day_profile(windows, tz="Etc/GMT-5")  # UTC+5
+        east = day_profile(windows, tz=ZoneInfo("Etc/GMT-5"))  # UTC+5
         assert east.day == date(2023, 12, 9)
-        west = day_profile(windows, tz="Etc/GMT+11")  # UTC-11
+        west = day_profile(windows, tz=ZoneInfo("Etc/GMT+11"))  # UTC-11
         assert west.day == date(2023, 12, 8)
 
 
@@ -137,7 +137,7 @@ class TestSplitAndWeek:
         return seq(start, ["walk"] * ((end - start) // SPAN))
 
     def test_days_across_a_dst_change(self):
-        london = "Europe/London"
+        london = ZoneInfo("Europe/London")
         days = [day_profile(g, london) for g in split_days(self.london_windows(), london)]
         assert [d.day for d in days] == [date(2024, 3, 30), date(2024, 3, 31),
                                           date(2024, 4, 1)]
