@@ -22,10 +22,7 @@ LOG = """\
 {"ts": 901000, "topic": "home/pir/Hall", "payload": "0"}
 """
 
-events = [
-    ambient.parse_event_line(line, lineno)
-    for lineno, line in enumerate(LOG.splitlines(), start=1)
-]
+events = [ambient.parse_event_line(line) for line in LOG.splitlines()]
 print("parsed edges (locations come back in canonical case):")
 for e in events[:3]:
     print(f"  {e.ts:>7} {e.topic} -> {int(e.state)}")

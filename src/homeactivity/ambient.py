@@ -27,11 +27,7 @@ _CANONICAL = {name.lower(): name for name in ROOMS + APPLIANCES}
 
 
 class EventParseError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+    """Raised for an event that does not parse or names an unknown sensor."""
 
 
 @dataclass(frozen=True, order=True)
@@ -60,54 +56,49 @@ def canonical_location(kind: str, location: str) -> str:
     return name
 
 
-def parse_event(obj: dict, lineno: int | None = None) -> AmbientEvent:
+def parse_event(obj: dict) -> AmbientEvent:
     for key in ("ts", "topic", "payload"):
         if key not in obj:
-            raise EventParseError(f"missing field {key!r}", lineno)
+            raise EventParseError(f"missing field {key!r}")
     if not isinstance(obj["ts"], int) or isinstance(obj["ts"], bool):
-        raise EventParseError(f"ts must be an integer, got {obj['ts']!r}", lineno)
+        raise EventParseError(f"ts must be an integer, got {obj['ts']!r}")
     parts = str(obj["topic"]).split("/")
     if len(parts) != 3 or parts[0] != TOPIC_PREFIX:
-        raise EventParseError(f"malformed topic {obj['topic']!r}", lineno)
+        raise EventParseError(f"malformed topic {obj['topic']!r}")
     _, kind, location = parts
     if kind not in EVENT_KINDS:
-        raise EventParseError(f"unknown sensor kind {kind!r}", lineno)
-    try:
-        location = canonical_location(kind, location)
-    except EventParseError as exc:
-        raise EventParseError(str(exc), lineno) from None
+        raise EventParseError(f"unknown sensor kind {kind!r}")
+    location = canonical_location(kind, location)
     if obj["payload"] not in ("0", "1"):
-        raise EventParseError(f"invalid payload {obj['payload']!r}", lineno)
+        raise EventParseError(f"invalid payload {obj['payload']!r}")
     return AmbientEvent(
         ts=obj["ts"], kind=kind, location=location, state=obj["payload"] == "1"
     )
 
 
-def parse_event_line(line: str, lineno: int | None = None) -> AmbientEvent:
+def parse_event_line(line: str) -> AmbientEvent:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise EventParseError(f"invalid JSON: {exc.msg}", lineno) from None
+        raise EventParseError(f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict):
-        raise EventParseError("event line must be a JSON object", lineno)
-    return parse_event(obj, lineno)
+        raise EventParseError("event line must be a JSON object")
+    return parse_event(obj)
 
 
 def load_events(path: str | Path) -> list[AmbientEvent]:
     events = []
-    for lineno, line in enumerate(tables.read_lines(path, EventParseError), start=1):
-        if not line.strip():
-            continue
-        try:
-            events.append(parse_event_line(line, lineno))
-        except EventParseError as exc:
-            raise EventParseError(f"{path}: {exc}") from None
+
+    def add(line):
+        if line.strip():
+            events.append(parse_event_line(line))
+
+    tables.parse_lines(path, add, EventParseError)
     return events
 
 
-def write_events(path: str | Path, events, append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
+def write_events(path: str | Path, events) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         for ev in events:
             doc = {"ts": ev.ts, "topic": ev.topic, "payload": "1" if ev.state else "0"}
             fh.write(json.dumps(doc, sort_keys=True) + "\n")

@@ -102,6 +102,8 @@ def _effective(args: argparse.Namespace, keys) -> dict:
         if value is None:
             value = config.get(key)
         eff[key] = OPTIONS[key].default if value is None else value
+    if eff.get("min_still_ms", 0) < 0:
+        raise ValueError(f"min_still_ms must not be negative, got {eff['min_still_ms']}")
     return eff
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tables import TableError, read_lines
+from . import tables
 from .timeseries import WindowBatch
 
 BIN_COUNT = 10
@@ -132,25 +132,26 @@ def read_features(path: str | Path, expect_layout: str | None = None):
     spans = []
     rows = []
     header = None
-    for lineno, line in enumerate(read_lines(path), start=1):
+
+    def parse(line):
+        nonlocal layout, header
         if header is not None and line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             if key.strip() == "layout":
                 layout = value.strip()
                 if layout not in FEATURE_COUNTS:
-                    raise FeatureLayoutError(f"{path}: line {lineno}: unknown layout: {layout}")
-            continue
-        try:
-            fields = next(csv.reader([line]))
-            if header is None:
-                header = fields
-            elif len(fields) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-            else:
-                spans.append((int(fields[0]), int(fields[1])))
-                rows.append([float(v) for v in fields[2:]])
-        except (ValueError, csv.Error) as exc:
-            raise TableError(f"{path}: line {lineno}: {exc}") from None
+                    raise FeatureLayoutError(f"unknown layout: {layout}")
+            return
+        fields = next(csv.reader([line]))
+        if header is None:
+            header = fields
+        elif len(fields) != len(header):
+            raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+        else:
+            spans.append((int(fields[0]), int(fields[1])))
+            rows.append([float(v) for v in fields[2:]])
+
+    tables.parse_lines(path, parse)
     if layout is None:
         raise FeatureLayoutError(f"{path}: line 2: missing the layout marker")
     n_cols = len(header) - 2

@@ -128,24 +128,24 @@ def load_rules(path: str | Path) -> FusionRuleTable:
     """Unlike the stage tables, a rule table may hold `#` comment lines."""
     rules = []
     header = None
-    lineno = 0
-    for lineno, line in enumerate(tables.read_lines(path, RuleFileError), start=1):
+
+    def parse(line):
+        nonlocal header
         if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            fields = [f.strip() for f in next(csv.reader([line]))]
-            if header is None:
-                header = fields
-                if header != list(RULE_COLUMNS):
-                    raise RuleFileError(f"unexpected header {header}")
-            elif len(fields) != len(header):
-                raise RuleFileError(f"expected {len(header)} fields, got {len(fields)}")
-            else:
-                rules.append(_parse_rule_row(*fields))
-        except (ValueError, csv.Error) as exc:
-            raise RuleFileError(f"{path}: line {lineno}: {exc}") from None
+            return
+        fields = [f.strip() for f in next(csv.reader([line]))]
+        if header is None:
+            header = fields
+            if header != list(RULE_COLUMNS):
+                raise RuleFileError(f"unexpected header {header}")
+        elif len(fields) != len(header):
+            raise RuleFileError(f"expected {len(header)} fields, got {len(fields)}")
+        else:
+            rules.append(_parse_rule_row(*fields))
+
+    lines = tables.parse_lines(path, parse, RuleFileError)
     if not rules:
-        raise RuleFileError(f"{path}: line {lineno + 1}: rule file contains no rules")
+        raise RuleFileError(f"{path}: line {lines + 1}: rule file contains no rules")
     return FusionRuleTable(rules)
 
 

@@ -221,7 +221,6 @@ class DayData:
 
     series: SampleSeries
     events: list[AmbientEvent]
-    basic_ticks: list[tuple[int, str]]
     derived_ticks: list[tuple[int, object]]
 
 
@@ -307,12 +306,7 @@ def generate_day(
         (ts, rules.fuse(basic, room, appliances))
         for (ts, basic), (room, appliances) in zip(with_sleep, tick_context)
     ]
-    return DayData(
-        series=series,
-        events=events,
-        basic_ticks=basic_ticks,
-        derived_ticks=derived_ticks,
-    )
+    return DayData(series=series, events=events, derived_ticks=derived_ticks)
 
 
 def calibrate_centroids(

@@ -1,10 +1,10 @@
-"""The one reader and writer of the stage CSV tables: a header row, then
-one csv row per record as csv.writer writes it (ending in \\r\\n). Reader
-errors name the file and line: `<file>: line N: <reason>`."""
+"""The one place input files are opened for reading, and the one reader
+and writer of the stage CSV tables (a header row, then csv.writer rows
+ending in \\r\\n). Reader errors name the file and line: `<file>: line N: ...`."""
 
 import csv
-import io
 import json
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -20,51 +20,81 @@ def write_table(path: str | Path, columns, rows) -> None:
         writer.writerows(rows)
 
 
-def read_lines(path: str | Path, error=TableError) -> io.StringIO:
-    """The file's lines as open(newline="") splits them; bytes that are
-    not UTF-8 raise `error` naming their line."""
-    data = Path(path).read_bytes()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline="")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line}: not UTF-8") from None
+def read_lines(path: str | Path, error=TableError):
+    """Yield the file's lines as open(newline="") splits them. A byte that
+    is not UTF-8 raises `error` naming its line once reading reaches the
+    block the decoder takes it in, so lines just before it may go unread."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass
+    # Read again with each bad byte as a lone surrogate, which UTF-8 cannot encode.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        for line, text in enumerate(fh, start=1):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                break
+    raise error(f"{path}: line {line}: not UTF-8")
+
+
+def _located(path, line: int, exc: Exception, error) -> Exception:
+    """exc's text behind `<file>: line N: `, in exc's class; a bare
+    ValueError or csv.Error becomes `error`."""
+    cls = error if type(exc) in (ValueError, csv.Error) else type(exc)
+    return cls(f"{path}: line {line}: {exc}")
+
+
+def parse_lines(path: str | Path, parse, error=TableError) -> int:
+    """parse(line) for each line of the file, in order; returns the number
+    of lines. Errors from parse name the file and line (`_located`)."""
+    line = 0
+    for line, text in enumerate(read_lines(path, error), start=1):
+        try:
+            parse(text)
+        except (ValueError, csv.Error) as exc:
+            raise _located(path, line, exc, error) from None
+    return line
 
 
 def read_table(path: str | Path, columns, convert, error=TableError) -> list:
     """convert(*fields) for every non-blank row, fields in `columns` order;
-    the header must hold exactly `columns` (two or more), in any order."""
+    the header must hold exactly `columns` (two or more), in any order.
+    An error names the line its record ends on."""
     reader = csv.reader(read_lines(path, error))
     out = []
+    pick = None  # of the fields in `columns` order, once the header is read
     try:
-        header = next(reader, [])
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise ValueError(f"missing column {', '.join(missing)}")
-        if len(header) != len(columns):
-            raise ValueError(f"expected columns {', '.join(columns)}, got {', '.join(header)}")
-        pick = itemgetter(*(header.index(name) for name in columns))
-        for fields in reader:
-            if len(fields) != len(header):
-                if not fields:
-                    continue
-                raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
-            out.append(convert(*pick(fields)))
-    except (ValueError, csv.Error) as exc:
-        # An empty file has read no line; its missing header is line 1.
-        raise error(f"{path}: line {reader.line_num or 1}: {exc}") from None
+        # An empty file reads as an empty header; its line is 1.
+        for fields in chain([next(reader, [])], reader):
+            try:
+                if pick is None:
+                    missing = [name for name in columns if name not in fields]
+                    if missing:
+                        raise ValueError(f"missing column {', '.join(missing)}")
+                    if len(fields) != len(columns):
+                        raise ValueError(
+                            f"expected columns {', '.join(columns)}, got {', '.join(fields)}")
+                    pick = itemgetter(*(fields.index(name) for name in columns))
+                elif len(fields) == len(columns):
+                    out.append(convert(*pick(fields)))
+                elif fields:
+                    raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
+            except ValueError as exc:
+                raise _located(path, reader.line_num or 1, exc, error) from None
+    except csv.Error as exc:
+        raise _located(path, reader.line_num or 1, exc, error) from None
     return out
 
 
 def read_json_object(path: str | Path) -> dict:
     """Parse a file holding one JSON object; errors name the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TableError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-        except UnicodeDecodeError as exc:
-            raise TableError(f"{path}: byte {exc.start}: not UTF-8") from None
+    try:
+        doc = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise TableError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise TableError(f"{path}: expected a JSON object")
     return doc

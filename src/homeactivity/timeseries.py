@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
+
 DEFAULT_PERIOD_MS = 50
 DEFAULT_WINDOW_LEN = 128
 DEFAULT_OVERLAP = 0.5
@@ -24,11 +26,7 @@ class SeriesError(ValueError):
 
 
 class InertialParseError(ValueError):
-    def __init__(self, message: str, lineno: int | None = None):
-        self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+    """Raised for an inertial log line that does not parse."""
 
 
 @dataclass(frozen=True)
@@ -304,21 +302,16 @@ def split_on_gaps(series: SampleSeries) -> list[SampleSeries]:
 # The hint field may be empty and the trailing semicolon is optional.
 
 
-def parse_inertial_line(line: str, lineno: int | None = None):
+def parse_inertial_line(line: str):
     parts = line.strip().rstrip(";").split(",")
     if len(parts) not in (6, 9):
-        raise InertialParseError(
-            f"expected 6 or 9 comma-separated fields, got {len(parts)}", lineno
-        )
-    try:
-        ts = int(parts[2])
-        values = [float(v) for v in parts[3:]]
-    except ValueError as exc:
-        raise InertialParseError(str(exc), lineno) from None
+        raise InertialParseError(f"expected 6 or 9 comma-separated fields, got {len(parts)}")
+    ts = int(parts[2])  # a ValueError here reaches a file's reader as InertialParseError
+    values = [float(v) for v in parts[3:]]
     if not -(2**63) <= ts < 2**63:
-        raise InertialParseError(f"timestamp {ts} outside the int64 range", lineno)
+        raise InertialParseError(f"timestamp {ts} outside the int64 range")
     if not all(np.isfinite(values)):
-        raise InertialParseError("non-finite sample value", lineno)
+        raise InertialParseError("non-finite sample value")
     return parts[0], parts[1], ts, values
 
 
@@ -331,40 +324,30 @@ def _load_inertial_lines(path, period_ms: int) -> list[SampleSeries]:
 
     This is the reference reader: it accepts every form of the format
     (several subjects, blank lines, CRLF, a missing or doubled `;`) and
-    is the path that names the file and line of any error.
+    is the path that names the file and line of its first bad line.
     """
-    rows: dict[str, list] = {}
-    lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                subject, _hint, ts, values = parse_inertial_line(line, lineno)
-            except InertialParseError as exc:
-                raise InertialParseError(f"{path}: {exc}") from None
-            rows.setdefault(subject, []).append((lineno, ts, values))
+    rows: dict[str, tuple[list, list]] = {}  # subject -> (timestamps, values)
+
+    def add(line):
+        if not line.strip():
+            return
+        subject, _hint, ts, values = parse_inertial_line(line)
+        stamps, samples = rows.setdefault(subject, ([], []))
+        if samples and len(values) != len(samples[0]):
+            raise SeriesError(f"subject {subject!r} mixes 6- and 9-field lines")
+        if stamps and ts <= stamps[-1]:
+            raise SeriesError("timestamps must be strictly increasing")
+        stamps.append(ts)
+        samples.append(values)
+
+    lines = tables.parse_lines(path, add, InertialParseError)
     if not rows:
-        raise SeriesError(f"{path}: line {lineno + 1}: empty input")
-    out = []
-    for subject, samples in rows.items():
-        width = len(samples[0][2])
-        for line_at, _ts, values in samples:
-            if len(values) != width:
-                raise SeriesError(
-                    f"{path}: line {line_at}: subject {subject!r} mixes 6- and "
-                    "9-field lines"
-                )
-        ts = np.array([s[1] for s in samples], dtype=np.int64)
-        back = np.flatnonzero(np.diff(ts) <= 0)
-        if back.size:
-            raise SeriesError(
-                f"{path}: line {samples[back[0] + 1][0]}: "
-                "timestamps must be strictly increasing"
-            )
-        data = np.array([s[2] for s in samples], dtype=np.float64)
-        out.append(_series(subject, period_ms, ts, data))
-    return out
+        raise SeriesError(f"{path}: line {lines + 1}: empty input")
+    return [
+        _series(subject, period_ms, np.array(stamps, dtype=np.int64),
+                np.array(samples, dtype=np.float64))
+        for subject, (stamps, samples) in rows.items()
+    ]
 
 
 def _series(subject: str, period_ms: int, ts: np.ndarray, data: np.ndarray):
@@ -387,44 +370,38 @@ def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
     """
     columns = None
     blocks = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        while True:
-            try:
-                lines = list(islice(fh, _BLOCK_LINES))
-            except UnicodeDecodeError:
+    log = tables.read_lines(path, InertialParseError)
+    for lines in iter(lambda: list(islice(log, _BLOCK_LINES)), []):
+        text = "".join(lines)
+        if columns is None:
+            subject = lines[0].partition(",")[0]
+            prefix = subject + ","
+            width = lines[0].count(",") + 1
+            if width not in (6, 9) or subject != subject.lstrip():
                 return None
-            if not lines:
-                break
-            text = "".join(lines)
-            if columns is None:
-                subject = lines[0].partition(",")[0]
-                prefix = subject + ","
-                width = lines[0].count(",") + 1
-                if width not in (6, 9) or subject != subject.lstrip():
-                    return None
-                columns = np.dtype([("ts", np.int64), ("v", np.float64, (width - 3,))])
-            n = len(lines)
-            if not (
-                text.isascii()
-                # np.loadtxt strips \x1c-\x1f around numbers; int() and float() do not
-                and not any(c in text for c in "\r\x1c\x1d\x1e\x1f")
-                and text.startswith(prefix)
-                and text.count("\n" + prefix) == n - 1
-                and text.count(",") == n * (width - 1)
-                and text.count(";") == n
-                and text.count(";\n") == n
-            ):
-                return None
-            try:
-                with warnings.catch_warnings():
-                    # NumPy 1.x parses "1.0" as an int64 with a warning only
-                    warnings.simplefilter("error")
-                    blocks.append(np.loadtxt(
-                        lines, dtype=columns, delimiter=",", comments=";",
-                        usecols=range(2, width), ndmin=1,
-                    ))
-            except (ValueError, Warning):
-                return None
+            columns = np.dtype([("ts", np.int64), ("v", np.float64, (width - 3,))])
+        n = len(lines)
+        if not (
+            text.isascii()
+            # np.loadtxt strips \x1c-\x1f around numbers; int() and float() do not
+            and not any(c in text for c in "\r\x1c\x1d\x1e\x1f")
+            and text.startswith(prefix)
+            and text.count("\n" + prefix) == n - 1
+            and text.count(",") == n * (width - 1)
+            and text.count(";") == n
+            and text.count(";\n") == n
+        ):
+            return None
+        try:
+            with warnings.catch_warnings():
+                # NumPy 1.x parses "1.0" as an int64 with a warning only
+                warnings.simplefilter("error")
+                blocks.append(np.loadtxt(
+                    lines, dtype=columns, delimiter=",", comments=";",
+                    usecols=range(2, width), ndmin=1,
+                ))
+        except (ValueError, Warning):
+            return None
     if columns is None:
         return None
     table = np.concatenate(blocks)
@@ -442,7 +419,7 @@ def load_inertial(
     Subjects are returned in order of first appearance; samples keep file
     order and must be strictly increasing in time per subject. A plain
     single-subject log is parsed in blocks; any other log, and any log
-    with an error, goes through the per-line reader.
+    with a line that does not parse, goes through the per-line reader.
     """
     series = _load_inertial_columnar(path, period_ms)
     if series is None:
@@ -458,12 +435,15 @@ def write_inertial(
     """Write one series as log lines, formatted and written in blocks.
 
     `%.6f` and `f"{v:.6f}"` share one float formatter, so the bytes are
-    those of formatting each value on its own.
+    those of formatting each value on its own. A subject id that would
+    not read back unchanged is refused.
     """
+    if any(c in series.subject_id for c in ",\r\n") or series.subject_id[:1].isspace():
+        raise SeriesError(f"subject id {series.subject_id!r} cannot be logged: it holds a "
+                          "comma or a line break, or starts with whitespace")
     values = series.xyz if series.gyro is None else np.hstack([series.xyz, series.gyro])
     line = series.subject_id.replace("%", "%%") + ",,%d" + ",%.6f" * values.shape[1] + ";\n"
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
         for lo in range(0, len(series), _BLOCK_LINES):
             hi = lo + _BLOCK_LINES
             columns = [series.ts[lo:hi].tolist(), *values[lo:hi].T.tolist()]

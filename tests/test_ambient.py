@@ -15,7 +15,6 @@ from homeactivity.ambient import (
     load_events,
     merge_streams,
     parse_event,
-    parse_event_line,
     write_events,
 )
 
@@ -61,9 +60,13 @@ class TestParsing:
             with pytest.raises(EventParseError):
                 parse_event({"ts": 0, "topic": topic, "payload": "0"})
 
-    def test_line_errors_carry_line_number(self):
-        with pytest.raises(EventParseError, match="line 7"):
-            parse_event_line("{not json", lineno=7)
+    def test_line_errors_carry_line_number(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        write_events(path, [ev(i * 1_000) for i in range(6)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(EventParseError, match=r"events\.ndjson: line 7: invalid JSON"):
+            load_events(path)
 
 
 class TestFiles:

@@ -311,6 +311,34 @@ class TestTickMs:
         assert error_line(err) == "error: tick_ms must be positive, got 0"
 
 
+
+class TestMinStillMs:
+    """A negative stillness threshold is one error line, raised before
+    any stage runs."""
+
+    def test_fuse(self, tmp_path, capsys):
+        windows, intervals = tmp_path / "windows.csv", tmp_path / "intervals.csv"
+        pipeline.write_basic_windows(windows, [(0, 6400, "Lie"), (3200, 9600, "Lie")])
+        occupancy.write_intervals(intervals, [])
+        derived = tmp_path / "derived.csv"
+        argv = ["fuse", "--windows", str(windows), "--intervals", str(intervals),
+                "--out", str(derived), "--min-still-ms", "-1"]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: min_still_ms must not be negative, got -1")
+        assert not derived.exists()
+
+    def test_pipeline_writes_no_file(self, tmp_path, capsys):
+        script = tmp_path / "script.csv"
+        simulate.write_script(script, [simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Lie")])
+        run = tmp_path / "run"
+        config = write_config(tmp_path, {"min_still_ms": -1})
+        argv = ["pipeline", "--script", str(script), "--out", str(run), "--config", config]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: min_still_ms must not be negative, got -1")
+        assert not run.exists()
+
 class TestDispatch:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -406,7 +434,7 @@ class TestJsonErrors:
         config.write_bytes(b'{"span": 2, "timezone": "\xff"}')
         code = cli.main(required_argv("label", tmp_path) + ["--config", str(config)])
         assert code == 1
-        assert error_line(capsys.readouterr().err) == f"error: {config}: byte 25: not UTF-8"
+        assert error_line(capsys.readouterr().err) == f"error: {config}: line 1: not UTF-8"
 
     def test_truncated_model_names_file_and_line(self, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeactivity import timeseries
+from homeactivity import cli, simulate, timeseries
 from homeactivity.timeseries import (
     DEFAULT_PERIOD_MS,
     SampleSeries,
+    SeriesError,
     load_inertial,
     write_inertial,
 )
@@ -263,3 +264,38 @@ class TestWriterAgainstOracle:
         write_inertial(tmp_path / "log.csv", series)
         assert takes_block_path(tmp_path / "log.csv", block=7)
         assert_readers_agree(tmp_path / "log.csv", block=7)
+
+
+class TestSubjectIds:
+    """A subject id goes into the first field of every line, so it must
+    read back: no comma, no line break, no leading whitespace."""
+
+    @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb", " a", "\ta", "\x1ca"])
+    def test_an_id_the_log_cannot_carry_is_refused_before_the_file_opens(self, tmp_path,
+                                                                         subject):
+        path = tmp_path / "log.csv"
+        series = make_series(subject, 50 * np.arange(3, dtype=np.int64), np.zeros((3, 3)))
+        with pytest.raises(SeriesError, match="cannot be logged"):
+            write_inertial(path, series)
+        assert not path.exists()
+
+    @SETTINGS
+    @given(subject=st.text(st.characters() | st.sampled_from(",;%\r\n \t\x1c"), max_size=6))
+    def test_an_accepted_id_reads_back_unchanged(self, tmp_path_factory, subject):
+        path = tmp_path_factory.mktemp("id") / "log.csv"
+        series = make_series(subject, 50 * np.arange(3, dtype=np.int64), np.ones((3, 3)))
+        try:
+            write_inertial(path, series)
+        except SeriesError:
+            return
+        (back,) = load_inertial(path)
+        assert back.subject_id == subject
+
+    def test_simulate_refuses_such_an_id(self, tmp_path, capsys):
+        script = tmp_path / "script.csv"
+        simulate.write_script(script, [simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Sit")])
+        argv = ["simulate", "--script", str(script), "--out", str(tmp_path / "sim"),
+                "--subject", "a,b"]
+        assert cli.main(argv) == 1
+        err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+        assert len(err) == 1 and err[0].startswith("error: subject id 'a,b' cannot be logged")

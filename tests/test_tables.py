@@ -6,10 +6,15 @@ rows (labels with commas, quotes, line breaks and non-ASCII text), and
 every byte-prefix of a written file, which must read cleanly or fail
 with one error naming the file and a line. The ambient event log, one
 JSON object per line, gets the round trip and the prefix check too.
+Every input kind reports a byte that is not UTF-8 the same way, and
+`tables` is the only module that opens an input file.
 """
 
+import ast
 import csv
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from homeactivity import ambient, cli, features, fusion, labelling, occupancy, pipeline, simulate
+from homeactivity import (
+    ambient, cli, features, fusion, labelling, occupancy, pipeline, simulate, timeseries,
+)
 from homeactivity.ambient import APPLIANCES, EVENT_KINDS, ROOMS, AmbientEvent, EventParseError
 from homeactivity.features import FeatureLayoutError
 from homeactivity.fusion import DerivedActivity, FusionRule, FusionRuleTable, RuleFileError
@@ -27,6 +34,7 @@ from homeactivity.neural import CentroidModel, save_centroids
 from homeactivity.occupancy import Interval
 from homeactivity.simulate import ScheduleEntry, ScriptError
 from homeactivity.tables import TableError, read_table, write_table
+from homeactivity.timeseries import SampleSeries
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -193,6 +201,110 @@ def test_cli_names_the_file_and_line(table, case, tmp_path, capsys):
     lines = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"error: {bad}: line {line}: "), lines[0]
+
+
+def _inertial(path, subjects):
+    """A 400-line (14 kB) inertial log, its subjects taking turns line by line."""
+    ts = 50 * np.arange(400, dtype=np.int64)
+    for i, subject in enumerate(subjects):
+        mine = ts[i::len(subjects)]
+        timeseries.write_inertial(path, SampleSeries(subject, 50, mine, np.ones((mine.size, 3))),
+                                  append=i > 0)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(sorted(lines, key=lambda l: int(l.split(b",")[2]))))
+
+
+# input kind -> (writer of a good file, command reading it), beyond MATRIX.
+INPUTS = {
+    "events": (
+        lambda p: ambient.write_events(p, [AmbientEvent(0, "pir", "Hall", True),
+                                           AmbientEvent(9_600, "pir", "Hall", False)]),
+        lambda t, bad: ["occupancy", "--events", bad],
+    ),
+    "inertial": (
+        lambda p: _inertial(p, ["s"]),
+        lambda t, bad: ["filter", "--in", bad],
+    ),
+    # Its first block fails the columnar shape, so the per-line reader
+    # meets the byte: it lies past the first 8 kB the decoder reads.
+    "inertial_two_subjects": (
+        lambda p: _inertial(p, ["a", "b"]),
+        lambda t, bad: ["filter", "--in", bad],
+    ),
+    "model": (
+        lambda p: save_centroids(
+            p, CentroidModel(("Sit", "Walk"), np.zeros((2, 43)), features.LAYOUT_ACC)),
+        lambda t, bad: ["classify", "--in", t / "features.csv", "--model", bad],
+    ),
+    "config": (
+        lambda p: p.write_text(json.dumps({"span": 2, "timezone": "UTC"}, indent=1)),
+        lambda t, bad: ["label", "--in", t / "good_derived.csv", "--config", bad],
+    ),
+    **{table: (write, command) for table, (write, command, _col) in MATRIX.items()},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_a_byte_that_is_not_utf8_names_its_line(kind, tmp_path, capsys, monkeypatch):
+    """\\xff on the last line k of each input: `error: <file>: line k: not UTF-8`."""
+    monkeypatch.setattr(timeseries, "_BLOCK_LINES", 4)  # the log spans 100 blocks
+    write, command = INPUTS[kind]
+    _companions(tmp_path)
+    MATRIX["features"][0](tmp_path / "features.csv")
+    bad = tmp_path / f"{kind}.in"
+    write(bad)
+    lines = bad.read_bytes().splitlines(keepends=True)
+    body = lines[-1].rstrip(b"\r\n")
+    lines[-1] = body + b"\xff" + lines[-1][len(body):]
+    bad.write_bytes(b"".join(lines))
+    argv = [str(a) for a in command(tmp_path, bad)] + ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+    assert err == [f"error: {bad}: line {len(lines)}: not UTF-8"]
+
+
+def _reads_a_file(call: ast.Call) -> bool:
+    """Whether the call opens a file for reading (a mode that is not one
+    of w, a or x without +, or no mode at all), or reads one whole."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_bytes", "read_text"):
+        return True
+    if name == "load":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "json"
+    if name != "open":
+        return False
+    at = 1 if isinstance(func, ast.Name) else 0  # open(path, mode); Path.open(mode)
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[at] if len(call.args) > at else None)
+    modes = [mode.body, mode.orelse] if isinstance(mode, ast.IfExp) else [mode]
+    return not all(
+        isinstance(m, ast.Constant) and isinstance(m.value, str)
+        and set(m.value) & set("wax") and "+" not in m.value
+        for m in modes
+    )
+
+
+def _file_reads(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _reads_a_file(node)]
+
+
+def test_the_guard_sees_each_way_to_read_a_file():
+    reads = ["open(p)", "open(p, 'rb')", "open(p, mode='r+')", "Path(p).open()",
+             "p.read_text()", "p.read_bytes()", "json.load(fh)", "open(p, 'w' if a else 'r')"]
+    writes = ["open(p, 'w')", "open(p, 'a' if a else 'w', encoding='utf-8')",
+              "open(p, mode='xb')", "Path(p).open('w')", "json.loads(s)", "json.dump(d, fh)"]
+    assert _file_reads("\n".join(reads)) == list(range(1, len(reads) + 1))
+    assert _file_reads("\n".join(writes)) == []
+
+
+def test_tables_is_the_only_module_that_reads_a_file():
+    package = Path(cli.__file__).parent
+    found = {path.name: _file_reads(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found.pop("tables.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 # --- round trips and truncations over generated rows --------------------------

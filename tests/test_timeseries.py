@@ -85,7 +85,7 @@ class TestInertialFormat:
 
     def test_timestamp_range_checked(self):
         with pytest.raises(InertialParseError, match="int64 range"):
-            parse_inertial_line("u,,9223372036854775808,1,2,3", 4)
+            parse_inertial_line("u,,9223372036854775808,1,2,3")
 
     def test_roundtrip(self, tmp_path):
         s = make_series(np.linspace(-2, 2, 7))
