@@ -74,29 +74,20 @@ class FusionRuleTable:
     def __init__(self, rules, default: DerivedActivity = DEFAULT_RULE):
         self.rules = tuple(rules)
         self.default = default
-        # Appliance rules resolve by appliance precedence, then by how
-        # many context fields they bind, then file order.
-        order = {name: i for i, name in enumerate(APPLIANCE_PRECEDENCE)}
-        self._appliance_rules = sorted(
-            (r for r in self.rules if r.appliance is not None),
-            key=lambda r: (order[r.appliance], -r.specificity),
-        )
-        self._context_rules = [r for r in self.rules if r.appliance is None]
+        # The lookup order: appliance rules by appliance precedence, then
+        # context rules; within each, by how many of basic and room they
+        # bind, then in file order (the sort is stable).
+        order = {name: i for i, name in enumerate((*APPLIANCE_PRECEDENCE, None))}
+        self._ordered = sorted(self.rules, key=lambda r: (order[r.appliance], -r.specificity))
 
     def fuse(self, basic, room, appliances=frozenset()) -> DerivedActivity:
         if basic is not None and basic not in BASIC_ACTIVITIES:
             raise ValueError(f"unknown basic activity {basic!r}")
         if room not in ROOMS:
             raise ValueError(f"unknown room {room!r}")
-        for rule in self._appliance_rules:
+        for rule in self._ordered:
             if rule.matches(basic, room, appliances):
                 return rule.derived
-        for want_specificity in (2, 1, 0):
-            for rule in self._context_rules:
-                if rule.specificity == want_specificity and rule.matches(
-                    basic, room, appliances
-                ):
-                    return rule.derived
         return self.default
 
     def names(self) -> tuple[str, ...]:

@@ -163,7 +163,7 @@ def gru_forward(x, W, U, b, return_sequences=False):
 
 @dataclass(frozen=True, eq=False)
 class LayerSpec:
-    """One layer of a bundle; its weights are held as float64 arrays."""
+    """One layer of a bundle; its weights are held as finite float64 arrays."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -173,6 +173,9 @@ class LayerSpec:
         if self.weights is not None:
             object.__setattr__(self, "weights", {
                 k: np.asarray(v, dtype=np.float64) for k, v in self.weights.items()})
+            for key, value in self.weights.items():
+                if not np.isfinite(value).all():
+                    raise BundleError(f"{self.kind} {key} holds a non-finite value")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,124 +196,116 @@ class WeightsBundle:
         validate_bundle(self)
 
 
-def validate_bundle(bundle: WeightsBundle) -> None:
-    """Check that layer weight shapes compose from input to class scores."""
+def _activation(name):
+    if name not in ACTIVATIONS:
+        raise BundleError(f"unknown activation {name!r}")
+    return ACTIVATIONS[name]
+
+
+def _layer(spec: LayerSpec, steps: int | None, dim: int):
+    """Check one layer against the (steps, dim) input it receives, steps
+    None for a vector; return the (steps, dim) it emits and its forward
+    function. The parameter defaults of the bundle format live here."""
+    kind, params, w = spec.kind, spec.params, spec.weights
+    if steps is None and kind in ("conv1d", "maxpool1d", "lstm", "gru"):
+        raise BundleError(f"{kind} after a non-sequence layer")
+    if kind == "conv1d":
+        kernel, bias = w["kernel"], w["bias"]
+        if kernel.ndim != 3 or kernel.shape[1] != dim:
+            raise BundleError(f"conv1d kernel {kernel.shape} cannot act on {dim} channels")
+        if bias.shape != (kernel.shape[2],):
+            raise BundleError(f"conv1d bias {bias.shape} != filters {kernel.shape[2]}")
+        if steps < kernel.shape[0]:
+            raise BundleError(
+                f"conv1d kernel {kernel.shape[0]} longer than remaining {steps} steps"
+            )
+        act = _activation(params.get("activation", "relu"))
+        return (steps - kernel.shape[0] + 1, kernel.shape[2],
+                lambda x: act(conv1d_forward(x, kernel, bias)))
+    if kind == "maxpool1d":
+        pool = int(params.get("pool", 2))
+        stride = int(params.get("stride", pool))
+        if pool < 1 or stride < 1:
+            raise BundleError(f"maxpool1d pool {pool} and stride {stride} must be positive")
+        if steps < pool:
+            raise BundleError(f"maxpool1d pool {pool} exceeds remaining {steps} steps")
+        return (steps - pool) // stride + 1, dim, lambda x: maxpool1d(x, pool, stride)
+    if kind == "dropout":
+        rate = float(params.get("rate", 0.0))
+        if not (0 <= rate < 1):
+            raise BundleError(f"dropout rate {rate} outside [0, 1)")
+        return steps, dim, lambda x: x  # the identity at inference
+    if kind in ("lstm", "gru"):
+        n = len(LSTM_GATES if kind == "lstm" else GRU_GATES)
+        units = int(params["units"])
+        for key, want in (("W", (n, units, units)), ("U", (n, units, dim)), ("b", (n, units))):
+            if w[key].shape != want:
+                raise BundleError(f"{kind} {key} has shape {w[key].shape}, want {want}")
+        W, U, b = w["W"], w["U"], w["b"]
+        sequences = bool(params.get("return_sequences", False))
+        steps = steps if sequences else None
+        if kind == "gru":
+            return steps, units, lambda x: gru_forward(x, W, U, b, sequences)
+        candidate = params.get("candidate_activation", "sigmoid")
+        _activation(candidate)
+        return steps, units, lambda x: lstm_forward(x, W, U, b, sequences, candidate)
+    if kind == "dense":
+        weights, bias = w["weights"], w["bias"]
+        if steps is not None:
+            raise BundleError("dense layer requires a vector, not a sequence")
+        if weights.ndim != 2 or weights.shape[1] != dim:
+            raise BundleError(f"dense weights {weights.shape} cannot act on {dim} inputs")
+        if bias.shape != (weights.shape[0],):
+            raise BundleError(f"dense bias {bias.shape} != units {weights.shape[0]}")
+        act = _activation(params.get("activation", "linear"))
+        return None, weights.shape[0], lambda x: act(dense_forward(x, weights, bias))
+    raise BundleError(f"unknown layer kind {kind!r}")
+
+
+def validate_bundle(bundle: WeightsBundle) -> list:
+    """Check that layer weight shapes compose from input to class scores;
+    return the forward function of each step, feature_norm first."""
     if bundle.input_len < 1 or bundle.input_channels < 1:
         raise BundleError("input_len and input_channels must be positive")
     if not bundle.class_names:
         raise BundleError("bundle declares no class names")
+    forwards = []
     if bundle.feature_norm is not None:
-        for key in ("mean", "scale"):
-            vals = np.asarray(bundle.feature_norm.get(key), dtype=np.float64)
+        mean, scale = (np.asarray(bundle.feature_norm.get(key), dtype=np.float64)
+                       for key in ("mean", "scale"))
+        for key, vals in (("mean", mean), ("scale", scale)):
             if vals.shape != (bundle.input_channels,):
                 raise BundleError(f"feature_norm.{key} must list one value per channel")
-        if any(s == 0 for s in bundle.feature_norm["scale"]):
+            if not np.isfinite(vals).all():
+                raise BundleError(f"feature_norm.{key} holds a non-finite value")
+        if np.any(scale == 0):
             raise BundleError("feature_norm.scale contains a zero")
+        forwards.append(lambda x: (x - mean) / scale)
 
     steps, dim = bundle.input_len, bundle.input_channels
     for spec in bundle.layers:
-        if spec.kind == "conv1d":
-            kernel, bias = spec.weights["kernel"], spec.weights["bias"]
-            if steps is None:
-                raise BundleError("conv1d after a non-sequence layer")
-            if kernel.ndim != 3 or kernel.shape[1] != dim:
-                raise BundleError(
-                    f"conv1d kernel {kernel.shape} cannot act on {dim} channels"
-                )
-            if bias.shape != (kernel.shape[2],):
-                raise BundleError(f"conv1d bias {bias.shape} != filters {kernel.shape[2]}")
-            if steps < kernel.shape[0]:
-                raise BundleError(
-                    f"conv1d kernel {kernel.shape[0]} longer than remaining {steps} steps"
-                )
-            if spec.params.get("activation", "relu") not in ACTIVATIONS:
-                raise BundleError(f"unknown activation {spec.params['activation']!r}")
-            steps, dim = steps - kernel.shape[0] + 1, kernel.shape[2]
-        elif spec.kind == "maxpool1d":
-            pool = int(spec.params.get("pool", 2))
-            stride = int(spec.params.get("stride", pool))
-            if pool < 1 or stride < 1:
-                raise BundleError(f"maxpool1d pool {pool} and stride {stride} must be positive")
-            if steps is None:
-                raise BundleError("maxpool1d after a non-sequence layer")
-            if steps < pool:
-                raise BundleError(f"maxpool1d pool {pool} exceeds remaining {steps} steps")
-            steps = (steps - pool) // stride + 1
-        elif spec.kind == "dropout":
-            rate = float(spec.params.get("rate", 0.0))
-            if not (0 <= rate < 1):
-                raise BundleError(f"dropout rate {rate} outside [0, 1)")
-        elif spec.kind in ("lstm", "gru"):
-            if steps is None:
-                raise BundleError(f"{spec.kind} after a non-sequence layer")
-            n = len(LSTM_GATES if spec.kind == "lstm" else GRU_GATES)
-            units = int(spec.params["units"])
-            for key, want in (("W", (n, units, units)), ("U", (n, units, dim)),
-                              ("b", (n, units))):
-                if spec.weights[key].shape != want:
-                    raise BundleError(
-                        f"{spec.kind} {key} has shape {spec.weights[key].shape}, want {want}")
-            candidate = spec.params.get("candidate_activation", "sigmoid")
-            if spec.kind == "lstm" and candidate not in ACTIVATIONS:
-                raise BundleError(f"unknown activation {candidate!r}")
-            dim = units
-            if not spec.params.get("return_sequences", False):
-                steps = None
-        elif spec.kind == "dense":
-            weights, bias = spec.weights["weights"], spec.weights["bias"]
-            if steps is not None:
-                raise BundleError("dense layer requires a vector, not a sequence")
-            if weights.ndim != 2 or weights.shape[1] != dim:
-                raise BundleError(f"dense weights {weights.shape} cannot act on {dim} inputs")
-            if bias.shape != (weights.shape[0],):
-                raise BundleError(f"dense bias {bias.shape} != units {weights.shape[0]}")
-            if spec.params.get("activation", "linear") not in ACTIVATIONS:
-                raise BundleError(f"unknown activation {spec.params['activation']!r}")
-            dim = weights.shape[0]
-        else:
-            raise BundleError(f"unknown layer kind {spec.kind!r}")
+        steps, dim, forward = _layer(spec, steps, dim)
+        forwards.append(forward)
     if steps is not None:
         raise BundleError("stack ends with a sequence; add a non-returning recurrent layer")
     if dim != len(bundle.class_names):
         raise BundleError(
             f"stack emits {dim} values but bundle names {len(bundle.class_names)} classes"
         )
+    return forwards
 
 
 def forward_bundle(bundle: WeightsBundle, windows: np.ndarray) -> np.ndarray:
     """Class scores of one (input_len, input_channels) window, or of each
     window of an (n, input_len, input_channels) stack as an
-    (n, classes) array. Dropout is the identity at inference."""
+    (n, classes) array."""
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (bundle.input_len, bundle.input_channels):
         raise ValueError(
             f"window shape {x.shape} != ([n,] {bundle.input_len}, {bundle.input_channels})"
         )
-    if bundle.feature_norm is not None:
-        mean = np.asarray(bundle.feature_norm["mean"], dtype=np.float64)
-        scale = np.asarray(bundle.feature_norm["scale"], dtype=np.float64)
-        x = (x - mean) / scale
-    for spec in bundle.layers:
-        if spec.kind == "conv1d":
-            act = ACTIVATIONS[spec.params.get("activation", "relu")]
-            x = act(conv1d_forward(x, spec.weights["kernel"], spec.weights["bias"]))
-        elif spec.kind == "maxpool1d":
-            pool = int(spec.params.get("pool", 2))
-            x = maxpool1d(x, pool, int(spec.params.get("stride", pool)))
-        elif spec.kind == "lstm":
-            x = lstm_forward(
-                x, spec.weights["W"], spec.weights["U"], spec.weights["b"],
-                return_sequences=bool(spec.params.get("return_sequences", False)),
-                candidate_activation=spec.params.get("candidate_activation", "sigmoid"),
-            )
-        elif spec.kind == "gru":
-            x = gru_forward(
-                x, spec.weights["W"], spec.weights["U"], spec.weights["b"],
-                return_sequences=bool(spec.params.get("return_sequences", False)),
-            )
-        elif spec.kind == "dense":
-            act = ACTIVATIONS[spec.params.get("activation", "linear")]
-            x = act(dense_forward(x, spec.weights["weights"], spec.weights["bias"]))
+    for forward in validate_bundle(bundle):
+        x = forward(x)
     return x
 
 
@@ -449,13 +444,15 @@ class CentroidModel:
             raise ValueError(
                 f"{len(self.class_names)} classes but centroid matrix is {centroids.shape}"
             )
+        if not np.isfinite(centroids).all():
+            raise ValueError("centroids hold a non-finite value")
         if self.scale is not None:
             scale = np.asarray(self.scale, dtype=np.float64)
             object.__setattr__(self, "scale", scale)
             if scale.shape != (centroids.shape[1],):
                 raise ValueError(f"scale shape {scale.shape} != feature width")
-            if not np.all(scale > 0):
-                raise ValueError("scale values must be positive")
+            if not np.all((scale > 0) & np.isfinite(scale)):
+                raise ValueError("scale values must be positive and finite")
 
     def classify(self, features: np.ndarray) -> list[str]:
         """The nearest class of each row of an (n, width) feature matrix."""

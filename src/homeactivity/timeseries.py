@@ -74,7 +74,7 @@ class SampleSeries:
             raise SeriesError(f"shape mismatch: ts {ts.shape} vs xyz {xyz.shape}")
         if ts.size == 0:
             raise SeriesError("empty input")
-        if ts.size > 1 and not np.all(np.diff(ts) > 0):
+        if not np.all(ts[1:] > ts[:-1]):  # np.diff would wrap in int64
             raise SeriesError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(xyz)):
             raise SeriesError("non-finite acceleration value")
@@ -137,7 +137,8 @@ def interpolate_gaps(
         raise ValueError(f"max_gap_ms must be positive, got {max_gap_ms}")
 
     ts = series.ts
-    breaks = np.flatnonzero(np.diff(ts) > max_gap_ms)
+    # ts increases, so its steps are exact as uint64 where int64 would wrap
+    breaks = np.flatnonzero(np.diff(ts.view(np.uint64)) > max_gap_ms)
     bounds = np.concatenate(([0], breaks + 1, [ts.size]))
 
     out: list[SampleSeries] = []
@@ -406,7 +407,7 @@ def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
         return None
     table = np.concatenate(blocks)
     ts, data = table["ts"].copy(), table["v"].copy()
-    if np.any(np.diff(ts) <= 0) or not np.all(np.isfinite(data)):
+    if np.any(ts[1:] <= ts[:-1]) or not np.all(np.isfinite(data)):
         return None
     return [_series(subject, period_ms, ts, data)]
 

@@ -17,7 +17,7 @@ import numpy as np
 from homeactivity import tables
 from homeactivity.ambient import AmbientEvent
 from homeactivity.features import BIN_COUNT, BIN_RANGE
-from homeactivity.fusion import RULE_COLUMNS
+from homeactivity.fusion import APPLIANCE_PRECEDENCE, RULE_COLUMNS
 from homeactivity.labelling import NO_DATA, PRIORITY_COLUMNS
 from homeactivity.profiles import Bout
 
@@ -204,6 +204,22 @@ def write_rules(path, table):
     rows = ((r.basic or "", r.room or "", r.appliance or "", r.derived.name, r.derived.flag)
             for r in table.rules)
     tables.write_table(path, RULE_COLUMNS, rows)
+
+
+def fuse_by_precedence(rules, default, basic, room, appliances):
+    """The documented lookup, one tier at a time: each appliance in
+    precedence order and then no appliance; within a tier, rules binding
+    both basic and room, then one of them, then neither; then file order."""
+    for appliance in (*APPLIANCE_PRECEDENCE, None):
+        if appliance is not None and appliance not in appliances:
+            continue
+        for bound in (2, 1, 0):
+            for r in rules:
+                if (r.appliance == appliance
+                        and (r.basic is not None) + (r.room is not None) == bound
+                        and r.basic in (None, basic) and r.room in (None, room)):
+                    return r.derived
+    return default
 
 
 def write_priorities(path, table):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeactivity.ambient import ROOMS
 from homeactivity.fusion import (
     APPLIANCE_PRECEDENCE,
     DEFAULT_MIN_STILL_MS,
@@ -20,7 +21,13 @@ from homeactivity.fusion import (
     write_derived,
 )
 from homeactivity.tables import TableError
-from oracles import derive_sleep_loop, flag_stream_loop, hole_free_pieces, write_rules
+from oracles import (
+    derive_sleep_loop,
+    flag_stream_loop,
+    fuse_by_precedence,
+    hole_free_pieces,
+    write_rules,
+)
 
 
 def rule(basic, room, appliance, name, flag="Normal"):
@@ -70,6 +77,31 @@ class TestFuse:
             self.table.fuse("Moonwalk", "Hall")
         with pytest.raises(ValueError, match="room"):
             self.table.fuse("Sit", "Garage")
+
+
+# Small domains, so that drawn rules often match and tie.
+BASICS = (None, "Sit", "Walk", "Lie")
+PLACES = (None, "Hall", "Kitchen", "Outside")
+APPLIANCE_OR_NONE = (None, *APPLIANCE_PRECEDENCE)
+
+
+@st.composite
+def rule_tables(draw):
+    fields = st.tuples(st.sampled_from(BASICS), st.sampled_from(PLACES),
+                       st.sampled_from(APPLIANCE_OR_NONE))
+    rows = draw(st.lists(fields, max_size=12))
+    # distinct names, so the chosen rule shows in the result
+    return [rule(basic, room, appliance, f"r{i}") for i, (basic, room, appliance)
+            in enumerate(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_tables(), st.sampled_from(BASICS), st.sampled_from(ROOMS),
+       st.frozensets(st.sampled_from(APPLIANCE_PRECEDENCE)))
+def test_fuse_follows_the_documented_precedence(rules, basic, room, appliances):
+    table = FusionRuleTable(rules)
+    assert table.fuse(basic, room, appliances) == fuse_by_precedence(
+        rules, table.default, basic, room, appliances)
 
 
 class TestRuleFiles:

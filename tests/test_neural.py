@@ -257,6 +257,110 @@ class TestBundle:
             load_bundle(path)
 
 
+def conv(kernel=(3, 2, 4), bias=(4,), **params):
+    return LayerSpec("conv1d", params, {"kernel": np.zeros(kernel), "bias": np.zeros(bias)})
+
+
+def pool(**params):
+    return LayerSpec("maxpool1d", params)
+
+
+def recurrent(kind="gru", in_dim=4, units=3, shapes=None, **params):
+    n = 4 if kind == "lstm" else 3
+    want = {"W": (n, units, units), "U": (n, units, in_dim), "b": (n, units)}
+    return LayerSpec(kind, {"units": units, **params},
+                     {k: np.zeros(v) for k, v in {**want, **(shapes or {})}.items()})
+
+
+def dense(weights=(2, 3), bias=(2,), **params):
+    return LayerSpec("dense", {"activation": "softmax", **params},
+                     {"weights": np.zeros(weights), "bias": np.zeros(bias)})
+
+
+# conv 10 -> 8 steps of 4, pool -> 4 steps, gru -> a vector of 3, dense -> 2
+VALID = {"layers": (conv(), pool(), recurrent(), dense()), "class_names": ("A", "B"),
+         "input_len": 10, "input_channels": 2}
+
+
+def stack(*layers):
+    return {"layers": layers}
+
+
+# One defect per bundle, each against VALID; the value is the exact message.
+REJECTIONS = {
+    "input_len": ({"input_len": 0}, "input_len and input_channels must be positive"),
+    "no_classes": ({"class_names": ()}, "bundle declares no class names"),
+    "norm_shape": ({"feature_norm": {"mean": [0.0] * 3, "scale": [1.0] * 2}},
+                   "feature_norm.mean must list one value per channel"),
+    "norm_scale_shape": ({"feature_norm": {"mean": [0.0] * 2, "scale": [1.0]}},
+                         "feature_norm.scale must list one value per channel"),
+    "norm_zero_scale": ({"feature_norm": {"mean": [0.0] * 2, "scale": [1.0, 0.0]}},
+                        "feature_norm.scale contains a zero"),
+    "unknown_kind": (stack(conv(), pool(), LayerSpec("attention"), recurrent(), dense()),
+                     "unknown layer kind 'attention'"),
+    "conv_activation": (stack(conv(activation="swish"), pool(), recurrent(), dense()),
+                        "unknown activation 'swish'"),
+    "dense_activation": (stack(conv(), pool(), recurrent(), dense(activation="gelu")),
+                         "unknown activation 'gelu'"),
+    "lstm_candidate": (
+        stack(conv(), pool(), recurrent("lstm", candidate_activation="foo"), dense()),
+        "unknown activation 'foo'"),
+    "conv_channels": (stack(conv(kernel=(3, 3, 4)), pool(), recurrent(), dense()),
+                      "conv1d kernel (3, 3, 4) cannot act on 2 channels"),
+    "conv_bias": (stack(conv(bias=(5,)), pool(), recurrent(), dense()),
+                  "conv1d bias (5,) != filters 4"),
+    "conv_too_long": (stack(conv(kernel=(11, 2, 4)), pool(), recurrent(), dense()),
+                      "conv1d kernel 11 longer than remaining 10 steps"),
+    "pool_zero": (stack(conv(), pool(pool=0), recurrent(), dense()),
+                  "maxpool1d pool 0 and stride 0 must be positive"),
+    "stride_zero": (stack(conv(), pool(stride=0), recurrent(), dense()),
+                    "maxpool1d pool 2 and stride 0 must be positive"),
+    "pool_too_long": (stack(conv(), pool(pool=9), recurrent(), dense()),
+                      "maxpool1d pool 9 exceeds remaining 8 steps"),
+    "dropout_rate": (stack(conv(), LayerSpec("dropout", {"rate": 1.0}), pool(),
+                           recurrent(), dense()),
+                     "dropout rate 1.0 outside [0, 1)"),
+    "dense_on_sequence": (stack(conv(), pool(), dense(weights=(2, 4))),
+                          "dense layer requires a vector, not a sequence"),
+    "conv_after_vector": (stack(conv(), pool(), recurrent(), conv(kernel=(1, 3, 3), bias=(3,)),
+                                dense()),
+                          "conv1d after a non-sequence layer"),
+    "pool_after_vector": (stack(conv(), pool(), recurrent(), pool(), dense()),
+                          "maxpool1d after a non-sequence layer"),
+    "gru_after_vector": (stack(conv(), pool(), recurrent(), recurrent(in_dim=3), dense()),
+                         "gru after a non-sequence layer"),
+    "lstm_after_vector": (stack(conv(), pool(), recurrent(), recurrent("lstm", in_dim=3),
+                                dense()),
+                          "lstm after a non-sequence layer"),
+    "gru_W": (stack(conv(), pool(), recurrent(shapes={"W": (3, 2, 2)}), dense()),
+              "gru W has shape (3, 2, 2), want (3, 3, 3)"),
+    "gru_U": (stack(conv(), pool(), recurrent(shapes={"U": (3, 3, 3)}), dense()),
+              "gru U has shape (3, 3, 3), want (3, 3, 4)"),
+    "lstm_b": (stack(conv(), pool(), recurrent("lstm", shapes={"b": (3, 3)}), dense()),
+               "lstm b has shape (3, 3), want (4, 3)"),
+    "dense_weights": (stack(conv(), pool(), recurrent(), dense(weights=(2, 4))),
+                      "dense weights (2, 4) cannot act on 3 inputs"),
+    "dense_bias": (stack(conv(), pool(), recurrent(), dense(bias=(3,))),
+                   "dense bias (3,) != units 2"),
+    "ends_in_sequence": (stack(conv(), pool(), recurrent(return_sequences=True)),
+                         "stack ends with a sequence; add a non-returning recurrent layer"),
+    "class_count": ({"class_names": ("A", "B", "C")},
+                    "stack emits 2 values but bundle names 3 classes"),
+}
+
+
+def test_valid_stack_builds():
+    assert forward_bundle(WeightsBundle(**VALID), np.zeros((10, 2))).shape == (2,)
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_each_rejection_has_its_message(case):
+    change, message = REJECTIONS[case]
+    with pytest.raises(BundleError) as info:
+        WeightsBundle(**{**VALID, **change})
+    assert str(info.value) == message
+
+
 @st.composite
 def stacks(draw):
     """A random valid bundle and an (n, input_len, input_channels) stack:

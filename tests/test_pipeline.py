@@ -366,6 +366,17 @@ class TestCli:
             f"error: {log}: line 4: timestamps must be strictly increasing"
         )
 
+    def test_timestamps_further_apart_than_int64_is_a_gap(self, tmp_path, capsys):
+        """The step from -2^63 to 2^63 - 1 ms wraps in int64 arithmetic."""
+        log = tmp_path / "wide.csv"
+        lines = f"u,,{-2**63},1,2,3;\nu,,{2**63 - 1},1,2,3;\n"
+        log.write_text(lines, encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code, _ = run_cli(["filter", "--in", str(log), "--out", str(out)], capsys)
+        assert code == 0
+        pieces = timeseries.interpolate_gaps(timeseries.load_inertial(out)[0])
+        assert [p.ts.tolist() for p in pieces] == [[-2**63], [2**63 - 1]]
+
     def fuse(self, chain, intervals, tmp_path, capsys):
         return run_cli(
             ["fuse", "--windows", str(chain / "basic.csv"), "--intervals", str(intervals),
@@ -448,6 +459,12 @@ class TestCli:
         "params_null": lambda doc: doc["layers"][0].update(params=None),
         "scale_not_numbers": lambda doc: doc["feature_norm"].update(scale=["x", "y", "z"]),
         "scale_too_short": lambda doc: doc["feature_norm"].update(scale=[1.0, 1.0]),
+        # json reads NaN and Infinity; each used to fail later, naming no file
+        "dense_bias_nan": lambda doc: doc["layers"][3]["weights"].update(
+            bias=[float("nan"), 0.0]),
+        "lstm_W_infinite": lambda doc: doc["layers"][2]["weights"]["W"][0][0].__setitem__(
+            0, float("inf")),
+        "mean_nan": lambda doc: doc["feature_norm"].update(mean=[0.0, float("nan"), 0.0]),
     }
 
     def test_small_bundle_classifies(self, chain, tmp_path, capsys):
@@ -551,6 +568,8 @@ class TestCli:
         "centroids_not_numbers": {"centroids": "abc"},
         "ragged_centroids": {"centroids": [[0.0] * 43, [0.0] * 42]},
         "scale_too_short": {"scale": [1.0]},
+        "centroid_nan": {"centroids": [[float("nan")] * 43] * 2 + [[0.0] * 43] * 5},
+        "scale_infinite": {"scale": [float("inf")] + [1.0] * 42},
     }
 
     @pytest.mark.parametrize("case", BAD_CENTROIDS)
