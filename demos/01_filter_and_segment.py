@@ -25,15 +25,18 @@ xyz = np.column_stack([
     np.full(n, 0.5),
 ]) + rng.normal(0.0, 0.8, (n, 3))
 
+# A series holds its samples as one matrix, a row per log line: (n, 3)
+# for acceleration alone, (n, 6) with the gyroscope after it. `xyz` and
+# `gyro` are column views of it.
 series = timeseries.SampleSeries(
-    subject_id="demo", period_ms=50, ts=np.arange(n, dtype=np.int64) * 50, xyz=xyz
+    subject_id="demo", period_ms=50, ts=np.arange(n, dtype=np.int64) * 50, values=xyz
 )
 
 # Knock out a 400 ms stretch to imitate a recording hiccup.
 keep = np.ones(n, dtype=bool)
 keep[60:68] = False
 gappy = timeseries.SampleSeries(
-    subject_id="demo", period_ms=50, ts=series.ts[keep], xyz=series.xyz[keep]
+    subject_id="demo", period_ms=50, ts=series.ts[keep], values=series.values[keep]
 )
 print(f"stream: {len(gappy)} samples with a "
       f"{int(np.diff(gappy.ts).max())} ms hole")
@@ -53,6 +56,6 @@ print(f"y-axis std before {repaired.xyz[:, 1].std():.2f}  "
 # 128-sample windows with 50% overlap: starts advance by 64 samples.
 # One batch holds them all: spans plus an (n, 128, 3) sample stack.
 windows = timeseries.segment(smooth)
-print(f"{len(windows)} windows of {windows.xyz.shape[1]} samples:")
+print(f"{len(windows)} windows of {windows.values.shape[1]} samples:")
 for start, end in windows.spans():
     print(f"  [{start:5d}, {end:5d})")

@@ -20,7 +20,7 @@ xyz = np.column_stack([
     np.full(128, 0.5),
 ])
 series = timeseries.SampleSeries(
-    subject_id="demo", period_ms=50, ts=np.arange(128, dtype=np.int64) * 50, xyz=xyz
+    subject_id="demo", period_ms=50, ts=np.arange(128, dtype=np.int64) * 50, values=xyz
 )
 windows = timeseries.segment(series)
 

@@ -41,6 +41,15 @@ def _single_series(path) -> timeseries.SampleSeries:
     return series[0]
 
 
+def _windows(path, window_len: int, overlap_frac: float) -> timeseries.WindowBatch:
+    """segment() over the one series of a log; errors name the line."""
+    try:
+        return timeseries.segment(_single_series(path), window_len, overlap_frac)
+    except timeseries.WindowEndError as exc:  # the line of the window's last sample
+        lines = [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()]
+        raise PipelineError(f"{path}: line {lines[exc.sample]}: {exc}") from None
+
+
 def write_basic_windows(path, windows) -> None:
     tables.write_table(path, BASIC_WINDOW_COLUMNS, windows)
 
@@ -134,7 +143,7 @@ def stage_segment(
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
 ) -> dict:
     """Write the window plan (spans only) for a repaired log."""
-    batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
+    batch = _windows(in_path, window_len, overlap_frac)
     tables.write_table(out_path, ("window_start", "window_end"), batch.spans())
     return {"windows": len(batch)}
 
@@ -146,7 +155,7 @@ def stage_features(
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
     include_gyro: bool = False,
 ) -> dict:
-    batch = timeseries.segment(_single_series(in_path), window_len, overlap_frac)
+    batch = _windows(in_path, window_len, overlap_frac)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
     matrix, spans = features.extract_all(batch, include_gyro)
@@ -188,21 +197,20 @@ def stage_classify(
     A centroid model reads a feature file; a weights bundle reads a
     filtered inertial log and can also emit per-class probabilities.
     """
-    probs = None
     if isinstance(model, neural.CentroidModel):
+        if probs_path is not None:
+            raise PipelineError("probability output requires a weights bundle")
         fmt = neural.CENTROID_FORMAT
         matrix, spans, _layout = features.read_features(in_path, model.layout)
         labels = model.classify(matrix)
     else:
         fmt = neural.BUNDLE_FORMAT
-        batch = timeseries.segment(_single_series(in_path), model.input_len, overlap_frac)
+        batch = _windows(in_path, model.input_len, overlap_frac)
         spans = batch.spans()
         probs = neural.forward_bundle(model, batch.xyz)
         labels = [neural.best_class(model.class_names, p) for p in probs]
     write_basic_windows(out_path, [(*span, label) for span, label in zip(spans, labels)])
     if probs_path is not None:
-        if probs is None:
-            raise PipelineError("probability output requires a weights bundle")
         rows = [[*span, *(f"{p:.9g}" for p in row)] for span, row in zip(spans, probs)]
         tables.write_table(probs_path, ["window_start", "window_end", *model.class_names], rows)
     return {"windows": len(spans), "model": fmt}

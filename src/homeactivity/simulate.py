@@ -212,7 +212,7 @@ def synth_motion(
         keep = rng.random(n) >= noise.dropout_prob
         keep[0] = True  # anchor the grid
         ts, xyz = ts[keep], xyz[keep]
-    return SampleSeries(subject_id=subject_id, period_ms=period_ms, ts=ts, xyz=xyz)
+    return SampleSeries(subject_id=subject_id, period_ms=period_ms, ts=ts, values=xyz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +299,7 @@ def generate_day(
         subject_id=subject_id,
         period_ms=pieces[0].period_ms,
         ts=np.concatenate([p.ts for p in pieces]),
-        xyz=np.vstack([p.xyz for p in pieces]),
+        values=np.vstack([p.values for p in pieces]),
     )
     with_sleep = derive_sleep(basic_ticks, tick_ms=tick_ms)
     derived_ticks = [
@@ -371,7 +371,7 @@ def calibrate_centroids(
                 subject_id=head.subject_id,
                 period_ms=period_ms,
                 ts=np.concatenate([head.ts, tail.ts]),
-                xyz=np.vstack([head.xyz, tail.xyz]),
+                values=np.vstack([head.values, tail.values]),
             ))
         feats = []
         for run_idx, run in enumerate(runs):

@@ -90,9 +90,14 @@ def read_table(path: str | Path, columns, convert, error=TableError) -> list:
 
 
 def read_json_object(path: str | Path) -> dict:
-    """Parse a file holding one JSON object; errors name the file and line."""
+    """Parse a file holding one JSON object, read in one call; errors name
+    the file and line."""
     try:
-        doc = json.loads("".join(read_lines(path)))
+        with open(path, encoding="utf-8", newline="") as fh:
+            doc = json.loads(fh.read())
+    except UnicodeDecodeError:
+        "".join(read_lines(path))  # raises the error naming the first bad line
+        raise
     except json.JSONDecodeError as exc:
         raise TableError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):

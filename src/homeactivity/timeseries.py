@@ -29,6 +29,15 @@ class InertialParseError(ValueError):
     """Raised for an inertial log line that does not parse."""
 
 
+class WindowEndError(SeriesError):
+    """Raised for a window that would end past the int64 clock; `sample`
+    is the index of the window's last sample in the series."""
+
+    def __init__(self, message: str, sample: int):
+        super().__init__(message)
+        self.sample = sample
+
+
 @dataclass(frozen=True)
 class FilterSpec:
     """Digital Butterworth low-pass design parameters."""
@@ -49,42 +58,48 @@ class FilterSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class SampleSeries:
-    """Ordered triaxial accelerometer samples (optionally with gyroscope).
+class _Channels:
+    """xyz and gyro as views of the last axis of `values`: acceleration
+    in its first 3 columns, then the gyroscope's 3 when it has 6."""
 
-    ts is epoch milliseconds, strictly increasing. xyz is an (n, 3) float
-    array in m/s^2; gyro, when present, is (n, 3) in rad/s.
+    @property
+    def xyz(self) -> np.ndarray:
+        return self.values[..., :3]
+
+    @property
+    def gyro(self) -> np.ndarray | None:
+        return self.values[..., 3:] if self.values.shape[-1] == 6 else None
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSeries(_Channels):
+    """Ordered inertial samples, as the log carries them.
+
+    ts is epoch milliseconds, strictly increasing. values is an (n, 3)
+    float array of acceleration in m/s^2, or (n, 6) with the gyroscope's
+    rad/s after it.
     """
 
     subject_id: str
     period_ms: int
     ts: np.ndarray
-    xyz: np.ndarray
-    gyro: np.ndarray | None = None
+    values: np.ndarray
 
     def __post_init__(self):
         if self.period_ms <= 0:
             raise SeriesError(f"nominal period must be positive, got {self.period_ms}")
         ts = np.asarray(self.ts, dtype=np.int64)
-        xyz = np.asarray(self.xyz, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "xyz", xyz)
-        if ts.ndim != 1 or xyz.shape != (ts.size, 3):
-            raise SeriesError(f"shape mismatch: ts {ts.shape} vs xyz {xyz.shape}")
+        object.__setattr__(self, "values", values)
+        if ts.ndim != 1 or values.shape not in ((ts.size, 3), (ts.size, 6)):
+            raise SeriesError(f"shape mismatch: ts {ts.shape} vs values {values.shape}")
         if ts.size == 0:
             raise SeriesError("empty input")
         if not np.all(ts[1:] > ts[:-1]):  # np.diff would wrap in int64
             raise SeriesError("timestamps must be strictly increasing")
-        if not np.all(np.isfinite(xyz)):
-            raise SeriesError("non-finite acceleration value")
-        if self.gyro is not None:
-            gyro = np.asarray(self.gyro, dtype=np.float64)
-            object.__setattr__(self, "gyro", gyro)
-            if gyro.shape != xyz.shape:
-                raise SeriesError(f"gyro shape {gyro.shape} != xyz shape {xyz.shape}")
-            if not np.all(np.isfinite(gyro)):
-                raise SeriesError("non-finite gyroscope value")
+        if not np.all(np.isfinite(values)):
+            raise SeriesError("non-finite sample value")
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -103,15 +118,14 @@ class SampleSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class WindowBatch:
-    """Window i covers [start_ts[i], end_ts[i]) with samples xyz[i] (and
-    gyro[i]), each (window_len, 3); read-only views of a gapless series."""
+class WindowBatch(_Channels):
+    """Window i covers [start_ts[i], end_ts[i]) with samples values[i], a
+    (window_len, 3 or 6) read-only view of a gapless series."""
 
     period_ms: int
     start_ts: np.ndarray
     end_ts: np.ndarray
-    xyz: np.ndarray
-    gyro: np.ndarray | None = None
+    values: np.ndarray
 
     def __len__(self) -> int:
         return int(self.start_ts.size)
@@ -131,8 +145,6 @@ def interpolate_gaps(
     period_ms; off-grid trailing samples that no grid point lands on are
     dropped.
     """
-    if len(series) == 0:
-        raise SeriesError("empty input")
     if max_gap_ms <= 0:
         raise ValueError(f"max_gap_ms must be positive, got {max_gap_ms}")
 
@@ -146,15 +158,9 @@ def interpolate_gaps(
         seg_ts = ts[lo:hi]
         n_steps = int((seg_ts[-1] - seg_ts[0]) // series.period_ms)
         grid = seg_ts[0] + series.period_ms * np.arange(n_steps + 1, dtype=np.int64)
-        xyz = np.column_stack(
-            [np.interp(grid, seg_ts, series.xyz[lo:hi, k]) for k in range(3)]
-        )
-        gyro = None
-        if series.gyro is not None:
-            gyro = np.column_stack(
-                [np.interp(grid, seg_ts, series.gyro[lo:hi, k]) for k in range(3)]
-            )
-        out.append(replace(series, ts=grid, xyz=xyz, gyro=gyro))
+        out.append(replace(series, ts=grid, values=np.column_stack(
+            [np.interp(grid, seg_ts, channel[lo:hi]) for channel in series.values.T]
+        )))
     return out
 
 
@@ -229,14 +235,9 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     b, a = butter(spec.order, spec.cutoff_hz / (spec.sample_rate_hz / 2))
     zi = lfilter_zi(b, a)
 
-    def run(channel: np.ndarray) -> np.ndarray:
-        return lfilter(b, a, channel, zi * channel[0])
-
-    xyz = np.column_stack([run(series.xyz[:, k]) for k in range(3)])
-    gyro = None
-    if series.gyro is not None:
-        gyro = np.column_stack([run(series.gyro[:, k]) for k in range(3)])
-    return replace(series, xyz=xyz, gyro=gyro)
+    return replace(series, values=np.column_stack(
+        [lfilter(b, a, channel, zi * channel[0]) for channel in series.values.T]
+    ))
 
 
 def segment(
@@ -250,7 +251,8 @@ def segment(
     floor((n - window_len) / hop) + 1 windows, hop = round(window_len *
     (1 - overlap_frac)) clamped to >= 1; a trailing remainder shorter
     than window_len is dropped, and a piece shorter than one window
-    gives none.
+    gives none. A window that would end past 2^63 - 1 ms raises
+    WindowEndError.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be positive, got {window_len}")
@@ -263,23 +265,22 @@ def segment(
         first_rows.append(np.arange(lo, lo + len(piece) - window_len + 1, hop))
         lo += len(piece)
     rows = np.concatenate(first_rows)  # the first sample of each window
+    last = rows + window_len - 1
+    if rows.size and series.ts[last[-1]] > np.iinfo(np.int64).max - series.period_ms:
+        end = int(series.ts[last[-1]]) + series.period_ms
+        raise WindowEndError(f"window end {end} lies outside the int64 range", int(last[-1]))
     # one piece: a strided slice keeps the stacks views of the series
     take = slice(0, rows.size * hop, hop) if len(pieces) == 1 else rows
-
-    def stack(values):
-        if values is None:
-            return None
-        if not rows.size:
-            return np.empty((0, window_len, 3))
-        view = np.lib.stride_tricks.sliding_window_view(values, window_len, axis=0)
-        return view.transpose(0, 2, 1)[take]
-
+    if rows.size:
+        view = np.lib.stride_tricks.sliding_window_view(series.values, window_len, axis=0)
+        values = view.transpose(0, 2, 1)[take]
+    else:
+        values = np.empty((0, window_len, series.values.shape[1]))
     return WindowBatch(
         period_ms=series.period_ms,
         start_ts=series.ts[rows],
-        end_ts=series.ts[rows + window_len - 1] + series.period_ms,
-        xyz=stack(series.xyz),
-        gyro=stack(series.gyro),
+        end_ts=series.ts[last] + series.period_ms,
+        values=values,
     )
 
 
@@ -288,12 +289,7 @@ def split_on_gaps(series: SampleSeries) -> list[SampleSeries]:
     breaks = np.flatnonzero(np.diff(series.ts) != series.period_ms)
     bounds = np.concatenate(([0], breaks + 1, [series.ts.size]))
     return [
-        replace(
-            series,
-            ts=series.ts[lo:hi],
-            xyz=series.xyz[lo:hi],
-            gyro=None if series.gyro is None else series.gyro[lo:hi],
-        )
+        replace(series, ts=series.ts[lo:hi], values=series.values[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
 
@@ -345,18 +341,10 @@ def _load_inertial_lines(path, period_ms: int) -> list[SampleSeries]:
     if not rows:
         raise SeriesError(f"{path}: line {lines + 1}: empty input")
     return [
-        _series(subject, period_ms, np.array(stamps, dtype=np.int64),
-                np.array(samples, dtype=np.float64))
+        SampleSeries(subject, period_ms, np.array(stamps, dtype=np.int64),
+                     np.array(samples, dtype=np.float64))
         for subject, (stamps, samples) in rows.items()
     ]
-
-
-def _series(subject: str, period_ms: int, ts: np.ndarray, data: np.ndarray):
-    """One series from a timestamp column and an (n, 3 or 6) value block."""
-    gyro = data[:, 3:6] if data.shape[1] == 6 else None
-    return SampleSeries(
-        subject_id=subject, period_ms=period_ms, ts=ts, xyz=data[:, 0:3], gyro=gyro
-    )
 
 
 def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
@@ -365,8 +353,8 @@ def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
     Each block must pass whole-block tests: ASCII without `\\r` or
     `\\x1c`-`\\x1f`, one subject prefix, a constant width of 6 or 9
     fields, and exactly one `;` per line, right before its `\\n`.
-    Timestamps must increase and values be finite. Returns None for any
-    log outside that shape, so the caller can fall back to the per-line
+    Returns None for any log outside that shape, or whose samples
+    SampleSeries refuses, so the caller can fall back to the per-line
     reader, which accepts it or names the bad line.
     """
     columns = None
@@ -406,10 +394,10 @@ def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
     if columns is None:
         return None
     table = np.concatenate(blocks)
-    ts, data = table["ts"].copy(), table["v"].copy()
-    if np.any(ts[1:] <= ts[:-1]) or not np.all(np.isfinite(data)):
+    try:
+        return [SampleSeries(subject, period_ms, table["ts"].copy(), table["v"].copy())]
+    except SeriesError:
         return None
-    return [_series(subject, period_ms, ts, data)]
 
 
 def load_inertial(
@@ -422,10 +410,7 @@ def load_inertial(
     single-subject log is parsed in blocks; any other log, and any log
     with a line that does not parse, goes through the per-line reader.
     """
-    series = _load_inertial_columnar(path, period_ms)
-    if series is None:
-        series = _load_inertial_lines(path, period_ms)
-    return series
+    return _load_inertial_columnar(path, period_ms) or _load_inertial_lines(path, period_ms)
 
 
 def write_inertial(
@@ -442,10 +427,10 @@ def write_inertial(
     if any(c in series.subject_id for c in ",\r\n") or series.subject_id[:1].isspace():
         raise SeriesError(f"subject id {series.subject_id!r} cannot be logged: it holds a "
                           "comma or a line break, or starts with whitespace")
-    values = series.xyz if series.gyro is None else np.hstack([series.xyz, series.gyro])
-    line = series.subject_id.replace("%", "%%") + ",,%d" + ",%.6f" * values.shape[1] + ";\n"
+    line = (series.subject_id.replace("%", "%%") + ",,%d"
+            + ",%.6f" * series.values.shape[1] + ";\n")
     with open(path, "a" if append else "w", encoding="utf-8") as fh:
         for lo in range(0, len(series), _BLOCK_LINES):
             hi = lo + _BLOCK_LINES
-            columns = [series.ts[lo:hi].tolist(), *values[lo:hi].T.tolist()]
+            columns = [series.ts[lo:hi].tolist(), *series.values[lo:hi].T.tolist()]
             fh.write("".join([line % row for row in zip(*columns)]))

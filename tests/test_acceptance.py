@@ -231,7 +231,7 @@ def _mono_series(values):
         subject_id="s",
         period_ms=50,
         ts=np.arange(len(values), dtype=np.int64) * 50,
-        xyz=np.column_stack([values, values, values]),
+        values=np.column_stack([values, values, values]),
     )
 
 

@@ -28,7 +28,8 @@ def make_windows(xyz, period_ms=50, gyro=None):
         gyro = None if gyro is None else np.asarray(gyro)[None]
     n, length, _ = xyz.shape
     starts = period_ms * length * np.arange(n, dtype=np.int64)
-    return WindowBatch(period_ms, starts, starts + period_ms * length, xyz, gyro)
+    values = xyz if gyro is None else np.concatenate([xyz, gyro], axis=2)
+    return WindowBatch(period_ms, starts, starts + period_ms * length, values)
 
 
 def features_of(xyz, gyro=None, include_gyro=False):
@@ -172,10 +173,7 @@ def segmented_series(draw):
     data = np.column_stack([draw(axis_samples(n)) for _ in range(6 if with_gyro else 3)])
     keep = np.ones(n, dtype=bool)
     keep[list(draw(st.sets(st.integers(0, n - 1), max_size=min(3, n - 1))))] = False
-    series = SampleSeries(
-        "s", 50, 50 * np.arange(n, dtype=np.int64)[keep], data[keep, :3],
-        data[keep, 3:] if with_gyro else None,
-    )
+    series = SampleSeries("s", 50, 50 * np.arange(n, dtype=np.int64)[keep], data[keep])
     return segment(series, window_len, overlap), with_gyro
 
 

@@ -212,7 +212,8 @@ EDGE_VALUES = [
 
 
 def make_series(subject, ts, xyz, gyro=None):
-    return SampleSeries(subject_id=subject, period_ms=50, ts=ts, xyz=xyz, gyro=gyro)
+    values = xyz if gyro is None else np.hstack([xyz, gyro])
+    return SampleSeries(subject_id=subject, period_ms=50, ts=ts, values=values)
 
 
 class TestWriterAgainstOracle:

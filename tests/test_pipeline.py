@@ -193,7 +193,7 @@ class TestStageGuards:
             series = timeseries.SampleSeries(
                 subject_id=subject, period_ms=50,
                 ts=np.arange(10, dtype=np.int64) * 50,
-                xyz=np.ones((10, 3)),
+                values=np.ones((10, 3)),
             )
             timeseries.write_inertial(path, series, append=append)
         with pytest.raises(PipelineError, match="expected a single subject"):
@@ -203,7 +203,7 @@ class TestStageGuards:
         series = timeseries.SampleSeries(
             subject_id="s", period_ms=50,
             ts=np.arange(50, dtype=np.int64) * 50,
-            xyz=np.ones((50, 3)),
+            values=np.ones((50, 3)),
         )
         timeseries.write_inertial(tmp_path / "short.csv", series)
         with pytest.raises(PipelineError, match="no complete window"):
@@ -376,6 +376,38 @@ class TestCli:
         assert code == 0
         pieces = timeseries.interpolate_gaps(timeseries.load_inertial(out)[0])
         assert [p.ts.tolist() for p in pieces] == [[-2**63], [2**63 - 1]]
+
+    @pytest.mark.parametrize("blank", [False, True], ids=["plain", "blank_line"])
+    def test_a_window_ending_past_int64_names_its_last_line(self, tmp_path, capsys, blank):
+        """128 samples ending at 2^63 - 1 ms: the window ends one period later,
+        which int64 arithmetic wrapped to a negative end."""
+        stamps = [2**63 - 1 - 50 * (127 - i) for i in range(128)]
+        lines = [f"u,,{ts},1,2,3;\n" for ts in stamps]
+        if blank:  # not a plain log: read line by line
+            lines.insert(5, "\n")
+        log = tmp_path / "late.csv"
+        log.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "w.csv"
+        for command in ("segment", "features"):
+            code, err = run_cli([command, "--in", str(log), "--out", str(out)], capsys)
+            assert code == 1
+            assert self.error_line(err) == (f"error: {log}: line {len(lines)}: window end "
+                                            f"{2**63 + 49} lies outside the int64 range")
+            assert not out.exists()
+        # one period earlier, the window ends at 2^63 - 1
+        log.write_text("".join(f"u,,{ts - 50},1,2,3;\n" for ts in stamps), encoding="utf-8")
+        assert run_cli(["segment", "--in", str(log), "--out", str(out)], capsys)[0] == 0
+        assert out.read_text() == f"window_start,window_end\n{stamps[0] - 50},{2**63 - 1}\n"
+
+    def test_probs_with_a_centroid_model_fail_before_reading(self, chain, tmp_path,
+                                                              capsys):
+        out, probs = tmp_path / "w.csv", tmp_path / "p.csv"
+        code, err = run_cli(["classify", "--in", str(chain / "features.csv"), "--model",
+                             str(chain / "model.json"), "--out", str(out),
+                             "--probs", str(probs)], capsys)
+        assert code == 1
+        assert self.error_line(err) == "error: probability output requires a weights bundle"
+        assert not out.exists() and not probs.exists()
 
     def fuse(self, chain, intervals, tmp_path, capsys):
         return run_cli(
@@ -680,3 +712,60 @@ class TestByteGate:
             for name in GATE_DIGESTS
         }
         assert got == GATE_DIGESTS
+
+
+def write_nine_field_log(path) -> None:
+    """A 9-field (acceleration and gyroscope) log with single-sample holes,
+    which filtering fills, and a 3 s hole, which splits it in two."""
+    rng = np.random.default_rng(11)
+    n = 1600
+    keep = rng.random(n) >= 0.03
+    keep[0] = keep[-1] = True
+    keep[700:760] = False
+    t = np.arange(n) / 20.0
+    values = np.column_stack([
+        np.sin(2 * np.pi * 1.7 * t), 9.8 + np.cos(2 * np.pi * 0.9 * t), 0.3 * t % 1.0,
+        np.sin(2 * np.pi * 0.4 * t), np.cos(2 * np.pi * 2.3 * t), -0.2 * t % 0.5,
+    ]) + rng.normal(0.0, 0.2, size=(n, 6))
+    ts = 1_700_000_000_000 + 50 * np.arange(n)
+    with open(path, "w", encoding="utf-8") as fh:
+        for stamp, row in zip(ts[keep].tolist(), values[keep].tolist()):
+            fh.write(f"p1,,{stamp}," + ",".join(f"{v:.6f}" for v in row) + ";\n")
+
+
+# sha256 of each stage's output on the 9-field log, recorded before series
+# held acceleration and gyroscope as one value matrix.
+NINE_FIELD_DIGESTS = {
+    "filtered.csv": "26be084c089c860f8b88bc11829d039beab02ba59dbaeb868a95dfbdcf945bf4",
+    "segment.csv": "f9d1c82db5ab52053962d07a75cb31ef932b0183b741d0c8d248ae08dcba1a8a",
+    "features.csv": "f8861b50d8853ba09af25e064d461767f2b4456e81832413ad25ad7379f62dfc",
+    "basic_windows.csv": "80983b9997a0f19881cea8be975631b84d849949e4f032265ab6cf35af987c33",
+    "probs.csv": "e237989dca31388173f3b7a17809e07b2c80c6fce654cd425c8d8d875a8fa5a3",
+}
+
+
+class TestNineFieldGate:
+    def test_stage_digests_are_pinned(self, tmp_path, capsys):
+        log, bundle = tmp_path / "log.csv", tmp_path / "bundle.json"
+        write_nine_field_log(log)
+        neural.save_bundle(bundle, neural.make_default_bundle(("Lie", "Walk"), seed=3))
+
+        def at(name):
+            return str(tmp_path / name)
+
+        steps = [
+            ["filter", "--in", str(log), "--out", at("filtered.csv")],
+            ["segment", "--in", at("filtered.csv"), "--out", at("segment.csv")],
+            ["features", "--in", at("filtered.csv"), "--out", at("features.csv"), "--gyro"],
+            ["classify", "--in", at("filtered.csv"), "--model", str(bundle),
+             "--out", at("basic_windows.csv"), "--probs", at("probs.csv")],
+        ]
+        for argv in steps:
+            assert run_cli(argv, capsys)[0] == 0, argv[0]
+        (series,) = timeseries.load_inertial(tmp_path / "filtered.csv")
+        assert series.gyro is not None and len(timeseries.split_on_gaps(series)) == 2
+        got = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in NINE_FIELD_DIGESTS
+        }
+        assert got == NINE_FIELD_DIGESTS

@@ -27,7 +27,7 @@ def make_series(values, period_ms=50, start=0, subject="s1"):
     if values.ndim == 1:
         values = np.column_stack([values, values, values])
     ts = start + period_ms * np.arange(values.shape[0], dtype=np.int64)
-    return SampleSeries(subject_id=subject, period_ms=period_ms, ts=ts, xyz=values)
+    return SampleSeries(subject_id=subject, period_ms=period_ms, ts=ts, values=values)
 
 
 class TestSampleSeries:
@@ -37,7 +37,7 @@ class TestSampleSeries:
                 subject_id="s",
                 period_ms=50,
                 ts=np.array([0, 50, 50]),
-                xyz=np.zeros((3, 3)),
+                values=np.zeros((3, 3)),
             )
 
     def test_shape_mismatch_rejected(self):
@@ -46,7 +46,7 @@ class TestSampleSeries:
                 subject_id="s",
                 period_ms=50,
                 ts=np.array([0, 50]),
-                xyz=np.zeros((3, 3)),
+                values=np.zeros((3, 3)),
             )
 
     def test_end_ts_is_exclusive(self):
@@ -60,7 +60,7 @@ class TestSampleSeries:
             subject_id="s",
             period_ms=50,
             ts=np.array([0, 50, 150]),
-            xyz=np.zeros((3, 3)),
+            values=np.zeros((3, 3)),
         )
         assert not gappy.is_grid_aligned()
 
@@ -124,7 +124,7 @@ class TestInterpolateGaps:
         # samples at 0,50,200: the 150 ms hole gets grid points 100,150
         ts = np.array([0, 50, 200], dtype=np.int64)
         xyz = np.array([[0, 0, 0], [1, 10, -1], [4, 40, -4]], dtype=np.float64)
-        s = SampleSeries(subject_id="s", period_ms=50, ts=ts, xyz=xyz)
+        s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=xyz)
         (out,) = interpolate_gaps(s, max_gap_ms=1000)
         assert np.array_equal(out.ts, [0, 50, 100, 150, 200])
         expected = np.interp([0, 50, 100, 150, 200], ts, xyz[:, 0])
@@ -139,7 +139,7 @@ class TestInterpolateGaps:
     def test_large_gap_splits(self):
         ts = np.array([0, 50, 2000, 2050], dtype=np.int64)
         s = SampleSeries(
-            subject_id="s", period_ms=50, ts=ts, xyz=np.ones((4, 3))
+            subject_id="s", period_ms=50, ts=ts, values=np.ones((4, 3))
         )
         pieces = interpolate_gaps(s, max_gap_ms=1000)
         assert [p.ts[0] for p in pieces] == [0, 2000]
@@ -148,7 +148,7 @@ class TestInterpolateGaps:
     def test_gap_at_threshold_is_filled(self):
         ts = np.array([0, 1000], dtype=np.int64)
         s = SampleSeries(
-            subject_id="s", period_ms=50, ts=ts, xyz=np.ones((2, 3))
+            subject_id="s", period_ms=50, ts=ts, values=np.ones((2, 3))
         )
         (out,) = interpolate_gaps(s, max_gap_ms=1000)
         assert len(out) == 21  # 0..1000 inclusive on the 50 ms grid
@@ -156,7 +156,7 @@ class TestInterpolateGaps:
     def test_off_grid_samples_resampled(self):
         ts = np.array([0, 30, 100], dtype=np.int64)
         xyz = np.array([[0.0] * 3, [3.0] * 3, [10.0] * 3])
-        s = SampleSeries(subject_id="s", period_ms=50, ts=ts, xyz=xyz)
+        s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=xyz)
         (out,) = interpolate_gaps(s)
         assert np.array_equal(out.ts, [0, 50, 100])
         np.testing.assert_allclose(out.xyz[1], [5.0, 5.0, 5.0])
@@ -177,7 +177,7 @@ class TestInterpolateGaps:
         xyz, gy = (np.array(data.draw(st.lists(st.tuples(values, values, values),
                                                min_size=ts.size, max_size=ts.size)))
                    for _ in range(2))
-        s = SampleSeries("s", period_ms, ts, xyz, gy if gyro else None)
+        s = SampleSeries("s", period_ms, ts, np.hstack([xyz, gy]) if gyro else xyz)
         pieces = interpolate_gaps(s, max_gap_ms=max_gap_ms)
         firsts = [int(p.ts[0]) for p in pieces]
         assert firsts[0] == ts[0]
@@ -237,7 +237,7 @@ class TestButterworth:
             subject_id="s",
             period_ms=50,
             ts=np.array([0, 50, 150]),
-            xyz=np.zeros((3, 3)),
+            values=np.zeros((3, 3)),
         )
         with pytest.raises(SeriesError, match="grid"):
             butterworth_lowpass(s, FilterSpec())
@@ -280,7 +280,7 @@ class TestSegment:
         # span 7,400 ms, so only the two windows before the hole remain
         ts = 50 * np.arange(320, dtype=np.int64)
         ts[200:] += 1000
-        s = SampleSeries(subject_id="s1", period_ms=50, ts=ts, xyz=np.zeros((320, 3)))
+        s = SampleSeries(subject_id="s1", period_ms=50, ts=ts, values=np.zeros((320, 3)))
         assert segment(s).spans() == [(0, 6400), (3200, 9600)]
 
     @given(
@@ -318,7 +318,7 @@ class TestSegment:
 
 def test_split_on_gaps():
     ts = np.array([0, 50, 100, 250, 300], dtype=np.int64)
-    s = SampleSeries(subject_id="s", period_ms=50, ts=ts, xyz=np.zeros((5, 3)))
+    s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=np.zeros((5, 3)))
     parts = split_on_gaps(s)
     assert [len(p) for p in parts] == [3, 2]
     assert parts[1].ts[0] == 250
