@@ -2,7 +2,10 @@
 
 Every option is declared once in OPTIONS and every command once in
 COMMANDS; the parser, config-key validation, the echoed configuration
-and dispatch all come from these two tables. Option precedence is flags
+and dispatch all come from these two tables. A command with a runner
+hands it the effective options, then its files; any other command calls
+pipeline.stage_<command>(*files, **options), each option under its
+OPTIONS name (`--max-gap-ms` is `max_gap_ms=`). Option precedence is flags
 over config file over built-in defaults; the effective configuration is
 echoed to stderr at startup so runs are auditable. All outputs are
 deterministic given the same configuration and seed.
@@ -107,16 +110,9 @@ def _effective(args: argparse.Namespace, keys) -> dict:
     return eff
 
 
-def _filter_spec(eff) -> timeseries.FilterSpec:
-    return timeseries.FilterSpec(
-        order=eff["order"], cutoff_hz=eff["cutoff_hz"], sample_rate_hz=eff["sample_rate_hz"]
-    )
-
-
-def _noise(eff) -> simulate.NoiseSpec:
+def _noise(sigma: str, dropout: float, seed: int) -> simulate.NoiseSpec:
     return simulate.NoiseSpec(
-        gaussian_sigma=_parse_sigma(eff["sigma"]), dropout_prob=eff["dropout"], seed=eff["seed"]
-    )
+        gaussian_sigma=_parse_sigma(sigma), dropout_prob=dropout, seed=seed)
 
 
 def _with_tables(eff: dict) -> dict:
@@ -140,17 +136,24 @@ def _with_tables(eff: dict) -> dict:
     return eff
 
 
-# Runners take the effective options, then the command's files in order.
-# They look every stage up on its module at call time, so wrappers
-# installed on those modules (as the benchmark's tracer does) see the call.
+def _run(name: str, eff: dict, *files) -> None:
+    """Command `name` over its files (see the module docstring). Stages are
+    looked up at call time, so wrappers installed on their modules (as the
+    benchmark's tracer does) see the call."""
+    command = COMMANDS[name]
+    if command.run:
+        return command.run(eff, *files)
+    keys = command.options + command.own
+    getattr(pipeline, f"stage_{name}")(*files, **{key: eff[key] for key in keys})
+
 
 def _simulate(eff, script, out) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.stage_simulate(
         script, out / "inertial.csv", out / "events.ndjson", out / "truth_derived.csv",
-        _noise(eff), eff["rules"], days=eff["days"], start_day_ms=eff["start_day_ms"],
-        tick_ms=eff["tick_ms"], subject_id=eff["subject"],
+        _noise(eff["sigma"], eff["dropout"], eff["seed"]), eff["rules"], days=eff["days"],
+        start_day_ms=eff["start_day_ms"], tick_ms=eff["tick_ms"], subject_id=eff["subject"],
     )
 
 
@@ -167,39 +170,37 @@ def _run_pipeline(eff, out) -> None:
     """The stage commands chained over fixed file names in one directory."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    spec, noise = _filter_spec(eff), _noise(eff)  # checked before any stage runs
-
-    def stage(name, *files):
-        own = {key: OPTIONS[key].default for key in COMMANDS[name].own}
-        COMMANDS[name].run({**own, **eff}, *files)
+    eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
+    spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"], eff["sample_rate_hz"])
+    noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # both checked before any stage
 
     inertial, events = eff["inertial"], eff["events"]
     if eff["script"]:
         inertial, events = out / "inertial.csv", out / "events.ndjson"
-        stage("simulate", eff["script"], out)
+        _run("simulate", eff, eff["script"], out)
     elif not (inertial and events):
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
-    stage("filter", inertial, out / "filtered.csv")
-    stage("features", out / "filtered.csv", out / "features.csv")
+    _run("filter", eff, inertial, out / "filtered.csv")
+    _run("features", eff, out / "filtered.csv", out / "features.csv")
     if not eff["model"]:
         eff["model"] = simulate.calibrate_centroids(
             noise, spec, eff["window_len"], eff["overlap"])
         neural.save_centroids(out / "centroids.json", eff["model"])
     centroid = isinstance(eff["model"], neural.CentroidModel)
-    stage("classify", out / ("features.csv" if centroid else "filtered.csv"),
-          out / "basic_windows.csv")
-    stage("occupancy", events, out / "intervals.csv")
-    stage("fuse", out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv")
-    stage("label", out / "derived.csv", out / "window_labels.csv")
-    stage("profile", out / "window_labels.csv", out / "report.json")
+    _run("classify", eff, out / ("features.csv" if centroid else "filtered.csv"),
+         out / "basic_windows.csv")
+    _run("occupancy", eff, events, out / "intervals.csv")
+    _run("fuse", eff, out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv")
+    _run("label", eff, out / "derived.csv", out / "window_labels.csv")
+    _run("profile", eff, out / "window_labels.csv", out / "report.json")
 
 
 class Command(NamedTuple):
     help: str
     files: dict[str, str | None]  # dest of each required file flag -> help
     options: tuple[str, ...]  # OPTIONS keys, also taken by `pipeline`
-    run: Callable[..., object]
     own: tuple[str, ...] = ()  # OPTIONS keys of this command alone
+    run: Callable[..., object] | None = None  # see _run
 
 
 IN_OUT = {"in_path": None, "out": None}
@@ -208,48 +209,28 @@ COMMANDS = {
     "simulate": Command(
         "run a daily script into sensor logs", {"script": None, "out": "output directory"},
         ("days", "start_day_ms", "sigma", "dropout", "seed", "rules", "tick_ms", "subject"),
-        _simulate),
+        run=_simulate),
     "filter": Command(
         "gap-repair and low-pass an inertial log", IN_OUT,
-        ("order", "cutoff_hz", "sample_rate_hz", "max_gap_ms"),
-        lambda eff, log, out: pipeline.stage_filter(
-            log, out, _filter_spec(eff), eff["max_gap_ms"])),
-    "segment": Command(
-        "write the sliding-window plan", IN_OUT, ("window_len", "overlap"),
-        lambda eff, log, out: pipeline.stage_segment(
-            log, out, eff["window_len"], eff["overlap"])),
+        ("order", "cutoff_hz", "sample_rate_hz", "max_gap_ms")),
+    "segment": Command("write the sliding-window plan", IN_OUT, ("window_len", "overlap")),
     "features": Command(
-        "extract per-window feature vectors", IN_OUT, ("window_len", "overlap"),
-        lambda eff, log, out: pipeline.stage_features(
-            log, out, eff["window_len"], eff["overlap"], include_gyro=eff["gyro"]),
-        own=("gyro",)),
+        "extract per-window feature vectors", IN_OUT, ("window_len", "overlap"), ("gyro",)),
     "classify": Command(
         "label windows with a model file",
         {"in_path": "feature file (centroids) or filtered log (bundle)", "out": None},
-        ("model", "window_len", "overlap"), _classify, own=("probs",)),
+        ("model", "window_len", "overlap"), ("probs",), _classify),
     "occupancy": Command(
-        "events to room/appliance intervals", {"events": None, "out": None}, ("timeout_ms",),
-        lambda eff, events, out: pipeline.stage_occupancy(
-            events, out, timeout_ms=eff["timeout_ms"])),
+        "events to room/appliance intervals", {"events": None, "out": None}, ("timeout_ms",)),
     "fuse": Command(
         "windows + intervals to derived timeline",
         {"windows": "classified windows CSV", "intervals": None, "out": None},
-        ("rules", "tick_ms", "min_still_ms"),
-        lambda eff, windows, intervals, out: pipeline.stage_fuse(
-            windows, intervals, out, eff["rules"],
-            tick_ms=eff["tick_ms"], min_still_ms=eff["min_still_ms"])),
+        ("rules", "tick_ms", "min_still_ms")),
     "label": Command(
-        "derived timeline to profiling windows", IN_OUT, ("span", "priorities"),
-        lambda eff, derived, out: pipeline.stage_label(
-            derived, out, eff["span"], eff["priorities"])),
-    "profile": Command(
-        "window labels to day/week JSON report", IN_OUT, ("timezone",),
-        lambda eff, labels, out: pipeline.stage_profile(labels, out, eff["timezone"])),
+        "derived timeline to profiling windows", IN_OUT, ("span", "priorities")),
+    "profile": Command("window labels to day/week JSON report", IN_OUT, ("timezone",)),
     "report": Command(
-        "window labels to json or plot-ready csv", IN_OUT, ("timezone",),
-        lambda eff, labels, out: pipeline.stage_report(
-            labels, out, eff["format"], eff["timezone"]),
-        own=("format",)),
+        "window labels to json or plot-ready csv", IN_OUT, ("timezone",), ("format",)),
 }
 
 # The stages `pipeline` runs: it takes their options, but not their own.
@@ -260,7 +241,7 @@ COMMANDS["pipeline"] = Command(
     "chain every stage into a directory", {"out": "output directory"},
     ("script", "inertial", "events",
      *dict.fromkeys(key for name in PIPELINE_STAGES for key in COMMANDS[name].options)),
-    _run_pipeline,
+    run=_run_pipeline,
 )
 
 
@@ -299,7 +280,7 @@ def main(argv=None) -> int:
         eff = _effective(args, command.options + command.own)
         doc = {"command": args.command, **eff}
         print(f"config: {json.dumps(doc, sort_keys=True)}", file=sys.stderr)
-        command.run(_with_tables(eff), *(getattr(args, dest) for dest in command.files))
+        _run(args.command, _with_tables(eff), *(getattr(args, dest) for dest in command.files))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,13 +41,21 @@ def _single_series(path) -> timeseries.SampleSeries:
     return series[0]
 
 
-def _windows(path, window_len: int, overlap_frac: float) -> timeseries.WindowBatch:
+def _sample_line(path, sample: int) -> int:
+    """The line number of a one-subject log's sample-th sample."""
+    return [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()][sample]
+
+
+def _windows(path, window_len: int, overlap: float, gyro: bool = False) -> timeseries.WindowBatch:
     """segment() over the one series of a log; errors name the line."""
+    series = _single_series(path)
+    if gyro and series.gyro is None:
+        raise PipelineError(f"{path}: line {_sample_line(path, 0)}: --gyro needs "
+                            "gyroscope samples, but the log has 6 fields a line, not 9")
     try:
-        return timeseries.segment(_single_series(path), window_len, overlap_frac)
+        return timeseries.segment(series, window_len, overlap)
     except timeseries.WindowEndError as exc:  # the line of the window's last sample
-        lines = [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()]
-        raise PipelineError(f"{path}: line {lines[exc.sample]}: {exc}") from None
+        raise PipelineError(f"{path}: line {_sample_line(path, exc.sample)}: {exc}") from None
 
 
 def write_basic_windows(path, windows) -> None:
@@ -123,11 +131,14 @@ def stage_simulate(
 def stage_filter(
     in_path,
     out_path,
-    spec: timeseries.FilterSpec = timeseries.FilterSpec(),
+    order: int = timeseries.FilterSpec.order,
+    cutoff_hz: float = timeseries.FilterSpec.cutoff_hz,
+    sample_rate_hz: float = timeseries.FilterSpec.sample_rate_hz,
     max_gap_ms: int = timeseries.DEFAULT_MAX_GAP_MS,
 ) -> dict:
     """Gap-repair then low-pass one subject's log; gaps wider than
     max_gap_ms survive as timestamp jumps in the output."""
+    spec = timeseries.FilterSpec(order, cutoff_hz, sample_rate_hz)
     series = _single_series(in_path)
     pieces = timeseries.interpolate_gaps(series, max_gap_ms)
     for i, piece in enumerate(pieces):
@@ -140,10 +151,10 @@ def stage_segment(
     in_path,
     out_path,
     window_len: int = timeseries.DEFAULT_WINDOW_LEN,
-    overlap_frac: float = timeseries.DEFAULT_OVERLAP,
+    overlap: float = timeseries.DEFAULT_OVERLAP,
 ) -> dict:
     """Write the window plan (spans only) for a repaired log."""
-    batch = _windows(in_path, window_len, overlap_frac)
+    batch = _windows(in_path, window_len, overlap)
     tables.write_table(out_path, ("window_start", "window_end"), batch.spans())
     return {"windows": len(batch)}
 
@@ -152,14 +163,14 @@ def stage_features(
     in_path,
     out_path,
     window_len: int = timeseries.DEFAULT_WINDOW_LEN,
-    overlap_frac: float = timeseries.DEFAULT_OVERLAP,
-    include_gyro: bool = False,
+    overlap: float = timeseries.DEFAULT_OVERLAP,
+    gyro: bool = False,
 ) -> dict:
-    batch = _windows(in_path, window_len, overlap_frac)
+    batch = _windows(in_path, window_len, overlap, gyro)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
-    matrix, spans = features.extract_all(batch, include_gyro)
-    layout = features.layout_for(include_gyro)
+    matrix, spans = features.extract_all(batch, gyro)
+    layout = features.layout_for(gyro)
     features.write_features(out_path, matrix, spans, layout)
     return {"windows": len(batch), "layout": layout}
 
@@ -170,18 +181,25 @@ def _model_format(path) -> str:
 
 
 def load_model(path, window_len: int = timeseries.DEFAULT_WINDOW_LEN):
-    """The centroid model or weights bundle in a model file; a bundle
-    must take window_len-sample windows."""
+    """The centroid model or weights bundle in a model file, refused unless
+    classify can feed it: rows of its feature layout, or (window_len, 3) windows."""
     doc = tables.read_json_object(path)
     fmt = doc.get("format", "")
     if fmt == neural.CENTROID_FORMAT:
-        return neural.load_centroids(path, doc)
+        model, counts = neural.load_centroids(path, doc), features.FEATURE_COUNTS
+        if counts.get(model.layout) != model.centroids.shape[1]:
+            raise PipelineError(f"{path}: {model.centroids.shape[1]}-value centroids do not "
+                                f"fit layout {model.layout!r}; layouts take {counts}")
+        return model
     if fmt != neural.BUNDLE_FORMAT:
         raise PipelineError(f"{path}: unrecognized model format {fmt!r}")
     bundle = neural.load_bundle(path, doc)
     if window_len != bundle.input_len:
         raise PipelineError(f"{path}: bundle takes {bundle.input_len}-sample "
                             f"windows, not --window-len {window_len}")
+    if bundle.input_channels != 3:
+        raise PipelineError(f"{path}: bundle takes {bundle.input_channels} channels, "
+                            "but classify feeds it the 3 acceleration channels")
     return bundle
 
 
@@ -263,11 +281,11 @@ def stage_fuse(
 def stage_label(
     derived_path,
     out_path,
-    span_minutes: int,
+    span: int,
     priorities: labelling.PriorityTable,
 ) -> dict:
     timeline = [(ts, d.name) for ts, d in fusion.read_derived(derived_path)]
-    windows = labelling.windowize(timeline, span_minutes, priorities)
+    windows = labelling.windowize(timeline, span, priorities)
     labelling.write_window_labels(out_path, windows)
     return {"windows": len(windows)}
 
@@ -279,23 +297,22 @@ def _day_profiles(windows_path, tz):
     return [profiles.day_profile(day, tz) for day in profiles.split_days(windows, tz)]
 
 
-def stage_profile(windows_path, out_path, tz=profiles.UTC) -> dict:
-    """Day reports, plus a week report when exactly 7 days are present."""
-    days = _day_profiles(windows_path, tz)
+def stage_profile(windows_path, out_path, timezone=profiles.UTC) -> dict:
+    """Day reports, plus a week report when the days are 7 consecutive ones."""
+    days = _day_profiles(windows_path, timezone)
     doc = {"days": [profiles.day_report(p) for p in days]}
-    doc["week"] = (
-        profiles.week_report(profiles.week_profile(days)) if len(days) == 7 else None
-    )
+    week = len(days) == 7 and (days[-1].day - days[0].day).days == 6  # days are sorted
+    doc["week"] = profiles.week_report(profiles.week_profile(days)) if week else None
     profiles.write_report_json(out_path, doc)
     return {"days": len(days)}
 
 
-def stage_report(windows_path, out_path, fmt: str = "json", tz=profiles.UTC) -> dict:
-    if fmt == "json":
-        return stage_profile(windows_path, out_path, tz)
-    if fmt != "csv":
-        raise PipelineError(f"unknown report format {fmt!r}")
-    days = _day_profiles(windows_path, tz)
+def stage_report(windows_path, out_path, timezone=profiles.UTC, format: str = "json") -> dict:
+    if format == "json":
+        return stage_profile(windows_path, out_path, timezone)
+    if format != "csv":
+        raise PipelineError(f"unknown report format {format!r}")
+    days = _day_profiles(windows_path, timezone)
     rows = []
     for p in days:
         doc = profiles.day_report(p)

@@ -6,6 +6,7 @@ flag, its destination, required-ness, choices or action shows here.
 """
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -375,6 +376,16 @@ class TestDispatch:
         assert calls == ["load_default_rules", "load_default_priorities",
                          "simulate", "filter", "features", "classify", "occupancy",
                          "fuse", "label", "profile"]
+
+
+def test_commands_without_a_runner_pass_their_options_by_name():
+    """`_run` calls pipeline.stage_<command>(*files, **options): after its
+    files, each such stage takes exactly the command's options."""
+    plain = {name: c for name, c in cli.COMMANDS.items() if c.run is None}
+    assert set(cli.COMMANDS) - set(plain) == {"simulate", "classify", "pipeline"}
+    for name, command in plain.items():
+        params = list(inspect.signature(getattr(pipeline, f"stage_{name}")).parameters)
+        assert params[len(command.files):] == [*command.options, *command.own], name
 
 
 def write_config(where, doc) -> str:

@@ -175,12 +175,12 @@ class TestStageChain:
             return day_profile(*args)
 
         monkeypatch.setattr(profiles, "day_profile", counted)
-        pipeline.stage_report(chain / "labels.csv", tmp_path / "r.json", fmt="json")
+        pipeline.stage_report(chain / "labels.csv", tmp_path / "r.json", format="json")
         assert len(built) == 1
         assert (tmp_path / "r.json").read_bytes() == (chain / "report.json").read_bytes()
 
     def test_csv_report(self, chain, tmp_path):
-        pipeline.stage_report(chain / "labels.csv", tmp_path / "r.csv", fmt="csv")
+        pipeline.stage_report(chain / "labels.csv", tmp_path / "r.csv", format="csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "day,label,duration_ms,share"
         assert lines[1] == "1970-01-01,Sleeping in Bedroom,480000,0.666667"
@@ -217,7 +217,7 @@ class TestStageGuards:
 
     def test_unknown_report_format(self, chain, tmp_path):
         with pytest.raises(PipelineError, match="unknown report format"):
-            pipeline.stage_report(chain / "labels.csv", tmp_path / "r.txt", fmt="txt")
+            pipeline.stage_report(chain / "labels.csv", tmp_path / "r.txt", format="txt")
 
     def test_days_must_be_positive(self, chain, default_rules, tmp_path):
         with pytest.raises(PipelineError, match="days must be positive"):
@@ -399,6 +399,34 @@ class TestCli:
         assert run_cli(["segment", "--in", str(log), "--out", str(out)], capsys)[0] == 0
         assert out.read_text() == f"window_start,window_end\n{stamps[0] - 50},{2**63 - 1}\n"
 
+    def test_gyro_features_of_a_six_field_log_name_its_first_line(self, chain, tmp_path,
+                                                                 capsys, monkeypatch):
+        log, out = tmp_path / "log.csv", tmp_path / "f.csv"
+        log.write_text("\n" + (chain / "filtered.csv").read_text(), encoding="utf-8")
+        monkeypatch.setattr(timeseries, "segment", None)  # fails before windowing
+        code, err = run_cli(["features", "--in", str(log), "--out", str(out), "--gyro"],
+                            capsys)
+        assert code == 1
+        assert self.error_line(err) == (f"error: {log}: line 2: --gyro needs gyroscope "
+                                        "samples, but the log has 6 fields a line, not 9")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("day_numbers, week", [
+        ([0, 1, 2, 3, 4, 5, 7], False), ([0, 1, 2, 3, 4, 5, 6], True),
+    ], ids=["gap_before_the_last_day", "consecutive"])
+    def test_seven_days_make_a_week_only_when_consecutive(self, tmp_path, capsys,
+                                                          day_numbers, week):
+        labels, report = tmp_path / "labels.csv", tmp_path / "report.json"
+        labelling.write_window_labels(labels, [
+            labelling.WindowLabel(day * MS_PER_DAY, day * MS_PER_DAY + 120_000, "a",
+                                  "frequency") for day in day_numbers])
+        code, _ = run_cli(["profile", "--in", str(labels), "--out", str(report)], capsys)
+        assert code == 0
+        doc = json.loads(report.read_text())
+        assert [d["day"] for d in doc["days"]] == [
+            f"1970-01-{day + 1:02d}" for day in day_numbers]
+        assert (doc["week"] is not None) == week
+
     def test_probs_with_a_centroid_model_fail_before_reading(self, chain, tmp_path,
                                                               capsys):
         out, probs = tmp_path / "w.csv", tmp_path / "p.csv"
@@ -552,6 +580,40 @@ class TestCli:
         assert code == 1
         assert self.error_line(err) == (f"error: {path}: bundle takes 128-sample "
                                         "windows, not --window-len 32")
+        assert not out.exists()
+
+    def test_bundle_of_other_channels_is_refused_at_load(self, tmp_path, capsys):
+        """classify feeds a bundle acceleration only, even from a 9-field log."""
+        log, path = tmp_path / "log.csv", tmp_path / "bundle.json"
+        write_nine_field_log(log)
+        neural.save_bundle(path, neural.make_default_bundle(("Lie", "Walk"),
+                                                            input_channels=6, seed=3))
+        code, err = run_cli(["classify", "--in", str(log), "--model", str(path),
+                             "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 1
+        assert self.error_line(err) == (f"error: {path}: bundle takes 6 channels, but "
+                                        "classify feeds it the 3 acceleration channels")
+        assert not (tmp_path / "w.csv").exists()
+
+    @pytest.mark.parametrize("change, values, layout", [
+        ({"centroids": [[0.0] * 10] * 7, "scale": None}, 10, repr(features.LAYOUT_ACC)),
+        ({"layout": "bogus.v1"}, 43, "'bogus.v1'"),
+    ], ids=["width_differs_from_layout", "unknown_layout"])
+    def test_centroids_that_fit_no_layout_are_refused_at_load(
+            self, chain, quiet_model, tmp_path, capsys, change, values, layout):
+        path = tmp_path / "centroids.json"
+        neural.save_centroids(path, quiet_model)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+        expected = (f"error: {path}: {values}-value centroids do not fit layout {layout}; "
+                    f"layouts take {features.FEATURE_COUNTS}")
+        code, err = self.classify(chain, path, tmp_path, capsys)
+        assert code == 1
+        assert self.error_line(err) == expected
+        out = tmp_path / "run"
+        code, err = run_cli(["pipeline", "--script", str(chain / "script.csv"), "--out",
+                             str(out), "--model", str(path)], capsys)
+        assert code == 1
+        assert self.error_line(err) == expected
         assert not out.exists()
 
     def test_pipeline_parses_the_bundle_once(self, chain, tmp_path, capsys, monkeypatch):
