@@ -136,59 +136,67 @@ def _with_tables(eff: dict) -> dict:
     return eff
 
 
-def _run(name: str, eff: dict, *files) -> None:
-    """Command `name` over its files (see the module docstring). Stages are
-    looked up at call time, so wrappers installed on their modules (as the
-    benchmark's tracer does) see the call."""
+def _run(name: str, eff: dict, *files, **given) -> dict:
+    """Command `name` over its files (see the module docstring), plus the
+    keywords `given` with which `pipeline` hands an inertial log on;
+    returns what the stage returns. Stages are looked up at call time, so
+    wrappers installed on their modules (as the benchmark's tracer does)
+    see the call."""
     command = COMMANDS[name]
     if command.run:
-        return command.run(eff, *files)
+        return command.run(eff, *files, **given)
     keys = command.options + command.own
-    getattr(pipeline, f"stage_{name}")(*files, **{key: eff[key] for key in keys})
+    return getattr(pipeline, f"stage_{name}")(*files, **{key: eff[key] for key in keys},
+                                              **given)
 
 
-def _simulate(eff, script, out) -> None:
+def _simulate(eff, script, out, **given) -> dict:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    pipeline.stage_simulate(
+    return pipeline.stage_simulate(
         script, out / "inertial.csv", out / "events.ndjson", out / "truth_derived.csv",
         _noise(eff["sigma"], eff["dropout"], eff["seed"]), eff["rules"], days=eff["days"],
         start_day_ms=eff["start_day_ms"], tick_ms=eff["tick_ms"], subject_id=eff["subject"],
+        **given,
     )
 
 
-def _classify(eff, features_or_log, out) -> None:
+def _classify(eff, features_or_log, out, **given) -> dict:
     if not eff["model"]:
         raise pipeline.PipelineError("classify requires --model")
-    pipeline.stage_classify(
+    return pipeline.stage_classify(
         features_or_log, eff["model"], out, probs_path=eff["probs"],
-        overlap_frac=eff["overlap"],
+        overlap_frac=eff["overlap"], **given,
     )
 
 
 def _run_pipeline(eff, out) -> None:
-    """The stage commands chained over fixed file names in one directory."""
+    """The stage commands chained over fixed file names in one directory.
+    Each inertial log is handed from the stage that writes it to the stages
+    that read it, as that log reads back (see the pipeline docstring)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
     spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"], eff["sample_rate_hz"])
     noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # both checked before any stage
 
-    inertial, events = eff["inertial"], eff["events"]
+    inertial, events, logged = eff["inertial"], eff["events"], None
     if eff["script"]:
         inertial, events = out / "inertial.csv", out / "events.ndjson"
-        _run("simulate", eff, eff["script"], out)
+        logged = _run("simulate", eff, eff["script"], out, hand_on=True).get("logged")
     elif not (inertial and events):
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
-    _run("filter", eff, inertial, out / "filtered.csv")
-    _run("features", eff, out / "filtered.csv", out / "features.csv")
+    logged = _run("filter", eff, inertial, out / "filtered.csv", logged=logged,
+                  hand_on=True).get("logged")
+    _run("features", eff, out / "filtered.csv", out / "features.csv", logged=logged)
     if not eff["model"]:
         eff["model"] = simulate.calibrate_centroids(
             noise, spec, eff["window_len"], eff["overlap"])
         neural.save_centroids(out / "centroids.json", eff["model"])
-    centroid = isinstance(eff["model"], neural.CentroidModel)
-    _run("classify", eff, out / ("features.csv" if centroid else "filtered.csv"),
-         out / "basic_windows.csv")
+    if isinstance(eff["model"], neural.CentroidModel):
+        _run("classify", eff, out / "features.csv", out / "basic_windows.csv")
+    else:
+        _run("classify", eff, out / "filtered.csv", out / "basic_windows.csv", logged=logged)
     _run("occupancy", eff, events, out / "intervals.csv")
     _run("fuse", eff, out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv")
     _run("label", eff, out / "derived.csv", out / "window_labels.csv")

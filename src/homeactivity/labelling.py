@@ -26,6 +26,7 @@ METHOD_PRIORITY = "priority"
 METHOD_FREQUENCY = "frequency"
 METHOD_TIE = "tie"
 METHOD_NO_DATA = "nodata"
+METHODS = (METHOD_PRIORITY, METHOD_FREQUENCY, METHOD_TIE, METHOD_NO_DATA)
 PRIORITY_COLUMNS = ("activity", "priority")
 WINDOW_LABEL_COLUMNS = ("window_start", "window_end", "label", "method")
 
@@ -73,6 +74,9 @@ class WindowLabel:
     def __post_init__(self):
         if self.end_ts <= self.start_ts:
             raise ValueError(f"empty window [{self.start_ts}, {self.end_ts})")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown labelling method {self.method!r}; "
+                             f"expected one of {', '.join(METHODS)}")
 
     @property
     def span_ms(self) -> int:

@@ -6,9 +6,20 @@ the `pipeline` command loads the model and the time zone before the
 first stage, then calls these same functions in order. Every writer is
 deterministic (fixed float formats, sorted keys), which makes
 byte-level comparison of two runs meaningful.
+
+An inertial log is not read back within one `pipeline` run. Asked with
+`hand_on`, `simulate` and `filter` return the log they wrote as
+`logged`: the series that load_inertial would read from it. The next
+stage takes it under that keyword in place of reading its input file.
+timeseries.as_logged gives each value exactly as its `%.6f` text parses,
+so the stages see the same floats, and write the same bytes, as when run
+by hand; errors still name the input file and its line. The stage
+commands do not ask, so they hold no second copy of a log.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from . import (
     ambient,
@@ -31,7 +42,11 @@ class PipelineError(ValueError):
     """Raised when a stage's inputs are unusable."""
 
 
-def _single_series(path) -> timeseries.SampleSeries:
+def _single_series(path, logged=None) -> timeseries.SampleSeries:
+    """The one series of the log at path; `logged` if given, which is that
+    log as load_inertial reads it."""
+    if logged is not None:
+        return logged
     series = timeseries.load_inertial(path)
     if len(series) != 1:
         subjects = ", ".join(s.subject_id for s in series)
@@ -46,9 +61,10 @@ def _sample_line(path, sample: int) -> int:
     return [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()][sample]
 
 
-def _windows(path, window_len: int, overlap: float, gyro: bool = False) -> timeseries.WindowBatch:
+def _windows(path, window_len: int, overlap: float, gyro: bool = False,
+             logged=None) -> timeseries.WindowBatch:
     """segment() over the one series of a log; errors name the line."""
-    series = _single_series(path)
+    series = _single_series(path, logged)
     if gyro and series.gyro is None:
         raise PipelineError(f"{path}: line {_sample_line(path, 0)}: --gyro needs "
                             "gyroscope samples, but the log has 6 fields a line, not 9")
@@ -56,6 +72,19 @@ def _windows(path, window_len: int, overlap: float, gyro: bool = False) -> times
         return timeseries.segment(series, window_len, overlap)
     except timeseries.WindowEndError as exc:  # the line of the window's last sample
         raise PipelineError(f"{path}: line {_sample_line(path, exc.sample)}: {exc}") from None
+
+
+def _read_back(subject_id: str, pieces) -> timeseries.SampleSeries | None:
+    """The log of `pieces`, each (ts, values as_logged) written one after
+    another, as load_inertial reads it back; None for a log that reader
+    refuses (days that overlap), so the next stage reads the file and
+    names the line."""
+    ts, values = zip(*pieces)
+    try:
+        return timeseries.SampleSeries(subject_id, timeseries.DEFAULT_PERIOD_MS,
+                                       np.concatenate(ts), np.concatenate(values))
+    except timeseries.SeriesError:
+        return None
 
 
 def write_basic_windows(path, windows) -> None:
@@ -103,14 +132,18 @@ def stage_simulate(
     start_day_ms: int = 0,
     tick_ms: int = fusion.DEFAULT_TICK_MS,
     subject_id: str = "sim",
+    *,
+    hand_on: bool = False,
 ) -> dict:
     """Run the daily script for `days` consecutive days and write the
-    inertial log, ambient event log, and ground-truth derived timeline."""
+    inertial log, ambient event log, and ground-truth derived timeline.
+    With hand_on, `logged` is the inertial log as it reads back."""
     if days < 1:
         raise PipelineError(f"days must be positive, got {days}")
     script = simulate.load_script(script_path)
     all_events = []
     truth = []
+    handed = []  # (ts, values as_logged) of each day, once written
     for day in range(days):
         data = simulate.generate_day(
             script,
@@ -121,11 +154,14 @@ def stage_simulate(
             subject_id=subject_id,
         )
         timeseries.write_inertial(out_inertial, data.series, append=day > 0)
+        if hand_on:
+            handed.append((data.series.ts, timeseries.as_logged(data.series.values)))
         all_events.append(data.events)
         truth.extend(data.derived_ticks)
     ambient.write_events(out_events, ambient.merge_streams(all_events))
     fusion.write_derived(out_truth, truth)
-    return {"days": days, "truth_ticks": len(truth)}
+    logged = _read_back(subject_id, handed) if hand_on else None
+    return {"days": days, "truth_ticks": len(truth), "logged": logged}
 
 
 def stage_filter(
@@ -135,16 +171,25 @@ def stage_filter(
     cutoff_hz: float = timeseries.FilterSpec.cutoff_hz,
     sample_rate_hz: float = timeseries.FilterSpec.sample_rate_hz,
     max_gap_ms: int = timeseries.DEFAULT_MAX_GAP_MS,
+    *,
+    logged: timeseries.SampleSeries | None = None,
+    hand_on: bool = False,
 ) -> dict:
-    """Gap-repair then low-pass one subject's log; gaps wider than
-    max_gap_ms survive as timestamp jumps in the output."""
+    """Gap-repair then low-pass one subject's log (`logged`, if given, in
+    place of reading it); gaps wider than max_gap_ms survive as timestamp
+    jumps in the output. With hand_on, `logged` is the output as it reads
+    back."""
     spec = timeseries.FilterSpec(order, cutoff_hz, sample_rate_hz)
-    series = _single_series(in_path)
+    series = _single_series(in_path, logged)
     pieces = timeseries.interpolate_gaps(series, max_gap_ms)
+    handed = []  # (ts, values as_logged) of each piece, once written
     for i, piece in enumerate(pieces):
         filtered = timeseries.butterworth_lowpass(piece, spec)
         timeseries.write_inertial(out_path, filtered, append=i > 0)
-    return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces)}
+        if hand_on:
+            handed.append((filtered.ts, timeseries.as_logged(filtered.values)))
+    logged = _read_back(series.subject_id, handed) if hand_on else None
+    return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces), "logged": logged}
 
 
 def stage_segment(
@@ -165,8 +210,12 @@ def stage_features(
     window_len: int = timeseries.DEFAULT_WINDOW_LEN,
     overlap: float = timeseries.DEFAULT_OVERLAP,
     gyro: bool = False,
+    *,
+    logged: timeseries.SampleSeries | None = None,
 ) -> dict:
-    batch = _windows(in_path, window_len, overlap, gyro)
+    """Extract the feature rows of a filtered log (`logged`, if given, in
+    place of reading it)."""
+    batch = _windows(in_path, window_len, overlap, gyro, logged)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
     matrix, spans = features.extract_all(batch, gyro)
@@ -209,11 +258,14 @@ def stage_classify(
     out_path,
     probs_path=None,
     overlap_frac: float = timeseries.DEFAULT_OVERLAP,
+    *,
+    logged: timeseries.SampleSeries | None = None,
 ) -> dict:
     """Label windows with a loaded model of either kind.
 
     A centroid model reads a feature file; a weights bundle reads a
-    filtered inertial log and can also emit per-class probabilities.
+    filtered inertial log (or takes it as `logged`) and can also emit
+    per-class probabilities.
     """
     if isinstance(model, neural.CentroidModel):
         if probs_path is not None:
@@ -223,7 +275,7 @@ def stage_classify(
         labels = model.classify(matrix)
     else:
         fmt = neural.BUNDLE_FORMAT
-        batch = _windows(in_path, model.input_len, overlap_frac)
+        batch = _windows(in_path, model.input_len, overlap_frac, logged=logged)
         spans = batch.spans()
         probs = neural.forward_bundle(model, batch.xyz)
         labels = [neural.best_class(model.class_names, p) for p in probs]

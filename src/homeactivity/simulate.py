@@ -192,12 +192,14 @@ def synth_motion(
     start_ts: int = 0,
     subject_id: str = "sim",
     rng: np.random.Generator | None = None,
+    window_len: int = DEFAULT_WINDOW_LEN,
 ) -> SampleSeries:
-    """Synthesize one activity block; dropout may delete samples."""
-    if duration_ms < DEFAULT_WINDOW_LEN * period_ms:
+    """Synthesize one activity block of at least one window of window_len
+    samples; dropout may delete samples."""
+    if duration_ms < window_len * period_ms:
         raise ValueError(
             f"duration {duration_ms} ms is shorter than one window "
-            f"({DEFAULT_WINDOW_LEN * period_ms} ms)"
+            f"({window_len * period_ms} ms)"
         )
     if rng is None:
         rng = np.random.default_rng(noise.seed)
@@ -351,13 +353,15 @@ def calibrate_centroids(
             period_ms=period_ms,
             noise=noise,
             rng=rng,
+            window_len=window_len,
         )]
         boundary_ts = lead_n * period_ms
         for prev in classes:
             if prev == basic:
                 continue
             head = synth_motion(
-                prev, boundary_ts, period_ms=period_ms, noise=noise, rng=rng
+                prev, boundary_ts, period_ms=period_ms, noise=noise, rng=rng,
+                window_len=window_len,
             )
             tail = synth_motion(
                 basic,
@@ -366,6 +370,7 @@ def calibrate_centroids(
                 noise=noise,
                 start_ts=boundary_ts,
                 rng=rng,
+                window_len=window_len,
             )
             runs.append(SampleSeries(
                 subject_id=head.subject_id,

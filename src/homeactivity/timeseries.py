@@ -200,8 +200,28 @@ def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.n
 
     Direct form II transposed, one sample at a time over Python floats in
     the operation order of scipy.signal.lfilter's C loop, so the output
-    is the same bits as scipy.signal.lfilter(b, a, x, zi=zi)[0].
+    is the same bits as scipy.signal.lfilter(b, a, x, zi=zi)[0]. Order 3,
+    the default, runs as straight-line code with its three delays in
+    local variables; every other order runs the loop of `_lfilter_loop`.
     """
+    if a.size != 4:
+        return _lfilter_loop(b, a, x, zi)
+    b0, b1, b2, b3 = b.tolist()
+    _, a1, a2, a3 = a.tolist()
+    z0, z1, z2 = zi.tolist()
+    out = []
+    append = out.append
+    for xi in x.tolist():
+        y = z0 + b0 * xi
+        z0 = z1 + xi * b1 - y * a1
+        z1 = z2 + xi * b2 - y * a2
+        z2 = xi * b3 - y * a3
+        append(y)
+    return np.array(out, dtype=np.float64)
+
+
+def _lfilter_loop(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """lfilter for any order: the reference that its order-3 code must match."""
     b0, bs, as_ = float(b[0]), b[1:].tolist(), a[1:].tolist()
     last = len(bs) - 1
     middle = range(last)
@@ -434,3 +454,43 @@ def write_inertial(
             hi = lo + _BLOCK_LINES
             columns = [series.ts[lo:hi].tolist(), *series.values[lo:hi].T.tolist()]
             fh.write("".join([line % row for row in zip(*columns)]))
+
+
+# Below this magnitude a value's micro-units are below 2^53, so exact in float64.
+_MICRO_EXACT = 2.0**53 / 1e6
+
+
+def as_logged(values: np.ndarray) -> np.ndarray:
+    """values as write_inertial's `%.6f` text reads back: float("%.6f" % v)
+    of each value, bit for bit, computed as ±n / 1e6 in blocks of rows.
+
+    n, the value's micro-units, is rint(|v|·1e6), except where that
+    product p is exactly a half-integer: there the exact product lies on
+    the side of p that the product's exact residual (Dekker's
+    two-product) shows, and only a residual of 0 is the true tie that
+    `%` and rint both round half to even. n and 1e6 are exact, so n / 1e6
+    is the correctly rounded quotient that parsing the text gives. The
+    sign is the value's sign bit, so -0.000000 reads back as -0.0. NaN,
+    infinities and |v| >= 2^53/1e6 take the formatter and parser.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(values)
+    for lo in range(0, len(values), _BLOCK_LINES):
+        x = values[lo:lo + _BLOCK_LINES]
+        a = np.abs(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # wide values, redone below
+            p = a * 1e6
+            n = np.rint(p)
+            ties = np.abs(p - n) == 0.5
+        if ties.any():
+            a_tie, p_tie = a[ties], p[ties]
+            split = 134217729.0 * a_tie  # 2^27 + 1 splits a into two 26-bit halves
+            a_hi = split - (split - a_tie)
+            residual = (a_hi * 1e6 - p_tie) + (a_tie - a_hi) * 1e6  # exact: 1e6 fits 26 bits
+            n[ties] = np.where(residual == 0, n[ties], p_tie + np.copysign(0.5, residual))
+        block = out[lo:lo + _BLOCK_LINES]
+        block[:] = np.copysign(n / 1e6, x)
+        wide = ~(a < _MICRO_EXACT)
+        if wide.any():
+            block[wide] = [float("%.6f" % v) for v in x[wide].tolist()]
+    return out

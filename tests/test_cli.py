@@ -380,12 +380,18 @@ class TestDispatch:
 
 def test_commands_without_a_runner_pass_their_options_by_name():
     """`_run` calls pipeline.stage_<command>(*files, **options): after its
-    files, each such stage takes exactly the command's options."""
+    files, each such stage takes exactly the command's options, and then
+    only the keyword-only ones with which `pipeline` hands an inertial log
+    on: `logged`, the log it reads, and `hand_on`, to return the log it
+    writes."""
     plain = {name: c for name, c in cli.COMMANDS.items() if c.run is None}
     assert set(cli.COMMANDS) - set(plain) == {"simulate", "classify", "pipeline"}
     for name, command in plain.items():
-        params = list(inspect.signature(getattr(pipeline, f"stage_{name}")).parameters)
-        assert params[len(command.files):] == [*command.options, *command.own], name
+        params = inspect.signature(getattr(pipeline, f"stage_{name}")).parameters
+        handed = {"filter": ["logged", "hand_on"], "features": ["logged"]}.get(name, [])
+        assert list(params)[len(command.files):] == [*command.options, *command.own,
+                                                     *handed], name
+        assert all(params[key].kind is inspect.Parameter.KEYWORD_ONLY for key in handed)
 
 
 def write_config(where, doc) -> str:

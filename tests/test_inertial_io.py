@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homeactivity import cli, simulate, timeseries
 from homeactivity.timeseries import (
@@ -265,6 +266,69 @@ class TestWriterAgainstOracle:
         write_inertial(tmp_path / "log.csv", series)
         assert takes_block_path(tmp_path / "log.csv", block=7)
         assert_readers_agree(tmp_path / "log.csv", block=7)
+
+
+def through_text(values) -> np.ndarray:
+    """The oracle of as_logged: each value written as `%.6f` and parsed."""
+    return np.array([float("%.6f" % v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Below this magnitude as_logged computes; from it on it formats and parses.
+MICRO_EXACT = 2.0**53 / 1e6
+
+
+@st.composite
+def near_ties(draw):
+    """A float nearest (k + 1/2)/1e6, or one ulp to either side, either sign:
+    where |v|·1e6 rounds to a half-integer and only the exact product says
+    which way `%.6f` goes."""
+    tie = (draw(st.integers(0, 10**7) | st.integers(0, 2**44)) + 0.5) / 1e6
+    toward = draw(st.sampled_from([None, 0.0, np.inf]))
+    v = tie if toward is None else float(np.nextafter(tie, toward))
+    return draw(st.sampled_from([v, -v]))
+
+
+logged_values = st.one_of(
+    st.floats(width=64),  # NaN, infinities, subnormals and the fallback range too
+    near_ties(),
+    st.floats(MICRO_EXACT / 2, MICRO_EXACT * 2) | st.floats(-1e-6, 1e-6),
+    st.sampled_from([0.0, -0.0, 1 / 128, 3 / 128, -3 / 128, 5e-324, -5e-324,
+                     2.2250738585072014e-308, MICRO_EXACT, float(np.nextafter(MICRO_EXACT, 0)),
+                     *EDGE_VALUES]),
+)
+
+
+class TestAsLogged:
+    """as_logged(v) is float("%.6f" % v) of every value, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=arrays(np.float64, st.tuples(st.integers(1, 10), st.sampled_from((3, 6))),
+                         elements=logged_values),
+           block=st.integers(1, 4))
+    def test_matches_format_and_parse(self, values, block):
+        with block_lines(block):
+            assert same_bits(timeseries.as_logged(values), through_text(values))
+
+    def test_ties_and_their_neighbours(self):
+        k = np.random.default_rng(5).integers(0, 2**43, size=20_000)
+        ties = (k + 0.5) / 1e6
+        values = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+        values = np.concatenate([values, -values]).reshape(-1, 3)
+        assert same_bits(timeseries.as_logged(values), through_text(values))
+
+    @pytest.mark.parametrize("gyro", [False, True])
+    def test_is_the_series_the_log_reads_back(self, tmp_path, gyro):
+        rng = np.random.default_rng(9)
+        values = rng.normal(0, 20, size=(50, 6 if gyro else 3))
+        values[:4, 0] = [-1e-9, 1 / 128, 3 / 128, MICRO_EXACT * 3]
+        series = SampleSeries("s", 50, 1000 + 50 * np.arange(50, dtype=np.int64), values)
+        write_inertial(tmp_path / "log.csv", series)
+        (back,) = load_inertial(tmp_path / "log.csv")
+        assert same_bits(timeseries.as_logged(series.values), back.values)
 
 
 class TestSubjectIds:

@@ -20,11 +20,13 @@ from homeactivity import (
     occupancy,
     pipeline,
     profiles,
+    simulate,
     tables,
     timeseries,
 )
 from homeactivity.pipeline import PipelineError, ticks_from_windows
 from homeactivity.simulate import MS_PER_DAY, QUIET, ScheduleEntry, write_script
+from oracles import series_equal
 
 SIX_AM = 21_600_000
 
@@ -270,10 +272,13 @@ class TestMultiDay:
     def test_days_repeat_with_shifted_clocks(self, chain, default_rules, tmp_path):
         info = pipeline.stage_simulate(
             chain / "script.csv", tmp_path / "i.csv", tmp_path / "e.ndjson",
-            tmp_path / "t.csv", QUIET, default_rules, days=2,
+            tmp_path / "t.csv", QUIET, default_rules, days=2, hand_on=True,
         )
+        logged = info.pop("logged")
         assert info == {"days": 2, "truth_ticks": 288}
         (series,) = timeseries.load_inertial(tmp_path / "i.csv")
+        assert series_equal(logged, series)
+        assert logged.values.tobytes() == series.values.tobytes()
         assert len(series) == 2 * 720 * 20
         assert series.ts[720 * 20] == SIX_AM + MS_PER_DAY
         ticks = fusion.read_derived(tmp_path / "t.csv")
@@ -426,6 +431,36 @@ class TestCli:
         assert [d["day"] for d in doc["days"]] == [
             f"1970-01-{day + 1:02d}" for day in day_numbers]
         assert (doc["week"] is not None) == week
+
+    @pytest.mark.parametrize("window", [["32"], ["32", "--overlap", "0"], ["64"],
+                                        ["100", "--overlap", "0.25"], ["256"]],
+                             ids=lambda w: "-".join(w))
+    def test_calibration_takes_every_window_features_takes(self, chain, tmp_path, capsys,
+                                                           window):
+        """Calibration checks its own lead-in blocks against the window in
+        use, which may be shorter than the default one."""
+        out = tmp_path / "run"
+        code, err = run_cli(["pipeline", "--script", str(chain / "script.csv"),
+                             "--out", str(out), "--window-len", *window], capsys)
+        assert code == 0, err
+        model = neural.load_centroids(out / "centroids.json")
+        assert len(pipeline.read_basic_windows(out / "basic_windows.csv")) > 0
+        assert model.class_names == simulate.CLASSIFIER_CLASSES
+
+    def test_window_labels_cut_inside_a_method_name_are_refused(self, tmp_path, capsys):
+        labels, report = tmp_path / "labels.csv", tmp_path / "report.json"
+        labelling.write_window_labels(labels, [
+            labelling.WindowLabel(0, 120_000, "a", "priority"),
+            labelling.WindowLabel(120_000, 240_000, "b", "frequency"),
+        ])
+        text = labels.read_text(encoding="utf-8")
+        labels.write_text(text[:text.rindex("frequency") + len("freque")], encoding="utf-8")
+        code, err = run_cli(["profile", "--in", str(labels), "--out", str(report)], capsys)
+        assert code == 1
+        assert self.error_line(err) == (
+            f"error: {labels}: line 3: unknown labelling method 'freque'; "
+            "expected one of priority, frequency, tie, nodata")
+        assert not report.exists()
 
     def test_probs_with_a_centroid_model_fail_before_reading(self, chain, tmp_path,
                                                               capsys):
@@ -831,3 +866,115 @@ class TestNineFieldGate:
             for name in NINE_FIELD_DIGESTS
         }
         assert got == NINE_FIELD_DIGESTS
+
+
+def run_by_hand(out, inertial, events, model, *filter_options):
+    """The stage commands `pipeline --inertial ... --model` chains, one by
+    one into `out`."""
+    def at(name):
+        return str(out / name)
+
+    bundle = json.loads(model.read_text())["format"] == neural.BUNDLE_FORMAT
+    steps = [
+        ["filter", "--in", str(inertial), "--out", at("filtered.csv"), *filter_options],
+        ["features", "--in", at("filtered.csv"), "--out", at("features.csv")],
+        ["classify", "--in", at("filtered.csv" if bundle else "features.csv"),
+         "--model", str(model), "--out", at("basic_windows.csv")],
+        ["occupancy", "--events", str(events), "--out", at("intervals.csv")],
+        ["fuse", "--windows", at("basic_windows.csv"), "--intervals", at("intervals.csv"),
+         "--out", at("derived.csv")],
+        ["label", "--in", at("derived.csv"), "--out", at("window_labels.csv")],
+        ["profile", "--in", at("window_labels.csv"), "--out", at("report.json")],
+    ]
+    out.mkdir()
+    for argv in steps:
+        assert cli.main(argv) == 0, argv[0]
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestHandOff:
+    """`pipeline` hands each inertial log on as it reads back, never
+    re-reading a file it wrote, and writes the bytes of the stages by hand."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The paths load_inertial is called on."""
+        made, load = [], timeseries.load_inertial
+
+        def counted(path, *args):
+            made.append(str(path))
+            return load(path, *args)
+
+        monkeypatch.setattr(timeseries, "load_inertial", counted)
+        return made
+
+    @pytest.mark.parametrize("model", ["centroids", "bundle", "calibrated"])
+    def test_a_simulated_log_is_never_read(self, chain, tmp_path, reads, model, capsys):
+        argv = ["pipeline", "--script", str(chain / "script.csv"), "--out", str(tmp_path / "run"),
+                *GATE_NOISE, *GATE_MAX_GAP]
+        if model == "centroids":
+            argv += ["--model", str(chain / "model.json")]
+        elif model == "bundle":
+            neural.save_bundle(tmp_path / "bundle.json",
+                               neural.make_default_bundle(("Lie", "Sit"), seed=3))
+            argv += ["--model", str(tmp_path / "bundle.json")]
+        assert run_cli(argv, capsys)[0] == 0
+        assert reads == []
+
+    def test_the_users_log_is_read_once(self, gate_runs, tmp_path, reads, capsys):
+        _, hand = gate_runs
+        log, events = hand / "inertial.csv", hand / "events.ndjson"
+        argv = ["pipeline", "--inertial", str(log), "--events", str(events),
+                "--out", str(tmp_path / "run")]
+        assert run_cli(argv, capsys)[0] == 0
+        assert reads == [str(log)]
+
+    def test_a_gapped_log_gives_the_bytes_by_hand(self, chain, gate_runs, tmp_path, capsys):
+        _, hand = gate_runs
+        log, events, model = hand / "inertial.csv", hand / "events.ndjson", chain / "model.json"
+        auto = tmp_path / "pipeline"
+        argv = ["pipeline", "--inertial", str(log), "--events", str(events), "--out", str(auto),
+                "--model", str(model), *GATE_MAX_GAP]
+        assert run_cli(argv, capsys)[0] == 0
+        run_by_hand(tmp_path / "hand", log, events, model, *GATE_MAX_GAP)
+        assert_same_files(auto, tmp_path / "hand")
+        (series,) = timeseries.load_inertial(auto / "filtered.csv")
+        assert len(timeseries.split_on_gaps(series)) > 10
+
+    def test_a_nine_field_log_gives_the_bytes_by_hand(self, chain, tmp_path, capsys):
+        log, bundle = tmp_path / "log.csv", tmp_path / "bundle.json"
+        write_nine_field_log(log)
+        neural.save_bundle(bundle, neural.make_default_bundle(("Lie", "Walk"), seed=3))
+        events = chain / "events.ndjson"
+        auto = tmp_path / "pipeline"
+        argv = ["pipeline", "--inertial", str(log), "--events", str(events), "--out", str(auto),
+                "--model", str(bundle)]
+        assert run_cli(argv, capsys)[0] == 0
+        run_by_hand(tmp_path / "hand", log, events, bundle)
+        assert_same_files(auto, tmp_path / "hand")
+
+    def test_a_log_the_reader_refuses_fails_as_by_hand(self, tmp_path, capsys):
+        """Days that overlap: a block running past midnight meets the next
+        day's first block. filter reads the log and names the line."""
+        script = tmp_path / "script.csv"
+        write_script(script, [ScheduleEntry(3_600_000, 60_000, "Hall", "Sit"),
+                              ScheduleEntry(MS_PER_DAY - 60_000, 7_200_000, "Hall", "Walk")])
+        auto, hand = tmp_path / "pipeline", tmp_path / "hand"
+        code, err = run_cli(["pipeline", "--script", str(script), "--out", str(auto),
+                             "--days", "2"], capsys)
+        assert code == 1
+        assert run_cli(["simulate", "--script", str(script), "--out", str(hand),
+                        "--days", "2"], capsys)[0] == 0
+        code, by_hand = run_cli(["filter", "--in", str(hand / "inertial.csv"),
+                                 "--out", str(hand / "filtered.csv")], capsys)
+        assert code == 1
+        assert TestCli.error_line(err) == TestCli.error_line(by_hand).replace(
+            str(hand), str(auto))
+        assert "timestamps must be strictly increasing" in by_hand
+        assert_same_files(auto, hand)

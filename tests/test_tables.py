@@ -404,7 +404,7 @@ TABLES = {
     ),
     "window_labels": (
         st.lists(st.builds(lambda s, label, method: WindowLabel(*s, label, method),
-                           spans(), TEXT, TEXT), max_size=5),
+                           spans(), TEXT, st.sampled_from(labelling.METHODS)), max_size=5),
         labelling.write_window_labels, labelling.read_window_labels, list, (TableError,),
     ),
     "script": (

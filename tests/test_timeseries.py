@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeactivity import timeseries
 from homeactivity.timeseries import (
     DEFAULT_PERIOD_MS,
     FilterSpec,
@@ -246,6 +247,22 @@ class TestButterworth:
         s = make_series(np.zeros(8), period_ms=100)
         with pytest.raises(SeriesError, match="sampled at"):
             butterworth_lowpass(s, FilterSpec(sample_rate_hz=20.0))
+
+    @given(
+        wn=st.floats(0.01, 0.99),
+        x=st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, -0.0]),
+                   min_size=1, max_size=200),
+        zi=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3) | st.none(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_order_three_code_is_the_generic_loop(self, wn, x, zi):
+        """lfilter's straight-line order 3 gives the bits of the loop every
+        other order runs (which tests/test_scipy_oracle.py holds to SciPy)."""
+        b, a = timeseries.butter(3, wn)
+        x = np.array(x)
+        zi = timeseries.lfilter_zi(b, a) * x[0] if zi is None else np.array(zi)
+        got, want = timeseries.lfilter(b, a, x, zi), timeseries._lfilter_loop(b, a, x, zi)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSegment:
