@@ -47,7 +47,7 @@ pipeline.stage_features(out / "filtered.csv", out / "features.csv")
 # Calibrate a centroid model from the same noise level and classify with
 # it as loaded; `pipeline.load_model(path)` loads one from a model file.
 model = simulate.calibrate_centroids(noise)
-pipeline.stage_classify(out / "features.csv", model, out / "basic.csv")
+pipeline.stage_classify(out / "features.csv", out / "basic.csv", model)
 
 # Ambient context and fusion.
 pipeline.stage_occupancy(out / "events.ndjson", out / "intervals.csv")

@@ -3,9 +3,11 @@
 Every option is declared once in OPTIONS and every command once in
 COMMANDS; the parser, config-key validation, the echoed configuration
 and dispatch all come from these two tables. A command with a runner
-hands it the effective options, then its files; any other command calls
-pipeline.stage_<command>(*files, **options), each option under its
-OPTIONS name (`--max-gap-ms` is `max_gap_ms=`). Option precedence is flags
+(`simulate`, `pipeline`) hands it the effective options, then its files;
+any other command calls pipeline.stage_<command>(*files, **options), each
+option under its OPTIONS name (`--max-gap-ms` is `max_gap_ms=`). No option
+restates what the input fixes: `filter` takes the log's sample rate and
+`classify` a bundle's window length. Option precedence is flags
 over config file over built-in defaults; the effective configuration is
 echoed to stderr at startup so runs are auditable. All outputs are
 deterministic given the same configuration and seed.
@@ -37,7 +39,6 @@ class Option(NamedTuple):
 OPTIONS = {
     "order": Option(int, 3),
     "cutoff_hz": Option(float, 3.0),
-    "sample_rate_hz": Option(float, 20.0),
     "max_gap_ms": Option(int, timeseries.DEFAULT_MAX_GAP_MS),
     "window_len": Option(int, timeseries.DEFAULT_WINDOW_LEN),
     "overlap": Option(float, timeseries.DEFAULT_OVERLAP),
@@ -127,7 +128,7 @@ def _with_tables(eff: dict) -> dict:
             labelling.load_priorities(path) if path else labelling.load_default_priorities()
         )
     if eff.get("model"):
-        eff["model"] = pipeline.load_model(eff["model"], eff["window_len"])
+        eff["model"] = pipeline.load_model(eff["model"], eff.get("window_len"))
     if "timezone" in eff:
         try:
             eff["timezone"] = ZoneInfo(eff["timezone"])
@@ -161,24 +162,16 @@ def _simulate(eff, script, out, **given) -> dict:
     )
 
 
-def _classify(eff, features_or_log, out, **given) -> dict:
-    if not eff["model"]:
-        raise pipeline.PipelineError("classify requires --model")
-    return pipeline.stage_classify(
-        features_or_log, eff["model"], out, probs_path=eff["probs"],
-        overlap_frac=eff["overlap"], **given,
-    )
-
-
 def _run_pipeline(eff, out) -> None:
     """The stage commands chained over fixed file names in one directory.
     Each inertial log is handed from the stage that writes it to the stages
     that read it, as that log reads back (see the pipeline docstring)."""
+    eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
+    spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"])
+    spec.design(timeseries.DEFAULT_PERIOD_MS)  # the rate of every log the stages read
+    noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # all checked before any stage
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
-    spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"], eff["sample_rate_hz"])
-    noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # both checked before any stage
 
     inertial, events, logged = eff["inertial"], eff["events"], None
     if eff["script"]:
@@ -220,14 +213,14 @@ COMMANDS = {
         run=_simulate),
     "filter": Command(
         "gap-repair and low-pass an inertial log", IN_OUT,
-        ("order", "cutoff_hz", "sample_rate_hz", "max_gap_ms")),
+        ("order", "cutoff_hz", "max_gap_ms")),
     "segment": Command("write the sliding-window plan", IN_OUT, ("window_len", "overlap")),
     "features": Command(
         "extract per-window feature vectors", IN_OUT, ("window_len", "overlap"), ("gyro",)),
     "classify": Command(
         "label windows with a model file",
         {"in_path": "feature file (centroids) or filtered log (bundle)", "out": None},
-        ("model", "window_len", "overlap"), ("probs",), _classify),
+        ("model", "overlap"), ("probs",)),
     "occupancy": Command(
         "events to room/appliance intervals", {"events": None, "out": None}, ("timeout_ms",)),
     "fuse": Command(

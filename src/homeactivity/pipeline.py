@@ -7,6 +7,10 @@ first stage, then calls these same functions in order. Every writer is
 deterministic (fixed float formats, sorted keys), which makes
 byte-level comparison of two runs meaningful.
 
+What the input fixes is not an option: `filter` designs its low-pass for
+the rate of the series it filters (a log is read at DEFAULT_PERIOD_MS),
+and `classify` cuts a weights bundle's windows at its input_len.
+
 An inertial log is not read back within one `pipeline` run. Asked with
 `hand_on`, `simulate` and `filter` return the log they wrote as
 `logged`: the series that load_inertial would read from it. The next
@@ -56,9 +60,16 @@ def _single_series(path, logged=None) -> timeseries.SampleSeries:
     return series[0]
 
 
-def _sample_line(path, sample: int) -> int:
-    """The line number of a one-subject log's sample-th sample."""
-    return [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()][sample]
+def _line_of(path, index: int) -> int:
+    """The number of the index-th non-blank line of a file: a one-subject
+    log's index-th sample, or with -1 the line a table's last row ends on."""
+    return [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()][index]
+
+
+def _located(path, series, exc: timeseries.SampleError) -> PipelineError:
+    """exc behind the line of the log's first sample at or after exc.ts."""
+    line = _line_of(path, int(np.searchsorted(series.ts, exc.ts)))
+    return PipelineError(f"{path}: line {line}: {exc}")
 
 
 def _windows(path, window_len: int, overlap: float, gyro: bool = False,
@@ -66,25 +77,20 @@ def _windows(path, window_len: int, overlap: float, gyro: bool = False,
     """segment() over the one series of a log; errors name the line."""
     series = _single_series(path, logged)
     if gyro and series.gyro is None:
-        raise PipelineError(f"{path}: line {_sample_line(path, 0)}: --gyro needs "
+        raise PipelineError(f"{path}: line {_line_of(path, 0)}: --gyro needs "
                             "gyroscope samples, but the log has 6 fields a line, not 9")
     try:
         return timeseries.segment(series, window_len, overlap)
-    except timeseries.WindowEndError as exc:  # the line of the window's last sample
-        raise PipelineError(f"{path}: line {_sample_line(path, exc.sample)}: {exc}") from None
+    except timeseries.SampleError as exc:  # the window's last sample
+        raise _located(path, series, exc) from None
 
 
-def _read_back(subject_id: str, pieces) -> timeseries.SampleSeries | None:
+def _read_back(subject_id: str, pieces) -> timeseries.SampleSeries:
     """The log of `pieces`, each (ts, values as_logged) written one after
-    another, as load_inertial reads it back; None for a log that reader
-    refuses (days that overlap), so the next stage reads the file and
-    names the line."""
+    another, as load_inertial reads it back."""
     ts, values = zip(*pieces)
-    try:
-        return timeseries.SampleSeries(subject_id, timeseries.DEFAULT_PERIOD_MS,
-                                       np.concatenate(ts), np.concatenate(values))
-    except timeseries.SeriesError:
-        return None
+    return timeseries.SampleSeries(subject_id, timeseries.DEFAULT_PERIOD_MS,
+                                   np.concatenate(ts), np.concatenate(values))
 
 
 def write_basic_windows(path, windows) -> None:
@@ -136,11 +142,15 @@ def stage_simulate(
     hand_on: bool = False,
 ) -> dict:
     """Run the daily script for `days` consecutive days and write the
-    inertial log, ambient event log, and ground-truth derived timeline.
-    With hand_on, `logged` is the inertial log as it reads back."""
+    inertial log, ambient event log, and ground-truth derived timeline;
+    days that overlap are refused first. With hand_on, `logged` is the
+    inertial log as it reads back."""
     if days < 1:
         raise PipelineError(f"days must be positive, got {days}")
     script = simulate.load_script(script_path)
+    if days > 1 and script[-1].clock_end_ms > MS_PER_DAY + script[0].clock_start_ms:
+        raise PipelineError(f"{script_path}: line {_line_of(script_path, -1)}: entries overlap "
+                            f"at clock offset {script[0].clock_start_ms} ms of the next day")
     all_events = []
     truth = []
     handed = []  # (ts, values as_logged) of each day, once written
@@ -169,25 +179,27 @@ def stage_filter(
     out_path,
     order: int = timeseries.FilterSpec.order,
     cutoff_hz: float = timeseries.FilterSpec.cutoff_hz,
-    sample_rate_hz: float = timeseries.FilterSpec.sample_rate_hz,
     max_gap_ms: int = timeseries.DEFAULT_MAX_GAP_MS,
     *,
     logged: timeseries.SampleSeries | None = None,
     hand_on: bool = False,
 ) -> dict:
     """Gap-repair then low-pass one subject's log (`logged`, if given, in
-    place of reading it); gaps wider than max_gap_ms survive as timestamp
-    jumps in the output. With hand_on, `logged` is the output as it reads
-    back."""
-    spec = timeseries.FilterSpec(order, cutoff_hz, sample_rate_hz)
+    place of reading it), the filter designed for the log's sample rate;
+    gaps wider than max_gap_ms survive as timestamp jumps in the output.
+    With hand_on, `logged` is the output as it reads back."""
+    spec = timeseries.FilterSpec(order, cutoff_hz)
     series = _single_series(in_path, logged)
-    pieces = timeseries.interpolate_gaps(series, max_gap_ms)
     handed = []  # (ts, values as_logged) of each piece, once written
-    for i, piece in enumerate(pieces):
-        filtered = timeseries.butterworth_lowpass(piece, spec)
-        timeseries.write_inertial(out_path, filtered, append=i > 0)
-        if hand_on:
-            handed.append((filtered.ts, timeseries.as_logged(filtered.values)))
+    try:
+        pieces = timeseries.interpolate_gaps(series, max_gap_ms)
+        for i, piece in enumerate(pieces):
+            filtered = timeseries.butterworth_lowpass(piece, spec)
+            timeseries.write_inertial(out_path, filtered, append=i > 0)
+            if hand_on:
+                handed.append((filtered.ts, timeseries.as_logged(filtered.values)))
+    except timeseries.SampleError as exc:  # repaired or filtered values overflowed
+        raise _located(in_path, series, exc) from None
     logged = _read_back(series.subject_id, handed) if hand_on else None
     return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces), "logged": logged}
 
@@ -229,9 +241,10 @@ def _model_format(path) -> str:
     return tables.read_json_object(path).get("format", "")
 
 
-def load_model(path, window_len: int = timeseries.DEFAULT_WINDOW_LEN):
+def load_model(path, window_len: int | None = None):
     """The centroid model or weights bundle in a model file, refused unless
-    classify can feed it: rows of its feature layout, or (window_len, 3) windows."""
+    classify can feed it: rows of its feature layout, or windows of 3
+    channels, of window_len samples when that is given."""
     doc = tables.read_json_object(path)
     fmt = doc.get("format", "")
     if fmt == neural.CENTROID_FORMAT:
@@ -243,7 +256,7 @@ def load_model(path, window_len: int = timeseries.DEFAULT_WINDOW_LEN):
     if fmt != neural.BUNDLE_FORMAT:
         raise PipelineError(f"{path}: unrecognized model format {fmt!r}")
     bundle = neural.load_bundle(path, doc)
-    if window_len != bundle.input_len:
+    if window_len is not None and window_len != bundle.input_len:
         raise PipelineError(f"{path}: bundle takes {bundle.input_len}-sample "
                             f"windows, not --window-len {window_len}")
     if bundle.input_channels != 3:
@@ -254,35 +267,37 @@ def load_model(path, window_len: int = timeseries.DEFAULT_WINDOW_LEN):
 
 def stage_classify(
     in_path,
-    model: neural.CentroidModel | neural.WeightsBundle,
     out_path,
-    probs_path=None,
-    overlap_frac: float = timeseries.DEFAULT_OVERLAP,
+    model: neural.CentroidModel | neural.WeightsBundle | None,
+    overlap: float = timeseries.DEFAULT_OVERLAP,
+    probs=None,
     *,
     logged: timeseries.SampleSeries | None = None,
 ) -> dict:
     """Label windows with a loaded model of either kind.
 
     A centroid model reads a feature file; a weights bundle reads a
-    filtered inertial log (or takes it as `logged`) and can also emit
-    per-class probabilities.
+    filtered inertial log (or takes it as `logged`) in windows of its
+    input_len and can also write per-class probabilities to `probs`.
     """
+    if not model:
+        raise PipelineError("classify requires --model")
     if isinstance(model, neural.CentroidModel):
-        if probs_path is not None:
+        if probs is not None:
             raise PipelineError("probability output requires a weights bundle")
         fmt = neural.CENTROID_FORMAT
         matrix, spans, _layout = features.read_features(in_path, model.layout)
         labels = model.classify(matrix)
     else:
         fmt = neural.BUNDLE_FORMAT
-        batch = _windows(in_path, model.input_len, overlap_frac, logged=logged)
+        batch = _windows(in_path, model.input_len, overlap, logged=logged)
         spans = batch.spans()
-        probs = neural.forward_bundle(model, batch.xyz)
-        labels = [neural.best_class(model.class_names, p) for p in probs]
+        class_probs = neural.forward_bundle(model, batch.xyz)
+        labels = [neural.best_class(model.class_names, p) for p in class_probs]
     write_basic_windows(out_path, [(*span, label) for span, label in zip(spans, labels)])
-    if probs_path is not None:
-        rows = [[*span, *(f"{p:.9g}" for p in row)] for span, row in zip(spans, probs)]
-        tables.write_table(probs_path, ["window_start", "window_end", *model.class_names], rows)
+    if probs is not None:
+        rows = [[*span, *(f"{p:.9g}" for p in row)] for span, row in zip(spans, class_probs)]
+        tables.write_table(probs, ["window_start", "window_end", *model.class_names], rows)
     return {"windows": len(spans), "model": fmt}
 
 

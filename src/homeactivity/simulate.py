@@ -187,7 +187,6 @@ def _motion_signal(basic: str, t: np.ndarray) -> np.ndarray:
 def synth_motion(
     basic: str,
     duration_ms: int,
-    period_ms: int = DEFAULT_PERIOD_MS,
     noise: NoiseSpec = QUIET,
     start_ts: int = 0,
     subject_id: str = "sim",
@@ -195,16 +194,16 @@ def synth_motion(
     window_len: int = DEFAULT_WINDOW_LEN,
 ) -> SampleSeries:
     """Synthesize one activity block of at least one window of window_len
-    samples; dropout may delete samples."""
-    if duration_ms < window_len * period_ms:
+    samples, one every DEFAULT_PERIOD_MS; dropout may delete samples."""
+    if duration_ms < window_len * DEFAULT_PERIOD_MS:
         raise ValueError(
             f"duration {duration_ms} ms is shorter than one window "
-            f"({window_len * period_ms} ms)"
+            f"({window_len * DEFAULT_PERIOD_MS} ms)"
         )
     if rng is None:
         rng = np.random.default_rng(noise.seed)
-    n = duration_ms // period_ms
-    ts = start_ts + period_ms * np.arange(n, dtype=np.int64)
+    n = duration_ms // DEFAULT_PERIOD_MS
+    ts = start_ts + DEFAULT_PERIOD_MS * np.arange(n, dtype=np.int64)
     t = (ts - start_ts) / 1000.0
     xyz = _motion_signal(basic, t)
     sigma = np.asarray(noise.gaussian_sigma)
@@ -214,7 +213,7 @@ def synth_motion(
         keep = rng.random(n) >= noise.dropout_prob
         keep[0] = True  # anchor the grid
         ts, xyz = ts[keep], xyz[keep]
-    return SampleSeries(subject_id=subject_id, period_ms=period_ms, ts=ts, values=xyz)
+    return SampleSeries(subject_id, DEFAULT_PERIOD_MS, ts, xyz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +337,7 @@ def calibrate_centroids(
     features a transient cannot fake (means, peak spacing, bins).
     """
     skip = 2
-    period_ms = round(1000 / filter_spec.sample_rate_hz)
+    period_ms = DEFAULT_PERIOD_MS  # of every synthesized series
     hop = max(1, round(window_len * (1 - overlap_frac)))
     n_samples = (windows_per_class + skip - 1) * hop + window_len
     # Lead length is a whole number of hops so the switch lands on a
@@ -347,31 +346,15 @@ def calibrate_centroids(
     feats_by_class = []
     for idx, basic in enumerate(classes):
         rng = np.random.default_rng([noise.seed, 7_000_001 + idx])
-        runs = [synth_motion(
-            basic,
-            n_samples * period_ms,
-            period_ms=period_ms,
-            noise=noise,
-            rng=rng,
-            window_len=window_len,
-        )]
+        runs = [synth_motion(basic, n_samples * period_ms, noise=noise, rng=rng,
+                             window_len=window_len)]
         boundary_ts = lead_n * period_ms
         for prev in classes:
             if prev == basic:
                 continue
-            head = synth_motion(
-                prev, boundary_ts, period_ms=period_ms, noise=noise, rng=rng,
-                window_len=window_len,
-            )
-            tail = synth_motion(
-                basic,
-                (hop + window_len) * period_ms,
-                period_ms=period_ms,
-                noise=noise,
-                start_ts=boundary_ts,
-                rng=rng,
-                window_len=window_len,
-            )
+            head = synth_motion(prev, boundary_ts, noise=noise, rng=rng, window_len=window_len)
+            tail = synth_motion(basic, (hop + window_len) * period_ms, noise=noise,
+                                start_ts=boundary_ts, rng=rng, window_len=window_len)
             runs.append(SampleSeries(
                 subject_id=head.subject_id,
                 period_ms=period_ms,

@@ -29,33 +29,34 @@ class InertialParseError(ValueError):
     """Raised for an inertial log line that does not parse."""
 
 
-class WindowEndError(SeriesError):
-    """Raised for a window that would end past the int64 clock; `sample`
-    is the index of the window's last sample in the series."""
+class SampleError(SeriesError):
+    """Raised for one sample: the first that holds a non-finite value, or
+    the last of a window that would end past the int64 clock. `ts` is its
+    timestamp."""
 
-    def __init__(self, message: str, sample: int):
+    def __init__(self, message: str, ts: int):
         super().__init__(message)
-        self.sample = sample
+        self.ts = ts
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Digital Butterworth low-pass design parameters."""
+    """Digital Butterworth low-pass parameters, designed per series (design)."""
 
     order: int = 3
     cutoff_hz: float = 3.0
-    sample_rate_hz: float = 20.0
 
-    def __post_init__(self):
+    def design(self, period_ms: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (b, a) for samples period_ms apart; the cutoff must
+        lie below that rate's Nyquist frequency."""
         if self.order < 1:
             raise ValueError(f"invalid order: {self.order}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"invalid sample rate: {self.sample_rate_hz}")
-        if not (0 < self.cutoff_hz < self.sample_rate_hz / 2):
+        rate = 1000 / period_ms
+        if not (0 < self.cutoff_hz < rate / 2):
             raise ValueError(
-                f"invalid cutoff: {self.cutoff_hz} Hz must lie in "
-                f"(0, {self.sample_rate_hz / 2}) Hz"
+                f"invalid cutoff: {self.cutoff_hz} Hz must lie in (0, {rate / 2}) Hz"
             )
+        return butter(self.order, self.cutoff_hz / (rate / 2))
 
 
 class _Channels:
@@ -99,7 +100,8 @@ class SampleSeries(_Channels):
         if not np.all(ts[1:] > ts[:-1]):  # np.diff would wrap in int64
             raise SeriesError("timestamps must be strictly increasing")
         if not np.all(np.isfinite(values)):
-            raise SeriesError("non-finite sample value")
+            first = np.argmin(np.isfinite(values).all(axis=1))
+            raise SampleError("non-finite sample value", int(ts[first]))
 
     def __len__(self) -> int:
         return int(self.ts.size)
@@ -239,20 +241,15 @@ def _lfilter_loop(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -
 def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     """Apply a causal digital Butterworth low-pass to each axis.
 
-    The filter is designed by bilinear transform (butter) and run
-    forward-only (lfilter). Initial conditions are set to the step steady
-    state of the first sample, so a constant signal passes through
-    unchanged from sample zero. Timestamps are preserved.
+    The filter is designed for the series' own sample rate by bilinear
+    transform (FilterSpec.design) and run forward-only (lfilter). Initial
+    conditions are set to the step steady state of the first sample, so a
+    constant signal passes through unchanged from sample zero. Timestamps
+    are preserved.
     """
     if not series.is_grid_aligned():
         raise SeriesError("series must be gapless and grid-aligned before filtering")
-    grid_rate = 1000.0 / series.period_ms
-    if abs(grid_rate - spec.sample_rate_hz) > 1e-6 * spec.sample_rate_hz:
-        raise SeriesError(
-            f"filter designed for {spec.sample_rate_hz} Hz but series is "
-            f"sampled at {grid_rate} Hz"
-        )
-    b, a = butter(spec.order, spec.cutoff_hz / (spec.sample_rate_hz / 2))
+    b, a = spec.design(series.period_ms)
     zi = lfilter_zi(b, a)
 
     return replace(series, values=np.column_stack(
@@ -272,7 +269,7 @@ def segment(
     (1 - overlap_frac)) clamped to >= 1; a trailing remainder shorter
     than window_len is dropped, and a piece shorter than one window
     gives none. A window that would end past 2^63 - 1 ms raises
-    WindowEndError.
+    SampleError.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be positive, got {window_len}")
@@ -288,7 +285,7 @@ def segment(
     last = rows + window_len - 1
     if rows.size and series.ts[last[-1]] > np.iinfo(np.int64).max - series.period_ms:
         end = int(series.ts[last[-1]]) + series.period_ms
-        raise WindowEndError(f"window end {end} lies outside the int64 range", int(last[-1]))
+        raise SampleError(f"window end {end} lies outside the int64 range", end - series.period_ms)
     # one piece: a strided slice keeps the stacks views of the series
     take = slice(0, rows.size * hop, hop) if len(pieces) == 1 else rows
     if rows.size:
@@ -336,7 +333,7 @@ def parse_inertial_line(line: str):
 _BLOCK_LINES = 16384
 
 
-def _load_inertial_lines(path, period_ms: int) -> list[SampleSeries]:
+def _load_inertial_lines(path) -> list[SampleSeries]:
     """Parse the log one line at a time.
 
     This is the reference reader: it accepts every form of the format
@@ -361,13 +358,13 @@ def _load_inertial_lines(path, period_ms: int) -> list[SampleSeries]:
     if not rows:
         raise SeriesError(f"{path}: line {lines + 1}: empty input")
     return [
-        SampleSeries(subject, period_ms, np.array(stamps, dtype=np.int64),
+        SampleSeries(subject, DEFAULT_PERIOD_MS, np.array(stamps, dtype=np.int64),
                      np.array(samples, dtype=np.float64))
         for subject, (stamps, samples) in rows.items()
     ]
 
 
-def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
+def _load_inertial_columnar(path) -> list[SampleSeries] | None:
     """Parse a plain single-subject log block by block with np.loadtxt.
 
     Each block must pass whole-block tests: ASCII without `\\r` or
@@ -415,22 +412,21 @@ def _load_inertial_columnar(path, period_ms: int) -> list[SampleSeries] | None:
         return None
     table = np.concatenate(blocks)
     try:
-        return [SampleSeries(subject, period_ms, table["ts"].copy(), table["v"].copy())]
+        return [SampleSeries(subject, DEFAULT_PERIOD_MS, table["ts"].copy(), table["v"].copy())]
     except SeriesError:
         return None
 
 
-def load_inertial(
-    path: str | Path, period_ms: int = DEFAULT_PERIOD_MS
-) -> list[SampleSeries]:
-    """Read an inertial log, returning one series per subject_id.
+def load_inertial(path: str | Path) -> list[SampleSeries]:
+    """Read an inertial log, returning one series per subject_id, each
+    sampled every DEFAULT_PERIOD_MS: the log carries no rate.
 
     Subjects are returned in order of first appearance; samples keep file
     order and must be strictly increasing in time per subject. A plain
     single-subject log is parsed in blocks; any other log, and any log
     with a line that does not parse, goes through the per-line reader.
     """
-    return _load_inertial_columnar(path, period_ms) or _load_inertial_lines(path, period_ms)
+    return _load_inertial_columnar(path) or _load_inertial_lines(path)
 
 
 def write_inertial(

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homeactivity import ambient, cli, fusion, labelling, occupancy, pipeline, simulate
@@ -38,7 +39,6 @@ SURFACE = {
         ("--config",): ("config", False, None, False),
         ("--order",): ("order", False, None, False),
         ("--cutoff-hz",): ("cutoff_hz", False, None, False),
-        ("--sample-rate-hz",): ("sample_rate_hz", False, None, False),
         ("--max-gap-ms",): ("max_gap_ms", False, None, False),
     },
     "segment": {
@@ -62,7 +62,6 @@ SURFACE = {
         ("--probs",): ("probs", False, None, False),
         ("--config",): ("config", False, None, False),
         ("--model",): ("model", False, None, False),
-        ("--window-len",): ("window_len", False, None, False),
         ("--overlap",): ("overlap", False, None, False),
     },
     "occupancy": {
@@ -116,7 +115,6 @@ SURFACE = {
         ("--model",): ("model", False, None, False),
         ("--order",): ("order", False, None, False),
         ("--cutoff-hz",): ("cutoff_hz", False, None, False),
-        ("--sample-rate-hz",): ("sample_rate_hz", False, None, False),
         ("--max-gap-ms",): ("max_gap_ms", False, None, False),
         ("--window-len",): ("window_len", False, None, False),
         ("--overlap",): ("overlap", False, None, False),
@@ -133,10 +131,10 @@ SURFACE = {
 ECHOED = {
     "simulate": {"days", "start_day_ms", "sigma", "dropout", "seed", "rules",
                  "tick_ms", "subject"},
-    "filter": {"order", "cutoff_hz", "sample_rate_hz", "max_gap_ms"},
+    "filter": {"order", "cutoff_hz", "max_gap_ms"},
     "segment": {"window_len", "overlap"},
     "features": {"window_len", "overlap", "gyro"},
-    "classify": {"model", "window_len", "overlap", "probs"},
+    "classify": {"model", "overlap", "probs"},
     "occupancy": {"timeout_ms"},
     "fuse": {"rules", "tick_ms", "min_still_ms"},
     "label": {"span", "priorities"},
@@ -144,7 +142,7 @@ ECHOED = {
     "report": {"timezone", "format"},
     "pipeline": {"script", "inertial", "events", "days", "start_day_ms", "sigma",
                  "dropout", "seed", "rules", "priorities", "model", "order",
-                 "cutoff_hz", "sample_rate_hz", "max_gap_ms", "window_len",
+                 "cutoff_hz", "max_gap_ms", "window_len",
                  "overlap", "span", "tick_ms", "min_still_ms", "timezone",
                  "subject", "timeout_ms"},
 }
@@ -340,6 +338,76 @@ class TestMinStillMs:
             "error: min_still_ms must not be negative, got -1")
         assert not run.exists()
 
+
+class TestRateAndWindowComeFromTheInput:
+    """The filter is designed for the log's own sample rate and a bundle
+    classifies windows of its own length: neither is an option."""
+
+    @pytest.mark.parametrize("command, flag", [("filter", "--sample-rate-hz"),
+                                               ("pipeline", "--sample-rate-hz"),
+                                               ("classify", "--window-len")])
+    def test_flag_is_refused(self, command, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as refused:
+            cli.main(required_argv(command, tmp_path) + [flag, "20"])
+        assert refused.value.code == 2
+        assert f"unrecognized arguments: {flag} 20" in capsys.readouterr().err
+
+    def test_sample_rate_is_an_unknown_config_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"sample_rate_hz": 20.0})
+        assert cli.main(required_argv("filter", tmp_path) + ["--config", config]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {config}: unknown config keys ['sample_rate_hz']")
+
+    def test_pipeline_refuses_a_cutoff_at_nyquist_before_any_file(self, tmp_path, capsys):
+        script = tmp_path / "script.csv"
+        simulate.write_script(script, [simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Sit")])
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(script), "--out", str(run), "--cutoff-hz", "10"]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: invalid cutoff: 10.0 Hz must lie in (0, 10.0) Hz")
+        assert not run.exists()
+
+
+class TestFilterOverflow:
+    """A finite log whose repaired or filtered values overflow names the
+    first input line at or after the first non-finite value."""
+
+    @staticmethod
+    def write_log(path, values, skip=()):
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, v in enumerate(values):
+                if i not in skip:
+                    fh.write(f"s,,{50 * i},{v:.6f},0.000000,0.000000;\n")
+
+    def test_filtered_values(self, tmp_path, capsys):
+        from scipy import signal
+
+        x = np.r_[np.zeros(10), np.full(30, 1.7e308)]
+        log, out = tmp_path / "log.csv", tmp_path / "filtered.csv"
+        self.write_log(log, x)
+        b, a = signal.butter(3, 3.0 / (20.0 / 2))
+        with np.errstate(all="ignore"):
+            y, _ = signal.lfilter(b, a, x, zi=signal.lfilter_zi(b, a) * x[0])
+        first = int(np.flatnonzero(~np.isfinite(y))[0])
+        assert first >= 10
+        assert cli.main(["filter", "--in", str(log), "--out", str(out)]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {log}: line {first + 1}: non-finite sample value")
+        assert not out.exists()
+
+    def test_values_filled_into_a_hole(self, tmp_path, capsys):
+        """Line 11 is -1.7e308 and line 12, one missing sample later, is
+        +1.7e308: the sample filled between them is the first to overflow."""
+        x = np.r_[np.zeros(10), -1.7e308, 0.0, 1.7e308, np.zeros(10)]
+        log, out = tmp_path / "log.csv", tmp_path / "filtered.csv"
+        self.write_log(log, x, skip={11})
+        assert cli.main(["filter", "--in", str(log), "--out", str(out)]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {log}: line 12: non-finite sample value")
+        assert not out.exists()
+
+
 class TestDispatch:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -385,10 +453,11 @@ def test_commands_without_a_runner_pass_their_options_by_name():
     on: `logged`, the log it reads, and `hand_on`, to return the log it
     writes."""
     plain = {name: c for name, c in cli.COMMANDS.items() if c.run is None}
-    assert set(cli.COMMANDS) - set(plain) == {"simulate", "classify", "pipeline"}
+    assert set(cli.COMMANDS) - set(plain) == {"simulate", "pipeline"}
     for name, command in plain.items():
         params = inspect.signature(getattr(pipeline, f"stage_{name}")).parameters
-        handed = {"filter": ["logged", "hand_on"], "features": ["logged"]}.get(name, [])
+        handed = {"filter": ["logged", "hand_on"], "features": ["logged"],
+                  "classify": ["logged"]}.get(name, [])
         assert list(params)[len(command.files):] == [*command.options, *command.own,
                                                      *handed], name
         assert all(params[key].kind is inspect.Parameter.KEYWORD_ONLY for key in handed)

@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 
 from homeactivity import cli, simulate, timeseries
 from homeactivity.timeseries import (
-    DEFAULT_PERIOD_MS,
     SampleSeries,
     SeriesError,
     load_inertial,
@@ -44,7 +43,7 @@ def oracle_write(path, series, append=False):
 
 def outcome(reader, path):
     try:
-        return reader(path, DEFAULT_PERIOD_MS)
+        return reader(path)
     except Exception as exc:  # the exception itself is the outcome compared
         return type(exc), str(exc)
 
@@ -70,7 +69,7 @@ def assert_readers_agree(path, block=timeseries._BLOCK_LINES):
 
 def takes_block_path(path, block=timeseries._BLOCK_LINES) -> bool:
     with block_lines(block):
-        return timeseries._load_inertial_columnar(path, DEFAULT_PERIOD_MS) is not None
+        return timeseries._load_inertial_columnar(path) is not None
 
 
 subjects = st.text(

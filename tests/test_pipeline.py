@@ -91,7 +91,7 @@ def chain(tmp_path_factory, default_rules, quiet_model):
     pipeline.stage_features(d / "filtered.csv", d / "features.csv")
     neural.save_centroids(d / "model.json", quiet_model)
     model = pipeline.load_model(d / "model.json")
-    pipeline.stage_classify(d / "features.csv", model, d / "basic.csv")
+    pipeline.stage_classify(d / "features.csv", d / "basic.csv", model)
     pipeline.stage_occupancy(d / "events.ndjson", d / "intervals.csv")
     pipeline.stage_fuse(
         d / "basic.csv", d / "intervals.csv", d / "derived.csv", default_rules
@@ -248,8 +248,8 @@ class TestBundleClassify:
         bundle = neural.make_default_bundle(("a", "b"), seed=3)
         neural.save_bundle(tmp_path / "b.json", bundle)
         info = pipeline.stage_classify(
-            tmp_path / "log.csv", pipeline.load_model(tmp_path / "b.json"),
-            tmp_path / "out.csv", probs_path=tmp_path / "probs.csv",
+            tmp_path / "log.csv", tmp_path / "out.csv", pipeline.load_model(tmp_path / "b.json"),
+            probs=tmp_path / "probs.csv",
         )
         assert info == {"windows": 17, "model": neural.BUNDLE_FORMAT}
         rows = pipeline.read_basic_windows(tmp_path / "out.csv")
@@ -263,8 +263,8 @@ class TestBundleClassify:
         neural.save_centroids(tmp_path / "c.json", quiet_model)
         with pytest.raises(PipelineError, match="requires a weights bundle"):
             pipeline.stage_classify(
-                chain / "features.csv", pipeline.load_model(tmp_path / "c.json"),
-                tmp_path / "out.csv", probs_path=tmp_path / "p.csv",
+                chain / "features.csv", tmp_path / "out.csv",
+                pipeline.load_model(tmp_path / "c.json"), probs=tmp_path / "p.csv",
             )
 
 
@@ -284,6 +284,29 @@ class TestMultiDay:
         ticks = fusion.read_derived(tmp_path / "t.csv")
         first, second = ticks[:144], ticks[144:]
         assert [(ts - MS_PER_DAY, d) for ts, d in second] == first
+
+    @pytest.mark.parametrize("overrun_s", [0, 1], ids=["touching", "overlapping"])
+    def test_days_may_touch_but_not_overlap(self, default_rules, tmp_path, overrun_s):
+        """The last entry may end where the next day's first starts; one
+        second more is refused before any file is written. A blank row
+        after it does not move the line named."""
+        script = tmp_path / "script.csv"
+        write_script(script, [
+            ScheduleEntry(3_600_000, 60_000, "Hall", "Sit"),
+            ScheduleEntry(MS_PER_DAY - 60_000, (3_660 + overrun_s) * 1000, "Hall", "Walk")])
+        script.write_text(script.read_text() + "\n")
+        paths = [tmp_path / name for name in ("i.csv", "e.ndjson", "t.csv")]
+        if overrun_s:
+            with pytest.raises(PipelineError) as refused:
+                pipeline.stage_simulate(script, *paths, QUIET, default_rules, days=2)
+            assert str(refused.value) == (f"{script}: line 3: entries overlap at clock "
+                                          "offset 3600000 ms of the next day")
+            assert not any(path.exists() for path in paths)
+        days = 1 if overrun_s else 2  # one day of any script overlaps nothing
+        logged = pipeline.stage_simulate(script, *paths, QUIET, default_rules, days=days,
+                                         hand_on=True)["logged"]
+        (series,) = timeseries.load_inertial(paths[0])
+        assert series_equal(logged, series)
 
 
 def run_cli(argv, capsys):
@@ -590,21 +613,26 @@ class TestCli:
         assert (tmp_path / "p.csv").read_text() == "window_start,window_end,a,b\n"
 
     def test_bundle_rejects_another_window_length_with_no_window(self, tmp_path, capsys):
-        code, err = self.classify_short_log(tmp_path, capsys, "--window-len", "200")
-        assert code == 1
-        assert self.error_line(err) == (f"error: {tmp_path / 'bundle.json'}: bundle takes "
-                                        "128-sample windows, not --window-len 200")
+        """classify cuts a bundle's windows at its input_len; it takes no
+        --window-len, so no other length can reach the bundle."""
+        with pytest.raises(SystemExit) as refused:
+            self.classify_short_log(tmp_path, capsys, "--window-len", "200")
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --window-len 200" in capsys.readouterr().err
+        assert not (tmp_path / "w.csv").exists()
 
     def test_bundle_window_length_is_checked_before_the_log_is_read(self, tmp_path,
                                                                    capsys):
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(self.small_bundle()))
-        code, err = run_cli(["classify", "--in", str(tmp_path / "absent.csv"), "--model",
-                             str(path), "--out", str(tmp_path / "w.csv"),
-                             "--window-len", "32"], capsys)
+        out = tmp_path / "run"
+        code, err = run_cli(["pipeline", "--inertial", str(tmp_path / "absent.csv"),
+                             "--events", str(tmp_path / "absent.ndjson"), "--model",
+                             str(path), "--out", str(out), "--window-len", "32"], capsys)
         assert code == 1
         assert self.error_line(err) == (f"error: {path}: bundle takes 128-sample "
                                         "windows, not --window-len 32")
+        assert not out.exists()
 
     def test_pipeline_checks_the_bundle_before_any_stage(self, chain, tmp_path, capsys):
         path = tmp_path / "bundle.json"
@@ -960,8 +988,10 @@ class TestHandOff:
         assert_same_files(auto, tmp_path / "hand")
 
     def test_a_log_the_reader_refuses_fails_as_by_hand(self, tmp_path, capsys):
-        """Days that overlap: a block running past midnight meets the next
-        day's first block. filter reads the log and names the line."""
+        """Days that overlap, a block running past midnight into the next
+        day's first, would make a log no reader takes: `pipeline` and
+        `simulate` by hand both refuse the script, naming the line of its
+        last entry, before either writes a file."""
         script = tmp_path / "script.csv"
         write_script(script, [ScheduleEntry(3_600_000, 60_000, "Hall", "Sit"),
                               ScheduleEntry(MS_PER_DAY - 60_000, 7_200_000, "Hall", "Walk")])
@@ -969,12 +999,10 @@ class TestHandOff:
         code, err = run_cli(["pipeline", "--script", str(script), "--out", str(auto),
                              "--days", "2"], capsys)
         assert code == 1
-        assert run_cli(["simulate", "--script", str(script), "--out", str(hand),
-                        "--days", "2"], capsys)[0] == 0
-        code, by_hand = run_cli(["filter", "--in", str(hand / "inertial.csv"),
-                                 "--out", str(hand / "filtered.csv")], capsys)
+        code, by_hand = run_cli(["simulate", "--script", str(script), "--out", str(hand),
+                                 "--days", "2"], capsys)
         assert code == 1
-        assert TestCli.error_line(err) == TestCli.error_line(by_hand).replace(
-            str(hand), str(auto))
-        assert "timestamps must be strictly increasing" in by_hand
-        assert_same_files(auto, hand)
+        assert TestCli.error_line(err) == TestCli.error_line(by_hand) == (
+            f"error: {script}: line 3: entries overlap at clock offset 3600000 ms "
+            "of the next day")
+        assert list(auto.iterdir()) == list(hand.iterdir()) == []

@@ -6,6 +6,7 @@ every coefficient, delay state and output sample to the same bits.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal
@@ -72,3 +73,26 @@ def test_sawtooth_matches_scipy(phases):
     wrapped = np.mod(phase, 2 * np.pi) == 2 * np.pi
     assert np.isnan(want[wrapped]).all()
     assert same_bits(got[~wrapped], want[~wrapped])
+
+
+@given(period_ms=st.integers(1, 200), order=ORDERS, frac=st.floats(0.01, 0.99),
+       x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
+@settings(max_examples=300, deadline=None)
+def test_lowpass_is_designed_for_the_series_rate(period_ms, order, frac, x):
+    """butterworth_lowpass designs its filter for the series' own sample
+    rate: any cutoff below that rate's Nyquist gives SciPy's bits, and
+    one at or above it is refused."""
+    nyquist = (1000 / period_ms) / 2
+    x = np.array(x)
+    series = timeseries.SampleSeries("s", period_ms, period_ms * np.arange(x.size),
+                                     np.column_stack([x, -x, 2 * x]))
+    cutoff = frac * nyquist
+    b, a = signal.butter(order, cutoff / ((1000 / period_ms) / 2))
+    with np.errstate(all="ignore"):
+        want = [signal.lfilter(b, a, v, zi=signal.lfilter_zi(b, a) * v[0])[0]
+                for v in series.values.T]
+    got = timeseries.butterworth_lowpass(series, timeseries.FilterSpec(order, cutoff))
+    assert same_bits(got.values, np.column_stack(want))
+    for refused in (nyquist, nyquist * (1 + frac)):
+        with pytest.raises(ValueError, match="invalid cutoff"):
+            timeseries.butterworth_lowpass(series, timeseries.FilterSpec(order, refused))
