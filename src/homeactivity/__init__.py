@@ -7,57 +7,44 @@ fuse everything into contextual activities (fusion), collapse the label
 stream into profiling windows (labelling), and aggregate behaviour
 (profiles). A scripted simulator (simulate) provides ground truth, and
 pipeline/cli chain the stages over files.
+
+Importing the package loads no module: each name below is imported from
+its module on first access. Only timeseries, features, neural and
+simulate need NumPy, so the context commands (occupancy, fuse, label,
+profile, report) run without it.
 """
 
-from .ambient import AmbientEvent, merge_streams, parse_event_line
-from .features import extract_all
-from .fusion import DerivedActivity, FusionRuleTable, derive_sleep, load_default_rules
-from .labelling import PriorityTable, label_window, windowize
-from .neural import CentroidModel, WeightsBundle, gru_cell_step, lstm_cell_step
-from .occupancy import Interval, detect_room_intervals, locate, resolve_single_person
-from .profiles import bouts, day_profile, interval_query, week_profile
-from .simulate import NoiseSpec, ScheduleEntry, generate_day, synth_motion
-from .timeseries import (
-    FilterSpec,
-    SampleSeries,
-    butterworth_lowpass,
-    interpolate_gaps,
-    segment,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientEvent",
-    "CentroidModel",
-    "DerivedActivity",
-    "FilterSpec",
-    "FusionRuleTable",
-    "Interval",
-    "NoiseSpec",
-    "PriorityTable",
-    "SampleSeries",
-    "ScheduleEntry",
-    "WeightsBundle",
-    "bouts",
-    "butterworth_lowpass",
-    "day_profile",
-    "derive_sleep",
-    "detect_room_intervals",
-    "extract_all",
-    "generate_day",
-    "gru_cell_step",
-    "interpolate_gaps",
-    "interval_query",
-    "label_window",
-    "load_default_rules",
-    "locate",
-    "lstm_cell_step",
-    "merge_streams",
-    "parse_event_line",
-    "resolve_single_person",
-    "segment",
-    "synth_motion",
-    "week_profile",
-    "windowize",
-]
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "ambient": ("AmbientEvent", "merge_streams", "parse_event_line"),
+        "features": ("extract_all",),
+        "fusion": ("DerivedActivity", "FusionRuleTable", "derive_sleep", "load_default_rules"),
+        "labelling": ("PriorityTable", "label_window", "windowize"),
+        "neural": ("CentroidModel", "WeightsBundle", "gru_cell_step", "lstm_cell_step"),
+        "occupancy": ("Interval", "detect_room_intervals", "locate", "resolve_single_person"),
+        "profiles": ("bouts", "day_profile", "interval_query", "week_profile"),
+        "simulate": ("NoiseSpec", "ScheduleEntry", "generate_day", "synth_motion"),
+        "timeseries": ("FilterSpec", "SampleSeries", "butterworth_lowpass",
+                       "interpolate_gaps", "segment"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,12 @@ restates what the input fixes: `filter` takes the log's sample rate and
 over config file over built-in defaults; the effective configuration is
 echoed to stderr at startup so runs are auditable. All outputs are
 deterministic given the same configuration and seed.
+
+The option defaults come from `defaults`, so importing this module loads
+no NumPy: only the inertial commands (simulate, filter, segment,
+features, classify, pipeline) import the numeric modules, when they run,
+and the context commands (occupancy, fuse, label, profile, report) run
+without them.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 from zoneinfo import ZoneInfo
 
-from . import fusion, labelling, neural, pipeline, simulate, tables, timeseries
+from . import defaults, fusion, labelling, pipeline, tables
 
 
 class Option(NamedTuple):
@@ -37,11 +43,11 @@ class Option(NamedTuple):
 
 
 OPTIONS = {
-    "order": Option(int, 3),
-    "cutoff_hz": Option(float, 3.0),
-    "max_gap_ms": Option(int, timeseries.DEFAULT_MAX_GAP_MS),
-    "window_len": Option(int, timeseries.DEFAULT_WINDOW_LEN),
-    "overlap": Option(float, timeseries.DEFAULT_OVERLAP),
+    "order": Option(int, defaults.DEFAULT_ORDER),
+    "cutoff_hz": Option(float, defaults.DEFAULT_CUTOFF_HZ),
+    "max_gap_ms": Option(int, defaults.DEFAULT_MAX_GAP_MS),
+    "window_len": Option(int, defaults.DEFAULT_WINDOW_LEN),
+    "overlap": Option(float, defaults.DEFAULT_OVERLAP),
     "span": Option(int, 2),
     "timezone": Option(str, "UTC"),
     "sigma": Option(str, "0", "gaussian sigma, scalar or x,y,z"),
@@ -111,7 +117,9 @@ def _effective(args: argparse.Namespace, keys) -> dict:
     return eff
 
 
-def _noise(sigma: str, dropout: float, seed: int) -> simulate.NoiseSpec:
+def _noise(sigma: str, dropout: float, seed: int):
+    from . import simulate
+
     return simulate.NoiseSpec(
         gaussian_sigma=_parse_sigma(sigma), dropout_prob=dropout, seed=seed)
 
@@ -153,7 +161,6 @@ def _run(name: str, eff: dict, *files, **given) -> dict:
 
 def _simulate(eff, script, out, **given) -> dict:
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     return pipeline.stage_simulate(
         script, out / "inertial.csv", out / "events.ndjson", out / "truth_derived.csv",
         _noise(eff["sigma"], eff["dropout"], eff["seed"]), eff["rules"], days=eff["days"],
@@ -166,18 +173,21 @@ def _run_pipeline(eff, out) -> None:
     """The stage commands chained over fixed file names in one directory.
     Each inertial log is handed from the stage that writes it to the stages
     that read it, as that log reads back (see the pipeline docstring)."""
+    from . import neural, simulate, timeseries
+
     eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
     spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"])
     spec.design(timeseries.DEFAULT_PERIOD_MS)  # the rate of every log the stages read
     noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # all checked before any stage
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
 
     inertial, events, logged = eff["inertial"], eff["events"], None
-    if eff["script"]:
+    if eff["script"]:  # simulate makes `out` once the script passes its checks
         inertial, events = out / "inertial.csv", out / "events.ndjson"
         logged = _run("simulate", eff, eff["script"], out, hand_on=True).get("logged")
-    elif not (inertial and events):
+    elif inertial and events:
+        out.mkdir(parents=True, exist_ok=True)
+    else:
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
     logged = _run("filter", eff, inertial, out / "filtered.csv", logged=logged,
                   hand_on=True).get("logged")

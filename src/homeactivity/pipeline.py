@@ -19,26 +19,24 @@ timeseries.as_logged gives each value exactly as its `%.6f` text parses,
 so the stages see the same floats, and write the same bytes, as when run
 by hand; errors still name the input file and its line. The stage
 commands do not ask, so they hold no second copy of a log.
+
+Only the context modules are imported with this one. The inertial stages
+(simulate, filter, segment, features, classify and load_model) import
+timeseries, features, neural, simulate and NumPy when they are called,
+so the context stages (occupancy, fuse, label, profile, report) run
+without NumPy.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import (
-    ambient,
-    features,
-    fusion,
-    labelling,
-    neural,
-    occupancy,
-    profiles,
-    simulate,
-    tables,
-    timeseries,
-)
+from . import ambient, defaults, fusion, labelling, occupancy, profiles, tables
 
-MS_PER_DAY = simulate.MS_PER_DAY
+if TYPE_CHECKING:
+    from . import neural, simulate, timeseries
+
 BASIC_WINDOW_COLUMNS = ("window_start", "window_end", "label")
 
 
@@ -51,6 +49,8 @@ def _single_series(path, logged=None) -> timeseries.SampleSeries:
     log as load_inertial reads it."""
     if logged is not None:
         return logged
+    from . import timeseries
+
     series = timeseries.load_inertial(path)
     if len(series) != 1:
         subjects = ", ".join(s.subject_id for s in series)
@@ -68,6 +68,8 @@ def _line_of(path, index: int) -> int:
 
 def _located(path, series, exc: timeseries.SampleError) -> PipelineError:
     """exc behind the line of the log's first sample at or after exc.ts."""
+    import numpy as np
+
     line = _line_of(path, int(np.searchsorted(series.ts, exc.ts)))
     return PipelineError(f"{path}: line {line}: {exc}")
 
@@ -75,6 +77,8 @@ def _located(path, series, exc: timeseries.SampleError) -> PipelineError:
 def _windows(path, window_len: int, overlap: float, gyro: bool = False,
              logged=None) -> timeseries.WindowBatch:
     """segment() over the one series of a log; errors name the line."""
+    from . import timeseries
+
     series = _single_series(path, logged)
     if gyro and series.gyro is None:
         raise PipelineError(f"{path}: line {_line_of(path, 0)}: --gyro needs "
@@ -88,6 +92,10 @@ def _windows(path, window_len: int, overlap: float, gyro: bool = False,
 def _read_back(subject_id: str, pieces) -> timeseries.SampleSeries:
     """The log of `pieces`, each (ts, values as_logged) written one after
     another, as load_inertial reads it back."""
+    import numpy as np
+
+    from . import timeseries
+
     ts, values = zip(*pieces)
     return timeseries.SampleSeries(subject_id, timeseries.DEFAULT_PERIOD_MS,
                                    np.concatenate(ts), np.concatenate(values))
@@ -142,15 +150,19 @@ def stage_simulate(
     hand_on: bool = False,
 ) -> dict:
     """Run the daily script for `days` consecutive days and write the
-    inertial log, ambient event log, and ground-truth derived timeline;
-    days that overlap are refused first. With hand_on, `logged` is the
-    inertial log as it reads back."""
+    inertial log, ambient event log, and ground-truth derived timeline,
+    making their directories; days that overlap are refused first. With
+    hand_on, `logged` is the inertial log as it reads back."""
+    from . import simulate, timeseries
+
     if days < 1:
         raise PipelineError(f"days must be positive, got {days}")
     script = simulate.load_script(script_path)
-    if days > 1 and script[-1].clock_end_ms > MS_PER_DAY + script[0].clock_start_ms:
+    if days > 1 and script[-1].clock_end_ms > simulate.MS_PER_DAY + script[0].clock_start_ms:
         raise PipelineError(f"{script_path}: line {_line_of(script_path, -1)}: entries overlap "
                             f"at clock offset {script[0].clock_start_ms} ms of the next day")
+    for path in (out_inertial, out_events, out_truth):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     all_events = []
     truth = []
     handed = []  # (ts, values as_logged) of each day, once written
@@ -159,7 +171,7 @@ def stage_simulate(
             script,
             noise,
             rules,
-            day_start_ms=start_day_ms + day * MS_PER_DAY,
+            day_start_ms=start_day_ms + day * simulate.MS_PER_DAY,
             tick_ms=tick_ms,
             subject_id=subject_id,
         )
@@ -177,9 +189,9 @@ def stage_simulate(
 def stage_filter(
     in_path,
     out_path,
-    order: int = timeseries.FilterSpec.order,
-    cutoff_hz: float = timeseries.FilterSpec.cutoff_hz,
-    max_gap_ms: int = timeseries.DEFAULT_MAX_GAP_MS,
+    order: int = defaults.DEFAULT_ORDER,
+    cutoff_hz: float = defaults.DEFAULT_CUTOFF_HZ,
+    max_gap_ms: int = defaults.DEFAULT_MAX_GAP_MS,
     *,
     logged: timeseries.SampleSeries | None = None,
     hand_on: bool = False,
@@ -188,6 +200,8 @@ def stage_filter(
     place of reading it), the filter designed for the log's sample rate;
     gaps wider than max_gap_ms survive as timestamp jumps in the output.
     With hand_on, `logged` is the output as it reads back."""
+    from . import timeseries
+
     spec = timeseries.FilterSpec(order, cutoff_hz)
     series = _single_series(in_path, logged)
     handed = []  # (ts, values as_logged) of each piece, once written
@@ -207,8 +221,8 @@ def stage_filter(
 def stage_segment(
     in_path,
     out_path,
-    window_len: int = timeseries.DEFAULT_WINDOW_LEN,
-    overlap: float = timeseries.DEFAULT_OVERLAP,
+    window_len: int = defaults.DEFAULT_WINDOW_LEN,
+    overlap: float = defaults.DEFAULT_OVERLAP,
 ) -> dict:
     """Write the window plan (spans only) for a repaired log."""
     batch = _windows(in_path, window_len, overlap)
@@ -219,14 +233,16 @@ def stage_segment(
 def stage_features(
     in_path,
     out_path,
-    window_len: int = timeseries.DEFAULT_WINDOW_LEN,
-    overlap: float = timeseries.DEFAULT_OVERLAP,
+    window_len: int = defaults.DEFAULT_WINDOW_LEN,
+    overlap: float = defaults.DEFAULT_OVERLAP,
     gyro: bool = False,
     *,
     logged: timeseries.SampleSeries | None = None,
 ) -> dict:
     """Extract the feature rows of a filtered log (`logged`, if given, in
     place of reading it)."""
+    from . import features
+
     batch = _windows(in_path, window_len, overlap, gyro, logged)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
@@ -245,6 +261,8 @@ def load_model(path, window_len: int | None = None):
     """The centroid model or weights bundle in a model file, refused unless
     classify can feed it: rows of its feature layout, or windows of 3
     channels, of window_len samples when that is given."""
+    from . import features, neural
+
     doc = tables.read_json_object(path)
     fmt = doc.get("format", "")
     if fmt == neural.CENTROID_FORMAT:
@@ -269,7 +287,7 @@ def stage_classify(
     in_path,
     out_path,
     model: neural.CentroidModel | neural.WeightsBundle | None,
-    overlap: float = timeseries.DEFAULT_OVERLAP,
+    overlap: float = defaults.DEFAULT_OVERLAP,
     probs=None,
     *,
     logged: timeseries.SampleSeries | None = None,
@@ -280,6 +298,8 @@ def stage_classify(
     filtered inertial log (or takes it as `logged`) in windows of its
     input_len and can also write per-class probabilities to `probs`.
     """
+    from . import features, neural
+
     if not model:
         raise PipelineError("classify requires --model")
     if isinstance(model, neural.CentroidModel):

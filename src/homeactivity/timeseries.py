@@ -14,11 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import tables
-
-DEFAULT_PERIOD_MS = 50
-DEFAULT_WINDOW_LEN = 128
-DEFAULT_OVERLAP = 0.5
-DEFAULT_MAX_GAP_MS = 1000
+from .defaults import (
+    DEFAULT_CUTOFF_HZ,
+    DEFAULT_MAX_GAP_MS,
+    DEFAULT_ORDER,
+    DEFAULT_OVERLAP,
+    DEFAULT_PERIOD_MS,
+    DEFAULT_WINDOW_LEN,
+)
 
 
 class SeriesError(ValueError):
@@ -43,8 +46,8 @@ class SampleError(SeriesError):
 class FilterSpec:
     """Digital Butterworth low-pass parameters, designed per series (design)."""
 
-    order: int = 3
-    cutoff_hz: float = 3.0
+    order: int = DEFAULT_ORDER
+    cutoff_hz: float = DEFAULT_CUTOFF_HZ
 
     def design(self, period_ms: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients (b, a) for samples period_ms apart; the cutoff must

@@ -235,6 +235,26 @@ class TestOneSubparser:
         assert f"invalid choice: 'fusee' (choose from {choices})" in capsys.readouterr().err
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def write_context_inputs(where):
+    """An event log and a classified-window table for the context commands."""
+    events, windows = where / "events.ndjson", where / "windows.csv"
+    ambient.write_events(events, [
+        ambient.AmbientEvent(0, "pir", "Hall", True),
+        ambient.AmbientEvent(2_000, "relay", "tv", True),
+        ambient.AmbientEvent(9_000, "relay", "tv", False),
+        ambient.AmbientEvent(9_600, "pir", "Hall", False),
+    ])
+    pipeline.write_basic_windows(windows, [(0, 6400, "Sit"), (3200, 9600, "Sit")])
+    return events, windows
+
+
 def test_no_command_imports_scipy(tmp_path):
     """SciPy is a test oracle only: no command loads any of it, stairs and filter included."""
     script = tmp_path / "script.csv"
@@ -242,15 +262,7 @@ def test_no_command_imports_scipy(tmp_path):
         simulate.ScheduleEntry(21_600_000, 60_000, "Stairs", "StairUp"),
         simulate.ScheduleEntry(21_660_000, 60_000, "Stairs", "StairDown"),
     ])
-    events = tmp_path / "events.ndjson"
-    ambient.write_events(events, [
-        ambient.AmbientEvent(0, "pir", "Hall", True),
-        ambient.AmbientEvent(2_000, "relay", "tv", True),
-        ambient.AmbientEvent(9_000, "relay", "tv", False),
-        ambient.AmbientEvent(9_600, "pir", "Hall", False),
-    ])
-    windows = tmp_path / "windows.csv"
-    pipeline.write_basic_windows(windows, [(0, 6400, "Sit"), (3200, 9600, "Sit")])
+    events, windows = write_context_inputs(tmp_path)
     intervals, derived = tmp_path / "intervals.csv", tmp_path / "derived.csv"
     sim, run = tmp_path / "sim", tmp_path / "run"
     runs = [["occupancy", "--events", str(events), "--out", str(intervals)],
@@ -268,16 +280,51 @@ def test_no_command_imports_scipy(tmp_path):
         "    loaded.append('scipy' in sys.modules)\n"
         "print(loaded)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=False)
+                         env=child_env(), timeout=120, check=False)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == str([False] * (len(runs) + 1))
     assert len(fusion.read_derived(derived)) == 2
     assert (sim / "filtered.csv").stat().st_size > 0
     assert (run / "report.json").exists()
+
+
+NUMERIC = ("numpy", "homeactivity.timeseries", "homeactivity.features", "homeactivity.neural",
+           "homeactivity.simulate")
+
+
+def test_no_context_command_imports_numpy(tmp_path):
+    """Importing the package or the CLI, and running each context command
+    through cli.main, loads neither NumPy nor a module that needs it."""
+    events, windows = write_context_inputs(tmp_path)
+    intervals, derived, labels = (tmp_path / name for name in
+                                  ("intervals.csv", "derived.csv", "labels.csv"))
+    runs = [["occupancy", "--events", str(events), "--out", str(intervals)],
+            ["fuse", "--windows", str(windows), "--intervals", str(intervals),
+             "--out", str(derived)],
+            ["label", "--in", str(derived), "--out", str(labels)],
+            ["profile", "--in", str(labels), "--out", str(tmp_path / "report.json")],
+            ["report", "--in", str(labels), "--out", str(tmp_path / "report.csv"),
+             "--format", "csv"]]
+    code = (
+        "import sys\n"
+        f"numeric = {NUMERIC!r}\n"
+        "def loaded():\n"
+        "    return [name for name in numeric if name in sys.modules]\n"
+        "import homeactivity\n"
+        "seen = [loaded()]\n"
+        "from homeactivity import cli\n"
+        "seen.append(loaded())\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=child_env(), timeout=120, check=False)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str([[]] * (len(runs) + 2))
+    assert (tmp_path / "report.json").exists() and (tmp_path / "report.csv").exists()
 
 
 class TestTickMs:
@@ -461,6 +508,23 @@ def test_commands_without_a_runner_pass_their_options_by_name():
         assert list(params)[len(command.files):] == [*command.options, *command.own,
                                                      *handed], name
         assert all(params[key].kind is inspect.Parameter.KEYWORD_ONLY for key in handed)
+
+
+def test_stage_defaults_are_the_option_defaults():
+    """A stage run from Python defaults each option as the command does;
+    a time zone by its key."""
+    compared = set()
+    for name in dir(pipeline):
+        if not name.startswith("stage_"):
+            continue
+        for key, param in inspect.signature(getattr(pipeline, name)).parameters.items():
+            if key not in cli.OPTIONS or param.default is inspect.Parameter.empty:
+                continue
+            default = param.default.key if key == "timezone" else param.default
+            assert default == cli.OPTIONS[key].default, (name, key)
+            compared.add(key)
+    assert compared >= {"order", "cutoff_hz", "max_gap_ms", "window_len", "overlap",
+                        "tick_ms", "min_still_ms", "timezone", "days"}
 
 
 def write_config(where, doc) -> str:

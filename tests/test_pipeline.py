@@ -365,9 +365,12 @@ class TestCli:
         assert "classify requires --model" in err
 
     def test_pipeline_requires_a_source(self, tmp_path, capsys):
-        code, err = run_cli(["pipeline", "--out", str(tmp_path / "run")], capsys)
-        assert code == 1
-        assert "pipeline needs --script" in err
+        """Refused before `--out` is made."""
+        for given in ([], ["--inertial", "log.csv"]):
+            code, err = run_cli(["pipeline", "--out", str(tmp_path / "run"), *given], capsys)
+            assert code == 1
+            assert "pipeline needs --script" in err
+            assert not (tmp_path / "run").exists()
 
     @staticmethod
     def error_line(err: str) -> str:
@@ -991,7 +994,7 @@ class TestHandOff:
         """Days that overlap, a block running past midnight into the next
         day's first, would make a log no reader takes: `pipeline` and
         `simulate` by hand both refuse the script, naming the line of its
-        last entry, before either writes a file."""
+        last entry, before either makes its `--out` directory."""
         script = tmp_path / "script.csv"
         write_script(script, [ScheduleEntry(3_600_000, 60_000, "Hall", "Sit"),
                               ScheduleEntry(MS_PER_DAY - 60_000, 7_200_000, "Hall", "Walk")])
@@ -1005,4 +1008,4 @@ class TestHandOff:
         assert TestCli.error_line(err) == TestCli.error_line(by_hand) == (
             f"error: {script}: line 3: entries overlap at clock offset 3600000 ms "
             "of the next day")
-        assert list(auto.iterdir()) == list(hand.iterdir()) == []
+        assert not auto.exists() and not hand.exists()
