@@ -37,8 +37,3 @@ timeline += [(1_080_000 + i * 5_000, "Walking Outside") for i in range(24)]
 print("\n2-minute windows over a sitting stretch with one sip in it:")
 for w in labelling.windowize(timeline, 2, table):
     print(f"  [{w.start_ts:>7}, {w.end_ts:>7}) {w.label:<18} ({w.method})")
-
-# Ranks can also be derived from observed frequencies: the rarer the
-# activity, the higher its priority.
-counts = {"Sitting in Hall": 90, "Walking Outside": 24, "Drinking Activity": 6}
-print("\nranks from frequencies:", labelling.ranks_from_frequencies(counts))

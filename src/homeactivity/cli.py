@@ -244,14 +244,11 @@ COMMANDS = {
         "window labels to json or plot-ready csv", IN_OUT, ("timezone",), ("format",)),
 }
 
-# The stages `pipeline` runs: it takes their options, but not their own.
-PIPELINE_STAGES = ("simulate", "filter", "features", "classify", "occupancy", "fuse",
-                   "label", "profile")
-
+# `pipeline` takes every command's options, but not their own.
 COMMANDS["pipeline"] = Command(
     "chain every stage into a directory", {"out": "output directory"},
     ("script", "inertial", "events",
-     *dict.fromkeys(key for name in PIPELINE_STAGES for key in COMMANDS[name].options)),
+     *dict.fromkeys(key for command in COMMANDS.values() for key in command.options)),
     run=_run_pipeline,
 )
 

@@ -190,6 +190,21 @@ def derive_sleep(
     return out
 
 
+def fuse_ticks(ticks, contexts, rules: FusionRuleTable,
+               min_still_ms: int = DEFAULT_MIN_STILL_MS, tick_ms: int = DEFAULT_TICK_MS):
+    """The (ts, DerivedActivity) timeline of ordered (ts, basic) ticks in
+    their (room, appliances) `contexts`: derive_sleep, then the rule table,
+    asked once per distinct (basic, room, appliances)."""
+    fused = {}  # (basic, room, appliances) -> the rule table's answer
+    derived = []
+    for (ts, basic), (room, active) in zip(derive_sleep(ticks, min_still_ms, tick_ms), contexts):
+        key = (basic, room, active)
+        if key not in fused:
+            fused[key] = rules.fuse(basic, room, active)
+        derived.append((ts, fused[key]))
+    return derived
+
+
 def flag_stream(derived_timeline, tick_ms: int = DEFAULT_TICK_MS):
     """The non-Normal runs (see `runs`) as (start_ts, end_ts, flag) entries.
 

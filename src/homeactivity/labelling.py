@@ -155,17 +155,6 @@ def windowize(
     return out
 
 
-def ranks_from_frequencies(freq: dict[str, int]) -> dict[str, int]:
-    """Build ranks where rarer activities get higher priority.
-
-    Activities with equal counts share a rank; ranks are dense starting
-    at 1 for the least frequent activity.
-    """
-    by_count = sorted(set(freq.values()))
-    rank_of_count = {count: i + 1 for i, count in enumerate(by_count)}
-    return {name: rank_of_count[count] for name, count in freq.items()}
-
-
 def load_priorities(path: str | Path) -> PriorityTable:
     ranks: dict[str, int] = {}
     vocabulary: list[str] = []

@@ -23,7 +23,6 @@ candidate_activation="tanh" for the more common variant.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -134,31 +133,28 @@ def gru_cell_step(x, h_prev, W, U, b):
     return (1.0 - z) * h_prev + z * h_tilde
 
 
-def lstm_forward(
-    x, W, U, b, return_sequences=False, candidate_activation="sigmoid"
-):
-    """Run an LSTM over (..., steps, in_dim) input from zero initial state."""
+def _scan(x, units: int, states: int, return_sequences: bool, step):
+    """Step a recurrent layer over (..., steps, in_dim) input from zero
+    state: step(x_t, *state) returns the next state, its output h first."""
     x = np.asarray(x, dtype=np.float64)
-    units = np.asarray(b).shape[1]
-    h = np.zeros(x.shape[:-2] + (units,))
-    s = np.zeros(x.shape[:-2] + (units,))
+    state = [np.zeros(x.shape[:-2] + (units,)) for _ in range(states)]
     outputs = np.empty(x.shape[:-1] + (units,))
     for t in range(x.shape[-2]):
-        h, s = lstm_cell_step(x[..., t, :], h, s, W, U, b, candidate_activation)
-        outputs[..., t, :] = h
-    return outputs if return_sequences else h
+        state = step(x[..., t, :], *state)
+        outputs[..., t, :] = state[0]
+    return outputs if return_sequences else state[0]
+
+
+def lstm_forward(x, W, U, b, return_sequences=False, candidate_activation="sigmoid"):
+    """Run an LSTM over (..., steps, in_dim) input from zero initial state."""
+    return _scan(x, np.asarray(b).shape[1], 2, return_sequences,
+                 lambda x_t, h, s: lstm_cell_step(x_t, h, s, W, U, b, candidate_activation))
 
 
 def gru_forward(x, W, U, b, return_sequences=False):
     """Run a GRU over (..., steps, in_dim) input from zero initial state."""
-    x = np.asarray(x, dtype=np.float64)
-    units = np.asarray(b).shape[1]
-    h = np.zeros(x.shape[:-2] + (units,))
-    outputs = np.empty(x.shape[:-1] + (units,))
-    for t in range(x.shape[-2]):
-        h = gru_cell_step(x[..., t, :], h, W, U, b)
-        outputs[..., t, :] = h
-    return outputs if return_sequences else h
+    return _scan(x, np.asarray(b).shape[1], 1, return_sequences,
+                 lambda x_t, h: (gru_cell_step(x_t, h, W, U, b),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,9 +324,7 @@ def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
             for s in bundle.layers
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, doc)
 
 
 @contextmanager
@@ -474,9 +468,7 @@ def save_centroids(path: str | Path, model: CentroidModel) -> None:
         "centroids": model.centroids.tolist(),
         "scale": None if model.scale is None else model.scale.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, doc)
 
 
 def load_centroids(path: str | Path, doc: dict | None = None) -> CentroidModel:

@@ -11,14 +11,15 @@ What the input fixes is not an option: `filter` designs its low-pass for
 the rate of the series it filters (a log is read at DEFAULT_PERIOD_MS),
 and `classify` cuts a weights bundle's windows at its input_len.
 
-An inertial log is not read back within one `pipeline` run. Asked with
-`hand_on`, `simulate` and `filter` return the log they wrote as
-`logged`: the series that load_inertial would read from it. The next
+A log holds one subject. It is not read back within one `pipeline` run.
+Asked with `hand_on`, `simulate` and `filter` return the log they wrote
+as `logged`: the series that load_inertial would read from it. The next
 stage takes it under that keyword in place of reading its input file.
 timeseries.as_logged gives each value exactly as its `%.6f` text parses,
 so the stages see the same floats, and write the same bytes, as when run
 by hand; errors still name the input file and its line. The stage
-commands do not ask, so they hold no second copy of a log.
+commands do not ask, so they hold no second copy of a log. `fuse` fuses
+its ticks by the simulator's rule for its ground truth, fusion.fuse_ticks.
 
 Only the context modules are imported with this one. The inertial stages
 (simulate, filter, segment, features, classify and load_model) import
@@ -29,6 +30,7 @@ without NumPy.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -45,24 +47,17 @@ class PipelineError(ValueError):
 
 
 def _single_series(path, logged=None) -> timeseries.SampleSeries:
-    """The one series of the log at path; `logged` if given, which is that
-    log as load_inertial reads it."""
+    """The series of the log at path; `logged` if given, which is that log
+    as load_inertial reads it."""
     if logged is not None:
         return logged
     from . import timeseries
 
-    series = timeseries.load_inertial(path)
-    if len(series) != 1:
-        subjects = ", ".join(s.subject_id for s in series)
-        raise PipelineError(
-            f"{path}: expected a single subject, found {len(series)} ({subjects})"
-        )
-    return series[0]
+    return timeseries.load_inertial(path)[0]
 
 
 def _line_of(path, index: int) -> int:
-    """The number of the index-th non-blank line of a file: a one-subject
-    log's index-th sample, or with -1 the line a table's last row ends on."""
+    """The number of the line of a log's index-th sample."""
     return [n for n, text in enumerate(tables.read_lines(path), 1) if text.strip()][index]
 
 
@@ -87,18 +82,6 @@ def _windows(path, window_len: int, overlap: float, gyro: bool = False,
         return timeseries.segment(series, window_len, overlap)
     except timeseries.SampleError as exc:  # the window's last sample
         raise _located(path, series, exc) from None
-
-
-def _read_back(subject_id: str, pieces) -> timeseries.SampleSeries:
-    """The log of `pieces`, each (ts, values as_logged) written one after
-    another, as load_inertial reads it back."""
-    import numpy as np
-
-    from . import timeseries
-
-    ts, values = zip(*pieces)
-    return timeseries.SampleSeries(subject_id, timeseries.DEFAULT_PERIOD_MS,
-                                   np.concatenate(ts), np.concatenate(values))
 
 
 def write_basic_windows(path, windows) -> None:
@@ -159,13 +142,13 @@ def stage_simulate(
         raise PipelineError(f"days must be positive, got {days}")
     script = simulate.load_script(script_path)
     if days > 1 and script[-1].clock_end_ms > simulate.MS_PER_DAY + script[0].clock_start_ms:
-        raise PipelineError(f"{script_path}: line {_line_of(script_path, -1)}: entries overlap "
-                            f"at clock offset {script[0].clock_start_ms} ms of the next day")
+        raise PipelineError(f"{script_path}: line {tables.record_line(script_path, -1)}: entries "
+                            f"overlap at clock offset {script[0].clock_start_ms} ms of the next day")
     for path in (out_inertial, out_events, out_truth):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     all_events = []
     truth = []
-    handed = []  # (ts, values as_logged) of each day, once written
+    handed = []  # each day as_logged, once written
     for day in range(days):
         data = simulate.generate_day(
             script,
@@ -177,13 +160,13 @@ def stage_simulate(
         )
         timeseries.write_inertial(out_inertial, data.series, append=day > 0)
         if hand_on:
-            handed.append((data.series.ts, timeseries.as_logged(data.series.values)))
+            handed.append(replace(data.series, values=timeseries.as_logged(data.series.values)))
         all_events.append(data.events)
         truth.extend(data.derived_ticks)
     ambient.write_events(out_events, ambient.merge_streams(all_events))
     fusion.write_derived(out_truth, truth)
-    logged = _read_back(subject_id, handed) if hand_on else None
-    return {"days": days, "truth_ticks": len(truth), "logged": logged}
+    return {"days": days, "truth_ticks": len(truth),
+            "logged": timeseries.join(handed) if hand_on else None}
 
 
 def stage_filter(
@@ -204,18 +187,18 @@ def stage_filter(
 
     spec = timeseries.FilterSpec(order, cutoff_hz)
     series = _single_series(in_path, logged)
-    handed = []  # (ts, values as_logged) of each piece, once written
+    handed = []  # each piece as_logged, once written
     try:
         pieces = timeseries.interpolate_gaps(series, max_gap_ms)
         for i, piece in enumerate(pieces):
             filtered = timeseries.butterworth_lowpass(piece, spec)
             timeseries.write_inertial(out_path, filtered, append=i > 0)
             if hand_on:
-                handed.append((filtered.ts, timeseries.as_logged(filtered.values)))
+                handed.append(replace(filtered, values=timeseries.as_logged(filtered.values)))
     except timeseries.SampleError as exc:  # repaired or filtered values overflowed
         raise _located(in_path, series, exc) from None
-    logged = _read_back(series.subject_id, handed) if hand_on else None
-    return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces), "logged": logged}
+    return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces),
+            "logged": timeseries.join(handed) if hand_on else None}
 
 
 def stage_segment(
@@ -352,15 +335,8 @@ def stage_fuse(
     rooms = [iv for iv in intervals if iv.kind == "pir"]
     appliances = [iv for iv in intervals if iv.kind != "pir"]
     ticks = ticks_from_windows(basic_windows, tick_ms)
-    with_sleep = fusion.derive_sleep(ticks, min_still_ms=min_still_ms, tick_ms=tick_ms)
-    contexts = occupancy.context_sweep((ts for ts, _ in with_sleep), rooms, appliances)
-    fused = {}  # (basic, room, appliances) -> the rule table's answer
-    derived = []
-    for (ts, basic), (room, active) in zip(with_sleep, contexts):
-        key = (basic, room, active)
-        if key not in fused:
-            fused[key] = rules.fuse(basic, room, active)
-        derived.append((ts, fused[key]))
+    contexts = occupancy.context_sweep((ts for ts, _ in ticks), rooms, appliances)
+    derived = fusion.fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms)
     fusion.write_derived(out_path, derived)
     return {"ticks": len(derived)}
 
@@ -381,7 +357,13 @@ def _day_profiles(windows_path, tz):
     windows = labelling.read_window_labels(windows_path)
     if not windows:
         raise PipelineError(f"{windows_path}: no windows to profile")
-    return [profiles.day_profile(day, tz) for day in profiles.split_days(windows, tz)]
+    try:
+        days = profiles.split_days(windows, tz)
+    except profiles.DayBoundaryError as exc:
+        w, line = windows[exc.index], tables.record_line(windows_path, exc.index + 1)
+        raise PipelineError(f"{windows_path}: line {line}: window {w.start_ts}..{w.end_ts} "
+                            f"crosses midnight in {tz}: {exc}") from None
+    return [profiles.day_profile(day, tz) for day in days]
 
 
 def stage_profile(windows_path, out_path, timezone=profiles.UTC) -> dict:

@@ -8,18 +8,26 @@ add day-by-day occurrence booleans.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from zoneinfo import ZoneInfo
 
+from . import tables
 from .fusion import runs
 from .labelling import NO_DATA, WindowLabel
 
 UTC = ZoneInfo("UTC")
 
 DAY_BOUNDARY_ERROR = "split at day boundary first"
+
+
+class DayBoundaryError(ValueError):
+    """split_days' error: the window at `index` crosses local midnight."""
+
+    def __init__(self, index: int):
+        super().__init__(DAY_BOUNDARY_ERROR)
+        self.index = index
 
 
 @dataclass(frozen=True, order=True)
@@ -102,10 +110,10 @@ def day_profile(window_labels, tz: ZoneInfo = UTC) -> DayProfile:
 def split_days(window_labels, tz: ZoneInfo = UTC) -> list[list[WindowLabel]]:
     """Group ordered windows by local calendar day, preserving order."""
     groups: dict[date, list[WindowLabel]] = {}
-    for w in window_labels:
+    for index, w in enumerate(window_labels):
         start_day = _local(w.start_ts, tz).date()
         if _local(w.end_ts - 1, tz).date() != start_day:
-            raise ValueError(DAY_BOUNDARY_ERROR)
+            raise DayBoundaryError(index)
         groups.setdefault(start_day, []).append(w)
     return [groups[d] for d in sorted(groups)]
 
@@ -172,6 +180,4 @@ def week_report(week: WeekProfile) -> dict:
 
 
 def write_report_json(path: str | Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(path, doc, indent=2)

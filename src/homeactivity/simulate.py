@@ -13,14 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tables
+from . import fusion, tables
 from .ambient import APPLIANCES, ROOMS, AmbientEvent
 from .features import extract_all, layout_for
-from .fusion import (
-    DEFAULT_TICK_MS,
-    FusionRuleTable,
-    derive_sleep,
-)
+from .fusion import DEFAULT_TICK_MS, FusionRuleTable
 from .neural import CentroidModel
 from .timeseries import (
     DEFAULT_OVERLAP,
@@ -30,7 +26,9 @@ from .timeseries import (
     SampleSeries,
     butterworth_lowpass,
     interpolate_gaps,
+    join,
     segment,
+    window_hop,
 )
 
 # Sleep is derived from sustained lying, never scripted or classified.
@@ -296,18 +294,8 @@ def generate_day(
     events += _context_edges(prev_end, context, nobody)
     events.sort()
 
-    series = SampleSeries(
-        subject_id=subject_id,
-        period_ms=pieces[0].period_ms,
-        ts=np.concatenate([p.ts for p in pieces]),
-        values=np.vstack([p.values for p in pieces]),
-    )
-    with_sleep = derive_sleep(basic_ticks, tick_ms=tick_ms)
-    derived_ticks = [
-        (ts, rules.fuse(basic, room, appliances))
-        for (ts, basic), (room, appliances) in zip(with_sleep, tick_context)
-    ]
-    return DayData(series=series, events=events, derived_ticks=derived_ticks)
+    derived_ticks = fusion.fuse_ticks(basic_ticks, tick_context, rules, tick_ms=tick_ms)
+    return DayData(series=join(pieces), events=events, derived_ticks=derived_ticks)
 
 
 def calibrate_centroids(
@@ -338,7 +326,7 @@ def calibrate_centroids(
     """
     skip = 2
     period_ms = DEFAULT_PERIOD_MS  # of every synthesized series
-    hop = max(1, round(window_len * (1 - overlap_frac)))
+    hop = window_hop(window_len, overlap_frac)
     n_samples = (windows_per_class + skip - 1) * hop + window_len
     # Lead length is a whole number of hops so the switch lands on a
     # window start, as scripted transitions do on the tick grid.
@@ -355,12 +343,7 @@ def calibrate_centroids(
             head = synth_motion(prev, boundary_ts, noise=noise, rng=rng, window_len=window_len)
             tail = synth_motion(basic, (hop + window_len) * period_ms, noise=noise,
                                 start_ts=boundary_ts, rng=rng, window_len=window_len)
-            runs.append(SampleSeries(
-                subject_id=head.subject_id,
-                period_ms=period_ms,
-                ts=np.concatenate([head.ts, tail.ts]),
-                values=np.vstack([head.values, tail.values]),
-            ))
+            runs.append(join([head, tail]))
         feats = []
         for run_idx, run in enumerate(runs):
             rows = []

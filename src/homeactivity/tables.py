@@ -1,6 +1,7 @@
-"""The one place input files are opened for reading, and the one reader
+"""The one place input files are opened for reading, the one reader
 and writer of the stage CSV tables (a header row, then csv.writer rows
-ending in \\r\\n). Reader errors name the file and line: `<file>: line N: ...`."""
+ending in \\r\\n), and the one JSON reader and writer (sorted keys, a final
+newline). Reader errors name the file and line: `<file>: line N: ...`."""
 
 import csv
 import json
@@ -89,6 +90,13 @@ def read_table(path: str | Path, columns, convert, error=TableError) -> list:
     return out
 
 
+def record_line(path: str | Path, index: int) -> int:
+    """The line that a table's index-th non-blank record ends on, the
+    header being record 0, as read_table counts lines."""
+    reader = csv.reader(read_lines(path))
+    return [reader.line_num for fields in reader if fields][index]
+
+
 def read_json_object(path: str | Path) -> dict:
     """Parse a file holding one JSON object, read in one call; errors name
     the file and line."""
@@ -103,3 +111,10 @@ def read_json_object(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise TableError(f"{path}: expected a JSON object")
     return doc
+
+
+def write_json(path: str | Path, doc, indent: int | None = None) -> None:
+    """Write doc as JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")

@@ -260,6 +260,11 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     ))
 
 
+def window_hop(window_len: int, overlap_frac: float) -> int:
+    """Samples from one window's start to the next's."""
+    return max(1, round(window_len * (1 - overlap_frac)))
+
+
 def segment(
     series: SampleSeries,
     window_len: int = DEFAULT_WINDOW_LEN,
@@ -268,17 +273,16 @@ def segment(
     """Slice a series into fixed-length windows, never across a gap.
 
     Each gapless piece of the series (split_on_gaps) of n samples gives
-    floor((n - window_len) / hop) + 1 windows, hop = round(window_len *
-    (1 - overlap_frac)) clamped to >= 1; a trailing remainder shorter
-    than window_len is dropped, and a piece shorter than one window
-    gives none. A window that would end past 2^63 - 1 ms raises
-    SampleError.
+    floor((n - window_len) / hop) + 1 windows (hop: window_hop); a
+    trailing remainder shorter than window_len is dropped, and a piece
+    shorter than one window gives none. A window that would end past
+    2^63 - 1 ms raises SampleError.
     """
     if window_len < 1:
         raise ValueError(f"window_len must be positive, got {window_len}")
     if not (0 <= overlap_frac < 1):
         raise ValueError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
-    hop = max(1, round(window_len * (1 - overlap_frac)))
+    hop = window_hop(window_len, overlap_frac)
     pieces = split_on_gaps(series)
     first_rows, lo = [], 0
     for piece in pieces:
@@ -304,6 +308,12 @@ def segment(
     )
 
 
+def join(pieces) -> SampleSeries:
+    """The pieces, of one subject and period, as one series in order."""
+    return replace(pieces[0], ts=np.concatenate([p.ts for p in pieces]),
+                   values=np.concatenate([p.values for p in pieces]))
+
+
 def split_on_gaps(series: SampleSeries) -> list[SampleSeries]:
     """Split wherever consecutive timestamps differ from the nominal period."""
     breaks = np.flatnonzero(np.diff(series.ts) != series.period_ms)
@@ -314,9 +324,9 @@ def split_on_gaps(series: SampleSeries) -> list[SampleSeries]:
     ]
 
 
-# Line format, WISDM-compatible:
+# Line format, WISDM-compatible, one subject_id a log:
 #   subject_id,activity_hint,timestamp_ms,ax,ay,az[,gx,gy,gz];
-# The hint field may be empty and the trailing semicolon is optional.
+# The hint field may be empty; the `;` is optional where a line end follows.
 
 
 def parse_inertial_line(line: str):
@@ -340,35 +350,39 @@ def _load_inertial_lines(path) -> list[SampleSeries]:
     """Parse the log one line at a time.
 
     This is the reference reader: it accepts every form of the format
-    (several subjects, blank lines, CRLF, a missing or doubled `;`) and
-    is the path that names the file and line of its first bad line.
+    (blank lines, CRLF, a missing or doubled `;`) and is the path that
+    names the file and line of its first bad line, such as a second
+    subject's first line or a last line that may be cut.
     """
-    rows: dict[str, tuple[list, list]] = {}  # subject -> (timestamps, values)
+    subject, stamps, samples = None, [], []
 
     def add(line):
+        nonlocal subject
         if not line.strip():
             return
-        subject, _hint, ts, values = parse_inertial_line(line)
-        stamps, samples = rows.setdefault(subject, ([], []))
-        if samples and len(values) != len(samples[0]):
+        if not line.endswith(("\n", "\r")) and not line.rstrip().endswith(";"):
+            raise InertialParseError("last line lacks its `;` and line end: file may be cut")
+        name, _hint, ts, values = parse_inertial_line(line)
+        if subject is None:
+            subject = name
+        elif name != subject:
+            raise SeriesError(f"subject {name!r} after {subject!r}: a log holds one subject")
+        elif len(values) != len(samples[0]):
             raise SeriesError(f"subject {subject!r} mixes 6- and 9-field lines")
-        if stamps and ts <= stamps[-1]:
+        elif ts <= stamps[-1]:
             raise SeriesError("timestamps must be strictly increasing")
         stamps.append(ts)
         samples.append(values)
 
     lines = tables.parse_lines(path, add, InertialParseError)
-    if not rows:
+    if subject is None:
         raise SeriesError(f"{path}: line {lines + 1}: empty input")
-    return [
-        SampleSeries(subject, DEFAULT_PERIOD_MS, np.array(stamps, dtype=np.int64),
-                     np.array(samples, dtype=np.float64))
-        for subject, (stamps, samples) in rows.items()
-    ]
+    return [SampleSeries(subject, DEFAULT_PERIOD_MS, np.array(stamps, dtype=np.int64),
+                         np.array(samples, dtype=np.float64))]
 
 
 def _load_inertial_columnar(path) -> list[SampleSeries] | None:
-    """Parse a plain single-subject log block by block with np.loadtxt.
+    """Parse a plain log block by block with np.loadtxt.
 
     Each block must pass whole-block tests: ASCII without `\\r` or
     `\\x1c`-`\\x1f`, one subject prefix, a constant width of 6 or 9
@@ -421,13 +435,12 @@ def _load_inertial_columnar(path) -> list[SampleSeries] | None:
 
 
 def load_inertial(path: str | Path) -> list[SampleSeries]:
-    """Read an inertial log, returning one series per subject_id, each
-    sampled every DEFAULT_PERIOD_MS: the log carries no rate.
+    """Read an inertial log of one subject, returning its one series in
+    a list, sampled every DEFAULT_PERIOD_MS: the log carries no rate.
 
-    Subjects are returned in order of first appearance; samples keep file
-    order and must be strictly increasing in time per subject. A plain
-    single-subject log is parsed in blocks; any other log, and any log
-    with a line that does not parse, goes through the per-line reader.
+    Samples keep file order and must be strictly increasing in time. A
+    plain log is parsed in blocks; any other log, and any log with a
+    line that does not parse, goes through the per-line reader.
     """
     return _load_inertial_columnar(path) or _load_inertial_lines(path)
 

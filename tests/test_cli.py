@@ -455,6 +455,38 @@ class TestFilterOverflow:
         assert not out.exists()
 
 
+class TestWindowAcrossMidnight:
+    """`profile` and `report` name the line of the first window that
+    crosses local midnight, and the zone."""
+
+    @pytest.mark.parametrize("command", ["profile", "report"])
+    def test_utc(self, command, tmp_path, capsys):
+        labels, day = tmp_path / "labels.csv", 86_400_000
+        labelling.write_window_labels(labels, [
+            labelling.WindowLabel(day - 240_000, day - 120_000, "Sit", "frequency"),
+            labelling.WindowLabel(day - 60_000, day + 60_000, "Sit", "frequency"),
+        ])
+        assert cli.main([command, "--in", str(labels), "--out", str(tmp_path / "r")]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {labels}: line 3: window 86340000..86460000 crosses midnight in UTC: "
+            "split at day boundary first")
+
+    def test_line_is_counted_as_the_table_reader_counts(self, tmp_path, capsys):
+        """A quoted label spans two lines, so the second record ends on
+        line 4; local midnight in Asia/Kolkata (UTC+5:30) is 18:30 UTC."""
+        labels, midnight = tmp_path / "labels.csv", 66_600_000
+        labelling.write_window_labels(labels, [
+            labelling.WindowLabel(0, 120_000, "Sitting\nin Hall", "frequency"),
+            labelling.WindowLabel(midnight - 60_000, midnight + 60_000, "Sit", "frequency"),
+        ])
+        argv = ["profile", "--in", str(labels), "--out", str(tmp_path / "r"),
+                "--timezone", "Asia/Kolkata"]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {labels}: line 4: window 66540000..66660000 crosses midnight in "
+            "Asia/Kolkata: split at day boundary first")
+
+
 class TestDispatch:
     @pytest.fixture
     def calls(self, monkeypatch):

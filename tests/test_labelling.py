@@ -12,7 +12,6 @@ from homeactivity.labelling import (
     label_window,
     load_default_priorities,
     load_priorities,
-    ranks_from_frequencies,
     read_window_labels,
     windowize,
     write_window_labels,
@@ -116,11 +115,6 @@ class TestWindowize:
                     (10_000, "Grooming")]
         got = windowize(timeline, 2, table)
         assert got[0].label == "Walking Outside"
-
-
-def test_ranks_from_frequencies_are_dense_and_rarity_ordered():
-    ranks = ranks_from_frequencies({"walk": 120, "drink": 3, "sit": 120, "tv": 40})
-    assert ranks == {"drink": 1, "tv": 2, "walk": 3, "sit": 3}
 
 
 class TestPriorityFiles:

@@ -198,8 +198,10 @@ class TestStageGuards:
                 values=np.ones((10, 3)),
             )
             timeseries.write_inertial(path, series, append=append)
-        with pytest.raises(PipelineError, match="expected a single subject"):
+        with pytest.raises(timeseries.SeriesError) as exc:
             pipeline.stage_filter(path, tmp_path / "out.csv")
+        assert str(exc.value) == (
+            f"{path}: line 11: subject 'b' after 'a': a log holds one subject")
 
     def test_log_shorter_than_a_window(self, tmp_path):
         series = timeseries.SampleSeries(

@@ -203,15 +203,12 @@ def test_cli_names_the_file_and_line(table, case, tmp_path, capsys):
     assert lines[0].startswith(f"error: {bad}: line {line}: "), lines[0]
 
 
-def _inertial(path, subjects):
-    """A 400-line (14 kB) inertial log, its subjects taking turns line by line."""
+def _inertial(path, first_semicolon=True):
+    """A 400-line (14 kB) inertial log; its first line may lack its `;`."""
     ts = 50 * np.arange(400, dtype=np.int64)
-    for i, subject in enumerate(subjects):
-        mine = ts[i::len(subjects)]
-        timeseries.write_inertial(path, SampleSeries(subject, 50, mine, np.ones((mine.size, 3))),
-                                  append=i > 0)
-    lines = path.read_bytes().splitlines(keepends=True)
-    path.write_bytes(b"".join(sorted(lines, key=lambda l: int(l.split(b",")[2]))))
+    timeseries.write_inertial(path, SampleSeries("s", 50, ts, np.ones((400, 3))))
+    if not first_semicolon:
+        path.write_bytes(path.read_bytes().replace(b";", b"", 1))
 
 
 # input kind -> (writer of a good file, command reading it), beyond MATRIX.
@@ -222,13 +219,13 @@ INPUTS = {
         lambda t, bad: ["occupancy", "--events", bad],
     ),
     "inertial": (
-        lambda p: _inertial(p, ["s"]),
+        _inertial,
         lambda t, bad: ["filter", "--in", bad],
     ),
     # Its first block fails the columnar shape, so the per-line reader
     # meets the byte: it lies past the first 8 kB the decoder reads.
-    "inertial_two_subjects": (
-        lambda p: _inertial(p, ["a", "b"]),
+    "inertial_per_line": (
+        lambda p: _inertial(p, first_semicolon=False),
         lambda t, bad: ["filter", "--in", bad],
     ),
     "model": (

@@ -97,15 +97,30 @@ class TestInertialFormat:
         assert np.array_equal(back.ts, s.ts)
         np.testing.assert_allclose(back.xyz, s.xyz, atol=5e-7)
 
-    def test_subjects_split_in_first_seen_order(self, tmp_path):
+    def test_a_second_subject_is_refused_at_its_line(self, tmp_path):
         path = tmp_path / "log.csv"
-        path.write_text(
-            "b,,0,1,1,1;\n" "a,,0,2,2,2;\n" "b,,50,1,1,1;\n",
-            encoding="utf-8",
-        )
-        series = load_inertial(path)
-        assert [s.subject_id for s in series] == ["b", "a"]
-        assert len(series[0]) == 2 and len(series[1]) == 1
+        path.write_text("b,,0,1,1,1;\n\nb,,50,1,1,1;\na,,100,2,2,2;\n", encoding="utf-8")
+        with pytest.raises(SeriesError) as exc:
+            load_inertial(path)
+        assert str(exc.value) == (
+            f"{path}: line 4: subject 'a' after 'b': a log holds one subject")
+
+    def test_a_last_line_cut_inside_its_value_is_refused(self, tmp_path):
+        """`s,,50,1,2,3` with no line end may be cut from `s,,50,1,2,3.25;`."""
+        path = tmp_path / "log.csv"
+        path.write_text("s,,0,1,2,3;\ns,,50,1,2,3", encoding="utf-8")
+        with pytest.raises(InertialParseError) as exc:
+            load_inertial(path)
+        assert str(exc.value) == (
+            f"{path}: line 2: last line lacks its `;` and line end: file may be cut")
+
+    @pytest.mark.parametrize("text", ["s,,0,1,2,3\ns,,50,1,2,3\n", "s,,0,1,2,3\r\ns,,50,1,2,3;",
+                                      "s,,0,1,2,3;\ns,,50,1,2,3;"])
+    def test_a_line_ends_in_a_line_end_or_a_semicolon(self, text, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        (series,) = load_inertial(path)
+        assert series.ts.tolist() == [0, 50]
 
     def test_error_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
