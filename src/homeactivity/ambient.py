@@ -105,20 +105,7 @@ def write_events(path: str | Path, events) -> None:
 
 
 def merge_streams(streams) -> list[AmbientEvent]:
-    """Merge per-source event lists into one timeline.
-
-    Each input stream must already be non-decreasing in time; the merge
-    orders by (ts, kind, location) so simultaneous events from different
-    sources land in a stable, reproducible order.
-    """
-    streams = list(streams)
-    for idx, stream in enumerate(streams):
-        for pos, (prev, cur) in enumerate(zip(stream, stream[1:]), start=1):
-            if cur.ts < prev.ts:
-                raise EventParseError(
-                    f"stream {idx} is out of order at index {pos}: "
-                    f"ts {cur.ts} after {prev.ts}"
-                )
-    merged = [ev for stream in streams for ev in stream]
-    merged.sort()
-    return merged
+    """Merge per-source event lists, each in any order, into one timeline
+    ordered by (ts, kind, location, state), so simultaneous events from
+    different sources land in a stable, reproducible order."""
+    return sorted(ev for stream in streams for ev in stream)

@@ -90,12 +90,6 @@ class FusionRuleTable:
                 return rule.derived
         return self.default
 
-    def names(self) -> tuple[str, ...]:
-        """All derived names, in rule order, without duplicates."""
-        seen = dict.fromkeys(r.derived.name for r in self.rules)
-        seen.setdefault(self.default.name)
-        return tuple(seen)
-
 
 def _parse_rule_row(basic, room, appliance, name, flag) -> FusionRule:
     """One stripped row; empty basic, room and appliance are wildcards."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import tables
-from .ambient import EVENT_KINDS
+from .ambient import APPLIANCES, EVENT_KINDS, ROOMS
 
 DEFAULT_ROOM = "Outside"
 INTERVAL_COLUMNS = ("kind", "location", "start_ts", "end_ts", "truncated")
@@ -46,13 +46,12 @@ class Interval:
 def detect_intervals(
     events,
     kinds=EVENT_KINDS,
-    close_ts: int | None = None,
     timeout_ms: int | None = None,
 ) -> list[Interval]:
     """Run the open/close state machine for every matching sensor.
 
-    An interval still open when events run out is closed at close_ts
-    (default: the last matching event's timestamp) and flagged truncated.
+    An interval still open when events run out is closed at the last
+    matching event's timestamp and flagged truncated.
     With timeout_ms set, each 1 arms a deadline that many ms ahead; the
     interval closes at the deadline if nothing arrives first, which
     counts as a regular close, not a truncation.
@@ -63,8 +62,6 @@ def detect_intervals(
     if timeout_ms is not None and timeout_ms <= 0:
         raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
     relevant = sorted(ev for ev in events if ev.kind in kinds)
-    if close_ts is None and relevant:
-        close_ts = relevant[-1].ts
 
     out: list[Interval] = []
     open_start: dict[tuple, int] = {}
@@ -88,7 +85,8 @@ def detect_intervals(
         elif key in open_start:
             emit(key, ev.ts, truncated=False)
 
-    for key in sorted(open_start):
+    for key in sorted(open_start):  # an open key means `relevant` is not empty
+        close_ts = relevant[-1].ts
         if timeout_ms is not None and deadline[key] <= close_ts:
             emit(key, deadline[key], truncated=False)
         else:
@@ -189,6 +187,10 @@ def write_intervals(path: str | Path, intervals) -> None:
 
 
 def _interval(kind, location, start_ts, end_ts, truncated) -> Interval:
+    if kind == "pir" and location not in ROOMS:
+        raise ValueError(f"unknown room {location!r}")
+    if kind in ("relay", "force") and location not in APPLIANCES:
+        raise ValueError(f"unknown appliance {location!r}")
     return Interval(int(start_ts), int(end_ts), kind, location, bool(int(truncated)))
 
 

@@ -331,6 +331,10 @@ def stage_fuse(
     """Resample classified windows to ticks, apply the sleep rule, and
     fuse with room occupancy and appliance state."""
     basic_windows = read_basic_windows(windows_path)
+    for index, (_, _, label) in enumerate(basic_windows):
+        if label not in fusion.BASIC_ACTIVITIES:
+            line = tables.record_line(windows_path, index + 1)
+            raise PipelineError(f"{windows_path}: line {line}: unknown basic activity {label!r}")
     intervals = occupancy.read_intervals(intervals_path)
     rooms = [iv for iv in intervals if iv.kind == "pir"]
     appliances = [iv for iv in intervals if iv.kind != "pir"]
@@ -388,7 +392,7 @@ def stage_report(windows_path, out_path, timezone=profiles.UTC, format: str = "j
         for row in doc["activities"]:
             rows.append([doc["day"], row["label"], row["duration_ms"], f"{row['share']:.6f}"])
         if p.nodata_ms > 0:
-            share = p.nodata_ms / p.coverage_ms if p.coverage_ms else 0.0
+            share = p.nodata_ms / p.coverage_ms
             rows.append([doc["day"], labelling.NO_DATA, p.nodata_ms, f"{share:.6f}"])
     tables.write_table(out_path, ("day", "label", "duration_ms", "share"), rows)
     return {"days": len(days)}

@@ -53,8 +53,6 @@ class DayProfile:
         return self.coverage_ms - sum(self.duration_ms.values())
 
     def share(self, label: str) -> float:
-        if self.coverage_ms == 0:
-            return 0.0
         return self.duration_ms.get(label, 0) / self.coverage_ms
 
 

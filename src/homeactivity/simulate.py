@@ -57,8 +57,8 @@ class NoiseSpec:
             sigma = (float(sigma),) * 3
         sigma = tuple(float(s) for s in sigma)
         object.__setattr__(self, "gaussian_sigma", sigma)
-        if len(sigma) != 3 or any(s < 0 for s in sigma):
-            raise ValueError(f"invalid gaussian_sigma {sigma}")
+        if len(sigma) != 3 or not all(0 <= s < np.inf for s in sigma):
+            raise ValueError(f"gaussian_sigma must be three finite values >= 0, got {sigma}")
         if not (0 <= self.dropout_prob < 1):
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
 
@@ -304,7 +304,6 @@ def calibrate_centroids(
     window_len: int = DEFAULT_WINDOW_LEN,
     overlap_frac: float = DEFAULT_OVERLAP,
     windows_per_class: int = 200,
-    classes=CLASSIFIER_CLASSES,
 ) -> CentroidModel:
     """Average per-class features from matched-noise synthetic motion.
 
@@ -332,12 +331,12 @@ def calibrate_centroids(
     # window start, as scripted transitions do on the tick grid.
     lead_n = hop * max(2, -(-window_len // hop))
     feats_by_class = []
-    for idx, basic in enumerate(classes):
+    for idx, basic in enumerate(CLASSIFIER_CLASSES):
         rng = np.random.default_rng([noise.seed, 7_000_001 + idx])
         runs = [synth_motion(basic, n_samples * period_ms, noise=noise, rng=rng,
                              window_len=window_len)]
         boundary_ts = lead_n * period_ms
-        for prev in classes:
+        for prev in CLASSIFIER_CLASSES:
             if prev == basic:
                 continue
             head = synth_motion(prev, boundary_ts, noise=noise, rng=rng, window_len=window_len)
@@ -360,7 +359,7 @@ def calibrate_centroids(
     scale = np.maximum(pooled, 0.01 * spread)
     scale[scale == 0] = 1.0
     return CentroidModel(
-        class_names=tuple(classes),
+        class_names=CLASSIFIER_CLASSES,
         centroids=centroids,
         layout=layout_for(False),
         scale=scale,

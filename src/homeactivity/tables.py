@@ -67,6 +67,10 @@ def read_table(path: str | Path, columns, convert, error=TableError) -> list:
     reader = csv.reader(read_lines(path, error))
     out = []
     pick = None  # of the fields in `columns` order, once the header is read
+    # Two clauses, not one: the inner one locates a row's ValueError; the
+    # outer one catches only the csv.Error the reader raises between rows.
+    # read_lines' UTF-8 error is also a ValueError raised between rows, and
+    # it already names its line, so it must pass through unwrapped.
     try:
         # An empty file reads as an empty header; its line is 1.
         for fields in chain([next(reader, [])], reader):

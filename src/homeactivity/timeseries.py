@@ -474,35 +474,27 @@ _MICRO_EXACT = 2.0**53 / 1e6
 
 def as_logged(values: np.ndarray) -> np.ndarray:
     """values as write_inertial's `%.6f` text reads back: float("%.6f" % v)
-    of each value, bit for bit, computed as ±n / 1e6 in blocks of rows.
+    of each value, bit for bit, computed as rint(v·1e6) / 1e6 in blocks
+    of rows, which is np.round(v, 6).
 
-    n, the value's micro-units, is rint(|v|·1e6), except where that
-    product p is exactly a half-integer: there the exact product lies on
-    the side of p that the product's exact residual (Dekker's
-    two-product) shows, and only a residual of 0 is the true tie that
-    `%` and rint both round half to even. n and 1e6 are exact, so n / 1e6
-    is the correctly rounded quotient that parsing the text gives. The
-    sign is the value's sign bit, so -0.000000 reads back as -0.0. NaN,
-    infinities and |v| >= 2^53/1e6 take the formatter and parser.
+    Where the product p = v·1e6 is not exactly a half-integer, n = rint(p)
+    is the integer of the text with the point removed: rounding is
+    monotone, so p lies on the same side of each half-integer as the exact
+    product. n and 1e6 are exact, so n / 1e6 is the correctly rounded
+    quotient that parsing the text gives, and rint keeps the sign, so
+    -0.000000 reads back as -0.0. Exact ties in p, NaN, infinities and
+    |v| >= 2^53/1e6 take the formatter and parser.
     """
     values = np.asarray(values, dtype=np.float64)
     out = np.empty_like(values)
     for lo in range(0, len(values), _BLOCK_LINES):
         x = values[lo:lo + _BLOCK_LINES]
-        a = np.abs(x)
         with np.errstate(over="ignore", invalid="ignore"):  # wide values, redone below
-            p = a * 1e6
+            p = x * 1e6
             n = np.rint(p)
-            ties = np.abs(p - n) == 0.5
-        if ties.any():
-            a_tie, p_tie = a[ties], p[ties]
-            split = 134217729.0 * a_tie  # 2^27 + 1 splits a into two 26-bit halves
-            a_hi = split - (split - a_tie)
-            residual = (a_hi * 1e6 - p_tie) + (a_tie - a_hi) * 1e6  # exact: 1e6 fits 26 bits
-            n[ties] = np.where(residual == 0, n[ties], p_tie + np.copysign(0.5, residual))
+            slow = (np.abs(p - n) == 0.5) | ~(np.abs(x) < _MICRO_EXACT)
         block = out[lo:lo + _BLOCK_LINES]
-        block[:] = np.copysign(n / 1e6, x)
-        wide = ~(a < _MICRO_EXACT)
-        if wide.any():
-            block[wide] = [float("%.6f" % v) for v in x[wide].tolist()]
+        block[:] = n / 1e6
+        if slow.any():
+            block[slow] = [float("%.6f" % v) for v in x[slow].tolist()]
     return out

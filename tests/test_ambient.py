@@ -121,9 +121,9 @@ class TestMerge:
             ("pir", "Bedroom"), ("pir", "Kitchen"), ("relay", "tv"),
         ]
 
-    def test_unordered_stream_is_reported_with_position(self):
-        with pytest.raises(ValueError, match="stream 1 is out of order at index 1"):
-            merge_streams([[ev(0)], [ev(50), ev(10)]])
+    def test_out_of_order_streams_come_out_ordered(self):
+        merged = merge_streams([[ev(30)], [ev(50), ev(10)]])
+        assert [e.ts for e in merged] == [10, 30, 50]
 
 
 def test_known_sensor_universe():

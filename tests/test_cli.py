@@ -386,6 +386,21 @@ class TestMinStillMs:
         assert not run.exists()
 
 
+class TestNonFiniteSigma:
+    """A NaN or infinite --sigma is refused as the option, before --out is made."""
+
+    @pytest.mark.parametrize("command, sigma", [("simulate", "nan"), ("pipeline", "inf")])
+    def test_refused_before_any_file_is_refused_before_any_file(self, command, sigma, tmp_path, capsys):
+        script = tmp_path / "script.csv"
+        simulate.write_script(script, [simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Lie")])
+        run = tmp_path / "run"
+        argv = [command, "--script", str(script), "--out", str(run), "--sigma", sigma]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err).startswith(
+            "error: gaussian_sigma must be three finite values >= 0, got")
+        assert not run.exists()
+
+
 class TestRateAndWindowComeFromTheInput:
     """The filter is designed for the log's own sample rate and a bundle
     classifies windows of its own length: neither is an option."""

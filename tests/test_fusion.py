@@ -113,7 +113,7 @@ class TestRuleFiles:
         assert back.rules == table.rules
 
     def test_default_rules_cover_the_household(self, default_rules):
-        names = default_rules.names()
+        names = {rule.derived.name for rule in default_rules.rules}
         for expected in ("Sleeping in Kitchen", "Using Stairs", "Grooming",
                          "Walking Outside", "Drinking Activity"):
             assert expected in names

@@ -46,8 +46,8 @@ class TestDetect:
 
     def test_stream_end_truncates(self):
         events = [pir(0, "Hall", True), pir(4_000, "Kitchen", True),
-                  pir(6_000, "Kitchen", False)]
-        got = detect_intervals(events, close_ts=8_000)
+                  pir(6_000, "Kitchen", False), pir(8_000, "Kitchen", False)]
+        got = detect_intervals(events)
         assert Interval(0, 8_000, "pir", "Hall", truncated=True) in got
 
     def test_timeout_closes_quietly(self):
@@ -55,7 +55,7 @@ class TestDetect:
         the close does not count as a truncation."""
         events = [pir(0, "Hall", True), pir(60_000, "Kitchen", True),
                   pir(65_000, "Kitchen", False)]
-        got = detect_intervals(events, timeout_ms=10_000, close_ts=65_000)
+        got = detect_intervals(events, timeout_ms=10_000)
         assert got[0] == Interval(0, 10_000, "pir", "Hall", truncated=False)
 
     def test_activity_rearms_timeout(self):

@@ -29,6 +29,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(gaussian_sigma=(0.1, -0.1, 0.1))
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), (0.1, 0.1, float("-inf"))])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="gaussian_sigma must be three finite values"):
+            NoiseSpec(gaussian_sigma=sigma)
+
     def test_dropout_bounds(self):
         with pytest.raises(ValueError, match="dropout"):
             NoiseSpec(dropout_prob=1.0)

@@ -203,6 +203,23 @@ def test_cli_names_the_file_and_line(table, case, tmp_path, capsys):
     assert lines[0].startswith(f"error: {bad}: line {line}: "), lines[0]
 
 
+@pytest.mark.parametrize("table, row, reason", [
+    ("good_windows.csv", "6400,12800,Dance", "unknown basic activity 'Dance'"),
+    ("good_intervals.csv", "pir,Attic,0,9600,0", "unknown room 'Attic'"),
+    ("good_intervals.csv", "relay,toaster,2000,9000,0", "unknown appliance 'toaster'"),
+])
+def test_fuse_names_the_line_of_an_unknown_name(table, row, reason, tmp_path, capsys):
+    _companions(tmp_path)
+    bad = tmp_path / table
+    bad.write_bytes(bad.read_bytes() + row.encode() + b"\r\n")
+    lines = bad.read_bytes().count(b"\n")
+    argv = ["fuse", "--windows", str(tmp_path / "good_windows.csv"),
+            "--intervals", str(tmp_path / "good_intervals.csv"), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+    assert err == [f"error: {bad}: line {lines}: {reason}"]
+
+
 def _inertial(path, first_semicolon=True):
     """A 400-line (14 kB) inertial log; its first line may lack its `;`."""
     ts = 50 * np.arange(400, dtype=np.int64)
@@ -389,9 +406,12 @@ TABLES = {
         pipeline.write_basic_windows, pipeline.read_basic_windows, list, (TableError,),
     ),
     "intervals": (
-        st.lists(st.builds(lambda s, kind, loc, trunc: Interval(*s, kind, loc, trunc),
-                           spans(), st.sampled_from(EVENT_KINDS), TEXT, st.booleans()),
-                 max_size=5),
+        st.lists(st.builds(
+            lambda s, kind, room, appliance, trunc: Interval(
+                *s, kind, room if kind == "pir" else appliance, trunc),
+            spans(), st.sampled_from(EVENT_KINDS), st.sampled_from(ROOMS),
+            st.sampled_from(APPLIANCES), st.booleans(),
+        ), max_size=5),
         occupancy.write_intervals, occupancy.read_intervals, list, (TableError,),
     ),
     "derived": (
