@@ -10,7 +10,10 @@ restates what the input fixes: `filter` takes the log's sample rate and
 `classify` a bundle's window length. Option precedence is flags
 over config file over built-in defaults; the effective configuration is
 echoed to stderr at startup so runs are auditable. All outputs are
-deterministic given the same configuration and seed.
+deterministic given the same configuration and seed. `pipeline` without
+--model calibrates its centroid model in a forked child process beside
+its first stages (simulate.Calibration), and waits for it before
+classify.
 
 The option defaults come from `defaults`, so importing this module loads
 no NumPy: only the inertial commands (simulate, filter, segment,
@@ -172,30 +175,33 @@ def _simulate(eff, script, out, **given) -> dict:
 def _run_pipeline(eff, out) -> None:
     """The stage commands chained over fixed file names in one directory.
     Each inertial log is handed from the stage that writes it to the stages
-    that read it, as that log reads back (see the pipeline docstring)."""
+    that read it, as that log reads back (see the pipeline docstring).
+    Without --model, the centroid calibration begins in a child process
+    once the options pass their checks, and runs beside the stages up to
+    features; the run waits for it just before classify."""
     from . import neural, simulate, timeseries
 
     eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
     spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"])
     spec.design(timeseries.DEFAULT_PERIOD_MS)  # the rate of every log the stages read
     noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # all checked before any stage
-    out = Path(out)
-
-    inertial, events, logged = eff["inertial"], eff["events"], None
-    if eff["script"]:  # simulate makes `out` once the script passes its checks
-        inertial, events = out / "inertial.csv", out / "events.ndjson"
-        logged = _run("simulate", eff, eff["script"], out, hand_on=True).get("logged")
-    elif inertial and events:
-        out.mkdir(parents=True, exist_ok=True)
-    else:
+    if not (eff["script"] or (eff["inertial"] and eff["events"])):
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
-    logged = _run("filter", eff, inertial, out / "filtered.csv", logged=logged,
-                  hand_on=True).get("logged")
-    _run("features", eff, out / "filtered.csv", out / "features.csv", logged=logged)
-    if not eff["model"]:
-        eff["model"] = simulate.calibrate_centroids(
-            noise, spec, eff["window_len"], eff["overlap"])
-        neural.save_centroids(out / "centroids.json", eff["model"])
+    out = Path(out)
+    calibration = None if eff["model"] else simulate.Calibration(
+        noise, spec, eff["window_len"], eff["overlap"])
+    with calibration or contextlib.nullcontext():
+        inertial, events, logged = eff["inertial"], eff["events"], None
+        if eff["script"]:  # simulate makes `out` once the script passes its checks
+            inertial, events = out / "inertial.csv", out / "events.ndjson"
+            logged = _run("simulate", eff, eff["script"], out, hand_on=True).get("logged")
+        else:
+            out.mkdir(parents=True, exist_ok=True)
+        logged = _run("filter", eff, inertial, out / "filtered.csv", logged=logged,
+                      hand_on=True).get("logged")
+        _run("features", eff, out / "filtered.csv", out / "features.csv", logged=logged)
+        if calibration:
+            eff["model"] = pipeline.stage_calibrate(calibration, out / "centroids.json")["model"]
     if isinstance(eff["model"], neural.CentroidModel):
         _run("classify", eff, out / "features.csv", out / "basic_windows.csv")
     else:

@@ -21,6 +21,11 @@ by hand; errors still name the input file and its line. The stage
 commands do not ask, so they hold no second copy of a log. `fuse` fuses
 its ticks by the simulator's rule for its ground truth, fusion.fuse_ticks.
 
+The centroid model depends on the options alone, so `pipeline` without
+--model begins its calibration (simulate.Calibration) in a forked child
+before the first stage, and stage_calibrate, the one stage that no subcommand
+runs, waits for it before classify and writes centroids.json.
+
 Only the context modules are imported with this one. The inertial stages
 (simulate, filter, segment, features, classify and load_model) import
 timeseries, features, neural, simulate and NumPy when they are called,
@@ -233,6 +238,16 @@ def stage_features(
     layout = features.layout_for(gyro)
     features.write_features(out_path, matrix, spans, layout)
     return {"windows": len(batch), "layout": layout}
+
+
+def stage_calibrate(calibration: simulate.Calibration, out_path) -> dict:
+    """Wait for the centroid calibration begun before the first stage, and
+    write its model; `model` is that model."""
+    from . import neural
+
+    model = calibration.join()
+    neural.save_centroids(out_path, model)
+    return {"model": model}
 
 
 # Unused here; the benchmark's tracer still names it (bench/tracing.py).

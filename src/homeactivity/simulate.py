@@ -4,12 +4,18 @@ Motion generators are deliberately crude but well separated in feature
 space; they exist to give every pipeline stage a ground-truth oracle,
 not to imitate human biomechanics. All randomness flows from the
 NoiseSpec seed, so identical inputs reproduce identical bytes.
+Calibration runs calibrate_centroids in a forked child process.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -61,6 +67,8 @@ class NoiseSpec:
             raise ValueError(f"gaussian_sigma must be three finite values >= 0, got {sigma}")
         if not (0 <= self.dropout_prob < 1):
             raise ValueError(f"dropout_prob must lie in [0, 1), got {self.dropout_prob}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 QUIET = NoiseSpec()
@@ -364,3 +372,81 @@ def calibrate_centroids(
         layout=layout_for(False),
         scale=scale,
     )
+
+
+class Calibration:
+    """calibrate_centroids(*args), begun in a forked child where
+    os.fork exists, so that it runs beside the stages before classify;
+    where it does not, join() runs it in process.
+
+    The fork comes before any stage opens a file. The parent's only other
+    thread is OpenBLAS's pool, which shuts itself down across a fork
+    (pthread_atfork). The child sends its outcome back through a pipe and
+    leaves through os._exit, so it runs no exit handler and flushes none
+    of the parent's buffers. join() returns the model; it raises a
+    ValueError or OSError of the child's as a ValueError with its message,
+    and any other exception as a RuntimeError holding the child's
+    traceback. close() kills and reaps a child that was not joined; a
+    `with` block calls it on leaving.
+    """
+
+    def __init__(self, *args):
+        self.args, self.pid = args, None
+        if hasattr(os, "fork"):
+            read, write = os.pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                os.close(read)
+                _calibrate_into(write, args)
+            os.close(write)
+            self.pipe = read
+
+    def __enter__(self) -> Calibration:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def join(self) -> CentroidModel:
+        if self.pid is None:
+            return calibrate_centroids(*self.args)
+        chunks = []
+        while chunk := os.read(self.pipe, 1 << 16):
+            chunks.append(chunk)
+        outcome = b"".join(chunks)
+        _, status = os.waitpid(self.pid, 0)
+        os.close(self.pipe)
+        self.pid = None
+        if not outcome:
+            raise ValueError(
+                f"centroid calibration ended without a model (wait status {status})")
+        kind, value = pickle.loads(outcome)
+        if kind == "error":
+            raise ValueError(value)
+        if kind == "crash":
+            raise RuntimeError(f"centroid calibration failed in its child process:\n{value}")
+        return value
+
+    def close(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            os.close(self.pipe)
+            self.pid = None
+
+
+def _calibrate_into(fd: int, args) -> NoReturn:
+    """The calibrator child: calibrate, write the pickled outcome to fd, exit."""
+    code = 1
+    try:
+        try:
+            outcome = ("model", calibrate_centroids(*args))
+        except (ValueError, OSError) as exc:
+            outcome = ("error", str(exc))
+        except Exception:
+            outcome = ("crash", traceback.format_exc())
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)

@@ -452,47 +452,114 @@ def write_inertial(
 ) -> None:
     """Write one series as log lines, formatted and written in blocks.
 
-    `%.6f` and `f"{v:.6f}"` share one float formatter, so the bytes are
-    those of formatting each value on its own. A subject id that would
-    not read back unchanged is refused.
+    The bytes are those of formatting each line with the `%d` and `%.6f`
+    template, value by value. A block's text comes from the micro-units
+    of its values (_micro_units): their digits fill a (width, lines)
+    byte matrix, one row per character position, with a leading zero or
+    an absent sign set to _GONE, which the compacting of the block
+    deletes. A block that holds an exact tie, a value of magnitude
+    2^53/1e6 or more, or a negative timestamp is formatted by the
+    template. A subject id that would not read back unchanged is refused.
     """
     if any(c in series.subject_id for c in ",\r\n") or series.subject_id[:1].isspace():
         raise SeriesError(f"subject id {series.subject_id!r} cannot be logged: it holds a "
                           "comma or a line break, or starts with whitespace")
+    prefix = (series.subject_id + ",,").encode("utf-8")
     line = (series.subject_id.replace("%", "%%") + ",,%d"
             + ",%.6f" * series.values.shape[1] + ";\n")
-    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+    with open(path, "ab" if append else "wb") as fh:
         for lo in range(0, len(series), _BLOCK_LINES):
-            hi = lo + _BLOCK_LINES
-            columns = [series.ts[lo:hi].tolist(), *series.values[lo:hi].T.tolist()]
-            fh.write("".join([line % row for row in zip(*columns)]))
+            ts, values = series.ts[lo:lo + _BLOCK_LINES], series.values[lo:lo + _BLOCK_LINES]
+            text = _format_block(prefix, ts, values)
+            if text is None:
+                columns = [ts.tolist(), *values.T.tolist()]
+                text = "".join([line % row for row in zip(*columns)]).encode("utf-8")
+            fh.write(text)
+
+
+# A byte that UTF-8 text never holds: it marks a matrix cell that is no character.
+_GONE = 0xFF
+_POWERS = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _fill_digits(rows: np.ndarray, n: np.ndarray, pad: bool = False) -> None:
+    """The last d decimal digits of the non-negative integers n, as ASCII,
+    most significant first, into rows[0..d-1] (n's axes after the first).
+    Unless pad, the zeros that lead a shorter number are set to _GONE;
+    the last digit always stays."""
+    d = rows.shape[0]
+    ten = n.dtype.type(10)
+    q = n
+    for j in range(d - 1, -1, -1):
+        rest = q // ten
+        rows[j] = q - rest * ten
+        q = rest
+    rows += ord("0")
+    for j in range(0 if pad else d - 1):
+        rows[j][n < _POWERS[d - 1 - j].astype(n.dtype)] = _GONE
+
+
+def _format_block(prefix: bytes, ts: np.ndarray, values: np.ndarray) -> bytes | None:
+    """The log lines of one block, or None where the template must format it."""
+    n, slow = _micro_units(values)
+    if slow.any() or ts[0] < 0:  # ts increases: ts[0] is its least
+        return None
+    lines, k = values.shape
+    micro = np.abs(n).T.astype(np.uint64)  # (k, lines); |n| <= 2^53
+    stamp = ts.view(np.uint64)
+    ts_d = len(str(int(stamp[-1])))  # digits of the widest
+    int_d = len(str(int(micro.max()) // 1_000_000))
+    field = 3 + int_d + 6  # ",", the sign, the integer part, ".", 6 decimals
+    head = len(prefix) + ts_d
+    matrix = np.empty((head + k * field + 2, lines), np.uint8)
+    matrix[:len(prefix)] = np.frombuffer(prefix, np.uint8)[:, None]
+    _fill_digits(matrix[len(prefix):head], stamp)
+    cells = matrix[head:head + k * field].reshape(k, field, lines)
+    cells[:, 0] = ord(",")
+    cells[:, 1] = np.where(np.signbit(values).T, ord("-"), _GONE)
+    cells[:, 2 + int_d] = ord(".")
+    whole, frac = np.divmod(micro, np.uint64(1_000_000))
+    _fill_digits(cells[:, 2:2 + int_d].swapaxes(0, 1), whole)
+    _fill_digits(cells[:, 3 + int_d:].swapaxes(0, 1), frac.astype(np.uint32), pad=True)
+    matrix[-2:] = np.frombuffer(b";\n", np.uint8)[:, None]
+    return matrix.T.tobytes().translate(None, bytes([_GONE]))
 
 
 # Below this magnitude a value's micro-units are below 2^53, so exact in float64.
 _MICRO_EXACT = 2.0**53 / 1e6
 
 
+def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, slow): n = rint(x·1e6), the integer of x's `%.6f` text with the
+    point removed, and slow where it may not be: an exact tie in x·1e6,
+    NaN, an infinity, or |x| >= 2^53/1e6.
+
+    Where the product p = x·1e6 is not exactly a half-integer, rint(p) is
+    that integer: rounding is monotone, so p lies on the same side of each
+    half-integer as the exact product, and rint keeps the sign, so a value
+    that prints as -0.000000 gives -0.0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # wide values are slow
+        p = x * 1e6
+        n = np.rint(p)
+        slow = (np.abs(p - n) == 0.5) | ~(np.abs(x) < _MICRO_EXACT)
+    return n, slow
+
+
 def as_logged(values: np.ndarray) -> np.ndarray:
     """values as write_inertial's `%.6f` text reads back: float("%.6f" % v)
-    of each value, bit for bit, computed as rint(v·1e6) / 1e6 in blocks
-    of rows, which is np.round(v, 6).
+    of each value, bit for bit, computed as n / 1e6 of its micro-units n
+    (_micro_units) in blocks of rows, which is np.round(v, 6).
 
-    Where the product p = v·1e6 is not exactly a half-integer, n = rint(p)
-    is the integer of the text with the point removed: rounding is
-    monotone, so p lies on the same side of each half-integer as the exact
-    product. n and 1e6 are exact, so n / 1e6 is the correctly rounded
-    quotient that parsing the text gives, and rint keeps the sign, so
-    -0.000000 reads back as -0.0. Exact ties in p, NaN, infinities and
-    |v| >= 2^53/1e6 take the formatter and parser.
+    n and 1e6 are exact, so n / 1e6 is the correctly rounded quotient that
+    parsing the text gives. The values _micro_units calls slow take the
+    formatter and parser.
     """
     values = np.asarray(values, dtype=np.float64)
     out = np.empty_like(values)
     for lo in range(0, len(values), _BLOCK_LINES):
         x = values[lo:lo + _BLOCK_LINES]
-        with np.errstate(over="ignore", invalid="ignore"):  # wide values, redone below
-            p = x * 1e6
-            n = np.rint(p)
-            slow = (np.abs(p - n) == 0.5) | ~(np.abs(x) < _MICRO_EXACT)
+        n, slow = _micro_units(x)
         block = out[lo:lo + _BLOCK_LINES]
         block[:] = n / 1e6
         if slow.any():

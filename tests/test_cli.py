@@ -401,6 +401,133 @@ class TestNonFiniteSigma:
         assert not run.exists()
 
 
+class TestNegativeSeed:
+    """A negative --seed is refused as the option, before --out is made and
+    before `pipeline` forks its calibrator."""
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_refused_before_any_file(self, command, tmp_path, capsys, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked before the seed was checked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        script = tmp_path / "script.csv"
+        simulate.write_script(script, [simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Lie")])
+        run = tmp_path / "run"
+        argv = [command, "--script", str(script), "--out", str(run), "--seed", "-1"]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == "error: seed must not be negative, got -1"
+        assert not run.exists()
+
+
+def open_fds():
+    """The descriptors this process holds, where the system lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_nothing_left(fds):
+    """No child process is left, and the descriptors are those held before."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+@pytest.fixture
+def fds():
+    """The descriptors held as the test begins."""
+    return open_fds()
+
+
+class TestCalibrator:
+    """`pipeline` without --model calibrates in one forked child, which it
+    joins before classify, or kills and reaps when the run fails first."""
+
+    @staticmethod
+    def short_script(where, entries=((21_600_000, 60_000, "Hall", "Lie"),)):
+        script = where / "script.csv"
+        simulate.write_script(script, [simulate.ScheduleEntry(*e) for e in entries])
+        return script
+
+    def test_a_calibrator_that_raises_gives_one_error_line(self, tmp_path, capsys,
+                                                           monkeypatch, fds):
+        def broken(*args):
+            raise ValueError("calibration broke")
+
+        monkeypatch.setattr(simulate, "calibrate_centroids", broken)
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(self.short_script(tmp_path)), "--out", str(run)]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == "error: calibration broke"
+        assert (run / "features.csv").exists() and not (run / "centroids.json").exists()
+        assert_nothing_left(fds)
+
+    def test_a_script_refused_after_the_fork_leaves_no_child(self, tmp_path, capsys, fds):
+        script = self.short_script(tmp_path, [
+            (3_600_000, 60_000, "Hall", "Sit"),
+            (simulate.MS_PER_DAY - 60_000, 7_200_000, "Hall", "Walk")])
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(script), "--out", str(run), "--days", "2"]
+        assert cli.main(argv) == 1
+        assert "entries overlap" in error_line(capsys.readouterr().err)
+        assert not run.exists()
+        assert_nothing_left(fds)
+
+    def test_a_log_whose_filter_overflows_leaves_no_child(self, tmp_path, capsys, fds):
+        log = tmp_path / "log.csv"
+        TestFilterOverflow.write_log(log, np.r_[np.zeros(10), np.full(30, 1.7e308)])
+        argv = ["pipeline", "--inertial", str(log), "--events", str(tmp_path / "events.ndjson"),
+                "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert "non-finite sample value" in error_line(capsys.readouterr().err)
+        assert_nothing_left(fds)
+
+    def test_a_run_with_a_model_never_forks(self, tmp_path, monkeypatch, quiet_model):
+        from homeactivity import neural
+
+        def no_fork():
+            raise AssertionError("pipeline --model forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        model = tmp_path / "model.json"
+        neural.save_centroids(model, quiet_model)
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(self.short_script(tmp_path)), "--out", str(run),
+                "--model", str(model)]
+        assert cli.main(argv) == 0
+        assert (run / "report.json").exists() and not (run / "centroids.json").exists()
+
+    def test_without_fork_calibration_runs_in_process_with_the_same_bytes(
+            self, tmp_path, monkeypatch, fds):
+        script = self.short_script(tmp_path)
+        forked, alone = tmp_path / "forked", tmp_path / "alone"
+        argv = ["pipeline", "--script", str(script), "--sigma", "0.3", "--seed", "4"]
+        assert cli.main([*argv, "--out", str(forked)]) == 0
+        assert_nothing_left(fds)
+        monkeypatch.delattr(os, "fork")
+        assert cli.main([*argv, "--out", str(alone)]) == 0
+        names = sorted(p.name for p in forked.iterdir())
+        assert "centroids.json" in names and names == sorted(p.name for p in alone.iterdir())
+        for name in names:
+            assert (forked / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_any_other_exception_carries_the_childs_traceback(self, monkeypatch, fds):
+        def broken(*args):
+            raise KeyError("no such class")
+
+        monkeypatch.setattr(simulate, "calibrate_centroids", broken)
+        with simulate.Calibration(simulate.QUIET) as calibration:
+            with pytest.raises(RuntimeError, match="(?s)in its child process.*KeyError"):
+                calibration.join()
+        assert_nothing_left(fds)
+
+    def test_a_child_that_dies_without_a_model_is_an_error(self, monkeypatch, fds):
+        monkeypatch.setattr(simulate, "calibrate_centroids", lambda *args: os._exit(3))
+        with simulate.Calibration(simulate.QUIET) as calibration:
+            with pytest.raises(ValueError, match="ended without a model"):
+                calibration.join()
+        assert_nothing_left(fds)
+
+
 class TestRateAndWindowComeFromTheInput:
     """The filter is designed for the log's own sample rate and a bundle
     classifies windows of its own length: neither is an option."""

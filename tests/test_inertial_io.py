@@ -330,6 +330,85 @@ class TestAsLogged:
         assert same_bits(timeseries.as_logged(series.values), back.values)
 
 
+def template_write(path, series, append=False):
+    """The writer before the byte matrix: each line through the `%d` and
+    `%.6f` template, value by value."""
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        for ts, row in zip(series.ts.tolist(), series.values.tolist()):
+            fh.write("%s,,%d" % (series.subject_id, ts) + "".join(",%.6f" % v for v in row)
+                     + ";\n")
+
+
+INT64_MAX = 2**63 - 1
+# A series holds finite values only.
+written_values = logged_values.filter(np.isfinite) | st.sampled_from(
+    [-1 / 128, -1e-9, -MICRO_EXACT, 1e308, -1e308])
+
+
+@st.composite
+def stamps(draw, n):
+    """n increasing timestamps: below 0, from 0, up to 2^63 - 1, or
+    anywhere, with steps wide enough to change the digit count in a block."""
+    steps = draw(st.lists(st.integers(1, 10**draw(st.integers(1, 15))),
+                          min_size=n - 1, max_size=n - 1))
+    rel = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+    anchor = draw(st.sampled_from(["below 0", "at 0", "at the top", "anywhere"]))
+    if anchor == "below 0":
+        return rel - int(rel[-1]) - draw(st.integers(1, 10**12))
+    if anchor == "at 0":
+        return rel
+    if anchor == "at the top":
+        return INT64_MAX - int(rel[-1]) + rel
+    return rel + draw(st.integers(-(10**15), 10**15))
+
+
+class TestBlockFormatter:
+    """write_inertial's bytes are those of the per-value `%` template for
+    6- and 9-field series, on the blocks its byte matrix formats and on
+    those that fall back to the template."""
+
+    @SETTINGS
+    @given(subject=subjects | st.sampled_from(["%d", "a%%b", "é", "受试者", "🙂%s"]),
+           width=st.sampled_from((3, 6)), n=st.integers(1, 20), block=st.integers(1, 6),
+           append=st.booleans(), data=st.data())
+    def test_matches_the_template(self, tmp_path_factory, subject, width, n, block, append,
+                                  data):
+        tmp_path = tmp_path_factory.mktemp("fmt")
+        values = data.draw(arrays(np.float64, (n, width), elements=written_values))
+        series = SampleSeries(subject, 50, data.draw(stamps(n)), values)
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        if append:
+            for path in (want, got):
+                path.write_text("sim,,0,1.000000,2.000000,3.000000;\n", encoding="utf-8")
+        template_write(want, series, append)
+        with block_lines(block):
+            write_inertial(got, series, append)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_plain_blocks_take_the_matrix_and_the_rest_the_template(self):
+        ts = np.array([0, 7, 93, 1500, 2**40], dtype=np.int64)
+        plain = np.array([[-1e-9, 0.0, -0.0], [1 / 3, -12.5, 99.999999],
+                          [5e-324, 1e9, -7.0], [0.25, 0.125, -1e-7], [3.0, 2.0, 1.0]])
+        assert timeseries._format_block(b"s,,", ts, plain) is not None
+        tie, wide = plain.copy(), plain.copy()
+        tie[2, 1] = 1 / 128
+        wide[4, 2] = -MICRO_EXACT
+        for stamps_, values in ((ts - 1, plain), (ts, tie), (ts, wide)):
+            assert timeseries._format_block(b"s,,", stamps_, values) is None
+
+    def test_longer_than_a_block_with_one_block_on_the_template(self, tmp_path):
+        """Three blocks of the real size and a short fourth; the second holds
+        a tie, so it alone is formatted by the template."""
+        n = 3 * timeseries._BLOCK_LINES + 5
+        rng = np.random.default_rng(21)
+        values = rng.normal(0, 8, size=(n, 6))
+        values[timeseries._BLOCK_LINES + 17, 4] = -1 / 128
+        series = SampleSeries("sim", 50, 21_600_000 + 50 * np.arange(n, dtype=np.int64), values)
+        template_write(tmp_path / "want.csv", series)
+        write_inertial(tmp_path / "got.csv", series)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestSubjectIds:
     """A subject id goes into the first field of every line, so it must
     read back: no comma, no line break, no leading whitespace."""
