@@ -117,9 +117,10 @@ def windowize(
 ) -> list[WindowLabel]:
     """Tumbling-window labelling of an ordered (ts, label) timeline.
 
-    Windows are aligned to span boundaries counted from the first
-    timestamp; gaps produce explicit NoData windows so the output always
-    tiles [first_ts, last_ts] without holes.
+    Windows start at multiples of the span on the epoch clock, so none
+    crosses local midnight in a whole- or half-hour zone. Gaps produce
+    explicit NoData windows, so the output always tiles the timeline
+    without holes, from the window that holds the first timestamp.
     """
     if span_minutes not in WINDOW_SPANS_MIN:
         raise ValueError(f"span must be one of {WINDOW_SPANS_MIN}, got {span_minutes}")
@@ -131,7 +132,7 @@ def windowize(
             raise ValueError("timeline must be strictly increasing in time")
 
     span_ms = span_minutes * 60_000
-    origin = timeline[0][0]
+    origin = timeline[0][0] // span_ms * span_ms
     out = []
     bucket: list[str] = []
     window_idx = 0

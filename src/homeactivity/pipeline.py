@@ -13,13 +13,12 @@ and `classify` cuts a weights bundle's windows at its input_len.
 
 A log holds one subject. It is not read back within one `pipeline` run.
 Asked with `hand_on`, `simulate` and `filter` return the log they wrote
-as `logged`: the series that load_inertial would read from it. The next
-stage takes it under that keyword in place of reading its input file.
-timeseries.as_logged gives each value exactly as its `%.6f` text parses,
-so the stages see the same floats, and write the same bytes, as when run
-by hand; errors still name the input file and its line. The stage
-commands do not ask, so they hold no second copy of a log. `fuse` fuses
-its ticks by the simulator's rule for its ground truth, fusion.fuse_ticks.
+as `logged`, with the values timeseries.write_inertial returned: the
+series that load_inertial would read from it. The next stage takes it
+under that keyword in place of reading its input file, so the stages
+see the same floats, and write the same bytes, as when run by hand;
+errors still name the input file and its line. `fuse` fuses its ticks
+by the simulator's rule for its ground truth, fusion.fuse_ticks.
 
 The centroid model depends on the options alone, so `pipeline` without
 --model begins its calibration (simulate.Calibration) in a forked child
@@ -139,8 +138,9 @@ def stage_simulate(
 ) -> dict:
     """Run the daily script for `days` consecutive days and write the
     inertial log, ambient event log, and ground-truth derived timeline,
-    making their directories; days that overlap are refused first. With
-    hand_on, `logged` is the inertial log as it reads back."""
+    making their directories; days that overlap, or that leave the int64
+    clock, are refused first. With hand_on, `logged` is the inertial log
+    as it reads back."""
     from . import simulate, timeseries
 
     if days < 1:
@@ -149,11 +149,16 @@ def stage_simulate(
     if days > 1 and script[-1].clock_end_ms > simulate.MS_PER_DAY + script[0].clock_start_ms:
         raise PipelineError(f"{script_path}: line {tables.record_line(script_path, -1)}: entries "
                             f"overlap at clock offset {script[0].clock_start_ms} ms of the next day")
+    first = start_day_ms + script[0].clock_start_ms
+    last = start_day_ms + (days - 1) * simulate.MS_PER_DAY + script[-1].clock_end_ms
+    if not (-(2**63) <= first and last < 2**63):
+        raise PipelineError(f"start_day_ms {start_day_ms}: the script's {days} day(s) run "
+                            f"{first}..{last} ms, outside the int64 clock")
     for path in (out_inertial, out_events, out_truth):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     all_events = []
     truth = []
-    handed = []  # each day as_logged, once written
+    handed = []  # each day as written, when hand_on
     for day in range(days):
         data = simulate.generate_day(
             script,
@@ -163,9 +168,9 @@ def stage_simulate(
             tick_ms=tick_ms,
             subject_id=subject_id,
         )
-        timeseries.write_inertial(out_inertial, data.series, append=day > 0)
+        written = timeseries.write_inertial(out_inertial, data.series, append=day > 0)
         if hand_on:
-            handed.append(replace(data.series, values=timeseries.as_logged(data.series.values)))
+            handed.append(replace(data.series, values=written))
         all_events.append(data.events)
         truth.extend(data.derived_ticks)
     ambient.write_events(out_events, ambient.merge_streams(all_events))
@@ -192,14 +197,14 @@ def stage_filter(
 
     spec = timeseries.FilterSpec(order, cutoff_hz)
     series = _single_series(in_path, logged)
-    handed = []  # each piece as_logged, once written
+    handed = []  # each piece as written, when hand_on
     try:
         pieces = timeseries.interpolate_gaps(series, max_gap_ms)
         for i, piece in enumerate(pieces):
             filtered = timeseries.butterworth_lowpass(piece, spec)
-            timeseries.write_inertial(out_path, filtered, append=i > 0)
+            written = timeseries.write_inertial(out_path, filtered, append=i > 0)
             if hand_on:
-                handed.append(replace(filtered, values=timeseries.as_logged(filtered.values)))
+                handed.append(replace(filtered, values=written))
     except timeseries.SampleError as exc:  # repaired or filtered values overflowed
         raise _located(in_path, series, exc) from None
     return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces),

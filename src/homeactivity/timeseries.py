@@ -309,7 +309,10 @@ def segment(
 
 
 def join(pieces) -> SampleSeries:
-    """The pieces, of one subject and period, as one series in order."""
+    """The pieces, of one subject and period, as one series in order; a
+    single piece is that series, not a copy of it."""
+    if len(pieces) == 1:
+        return pieces[0]
     return replace(pieces[0], ts=np.concatenate([p.ts for p in pieces]),
                    values=np.concatenate([p.values for p in pieces]))
 
@@ -449,17 +452,18 @@ def write_inertial(
     path: str | Path,
     series: SampleSeries,
     append: bool = False,
-) -> None:
-    """Write one series as log lines, formatted and written in blocks.
+) -> np.ndarray:
+    """Write one series as log lines, in blocks, and return its values as
+    the text reads back: float("%.6f" % v) of each, bit for bit.
 
-    The bytes are those of formatting each line with the `%d` and `%.6f`
-    template, value by value. A block's text comes from the micro-units
-    of its values (_micro_units): their digits fill a (width, lines)
-    byte matrix, one row per character position, with a leading zero or
-    an absent sign set to _GONE, which the compacting of the block
-    deletes. A block that holds an exact tie, a value of magnitude
-    2^53/1e6 or more, or a negative timestamp is formatted by the
-    template. A subject id that would not read back unchanged is refused.
+    The bytes are those of the `%d` and `%.6f` template, line by line.
+    Text and values both come from each block's micro-units n
+    (_micro_units): the values are n / 1e6, the correctly rounded
+    quotient of two exact numbers, as parsing the text gives, and the
+    text is n's digits (_format_block). A block that holds a value
+    _micro_units calls slow, or a negative timestamp, is formatted by the
+    template, and its slow values are parsed from their `%.6f` text. A
+    subject id that would not read back unchanged is refused.
     """
     if any(c in series.subject_id for c in ",\r\n") or series.subject_id[:1].isspace():
         raise SeriesError(f"subject id {series.subject_id!r} cannot be logged: it holds a "
@@ -467,14 +471,20 @@ def write_inertial(
     prefix = (series.subject_id + ",,").encode("utf-8")
     line = (series.subject_id.replace("%", "%%") + ",,%d"
             + ",%.6f" * series.values.shape[1] + ";\n")
+    blocks = []
     with open(path, "ab" if append else "wb") as fh:
         for lo in range(0, len(series), _BLOCK_LINES):
             ts, values = series.ts[lo:lo + _BLOCK_LINES], series.values[lo:lo + _BLOCK_LINES]
-            text = _format_block(prefix, ts, values)
-            if text is None:
+            n, slow = _micro_units(values)
+            if slow.any() or ts[0] < 0:  # ts increases: ts[0] is its least
                 columns = [ts.tolist(), *values.T.tolist()]
-                text = "".join([line % row for row in zip(*columns)]).encode("utf-8")
-            fh.write(text)
+                fh.write("".join([line % row for row in zip(*columns)]).encode("utf-8"))
+            else:
+                fh.write(_format_block(prefix, ts, n))
+            n /= 1e6  # now the values as the text reads back
+            n[slow] = [float("%.6f" % v) for v in values[slow].tolist()]
+            blocks.append(n)
+    return np.concatenate(blocks)
 
 
 # A byte that UTF-8 text never holds: it marks a matrix cell that is no character.
@@ -499,12 +509,13 @@ def _fill_digits(rows: np.ndarray, n: np.ndarray, pad: bool = False) -> None:
         rows[j][n < _POWERS[d - 1 - j].astype(n.dtype)] = _GONE
 
 
-def _format_block(prefix: bytes, ts: np.ndarray, values: np.ndarray) -> bytes | None:
-    """The log lines of one block, or None where the template must format it."""
-    n, slow = _micro_units(values)
-    if slow.any() or ts[0] < 0:  # ts increases: ts[0] is its least
-        return None
-    lines, k = values.shape
+def _format_block(prefix: bytes, ts: np.ndarray, n: np.ndarray) -> bytes:
+    """The log lines of one block from the micro-units n of its values,
+    none slow (_micro_units), at timestamps ts >= 0. Their digits fill a
+    (width, lines) byte matrix, one row per character position, with a
+    leading zero or an absent sign set to _GONE, which the compacting of
+    the block deletes. n carries each value's sign, -0.0 included."""
+    lines, k = n.shape
     micro = np.abs(n).T.astype(np.uint64)  # (k, lines); |n| <= 2^53
     stamp = ts.view(np.uint64)
     ts_d = len(str(int(stamp[-1])))  # digits of the widest
@@ -516,7 +527,7 @@ def _format_block(prefix: bytes, ts: np.ndarray, values: np.ndarray) -> bytes | 
     _fill_digits(matrix[len(prefix):head], stamp)
     cells = matrix[head:head + k * field].reshape(k, field, lines)
     cells[:, 0] = ord(",")
-    cells[:, 1] = np.where(np.signbit(values).T, ord("-"), _GONE)
+    cells[:, 1] = np.where(np.signbit(n).T, ord("-"), _GONE)
     cells[:, 2 + int_d] = ord(".")
     whole, frac = np.divmod(micro, np.uint64(1_000_000))
     _fill_digits(cells[:, 2:2 + int_d].swapaxes(0, 1), whole)
@@ -544,24 +555,3 @@ def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = np.rint(p)
         slow = (np.abs(p - n) == 0.5) | ~(np.abs(x) < _MICRO_EXACT)
     return n, slow
-
-
-def as_logged(values: np.ndarray) -> np.ndarray:
-    """values as write_inertial's `%.6f` text reads back: float("%.6f" % v)
-    of each value, bit for bit, computed as n / 1e6 of its micro-units n
-    (_micro_units) in blocks of rows, which is np.round(v, 6).
-
-    n and 1e6 are exact, so n / 1e6 is the correctly rounded quotient that
-    parsing the text gives. The values _micro_units calls slow take the
-    formatter and parser.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    for lo in range(0, len(values), _BLOCK_LINES):
-        x = values[lo:lo + _BLOCK_LINES]
-        n, slow = _micro_units(x)
-        block = out[lo:lo + _BLOCK_LINES]
-        block[:] = n / 1e6
-        if slow.any():
-            block[slow] = [float("%.6f" % v) for v in x[slow].tolist()]
-    return out

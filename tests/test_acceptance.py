@@ -60,9 +60,9 @@ FUSION_ROWS = [
     (None, "Bathroom", ("bathroom_switch",), "BathroomActivity", "Normal"),
 ]
 
-# One simulated day touching every room and appliance. Durations are
-# multiples of 240 s so entry boundaries land on the 2-minute window
-# grid anchored at the first tick.
+# One simulated day touching every room and appliance. It starts at
+# 06:00 and its durations are multiples of 240 s, so entry boundaries
+# land on the 2-minute window grid of the epoch clock.
 WEEK_SCRIPT = [
     ScheduleEntry(SIX_AM, 480_000, "Bedroom", "Lie"),
     ScheduleEntry(SIX_AM + 480_000, 240_000, "Bedroom", "Stand"),

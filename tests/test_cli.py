@@ -528,6 +528,51 @@ class TestCalibrator:
         assert_nothing_left(fds)
 
 
+class TestStartDay:
+    """--start-day-ms places the simulated days on the epoch clock."""
+
+    LAST = 2**63 - 1 - 21_660_000  # the 1-minute entry at 06:00 ends at 2^63 - 1 ms
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_days_past_the_int64_clock_are_refused_before_any_file(self, command, tmp_path,
+                                                                    capsys, fds):
+        run = tmp_path / "run"
+        argv = [command, "--script", str(TestCalibrator.short_script(tmp_path)),
+                "--out", str(run), "--start-day-ms", "9223372036854775000"]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: start_day_ms 9223372036854775000: the script's 1 day(s) run "
+            "9223372036876375000..9223372036876435000 ms, outside the int64 clock")
+        assert not run.exists()
+        assert_nothing_left(fds)
+
+    def test_days_that_end_at_the_last_millisecond_are_simulated(self, tmp_path, capsys):
+        script, run = TestCalibrator.short_script(tmp_path), tmp_path / "run"
+        argv = ["simulate", "--script", str(script), "--out", str(run), "--start-day-ms"]
+        assert cli.main([*argv, str(self.LAST)]) == 0
+        assert (run / "inertial.csv").read_text().endswith(
+            f"sim,,{2**63 - 1 - 50},9.810000,0.300000,0.300000;\n")
+        assert cli.main([*argv, str(self.LAST + 1)]) == 1
+        assert "outside the int64 clock" in error_line(capsys.readouterr().err)
+
+    def test_days_that_begin_a_minute_before_midnight_are_profiled(self, tmp_path,
+                                                                   quiet_model):
+        """The first tick falls at 23:59:05 UTC, so labelling's first window
+        ends at midnight and each of the two days spans two dates."""
+        from homeactivity import neural
+
+        model = tmp_path / "model.json"
+        neural.save_centroids(model, quiet_model)
+        script = TestCalibrator.short_script(
+            tmp_path, [(simulate.MS_PER_DAY - 55_000, 600_000, "Hall", "Sit")])
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(script), "--out", str(run), "--days", "2",
+                "--model", str(model)]
+        assert cli.main(argv) == 0
+        report = json.loads((run / "report.json").read_text())
+        assert [d["day"] for d in report["days"]] == ["1970-01-01", "1970-01-02", "1970-01-03"]
+
+
 class TestRateAndWindowComeFromTheInput:
     """The filter is designed for the log's own sample rate and a bundle
     classifies windows of its own length: neither is an option."""

@@ -268,7 +268,8 @@ class TestWriterAgainstOracle:
 
 
 def through_text(values) -> np.ndarray:
-    """The oracle of as_logged: each value written as `%.6f` and parsed."""
+    """The oracle of the values write_inertial returns: each value
+    written as `%.6f` and parsed."""
     return np.array([float("%.6f" % v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
@@ -276,7 +277,8 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# Below this magnitude as_logged computes; from it on it formats and parses.
+# Below this magnitude the writer computes a value's read-back; from it on
+# it formats and parses.
 MICRO_EXACT = 2.0**53 / 1e6
 
 
@@ -291,43 +293,16 @@ def near_ties(draw):
     return draw(st.sampled_from([v, -v]))
 
 
-logged_values = st.one_of(
-    st.floats(width=64),  # NaN, infinities, subnormals and the fallback range too
+# A series holds finite values only, so NaN and the infinities, which
+# _micro_units also marks slow, never reach the writer.
+written_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and the slow range too
     near_ties(),
     st.floats(MICRO_EXACT / 2, MICRO_EXACT * 2) | st.floats(-1e-6, 1e-6),
-    st.sampled_from([0.0, -0.0, 1 / 128, 3 / 128, -3 / 128, 5e-324, -5e-324,
-                     2.2250738585072014e-308, MICRO_EXACT, float(np.nextafter(MICRO_EXACT, 0)),
-                     *EDGE_VALUES]),
+    st.sampled_from([0.0, -0.0, 1 / 128, 3 / 128, -3 / 128, -1 / 128, -1e-9, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, MICRO_EXACT, -MICRO_EXACT,
+                     float(np.nextafter(MICRO_EXACT, 0)), 1e308, -1e308, *EDGE_VALUES]),
 )
-
-
-class TestAsLogged:
-    """as_logged(v) is float("%.6f" % v) of every value, bit for bit."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(values=arrays(np.float64, st.tuples(st.integers(1, 10), st.sampled_from((3, 6))),
-                         elements=logged_values),
-           block=st.integers(1, 4))
-    def test_matches_format_and_parse(self, values, block):
-        with block_lines(block):
-            assert same_bits(timeseries.as_logged(values), through_text(values))
-
-    def test_ties_and_their_neighbours(self):
-        k = np.random.default_rng(5).integers(0, 2**43, size=20_000)
-        ties = (k + 0.5) / 1e6
-        values = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
-        values = np.concatenate([values, -values]).reshape(-1, 3)
-        assert same_bits(timeseries.as_logged(values), through_text(values))
-
-    @pytest.mark.parametrize("gyro", [False, True])
-    def test_is_the_series_the_log_reads_back(self, tmp_path, gyro):
-        rng = np.random.default_rng(9)
-        values = rng.normal(0, 20, size=(50, 6 if gyro else 3))
-        values[:4, 0] = [-1e-9, 1 / 128, 3 / 128, MICRO_EXACT * 3]
-        series = SampleSeries("s", 50, 1000 + 50 * np.arange(50, dtype=np.int64), values)
-        write_inertial(tmp_path / "log.csv", series)
-        (back,) = load_inertial(tmp_path / "log.csv")
-        assert same_bits(timeseries.as_logged(series.values), back.values)
 
 
 def template_write(path, series, append=False):
@@ -340,9 +315,6 @@ def template_write(path, series, append=False):
 
 
 INT64_MAX = 2**63 - 1
-# A series holds finite values only.
-written_values = logged_values.filter(np.isfinite) | st.sampled_from(
-    [-1 / 128, -1e-9, -MICRO_EXACT, 1e308, -1e308])
 
 
 @st.composite
@@ -360,6 +332,45 @@ def stamps(draw, n):
     if anchor == "at the top":
         return INT64_MAX - int(rel[-1]) + rel
     return rel + draw(st.integers(-(10**15), 10**15))
+
+
+class TestWrittenValues:
+    """write_inertial returns the values its text reads back: float("%.6f"
+    % v) of every value, bit for bit, which load_inertial also reads from
+    the file, on the blocks its byte matrix formats and on those that fall
+    back to the template (a slow value or a negative timestamp)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.sampled_from((3, 6)), n=st.integers(1, 12), block=st.integers(1, 5),
+           append=st.booleans(), data=st.data())
+    def test_are_the_text_as_it_reads_back(self, tmp_path_factory, width, n, block, append,
+                                           data):
+        path = tmp_path_factory.mktemp("back") / "log.csv"
+        values = data.draw(arrays(np.float64, (n, width), elements=written_values))
+        series = SampleSeries("s", 50, data.draw(stamps(n)), values)
+        if append:  # a line before every stamp that stamps() draws
+            path.write_text("s,,%d" % -(2**63) + ",1.000000" * width + ";\n", encoding="utf-8")
+        with block_lines(block):
+            got = write_inertial(path, series, append)
+        assert same_bits(got, through_text(values))
+        (back,) = load_inertial(path)
+        assert same_bits(got, back.values[int(append):])
+
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_ties_and_their_neighbours(self, tmp_path, width):
+        """Three real blocks, of which the first is all ties and one ulp
+        either side, and the rest plain values."""
+        k = np.random.default_rng(5).integers(0, 2**43, size=timeseries._BLOCK_LINES)
+        ties = (k + 0.5) / 1e6
+        near = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+        near = np.concatenate([near, -near])[:timeseries._BLOCK_LINES * width]
+        plain = np.random.default_rng(6).normal(0, 9, size=timeseries._BLOCK_LINES * 2 * width)
+        values = np.concatenate([near, plain]).reshape(-1, width)
+        series = SampleSeries("s", 50, 50 * np.arange(len(values), dtype=np.int64), values)
+        got = write_inertial(tmp_path / "log.csv", series)
+        assert same_bits(got, through_text(values))
+        (back,) = load_inertial(tmp_path / "log.csv")
+        assert same_bits(got, back.values)
 
 
 class TestBlockFormatter:
@@ -385,16 +396,28 @@ class TestBlockFormatter:
             write_inertial(got, series, append)
         assert got.read_bytes() == want.read_bytes()
 
-    def test_plain_blocks_take_the_matrix_and_the_rest_the_template(self):
+    def test_plain_blocks_take_the_matrix_and_the_rest_the_template(self, tmp_path):
         ts = np.array([0, 7, 93, 1500, 2**40], dtype=np.int64)
         plain = np.array([[-1e-9, 0.0, -0.0], [1 / 3, -12.5, 99.999999],
                           [5e-324, 1e9, -7.0], [0.25, 0.125, -1e-7], [3.0, 2.0, 1.0]])
-        assert timeseries._format_block(b"s,,", ts, plain) is not None
         tie, wide = plain.copy(), plain.copy()
         tie[2, 1] = 1 / 128
         wide[4, 2] = -MICRO_EXACT
+
+        def matrix_blocks(stamps_, values, block=5):
+            series = SampleSeries("s", 50, stamps_, values)
+            with block_lines(block), mock.patch.object(
+                    timeseries, "_format_block", wraps=timeseries._format_block) as matrix:
+                write_inertial(tmp_path / "log.csv", series)
+            return matrix.call_count
+
+        assert matrix_blocks(ts, plain) == 1
         for stamps_, values in ((ts - 1, plain), (ts, tie), (ts, wide)):
-            assert timeseries._format_block(b"s,,", stamps_, values) is None
+            assert matrix_blocks(stamps_, values) == 0
+        # In blocks of 2 lines, only the block that holds the tie, or the
+        # negative timestamp, takes the template.
+        assert matrix_blocks(ts, tie, block=2) == 2
+        assert matrix_blocks(ts - 1, plain, block=2) == 2
 
     def test_longer_than_a_block_with_one_block_on_the_template(self, tmp_path):
         """Three blocks of the real size and a short fourth; the second holds

@@ -1,6 +1,11 @@
 """Priority-then-frequency window labelling over tick timelines."""
 
+from datetime import datetime
+from zoneinfo import ZoneInfo
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeactivity.labelling import (
     EMPTY_PRIORITIES,
@@ -80,11 +85,19 @@ class TestWindowize:
         with pytest.raises(ValueError, match="span"):
             windowize([(0, "a")], 3)
 
-    def test_windows_anchor_at_first_tick(self):
+    def test_windows_anchor_on_the_span_grid(self):
+        """The first tick, at 1 minute, lies inside the window from 0."""
         timeline = [(60_000 + i * 5_000, "a") for i in range(48)]
         got = windowize(timeline, 2)
-        assert [w.start_ts for w in got] == [60_000, 180_000]
+        assert [w.start_ts for w in got] == [0, 120_000, 240_000]
         assert all(w.span_ms == 120_000 for w in got)
+
+    def test_a_first_tick_before_midnight_gives_no_window_across_it(self):
+        """Ticks from 23:59:05: the first window ends at midnight."""
+        midnight = 86_400_000
+        timeline = [(midnight - 55_000 + i * 5_000, "a") for i in range(30)]
+        got = windowize(timeline, 2)
+        assert [w.start_ts for w in got] == [midnight - 120_000, midnight]
 
     def test_gap_fills_with_nodata(self):
         timeline = [(0, "a"), (600_000, "b")]
@@ -100,10 +113,36 @@ class TestWindowize:
             ticks = sorted(rng.sample(range(0, 4000), rng.randrange(1, 60)))
             timeline = [(t * 1000, rng.choice("abc")) for t in ticks]
             got = windowize(timeline, 2)
-            assert got[0].start_ts == timeline[0][0]
+            assert got[0].start_ts <= timeline[0][0] < got[0].end_ts
             for a, b in zip(got, got[1:]):
                 assert a.end_ts == b.start_ts
             assert got[-1].start_ts <= timeline[-1][0] < got[-1].end_ts
+
+    @settings(max_examples=200, deadline=None)
+    @given(zone=st.sampled_from(["UTC", "Europe/London"]),
+           day=st.sampled_from(["2024-01-15", "2024-03-31", "2024-10-27"]),
+           offset=st.integers(-3 * 3_600_000, 3 * 3_600_000),
+           steps=st.lists(st.sampled_from([1, 1, 1, 2, 7, 61, 500]), min_size=0, max_size=120),
+           span=st.sampled_from(WINDOW_SPANS_MIN))
+    def test_windows_tile_on_the_grid_and_cross_no_local_midnight(self, zone, day, offset,
+                                                                   steps, span):
+        """Ticks every 5 s, with holes, from near local midnight: the DST
+        change in London falls on 2024-03-31 and 2024-10-27."""
+        tz = ZoneInfo(zone)
+        midnight = int(datetime.fromisoformat(day).replace(tzinfo=tz).timestamp() * 1000)
+        stamps = [midnight + offset]
+        for step in steps:
+            stamps.append(stamps[-1] + 5_000 * step)
+        got = windowize([(ts, "a") for ts in stamps], span)
+        span_ms = span * 60_000
+        assert got[0].start_ts <= stamps[0] and stamps[-1] < got[-1].end_ts
+        for a, b in zip(got, got[1:]):
+            assert a.end_ts == b.start_ts
+        for w in got:
+            assert w.span_ms == span_ms and w.start_ts % span_ms == 0
+            first = datetime.fromtimestamp(w.start_ts / 1000, tz).date()
+            last = datetime.fromtimestamp((w.end_ts - 1) / 1000, tz).date()
+            assert first == last, (w, zone)
 
     def test_unordered_timeline_rejected(self):
         with pytest.raises(ValueError, match="increasing"):

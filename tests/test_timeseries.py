@@ -14,6 +14,7 @@ from homeactivity.timeseries import (
     SeriesError,
     butterworth_lowpass,
     interpolate_gaps,
+    join,
     load_inertial,
     parse_inertial_line,
     segment,
@@ -353,6 +354,14 @@ def test_split_on_gaps():
     parts = split_on_gaps(s)
     assert [len(p) for p in parts] == [3, 2]
     assert parts[1].ts[0] == 250
+
+
+def test_join_copies_several_pieces_but_not_one():
+    ts = np.array([0, 50, 100, 250, 300], dtype=np.int64)
+    s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=np.arange(15.0).reshape(5, 3))
+    parts = split_on_gaps(s)
+    assert series_equal(join(parts), s)
+    assert join(parts[:1]) is parts[0]
 
 
 def test_default_period_matches_20hz():
