@@ -334,17 +334,47 @@ def stamps(draw, n):
     return rel + draw(st.integers(-(10**15), 10**15))
 
 
-class TestWrittenValues:
-    """write_inertial returns the values its text reads back: float("%.6f"
-    % v) of every value, bit for bit, which load_inertial also reads from
-    the file, on the blocks its byte matrix formats and on those that fall
+class TestAsLogged:
+    """write_inertial returns the series as logged: float("%.6f" % v) of
+    every value, bit for bit, which load_inertial also reads from the
+    file, on the blocks its byte matrix formats and on those that fall
     back to the template (a slow value or a negative timestamp)."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(width=st.sampled_from((3, 6)), n=st.integers(1, 12), block=st.integers(1, 5),
-           append=st.booleans(), data=st.data())
-    def test_are_the_text_as_it_reads_back(self, tmp_path_factory, width, n, block, append,
-                                           data):
+           data=st.data())
+    def test_matches_format_and_parse(self, tmp_path_factory, width, n, block, data):
+        path = tmp_path_factory.mktemp("logged") / "log.csv"
+        values = data.draw(arrays(np.float64, (n, width), elements=written_values))
+        series = SampleSeries("s", 50, data.draw(stamps(n)), values)
+        with block_lines(block):
+            got = write_inertial(path, series)
+        assert same_bits(got, through_text(values))
+
+    def test_ties_and_their_neighbours(self, tmp_path):
+        """Three real blocks, of which the first is all ties and one ulp
+        either side, and the rest plain values; 6- and 9-field lines."""
+        k = np.random.default_rng(5).integers(0, 2**43, size=timeseries._BLOCK_LINES)
+        ties = (k + 0.5) / 1e6
+        near = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+        near = np.concatenate([near, -near])
+        plain = np.random.default_rng(6).normal(0, 9, size=timeseries._BLOCK_LINES * 12)
+        for width in (3, 6):
+            size = timeseries._BLOCK_LINES * width
+            values = np.concatenate([near[:size], plain[:2 * size]]).reshape(-1, width)
+            series = SampleSeries("s", 50, 50 * np.arange(len(values), dtype=np.int64), values)
+            got = write_inertial(tmp_path / "log.csv", series)
+            assert same_bits(got, through_text(values))
+            (back,) = load_inertial(tmp_path / "log.csv")
+            assert same_bits(got, back.values)
+
+    @pytest.mark.parametrize("gyro", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 12), block=st.integers(1, 5), append=st.booleans(),
+           data=st.data())
+    def test_is_the_series_the_log_reads_back(self, tmp_path_factory, gyro, n, block, append,
+                                              data):
+        width = 6 if gyro else 3
         path = tmp_path_factory.mktemp("back") / "log.csv"
         values = data.draw(arrays(np.float64, (n, width), elements=written_values))
         series = SampleSeries("s", 50, data.draw(stamps(n)), values)
@@ -352,25 +382,8 @@ class TestWrittenValues:
             path.write_text("s,,%d" % -(2**63) + ",1.000000" * width + ";\n", encoding="utf-8")
         with block_lines(block):
             got = write_inertial(path, series, append)
-        assert same_bits(got, through_text(values))
         (back,) = load_inertial(path)
         assert same_bits(got, back.values[int(append):])
-
-    @pytest.mark.parametrize("width", [3, 6])
-    def test_ties_and_their_neighbours(self, tmp_path, width):
-        """Three real blocks, of which the first is all ties and one ulp
-        either side, and the rest plain values."""
-        k = np.random.default_rng(5).integers(0, 2**43, size=timeseries._BLOCK_LINES)
-        ties = (k + 0.5) / 1e6
-        near = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
-        near = np.concatenate([near, -near])[:timeseries._BLOCK_LINES * width]
-        plain = np.random.default_rng(6).normal(0, 9, size=timeseries._BLOCK_LINES * 2 * width)
-        values = np.concatenate([near, plain]).reshape(-1, width)
-        series = SampleSeries("s", 50, 50 * np.arange(len(values), dtype=np.int64), values)
-        got = write_inertial(tmp_path / "log.csv", series)
-        assert same_bits(got, through_text(values))
-        (back,) = load_inertial(tmp_path / "log.csv")
-        assert same_bits(got, back.values)
 
 
 class TestBlockFormatter:
