@@ -120,16 +120,19 @@ def windowize(
     Windows start at multiples of the span on the epoch clock, so none
     crosses local midnight in a whole- or half-hour zone. Gaps produce
     explicit NoData windows, so the output always tiles the timeline
-    without holes, from the window that holds the first timestamp.
+    without holes, from the window that holds the first timestamp. The
+    first timestamp not after the one before it raises a tables.RowError
+    with its index.
     """
     if span_minutes not in WINDOW_SPANS_MIN:
         raise ValueError(f"span must be one of {WINDOW_SPANS_MIN}, got {span_minutes}")
     timeline = list(timeline)
     if not timeline:
         return []
-    for (a, _), (b, _) in zip(timeline, timeline[1:]):
+    for index, ((a, _), (b, _)) in enumerate(zip(timeline, timeline[1:]), start=1):
         if b <= a:
-            raise ValueError("timeline must be strictly increasing in time")
+            raise tables.RowError(
+                f"ts {b} is not after {a}: timeline must be strictly increasing in time", index)
 
     span_ms = span_minutes * 60_000
     origin = timeline[0][0] // span_ms * span_ms

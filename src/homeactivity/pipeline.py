@@ -73,6 +73,11 @@ def _located(path, series, exc: timeseries.SampleError) -> PipelineError:
     return PipelineError(f"{path}: line {line}: {exc}")
 
 
+def _row_error(path, exc: tables.RowError) -> PipelineError:
+    """exc behind the line of the table row it names."""
+    return PipelineError(f"{path}: line {tables.record_line(path, exc.index + 1)}: {exc}")
+
+
 def _windows(path, window_len: int, overlap: float, gyro: bool = False,
              logged=None) -> timeseries.WindowBatch:
     """segment() over the one series of a log; errors name the line."""
@@ -101,13 +106,22 @@ def read_basic_windows(path) -> list[tuple[int, int, str]]:
 def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
     """Resample per-window labels onto a fixed tick grid.
 
-    windows is an ordered (start, end, label) list of equal-length,
-    possibly overlapping windows; each tick takes the label of the
+    windows is a (start, end, label) list of equal-length, possibly
+    overlapping windows, ordered by start and by end; the first window
+    that is empty, or whose start or end goes back, raises a
+    tables.RowError with its index. Each tick takes the label of the
     latest-starting window that covers it, and ticks in coverage holes
     are omitted.
     """
     if tick_ms < 1:
         raise ValueError(f"tick_ms must be positive, got {tick_ms}")
+    for index, (start, end, _) in enumerate(windows):
+        if end <= start:
+            raise tables.RowError(f"window {start}..{end} is empty", index)
+        last_start, last_end, _ = windows[index - 1]
+        if index and (start < last_start or end < last_end):
+            raise tables.RowError(f"window {start}..{end} goes back from window "
+                                  f"{last_start}..{last_end}: windows must be ordered", index)
     if not windows:
         return []
     ticks = []
@@ -358,7 +372,10 @@ def stage_fuse(
     intervals = occupancy.read_intervals(intervals_path)
     rooms = [iv for iv in intervals if iv.kind == "pir"]
     appliances = [iv for iv in intervals if iv.kind != "pir"]
-    ticks = ticks_from_windows(basic_windows, tick_ms)
+    try:
+        ticks = ticks_from_windows(basic_windows, tick_ms)
+    except tables.RowError as exc:
+        raise _row_error(windows_path, exc) from None
     contexts = occupancy.context_sweep((ts for ts, _ in ticks), rooms, appliances)
     derived = fusion.fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms)
     fusion.write_derived(out_path, derived)
@@ -372,7 +389,10 @@ def stage_label(
     priorities: labelling.PriorityTable,
 ) -> dict:
     timeline = [(ts, d.name) for ts, d in fusion.read_derived(derived_path)]
-    windows = labelling.windowize(timeline, span, priorities)
+    try:
+        windows = labelling.windowize(timeline, span, priorities)
+    except tables.RowError as exc:
+        raise _row_error(derived_path, exc) from None
     labelling.write_window_labels(out_path, windows)
     return {"windows": len(windows)}
 
@@ -383,10 +403,8 @@ def _day_profiles(windows_path, tz):
         raise PipelineError(f"{windows_path}: no windows to profile")
     try:
         days = profiles.split_days(windows, tz)
-    except profiles.DayBoundaryError as exc:
-        w, line = windows[exc.index], tables.record_line(windows_path, exc.index + 1)
-        raise PipelineError(f"{windows_path}: line {line}: window {w.start_ts}..{w.end_ts} "
-                            f"crosses midnight in {tz}: {exc}") from None
+    except tables.RowError as exc:
+        raise _row_error(windows_path, exc) from None
     return [profiles.day_profile(day, tz) for day in days]
 
 

@@ -20,14 +20,7 @@ from .labelling import NO_DATA, WindowLabel
 UTC = ZoneInfo("UTC")
 
 DAY_BOUNDARY_ERROR = "split at day boundary first"
-
-
-class DayBoundaryError(ValueError):
-    """split_days' error: the window at `index` crosses local midnight."""
-
-    def __init__(self, index: int):
-        super().__init__(DAY_BOUNDARY_ERROR)
-        self.index = index
+ORDER_ERROR = "windows must be ordered and non-overlapping"
 
 
 @dataclass(frozen=True, order=True)
@@ -74,7 +67,7 @@ def bouts(window_labels) -> list[Bout]:
     """
     windows = list(window_labels)
     if any(b.start_ts < a.end_ts for a, b in zip(windows, windows[1:])):
-        raise ValueError("windows must be ordered and non-overlapping")
+        raise ValueError(ORDER_ERROR)
     items = ((w.start_ts, w.end_ts, w.label) for w in windows)
     return [Bout(label, start, end) for start, end, label, _ in runs(items) if label != NO_DATA]
 
@@ -106,13 +99,26 @@ def day_profile(window_labels, tz: ZoneInfo = UTC) -> DayProfile:
 
 
 def split_days(window_labels, tz: ZoneInfo = UTC) -> list[list[WindowLabel]]:
-    """Group ordered windows by local calendar day, preserving order."""
+    """Group ordered windows by local calendar day, preserving order. The
+    first window that starts before the one before it ends, that has no
+    local date in the years 1..9999, or that crosses local midnight raises
+    a tables.RowError with its index."""
     groups: dict[date, list[WindowLabel]] = {}
+    end = None
     for index, w in enumerate(window_labels):
-        start_day = _local(w.start_ts, tz).date()
-        if _local(w.end_ts - 1, tz).date() != start_day:
-            raise DayBoundaryError(index)
+        if end is not None and w.start_ts < end:
+            raise tables.RowError(f"window {w.start_ts}..{w.end_ts} starts before the "
+                                  f"window before it ends at {end}: {ORDER_ERROR}", index)
+        try:
+            start_day, end_day = (_local(ts, tz).date() for ts in (w.start_ts, w.end_ts - 1))
+        except (ValueError, OverflowError) as exc:
+            raise tables.RowError(
+                f"window {w.start_ts}..{w.end_ts} has no date in {tz}: {exc}", index) from None
+        if end_day != start_day:
+            raise tables.RowError(f"window {w.start_ts}..{w.end_ts} crosses midnight in "
+                                  f"{tz}: {DAY_BOUNDARY_ERROR}", index)
         groups.setdefault(start_day, []).append(w)
+        end = w.end_ts
     return [groups[d] for d in sorted(groups)]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
@@ -387,11 +388,14 @@ class Calibration:
     ValueError or OSError of the child's as a ValueError with its message,
     and any other exception as a RuntimeError holding the child's
     traceback. close() kills and reaps a child that was not joined; a
-    `with` block calls it on leaving.
+    `with` block calls it on leaving. SIGTERM unwinds no `with` block, so
+    while the child lives, a parent on its main thread whose SIGTERM has
+    its default action kills and reaps the child on that signal, then dies
+    of it as before.
     """
 
     def __init__(self, *args):
-        self.args, self.pid = args, None
+        self.args, self.pid, self.guarded = args, None, False
         if hasattr(os, "fork"):
             read, write = os.pipe()
             self.pid = os.fork()
@@ -400,6 +404,15 @@ class Calibration:
                 _calibrate_into(write, args)
             os.close(write)
             self.pipe = read
+            self.guarded = (threading.current_thread() is threading.main_thread()
+                            and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)
+            if self.guarded:
+                signal.signal(signal.SIGTERM, self._die_with_child)
+
+    def _die_with_child(self, signum, frame) -> None:
+        signal.signal(signum, signal.SIG_DFL)
+        self.close()
+        signal.raise_signal(signum)
 
     def __enter__(self) -> Calibration:
         return self
@@ -414,9 +427,7 @@ class Calibration:
         while chunk := os.read(self.pipe, 1 << 16):
             chunks.append(chunk)
         outcome = b"".join(chunks)
-        _, status = os.waitpid(self.pid, 0)
-        os.close(self.pipe)
-        self.pid = None
+        status = self._reap()
         if not outcome:
             raise ValueError(
                 f"centroid calibration ended without a model (wait status {status})")
@@ -430,9 +441,18 @@ class Calibration:
     def close(self) -> None:
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            os.close(self.pipe)
-            self.pid = None
+            self._reap()
+
+    def _reap(self) -> int:
+        """Wait for the child and release its pipe and SIGTERM handler;
+        returns its wait status."""
+        pid, self.pid = self.pid, None
+        _, status = os.waitpid(pid, 0)
+        os.close(self.pipe)
+        if self.guarded:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            self.guarded = False
+        return status
 
 
 def _calibrate_into(fd: int, args) -> NoReturn:

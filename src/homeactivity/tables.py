@@ -14,6 +14,15 @@ class TableError(ValueError):
     """Raised when a table or JSON-object file is malformed."""
 
 
+class RowError(ValueError):
+    """A check failed on the index-th row read from a table, 0 being the
+    first row after the header; record_line(path, index + 1) is its line."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def write_table(path: str | Path, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -6,11 +6,14 @@ flag, its destination, required-ness, choices or action shows here.
 """
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -294,8 +297,9 @@ NUMERIC = ("numpy", "homeactivity.timeseries", "homeactivity.features", "homeact
 
 
 def test_no_context_command_imports_numpy(tmp_path):
-    """Importing the package or the CLI, and running each context command
-    through cli.main, loads neither NumPy nor a module that needs it."""
+    """Importing the package alone loads none of its modules; importing the
+    CLI, and running each context command through cli.main, loads neither
+    NumPy nor a module that needs it."""
     events, windows = write_context_inputs(tmp_path)
     intervals, derived, labels = (tmp_path / name for name in
                                   ("intervals.csv", "derived.csv", "labels.csv"))
@@ -312,7 +316,7 @@ def test_no_context_command_imports_numpy(tmp_path):
         "def loaded():\n"
         "    return [name for name in numeric if name in sys.modules]\n"
         "import homeactivity\n"
-        "seen = [loaded()]\n"
+        "seen = [loaded() + [m for m in sys.modules if m.startswith('homeactivity.')]]\n"
         "from homeactivity import cli\n"
         "seen.append(loaded())\n"
         f"for argv in {runs!r}:\n"
@@ -425,6 +429,26 @@ def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
 
 
+def children(pid: int) -> list[int]:
+    """The processes whose parent is `pid`, from /proc."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        with contextlib.suppress(OSError):  # it ended meanwhile
+            stat = Path("/proc", entry, "stat").read_text()
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def alive(pid: int) -> bool:
+    """Whether process `pid` exists (a zombie counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def assert_nothing_left(fds):
     """No child process is left, and the descriptors are those held before."""
     with pytest.raises(ChildProcessError):
@@ -526,6 +550,36 @@ class TestCalibrator:
             with pytest.raises(ValueError, match="ended without a model"):
                 calibration.join()
         assert_nothing_left(fds)
+
+    @pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+                        reason="needs os.fork and /proc")
+    def test_sigterm_ends_the_run_and_its_child(self, tmp_path):
+        """A `pipeline` ended by SIGTERM while its calibrator runs kills
+        and reaps the child, then dies of the signal."""
+        script = self.short_script(tmp_path, [(21_600_000, 240_000, "Hall", "Walk")])
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(script), "--out", str(run), "--window-len", "2048"]
+        parent = subprocess.Popen([sys.executable, "-m", "homeactivity.cli", *argv],
+                                  env=child_env(), stderr=subprocess.DEVNULL)
+        child = None
+        try:
+            deadline = time.monotonic() + 30
+            while not (child and (run / "inertial.csv").exists()):
+                assert parent.poll() is None and time.monotonic() < deadline
+                child = next(iter(children(parent.pid)), None)
+                time.sleep(0.01)
+            assert child in children(parent.pid)  # still calibrating
+            parent.send_signal(signal.SIGTERM)
+            assert parent.wait(timeout=10) == -signal.SIGTERM
+            deadline = time.monotonic() + 3
+            while alive(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not alive(child)
+        finally:
+            parent.kill()
+            parent.wait()
+            if child and alive(child):
+                os.kill(child, signal.SIGKILL)
 
 
 class TestStartDay:
@@ -672,6 +726,58 @@ class TestWindowAcrossMidnight:
         assert error_line(capsys.readouterr().err) == (
             f"error: {labels}: line 4: window 66540000..66660000 crosses midnight in "
             "Asia/Kolkata: split at day boundary first")
+
+
+class TestRowErrors:
+    """A stage table row that is out of order, or that its stage cannot
+    place, is one `error:` line naming the first such row; the command
+    writes nothing."""
+
+    @pytest.mark.parametrize("rows, error", [
+        ("6400,12800,Sit\n0,6400,Sit\n",
+         "line 3: window 0..6400 goes back from window 6400..12800: windows must be ordered"),
+        ("0,6400,Sit\n3200,3300,Sit\n",
+         "line 3: window 3200..3300 goes back from window 0..6400: windows must be ordered"),
+        ("6400,0,Sit\n", "line 2: window 6400..0 is empty"),
+    ])
+    def test_fuse(self, rows, error, tmp_path, capsys):
+        windows, intervals, out = (tmp_path / name for name in
+                                   ("windows.csv", "intervals.csv", "derived.csv"))
+        windows.write_text("window_start,window_end,label\n" + rows)
+        occupancy.write_intervals(intervals, [occupancy.Interval(0, 12_800, "pir", "Hall")])
+        argv = ["fuse", "--windows", str(windows), "--intervals", str(intervals),
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == f"error: {windows}: {error}"
+        assert not out.exists()
+
+    def test_label(self, tmp_path, capsys):
+        derived, out = tmp_path / "derived.csv", tmp_path / "labels.csv"
+        fusion.write_derived(derived, [(ts, fusion.DerivedActivity("Sitting"))
+                                       for ts in (0, 10_000, 5_000)])
+        assert cli.main(["label", "--in", str(derived), "--out", str(out)]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {derived}: line 4: ts 5000 is not after 10000: "
+            "timeline must be strictly increasing in time")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "report"])
+    @pytest.mark.parametrize("spans, error", [
+        ([(120_000, 240_000), (0, 120_000)],
+         "line 3: window 0..120000 starts before the window before it ends at 240000: "
+         "windows must be ordered and non-overlapping"),
+        # datetime dates only the years 1..9999
+        ([(-9223372036854720000, -9223372036854600000)],
+         "line 2: window -9223372036854720000..-9223372036854600000 has no date in UTC: "
+         "year -292275055 is out of range"),
+    ])
+    def test_profile_and_report(self, command, spans, error, tmp_path, capsys):
+        labels, out = tmp_path / "labels.csv", tmp_path / "report"
+        labelling.write_window_labels(
+            labels, [labelling.WindowLabel(*span, "Sit", "frequency") for span in spans])
+        assert cli.main([command, "--in", str(labels), "--out", str(out)]) == 1
+        assert error_line(capsys.readouterr().err) == f"error: {labels}: {error}"
+        assert not out.exists()
 
 
 class TestDispatch:

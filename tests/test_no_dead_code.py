@@ -1,11 +1,10 @@
 """Code that nothing calls is deleted.
 
 Each module-level function and class of the package is referenced in the
-package outside its own definition, exported from the package
-(`__init__._MODULE_OF`), a `stage_*` function (cli._run calls those by
-name), or kept below with the reason it stays. Each method, property
-included, that is not a dunder is named by some attribute access in the
-package, or kept below.
+package outside its own definition, a `stage_*` function (cli._run calls
+those by name), or kept below with the reason it stays. Each method,
+property included, that is not a dunder is named by some attribute access
+in the package, or kept below.
 """
 
 import ast
@@ -24,6 +23,8 @@ KEPT = {
     "neural.save_bundle": "tests, demos and the benchmark build CLI inputs with it",
     "neural.make_default_bundle": "tests, demos and the benchmark build CLI inputs with it",
     "fusion.flag_stream": "kept for the anomaly report of ROADMAP item 2",
+    "occupancy.locate": "the oracle TestContextSweep holds context_sweep to; demo 04 uses it",
+    "profiles.interval_query": "demo 07's weekday query; ROADMAP items 2 and 7 need it",
 }
 
 
@@ -86,7 +87,6 @@ def test_the_method_scan_sees_attribute_access():
 def test_every_definition_is_referenced_exported_a_stage_or_kept():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))}
-    exported = {f"{module}.{name}" for name, module in homeactivity._MODULE_OF.items()}
-    unreferenced = {name for name in _unreferenced(sources) - exported
+    unreferenced = {name for name in _unreferenced(sources)
                     if not name.split(".")[1].startswith(("stage_", "__"))}
     assert unreferenced | _unreferenced_methods(sources) == set(KEPT)
