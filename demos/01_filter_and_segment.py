@@ -27,16 +27,18 @@ xyz = np.column_stack([
 
 # A series holds its samples as one matrix, a row per log line: (n, 3)
 # for acceleration alone, (n, 6) with the gyroscope after it. `xyz` and
-# `gyro` are column views of it.
+# `gyro` are column views of it. Every series is sampled on one clock, a
+# sample every timeseries.DEFAULT_PERIOD_MS (50 ms): the log carries no
+# rate, so a series holds none.
 series = timeseries.SampleSeries(
-    subject_id="demo", period_ms=50, ts=np.arange(n, dtype=np.int64) * 50, values=xyz
+    subject_id="demo", ts=np.arange(n, dtype=np.int64) * 50, values=xyz
 )
 
 # Knock out a 400 ms stretch to imitate a recording hiccup.
 keep = np.ones(n, dtype=bool)
 keep[60:68] = False
 gappy = timeseries.SampleSeries(
-    subject_id="demo", period_ms=50, ts=series.ts[keep], values=series.values[keep]
+    subject_id="demo", ts=series.ts[keep], values=series.values[keep]
 )
 print(f"stream: {len(gappy)} samples with a "
       f"{int(np.diff(gappy.ts).max())} ms hole")

@@ -19,8 +19,10 @@ xyz = np.column_stack([
     9.81 + 3.0 * np.sin(2 * np.pi * 2.5 * t),
     np.full(128, 0.5),
 ])
+# One sample every 50 ms, the one rate of every series: peak spacing
+# below is counted in samples and reported at that rate.
 series = timeseries.SampleSeries(
-    subject_id="demo", period_ms=50, ts=np.arange(128, dtype=np.int64) * 50, values=xyz
+    subject_id="demo", ts=np.arange(128, dtype=np.int64) * 50, values=xyz
 )
 windows = timeseries.segment(series)
 

@@ -6,9 +6,9 @@ and dispatch all come from these two tables. A command with a runner
 (`simulate`, `pipeline`) hands it the effective options, then its files;
 any other command calls pipeline.stage_<command>(*files, **options), each
 option under its OPTIONS name (`--max-gap-ms` is `max_gap_ms=`). No option
-restates what the input fixes: `filter` takes the log's sample rate and
-`classify` a bundle's window length. Option precedence is flags
-over config file over built-in defaults; the effective configuration is
+restates what the input fixes: `filter` takes the one sample rate of
+every log and `classify` a bundle's window length. Option precedence is
+flags over config file over built-in defaults; the effective configuration is
 echoed to stderr at startup so runs are auditable. All outputs are
 deterministic given the same configuration and seed. `pipeline` without
 --model calibrates its centroid model in a forked child process beside
@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 from zoneinfo import ZoneInfo
 
-from . import defaults, fusion, labelling, pipeline, tables
+from . import defaults, fusion, labelling, occupancy, pipeline, tables
 
 
 class Option(NamedTuple):
@@ -182,9 +182,16 @@ def _run_pipeline(eff, out) -> None:
     from . import neural, simulate, timeseries
 
     eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
+    # Each option is checked by the function that owns its rule, before
+    # `out` is made and before the calibrator forks.
     spec = timeseries.FilterSpec(eff["order"], eff["cutoff_hz"])
-    spec.design(timeseries.DEFAULT_PERIOD_MS)  # the rate of every log the stages read
-    noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])  # all checked before any stage
+    spec.design()
+    noise = _noise(eff["sigma"], eff["dropout"], eff["seed"])
+    timeseries.check_max_gap_ms(eff["max_gap_ms"])
+    timeseries.window_hop(eff["window_len"], eff["overlap"])
+    occupancy.detect_intervals([], timeout_ms=eff["timeout_ms"])
+    fusion.check_tick_ms(eff["tick_ms"])
+    labelling.windowize([], eff["span"])
     if not (eff["script"] or (eff["inertial"] and eff["events"])):
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
     out = Path(out)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tables
-from .timeseries import WindowBatch
+from .timeseries import DEFAULT_PERIOD_MS, WindowBatch
 
 BIN_COUNT = 10
 BIN_RANGE = (-20.0, 20.0)
@@ -37,7 +37,7 @@ class FeatureLayoutError(ValueError):
     """Raised when a feature file's layout token is unknown or mismatched."""
 
 
-def _peak_spacing(axis: np.ndarray, period_ms: int) -> np.ndarray:
+def _peak_spacing(axis: np.ndarray) -> np.ndarray:
     """Average spacing in ms of the peaks of each row; 0.0 below two peaks.
 
     A peak is a sample strictly greater than both neighbours and than
@@ -51,7 +51,7 @@ def _peak_spacing(axis: np.ndarray, period_ms: int) -> np.ndarray:
     peak[:, 1:-1] = (mid > axis[:, :-2]) & (mid > axis[:, 2:]) & (mid > threshold[:, None])
     count = peak.sum(axis=1)
     span = length - 1 - peak[:, ::-1].argmax(axis=1) - peak.argmax(axis=1)  # last - first
-    return np.where(count >= 2, span / np.maximum(count - 1, 1) * period_ms, 0.0)
+    return np.where(count >= 2, span / np.maximum(count - 1, 1) * DEFAULT_PERIOD_MS, 0.0)
 
 
 def _bin_shares(axis: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def extract_all(batch: WindowBatch, include_gyro: bool = False):
     spacing, shares = [], []
     for k in range(3):
         axis = np.ascontiguousarray(xyz[:, :, k])
-        spacing.append(_peak_spacing(axis, batch.period_ms))
+        spacing.append(_peak_spacing(axis))
         shares.append(_bin_shares(axis))
     columns += [np.column_stack(spacing), *shares]
     if include_gyro:
@@ -141,6 +141,9 @@ def read_features(path: str | Path, expect_layout: str | None = None):
                 layout = value.strip()
                 if layout not in FEATURE_COUNTS:
                     raise FeatureLayoutError(f"unknown layout: {layout}")
+                if expect_layout is not None and layout != expect_layout:
+                    raise FeatureLayoutError(
+                        f"expected layout {expect_layout}, file has {layout}")
             return
         fields = next(csv.reader([line]))
         if header is None:
@@ -160,7 +163,5 @@ def read_features(path: str | Path, expect_layout: str | None = None):
             f"{path}: line 1: header advertises {n_cols} features but layout {layout} "
             f"defines {FEATURE_COUNTS[layout]}"
         )
-    if expect_layout is not None and layout != expect_layout:
-        raise FeatureLayoutError(f"{path}: expected layout {expect_layout}, file has {layout}")
     matrix = np.array(rows, dtype=np.float64).reshape(-1, FEATURE_COUNTS[layout])
     return matrix, spans, layout

@@ -71,9 +71,8 @@ DEFAULT_RULE = DerivedActivity("Unknown", "Unnatural")
 class FusionRuleTable:
     """Immutable ordered rule set with a total, deterministic lookup."""
 
-    def __init__(self, rules, default: DerivedActivity = DEFAULT_RULE):
+    def __init__(self, rules):
         self.rules = tuple(rules)
-        self.default = default
         # The lookup order: appliance rules by appliance precedence, then
         # context rules; within each, by how many of basic and room they
         # bind, then in file order (the sort is stable).
@@ -88,7 +87,7 @@ class FusionRuleTable:
         for rule in self._ordered:
             if rule.matches(basic, room, appliances):
                 return rule.derived
-        return self.default
+        return DEFAULT_RULE
 
 
 def _parse_rule_row(basic, room, appliance, name, flag) -> FusionRule:
@@ -140,6 +139,12 @@ def default_rules_path() -> Path:
 
 def load_default_rules() -> FusionRuleTable:
     return load_rules(default_rules_path())
+
+
+def check_tick_ms(tick_ms: int) -> None:
+    """The one rule for every tick grid: ticks are at least 1 ms apart."""
+    if tick_ms < 1:
+        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
 
 
 def runs(items):

@@ -8,8 +8,9 @@ deterministic (fixed float formats, sorted keys), which makes
 byte-level comparison of two runs meaningful.
 
 What the input fixes is not an option: `filter` designs its low-pass for
-the rate of the series it filters (a log is read at DEFAULT_PERIOD_MS),
-and `classify` cuts a weights bundle's windows at its input_len.
+the one sample rate, a sample every DEFAULT_PERIOD_MS, at which every log
+is read and simulated, and `classify` cuts a weights bundle's windows at
+its input_len.
 
 A log holds one subject. It is not read back within one `pipeline` run.
 Asked with `hand_on`, `simulate` and `filter` return the log they wrote
@@ -113,8 +114,7 @@ def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
     latest-starting window that covers it, and ticks in coverage holes
     are omitted.
     """
-    if tick_ms < 1:
-        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
+    fusion.check_tick_ms(tick_ms)
     for index, (start, end, _) in enumerate(windows):
         if end <= start:
             raise tables.RowError(f"window {start}..{end} is empty", index)
@@ -159,6 +159,7 @@ def stage_simulate(
 
     if days < 1:
         raise PipelineError(f"days must be positive, got {days}")
+    fusion.check_tick_ms(tick_ms)
     script = simulate.load_script(script_path)
     if days > 1 and script[-1].clock_end_ms > simulate.MS_PER_DAY + script[0].clock_start_ms:
         raise PipelineError(f"{script_path}: line {tables.record_line(script_path, -1)}: entries "
@@ -204,7 +205,7 @@ def stage_filter(
     hand_on: bool = False,
 ) -> dict:
     """Gap-repair then low-pass one subject's log (`logged`, if given, in
-    place of reading it), the filter designed for the log's sample rate;
+    place of reading it), the filter designed for the one sample rate;
     gaps wider than max_gap_ms survive as timestamp jumps in the output.
     With hand_on, `logged` is the output as it reads back."""
     from . import timeseries

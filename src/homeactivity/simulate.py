@@ -220,7 +220,7 @@ def synth_motion(
         keep = rng.random(n) >= noise.dropout_prob
         keep[0] = True  # anchor the grid
         ts, xyz = ts[keep], xyz[keep]
-    return SampleSeries(subject_id, DEFAULT_PERIOD_MS, ts, xyz)
+    return SampleSeries(subject_id, ts, xyz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,8 +263,7 @@ def generate_day(
     and the ground-truth timeline is fused per tick with the sleep rule
     applied to sustained lying.
     """
-    if tick_ms < 1:
-        raise ValueError(f"tick_ms must be positive, got {tick_ms}")
+    fusion.check_tick_ms(tick_ms)
     entries = _validate_script(script)
     rng = np.random.default_rng([noise.seed, day_start_ms % (2**31)])
 
@@ -312,14 +311,14 @@ def calibrate_centroids(
     filter_spec: FilterSpec = FilterSpec(),
     window_len: int = DEFAULT_WINDOW_LEN,
     overlap_frac: float = DEFAULT_OVERLAP,
-    windows_per_class: int = 200,
 ) -> CentroidModel:
     """Average per-class features from matched-noise synthetic motion.
 
     Calibration runs the exact preprocessing path used at classification
     time (repair, filter, segment, extract) so noise-induced feature
-    bias cancels instead of shifting the centroids. The first two
-    windows of each run are discarded as filter warm-up.
+    bias cancels instead of shifting the centroids. Each class's own run
+    gives 200 windows after its first two, which are discarded as filter
+    warm-up.
 
     Alongside the centroids this fits a per-feature distance scale: the
     within-class feature std pooled over classes, floored at 1% of the
@@ -332,24 +331,23 @@ def calibrate_centroids(
     features (the stds) and boundary windows stay classified by the
     features a transient cannot fake (means, peak spacing, bins).
     """
-    skip = 2
-    period_ms = DEFAULT_PERIOD_MS  # of every synthesized series
+    per_class, skip = 200, 2
     hop = window_hop(window_len, overlap_frac)
-    n_samples = (windows_per_class + skip - 1) * hop + window_len
+    n_samples = (per_class + skip - 1) * hop + window_len
     # Lead length is a whole number of hops so the switch lands on a
     # window start, as scripted transitions do on the tick grid.
     lead_n = hop * max(2, -(-window_len // hop))
     feats_by_class = []
     for idx, basic in enumerate(CLASSIFIER_CLASSES):
         rng = np.random.default_rng([noise.seed, 7_000_001 + idx])
-        runs = [synth_motion(basic, n_samples * period_ms, noise=noise, rng=rng,
+        runs = [synth_motion(basic, n_samples * DEFAULT_PERIOD_MS, noise=noise, rng=rng,
                              window_len=window_len)]
-        boundary_ts = lead_n * period_ms
+        boundary_ts = lead_n * DEFAULT_PERIOD_MS
         for prev in CLASSIFIER_CLASSES:
             if prev == basic:
                 continue
             head = synth_motion(prev, boundary_ts, noise=noise, rng=rng, window_len=window_len)
-            tail = synth_motion(basic, (hop + window_len) * period_ms, noise=noise,
+            tail = synth_motion(basic, (hop + window_len) * DEFAULT_PERIOD_MS, noise=noise,
                                 start_ts=boundary_ts, rng=rng, window_len=window_len)
             runs.append(join([head, tail]))
         feats = []

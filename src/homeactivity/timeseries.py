@@ -1,7 +1,8 @@
 """Inertial time-series containers, gap repair, low-pass filtering, windowing.
 
-Series are stored as numpy arrays on a millisecond epoch clock. All
-operations are pure: they return new objects and never mutate inputs.
+Series are stored as numpy arrays on a millisecond epoch clock, sampled
+every DEFAULT_PERIOD_MS where no sample is missing: a log carries no rate.
+All operations are pure: they return new objects and never mutate inputs.
 """
 
 from __future__ import annotations
@@ -44,17 +45,17 @@ class SampleError(SeriesError):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Digital Butterworth low-pass parameters, designed per series (design)."""
+    """Digital Butterworth low-pass parameters for the one sample rate."""
 
     order: int = DEFAULT_ORDER
     cutoff_hz: float = DEFAULT_CUTOFF_HZ
 
-    def design(self, period_ms: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients (b, a) for samples period_ms apart; the cutoff must
-        lie below that rate's Nyquist frequency."""
+    def design(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (b, a) for samples DEFAULT_PERIOD_MS apart; the
+        cutoff must lie below that rate's Nyquist frequency."""
         if self.order < 1:
             raise ValueError(f"invalid order: {self.order}")
-        rate = 1000 / period_ms
+        rate = 1000 / DEFAULT_PERIOD_MS
         if not (0 < self.cutoff_hz < rate / 2):
             raise ValueError(
                 f"invalid cutoff: {self.cutoff_hz} Hz must lie in (0, {rate / 2}) Hz"
@@ -85,13 +86,10 @@ class SampleSeries(_Channels):
     """
 
     subject_id: str
-    period_ms: int
     ts: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        if self.period_ms <= 0:
-            raise SeriesError(f"nominal period must be positive, got {self.period_ms}")
         ts = np.asarray(self.ts, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "ts", ts)
@@ -109,17 +107,8 @@ class SampleSeries(_Channels):
     def __len__(self) -> int:
         return int(self.ts.size)
 
-    @property
-    def start_ts(self) -> int:
-        return int(self.ts[0])
-
-    @property
-    def end_ts(self) -> int:
-        """Exclusive end: last sample timestamp plus one period."""
-        return int(self.ts[-1]) + self.period_ms
-
     def is_grid_aligned(self) -> bool:
-        return bool(np.all(np.diff(self.ts) == self.period_ms))
+        return bool(np.all(np.diff(self.ts) == DEFAULT_PERIOD_MS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +116,6 @@ class WindowBatch(_Channels):
     """Window i covers [start_ts[i], end_ts[i]) with samples values[i], a
     (window_len, 3 or 6) read-only view of a gapless series."""
 
-    period_ms: int
     start_ts: np.ndarray
     end_ts: np.ndarray
     values: np.ndarray
@@ -147,12 +135,10 @@ def interpolate_gaps(
     Consecutive samples further apart than max_gap_ms split the series:
     no synthetic points are fabricated inside such gaps. Each returned
     segment is grid-aligned at the segment's first timestamp with step
-    period_ms; off-grid trailing samples that no grid point lands on are
-    dropped.
+    DEFAULT_PERIOD_MS; off-grid trailing samples that no grid point lands
+    on are dropped.
     """
-    if max_gap_ms <= 0:
-        raise ValueError(f"max_gap_ms must be positive, got {max_gap_ms}")
-
+    check_max_gap_ms(max_gap_ms)
     ts = series.ts
     # ts increases, so its steps are exact as uint64 where int64 would wrap
     breaks = np.flatnonzero(np.diff(ts.view(np.uint64)) > max_gap_ms)
@@ -161,12 +147,17 @@ def interpolate_gaps(
     out: list[SampleSeries] = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         seg_ts = ts[lo:hi]
-        n_steps = int((seg_ts[-1] - seg_ts[0]) // series.period_ms)
-        grid = seg_ts[0] + series.period_ms * np.arange(n_steps + 1, dtype=np.int64)
+        n_steps = int((seg_ts[-1] - seg_ts[0]) // DEFAULT_PERIOD_MS)
+        grid = seg_ts[0] + DEFAULT_PERIOD_MS * np.arange(n_steps + 1, dtype=np.int64)
         out.append(replace(series, ts=grid, values=np.column_stack(
             [np.interp(grid, seg_ts, channel[lo:hi]) for channel in series.values.T]
         )))
     return out
+
+
+def check_max_gap_ms(max_gap_ms: int) -> None:
+    if max_gap_ms <= 0:
+        raise ValueError(f"max_gap_ms must be positive, got {max_gap_ms}")
 
 
 def butter(order: int, wn: float) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +235,7 @@ def _lfilter_loop(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -
 def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     """Apply a causal digital Butterworth low-pass to each axis.
 
-    The filter is designed for the series' own sample rate by bilinear
+    The filter is designed for the one sample rate by bilinear
     transform (FilterSpec.design) and run forward-only (lfilter). Initial
     conditions are set to the step steady state of the first sample, so a
     constant signal passes through unchanged from sample zero. Timestamps
@@ -252,7 +243,7 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     """
     if not series.is_grid_aligned():
         raise SeriesError("series must be gapless and grid-aligned before filtering")
-    b, a = spec.design(series.period_ms)
+    b, a = spec.design()
     zi = lfilter_zi(b, a)
 
     return replace(series, values=np.column_stack(
@@ -261,7 +252,12 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
 
 
 def window_hop(window_len: int, overlap_frac: float) -> int:
-    """Samples from one window's start to the next's."""
+    """Samples from one window's start to the next's; refuses a window
+    below one sample and an overlap outside [0, 1)."""
+    if window_len < 1:
+        raise ValueError(f"window_len must be positive, got {window_len}")
+    if not (0 <= overlap_frac < 1):
+        raise ValueError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
     return max(1, round(window_len * (1 - overlap_frac)))
 
 
@@ -278,10 +274,6 @@ def segment(
     shorter than one window gives none. A window that would end past
     2^63 - 1 ms raises SampleError.
     """
-    if window_len < 1:
-        raise ValueError(f"window_len must be positive, got {window_len}")
-    if not (0 <= overlap_frac < 1):
-        raise ValueError(f"overlap_frac must lie in [0, 1), got {overlap_frac}")
     hop = window_hop(window_len, overlap_frac)
     pieces = split_on_gaps(series)
     first_rows, lo = [], 0
@@ -290,9 +282,10 @@ def segment(
         lo += len(piece)
     rows = np.concatenate(first_rows)  # the first sample of each window
     last = rows + window_len - 1
-    if rows.size and series.ts[last[-1]] > np.iinfo(np.int64).max - series.period_ms:
-        end = int(series.ts[last[-1]]) + series.period_ms
-        raise SampleError(f"window end {end} lies outside the int64 range", end - series.period_ms)
+    if rows.size and series.ts[last[-1]] > np.iinfo(np.int64).max - DEFAULT_PERIOD_MS:
+        end = int(series.ts[last[-1]]) + DEFAULT_PERIOD_MS
+        raise SampleError(f"window end {end} lies outside the int64 range",
+                          end - DEFAULT_PERIOD_MS)
     # one piece: a strided slice keeps the stacks views of the series
     take = slice(0, rows.size * hop, hop) if len(pieces) == 1 else rows
     if rows.size:
@@ -300,17 +293,12 @@ def segment(
         values = view.transpose(0, 2, 1)[take]
     else:
         values = np.empty((0, window_len, series.values.shape[1]))
-    return WindowBatch(
-        period_ms=series.period_ms,
-        start_ts=series.ts[rows],
-        end_ts=series.ts[last] + series.period_ms,
-        values=values,
-    )
+    return WindowBatch(series.ts[rows], series.ts[last] + DEFAULT_PERIOD_MS, values)
 
 
 def join(pieces) -> SampleSeries:
-    """The pieces, of one subject and period, as one series in order; a
-    single piece is that series, not a copy of it."""
+    """The pieces, of one subject, as one series in order; a single piece
+    is that series, not a copy of it."""
     if len(pieces) == 1:
         return pieces[0]
     return replace(pieces[0], ts=np.concatenate([p.ts for p in pieces]),
@@ -318,8 +306,8 @@ def join(pieces) -> SampleSeries:
 
 
 def split_on_gaps(series: SampleSeries) -> list[SampleSeries]:
-    """Split wherever consecutive timestamps differ from the nominal period."""
-    breaks = np.flatnonzero(np.diff(series.ts) != series.period_ms)
+    """Split wherever consecutive timestamps are not DEFAULT_PERIOD_MS apart."""
+    breaks = np.flatnonzero(np.diff(series.ts) != DEFAULT_PERIOD_MS)
     bounds = np.concatenate(([0], breaks + 1, [series.ts.size]))
     return [
         replace(series, ts=series.ts[lo:hi], values=series.values[lo:hi])
@@ -380,7 +368,7 @@ def _load_inertial_lines(path) -> list[SampleSeries]:
     lines = tables.parse_lines(path, add, InertialParseError)
     if subject is None:
         raise SeriesError(f"{path}: line {lines + 1}: empty input")
-    return [SampleSeries(subject, DEFAULT_PERIOD_MS, np.array(stamps, dtype=np.int64),
+    return [SampleSeries(subject, np.array(stamps, dtype=np.int64),
                          np.array(samples, dtype=np.float64))]
 
 
@@ -432,7 +420,7 @@ def _load_inertial_columnar(path) -> list[SampleSeries] | None:
         return None
     table = np.concatenate(blocks)
     try:
-        return [SampleSeries(subject, DEFAULT_PERIOD_MS, table["ts"].copy(), table["v"].copy())]
+        return [SampleSeries(subject, table["ts"].copy(), table["v"].copy())]
     except SeriesError:
         return None
 

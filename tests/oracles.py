@@ -177,7 +177,7 @@ def extract_features(xyz, period_ms, gyro=None):
 
 
 def series_equal(a, b):
-    if a.subject_id != b.subject_id or a.period_ms != b.period_ms:
+    if a.subject_id != b.subject_id:
         return False
     if a.ts.shape != b.ts.shape or not np.array_equal(a.ts, b.ts):
         return False

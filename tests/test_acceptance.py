@@ -229,7 +229,6 @@ def _mono_series(values):
     values = np.asarray(values, dtype=np.float64)
     return timeseries.SampleSeries(
         subject_id="s",
-        period_ms=50,
         ts=np.arange(len(values), dtype=np.int64) * 50,
         values=np.column_stack([values, values, values]),
     )

@@ -582,6 +582,51 @@ class TestCalibrator:
                 os.kill(child, signal.SIGKILL)
 
 
+class TestRefusedOptions:
+    """An option out of its range is one error line, raised by the function
+    that owns its rule before --out is made and before `pipeline` forks
+    its calibrator."""
+
+    REFUSED = {
+        "pipeline --window-len 0": "window_len must be positive, got 0",
+        "pipeline --overlap 1": "overlap_frac must lie in [0, 1), got 1.0",
+        "pipeline --span 3": "span must be one of (2, 5, 10), got 3",
+        "pipeline --max-gap-ms 0": "max_gap_ms must be positive, got 0",
+        "pipeline --timeout-ms 0": "timeout_ms must be positive, got 0",
+        "pipeline --tick-ms 0": "tick_ms must be positive, got 0",
+        "simulate --tick-ms 0": "tick_ms must be positive, got 0",
+    }
+
+    @pytest.mark.parametrize("args", REFUSED)
+    def test_refused_before_any_file_or_fork(self, args, tmp_path, capsys, monkeypatch, fds):
+        def no_fork():
+            raise AssertionError(f"forked before `{args}` was refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        command, *option = args.split()
+        run = tmp_path / "run"
+        argv = [command, "--script", str(TestCalibrator.short_script(tmp_path)),
+                "--out", str(run), *option]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == f"error: {self.REFUSED[args]}"
+        assert not run.exists()
+        assert_nothing_left(fds)
+
+
+class TestLayoutMismatch:
+    def test_names_the_line_of_the_layout_marker(self, tmp_path, capsys, quiet_model):
+        from homeactivity import features, neural
+
+        path, model = tmp_path / "features.csv", tmp_path / "model.json"
+        features.write_features(path, np.zeros((1, 49)), [(0, 6400)], "accgyro49.v1")
+        neural.save_centroids(model, quiet_model)
+        argv = ["classify", "--in", str(path), "--model", str(model),
+                "--out", str(tmp_path / "windows.csv")]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {path}: line 2: expected layout acc43.v1, file has accgyro49.v1")
+
+
 class TestStartDay:
     """--start-day-ms places the simulated days on the epoch clock."""
 
@@ -628,8 +673,8 @@ class TestStartDay:
 
 
 class TestRateAndWindowComeFromTheInput:
-    """The filter is designed for the log's own sample rate and a bundle
-    classifies windows of its own length: neither is an option."""
+    """The filter is designed for the one sample rate of every log and a
+    bundle classifies windows of its own length: neither is an option."""
 
     @pytest.mark.parametrize("command, flag", [("filter", "--sample-rate-hz"),
                                                ("pipeline", "--sample-rate-hz"),

@@ -17,7 +17,7 @@ from homeactivity.features import (
 from homeactivity.timeseries import SampleSeries, WindowBatch, segment
 
 
-def make_windows(xyz, period_ms=50, gyro=None):
+def make_windows(xyz, gyro=None):
     """A batch of (n, window_len, 3) windows, or of one (window_len, 3)
     window; a 1-D xyz is one window with that signal on every axis."""
     xyz = np.asarray(xyz, dtype=np.float64)
@@ -27,9 +27,9 @@ def make_windows(xyz, period_ms=50, gyro=None):
         xyz = xyz[None]
         gyro = None if gyro is None else np.asarray(gyro)[None]
     n, length, _ = xyz.shape
-    starts = period_ms * length * np.arange(n, dtype=np.int64)
+    starts = 50 * length * np.arange(n, dtype=np.int64)
     values = xyz if gyro is None else np.concatenate([xyz, gyro], axis=2)
-    return WindowBatch(period_ms, starts, starts + period_ms * length, values)
+    return WindowBatch(starts, starts + 50 * length, values)
 
 
 def features_of(xyz, gyro=None, include_gyro=False):
@@ -173,7 +173,7 @@ def segmented_series(draw):
     data = np.column_stack([draw(axis_samples(n)) for _ in range(6 if with_gyro else 3)])
     keep = np.ones(n, dtype=bool)
     keep[list(draw(st.sets(st.integers(0, n - 1), max_size=min(3, n - 1))))] = False
-    series = SampleSeries("s", 50, 50 * np.arange(n, dtype=np.int64)[keep], data[keep])
+    series = SampleSeries("s", 50 * np.arange(n, dtype=np.int64)[keep], data[keep])
     return segment(series, window_len, overlap), with_gyro
 
 
@@ -185,7 +185,7 @@ class TestBatchMatchesOracle:
         matrix, spans = extract_all(batch, include_gyro=with_gyro)
         want = [
             oracles.extract_features(
-                np.array(batch.xyz[i]), batch.period_ms,
+                np.array(batch.xyz[i]), 50,
                 np.array(batch.gyro[i]) if with_gyro else None,
             )
             for i in range(len(batch))
@@ -201,7 +201,7 @@ class TestBatchMatchesOracle:
 
     @pytest.mark.parametrize("window_len", [1, 2, 3])
     def test_windows_too_short_for_a_peak(self, window_len):
-        batch = segment(SampleSeries("s", 50, 50 * np.arange(8), np.ones((8, 3))), window_len)
+        batch = segment(SampleSeries("s", 50 * np.arange(8), np.ones((8, 3))), window_len)
         matrix, _ = extract_all(batch)
         assert matrix.shape == (len(batch), 43)
         assert np.all(matrix[:, 10:13] == 0.0)

@@ -8,6 +8,7 @@ from homeactivity.ambient import ROOMS
 from homeactivity.fusion import (
     APPLIANCE_PRECEDENCE,
     DEFAULT_MIN_STILL_MS,
+    DEFAULT_RULE,
     DerivedActivity,
     FusionRule,
     FusionRuleTable,
@@ -101,7 +102,7 @@ def rule_tables(draw):
 def test_fuse_follows_the_documented_precedence(rules, basic, room, appliances):
     table = FusionRuleTable(rules)
     assert table.fuse(basic, room, appliances) == fuse_by_precedence(
-        rules, table.default, basic, room, appliances)
+        rules, DEFAULT_RULE, basic, room, appliances)
 
 
 class TestRuleFiles:

@@ -213,7 +213,7 @@ EDGE_VALUES = [
 
 def make_series(subject, ts, xyz, gyro=None):
     values = xyz if gyro is None else np.hstack([xyz, gyro])
-    return SampleSeries(subject_id=subject, period_ms=50, ts=ts, values=values)
+    return SampleSeries(subject_id=subject, ts=ts, values=values)
 
 
 class TestWriterAgainstOracle:
@@ -346,7 +346,7 @@ class TestAsLogged:
     def test_matches_format_and_parse(self, tmp_path_factory, width, n, block, data):
         path = tmp_path_factory.mktemp("logged") / "log.csv"
         values = data.draw(arrays(np.float64, (n, width), elements=written_values))
-        series = SampleSeries("s", 50, data.draw(stamps(n)), values)
+        series = SampleSeries("s", data.draw(stamps(n)), values)
         with block_lines(block):
             got = write_inertial(path, series)
         assert same_bits(got, through_text(values))
@@ -362,7 +362,7 @@ class TestAsLogged:
         for width in (3, 6):
             size = timeseries._BLOCK_LINES * width
             values = np.concatenate([near[:size], plain[:2 * size]]).reshape(-1, width)
-            series = SampleSeries("s", 50, 50 * np.arange(len(values), dtype=np.int64), values)
+            series = SampleSeries("s", 50 * np.arange(len(values), dtype=np.int64), values)
             got = write_inertial(tmp_path / "log.csv", series)
             assert same_bits(got, through_text(values))
             (back,) = load_inertial(tmp_path / "log.csv")
@@ -377,7 +377,7 @@ class TestAsLogged:
         width = 6 if gyro else 3
         path = tmp_path_factory.mktemp("back") / "log.csv"
         values = data.draw(arrays(np.float64, (n, width), elements=written_values))
-        series = SampleSeries("s", 50, data.draw(stamps(n)), values)
+        series = SampleSeries("s", data.draw(stamps(n)), values)
         if append:  # a line before every stamp that stamps() draws
             path.write_text("s,,%d" % -(2**63) + ",1.000000" * width + ";\n", encoding="utf-8")
         with block_lines(block):
@@ -399,7 +399,7 @@ class TestBlockFormatter:
                                   data):
         tmp_path = tmp_path_factory.mktemp("fmt")
         values = data.draw(arrays(np.float64, (n, width), elements=written_values))
-        series = SampleSeries(subject, 50, data.draw(stamps(n)), values)
+        series = SampleSeries(subject, data.draw(stamps(n)), values)
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         if append:
             for path in (want, got):
@@ -418,7 +418,7 @@ class TestBlockFormatter:
         wide[4, 2] = -MICRO_EXACT
 
         def matrix_blocks(stamps_, values, block=5):
-            series = SampleSeries("s", 50, stamps_, values)
+            series = SampleSeries("s", stamps_, values)
             with block_lines(block), mock.patch.object(
                     timeseries, "_format_block", wraps=timeseries._format_block) as matrix:
                 write_inertial(tmp_path / "log.csv", series)
@@ -439,7 +439,7 @@ class TestBlockFormatter:
         rng = np.random.default_rng(21)
         values = rng.normal(0, 8, size=(n, 6))
         values[timeseries._BLOCK_LINES + 17, 4] = -1 / 128
-        series = SampleSeries("sim", 50, 21_600_000 + 50 * np.arange(n, dtype=np.int64), values)
+        series = SampleSeries("sim", 21_600_000 + 50 * np.arange(n, dtype=np.int64), values)
         template_write(tmp_path / "want.csv", series)
         write_inertial(tmp_path / "got.csv", series)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

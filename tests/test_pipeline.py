@@ -193,7 +193,7 @@ class TestStageGuards:
         path = tmp_path / "two.csv"
         for subject, append in (("a", False), ("b", True)):
             series = timeseries.SampleSeries(
-                subject_id=subject, period_ms=50,
+                subject_id=subject,
                 ts=np.arange(10, dtype=np.int64) * 50,
                 values=np.ones((10, 3)),
             )
@@ -205,7 +205,7 @@ class TestStageGuards:
 
     def test_log_shorter_than_a_window(self, tmp_path):
         series = timeseries.SampleSeries(
-            subject_id="s", period_ms=50,
+            subject_id="s",
             ts=np.arange(50, dtype=np.int64) * 50,
             values=np.ones((50, 3)),
         )
@@ -603,7 +603,7 @@ class TestCli:
 
         walk = synth_motion("Walk", 128 * 50)
         timeseries.write_inertial(tmp_path / "log.csv", timeseries.SampleSeries(
-            walk.subject_id, walk.period_ms, walk.ts[:127], walk.xyz[:127]))
+            walk.subject_id, walk.ts[:127], walk.xyz[:127]))
         path = tmp_path / "bundle.json"
         path.write_text(json.dumps(self.small_bundle()))
         return run_cli(["classify", "--in", str(tmp_path / "log.csv"), "--model",

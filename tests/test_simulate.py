@@ -176,7 +176,7 @@ class TestCalibration:
 
     def test_calibration_is_deterministic(self):
         noise = NoiseSpec(0.25, 0.01, seed=5)
-        a = calibrate_centroids(noise, windows_per_class=8)
-        b = calibrate_centroids(noise, windows_per_class=8)
+        a = calibrate_centroids(noise)
+        b = calibrate_centroids(noise)
         np.testing.assert_array_equal(a.centroids, b.centroids)
         np.testing.assert_array_equal(a.scale, b.scale)

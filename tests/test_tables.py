@@ -223,7 +223,7 @@ def test_fuse_names_the_line_of_an_unknown_name(table, row, reason, tmp_path, ca
 def _inertial(path, first_semicolon=True):
     """A 400-line (14 kB) inertial log; its first line may lack its `;`."""
     ts = 50 * np.arange(400, dtype=np.int64)
-    timeseries.write_inertial(path, SampleSeries("s", 50, ts, np.ones((400, 3))))
+    timeseries.write_inertial(path, SampleSeries("s", ts, np.ones((400, 3))))
     if not first_semicolon:
         path.write_bytes(path.read_bytes().replace(b";", b"", 1))
 

@@ -24,12 +24,12 @@ from homeactivity.timeseries import (
 from oracles import series_equal
 
 
-def make_series(values, period_ms=50, start=0, subject="s1"):
+def make_series(values, start=0, subject="s1"):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = np.column_stack([values, values, values])
-    ts = start + period_ms * np.arange(values.shape[0], dtype=np.int64)
-    return SampleSeries(subject_id=subject, period_ms=period_ms, ts=ts, values=values)
+    ts = start + DEFAULT_PERIOD_MS * np.arange(values.shape[0], dtype=np.int64)
+    return SampleSeries(subject_id=subject, ts=ts, values=values)
 
 
 class TestSampleSeries:
@@ -37,7 +37,6 @@ class TestSampleSeries:
         with pytest.raises(SeriesError, match="increasing"):
             SampleSeries(
                 subject_id="s",
-                period_ms=50,
                 ts=np.array([0, 50, 50]),
                 values=np.zeros((3, 3)),
             )
@@ -46,21 +45,15 @@ class TestSampleSeries:
         with pytest.raises(SeriesError):
             SampleSeries(
                 subject_id="s",
-                period_ms=50,
                 ts=np.array([0, 50]),
                 values=np.zeros((3, 3)),
             )
-
-    def test_end_ts_is_exclusive(self):
-        s = make_series([1.0, 2.0, 3.0], period_ms=50, start=100)
-        assert s.end_ts == 100 + 3 * 50
 
     def test_grid_alignment(self):
         s = make_series([1.0, 2.0, 3.0])
         assert s.is_grid_aligned()
         gappy = SampleSeries(
             subject_id="s",
-            period_ms=50,
             ts=np.array([0, 50, 150]),
             values=np.zeros((3, 3)),
         )
@@ -141,7 +134,7 @@ class TestInterpolateGaps:
         # samples at 0,50,200: the 150 ms hole gets grid points 100,150
         ts = np.array([0, 50, 200], dtype=np.int64)
         xyz = np.array([[0, 0, 0], [1, 10, -1], [4, 40, -4]], dtype=np.float64)
-        s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=xyz)
+        s = SampleSeries(subject_id="s", ts=ts, values=xyz)
         (out,) = interpolate_gaps(s, max_gap_ms=1000)
         assert np.array_equal(out.ts, [0, 50, 100, 150, 200])
         expected = np.interp([0, 50, 100, 150, 200], ts, xyz[:, 0])
@@ -156,7 +149,7 @@ class TestInterpolateGaps:
     def test_large_gap_splits(self):
         ts = np.array([0, 50, 2000, 2050], dtype=np.int64)
         s = SampleSeries(
-            subject_id="s", period_ms=50, ts=ts, values=np.ones((4, 3))
+            subject_id="s", ts=ts, values=np.ones((4, 3))
         )
         pieces = interpolate_gaps(s, max_gap_ms=1000)
         assert [p.ts[0] for p in pieces] == [0, 2000]
@@ -165,7 +158,7 @@ class TestInterpolateGaps:
     def test_gap_at_threshold_is_filled(self):
         ts = np.array([0, 1000], dtype=np.int64)
         s = SampleSeries(
-            subject_id="s", period_ms=50, ts=ts, values=np.ones((2, 3))
+            subject_id="s", ts=ts, values=np.ones((2, 3))
         )
         (out,) = interpolate_gaps(s, max_gap_ms=1000)
         assert len(out) == 21  # 0..1000 inclusive on the 50 ms grid
@@ -173,7 +166,7 @@ class TestInterpolateGaps:
     def test_off_grid_samples_resampled(self):
         ts = np.array([0, 30, 100], dtype=np.int64)
         xyz = np.array([[0.0] * 3, [3.0] * 3, [10.0] * 3])
-        s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=xyz)
+        s = SampleSeries(subject_id="s", ts=ts, values=xyz)
         (out,) = interpolate_gaps(s)
         assert np.array_equal(out.ts, [0, 50, 100])
         np.testing.assert_allclose(out.xyz[1], [5.0, 5.0, 5.0])
@@ -181,20 +174,18 @@ class TestInterpolateGaps:
     @given(
         start=st.integers(-10**12, 10**12),
         steps=st.lists(st.integers(1, 3000), max_size=60),
-        period_ms=st.integers(1, 100),
         max_gap_ms=st.integers(1, 2000),
         gyro=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_off_grid_pieces_follow_the_input(self, start, steps, period_ms, max_gap_ms,
-                                              gyro, data):
+    def test_off_grid_pieces_follow_the_input(self, start, steps, max_gap_ms, gyro, data):
         ts = start + np.cumsum([0, *steps], dtype=np.int64)
         values = st.floats(-1e6, 1e6)
         xyz, gy = (np.array(data.draw(st.lists(st.tuples(values, values, values),
                                                min_size=ts.size, max_size=ts.size)))
                    for _ in range(2))
-        s = SampleSeries("s", period_ms, ts, np.hstack([xyz, gy]) if gyro else xyz)
+        s = SampleSeries("s", ts, np.hstack([xyz, gy]) if gyro else xyz)
         pieces = interpolate_gaps(s, max_gap_ms=max_gap_ms)
         firsts = [int(p.ts[0]) for p in pieces]
         assert firsts[0] == ts[0]
@@ -203,8 +194,8 @@ class TestInterpolateGaps:
             hi = firsts[k + 1] if k + 1 < len(pieces) else ts[-1] + 1
             src = (ts >= firsts[k]) & (ts < hi)
             src_ts = ts[src]
-            assert np.array_equal(p.ts, p.ts[0] + period_ms * np.arange(len(p)))
-            assert p.ts[-1] <= src_ts[-1] < p.ts[-1] + period_ms
+            assert np.array_equal(p.ts, p.ts[0] + DEFAULT_PERIOD_MS * np.arange(len(p)))
+            assert p.ts[-1] <= src_ts[-1] < p.ts[-1] + DEFAULT_PERIOD_MS
             assert (np.diff(src_ts) <= max_gap_ms).all()
             if k + 1 < len(pieces):
                 assert p.ts[-1] < firsts[k + 1]
@@ -220,13 +211,10 @@ class TestInterpolateGaps:
 class TestButterworth:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match=r"invalid cutoff: 10.0 Hz must lie in \(0, 10.0\)"):
-            FilterSpec(cutoff_hz=10.0).design(50)
-        spec = FilterSpec(cutoff_hz=6.0)  # designed for each series' own rate
-        butterworth_lowpass(make_series(np.zeros(8), period_ms=50), spec)
-        with pytest.raises(ValueError, match=r"invalid cutoff: 6.0 Hz must lie in \(0, 5.0\)"):
-            butterworth_lowpass(make_series(np.zeros(8), period_ms=100), spec)
+            FilterSpec(cutoff_hz=10.0).design()
+        butterworth_lowpass(make_series(np.zeros(8)), FilterSpec(cutoff_hz=6.0))
         with pytest.raises(ValueError, match="invalid order: 0"):
-            FilterSpec(order=0).design(50)
+            FilterSpec(order=0).design()
 
     def test_constant_passes_from_sample_zero(self):
         s = make_series(np.full(64, 7.25))
@@ -256,7 +244,6 @@ class TestButterworth:
     def test_requires_grid_alignment(self):
         s = SampleSeries(
             subject_id="s",
-            period_ms=50,
             ts=np.array([0, 50, 150]),
             values=np.zeros((3, 3)),
         )
@@ -312,7 +299,7 @@ class TestSegment:
         # span 7,400 ms, so only the two windows before the hole remain
         ts = 50 * np.arange(320, dtype=np.int64)
         ts[200:] += 1000
-        s = SampleSeries(subject_id="s1", period_ms=50, ts=ts, values=np.zeros((320, 3)))
+        s = SampleSeries(subject_id="s1", ts=ts, values=np.zeros((320, 3)))
         assert segment(s).spans() == [(0, 6400), (3200, 9600)]
 
     @given(
@@ -330,7 +317,7 @@ class TestSegment:
             t = ts[-1] + 50
         ts = np.array(ts, dtype=np.int64)
         xyz = np.arange(3 * ts.size, dtype=np.float64).reshape(-1, 3)
-        batch = segment(SampleSeries("s", 50, ts, xyz), window_len, overlap)
+        batch = segment(SampleSeries("s", ts, xyz), window_len, overlap)
         hop = max(1, round(window_len * (1 - overlap)))
         want, lo = [], 0
         for n in runs:
@@ -350,7 +337,7 @@ class TestSegment:
 
 def test_split_on_gaps():
     ts = np.array([0, 50, 100, 250, 300], dtype=np.int64)
-    s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=np.zeros((5, 3)))
+    s = SampleSeries(subject_id="s", ts=ts, values=np.zeros((5, 3)))
     parts = split_on_gaps(s)
     assert [len(p) for p in parts] == [3, 2]
     assert parts[1].ts[0] == 250
@@ -358,7 +345,7 @@ def test_split_on_gaps():
 
 def test_join_copies_several_pieces_but_not_one():
     ts = np.array([0, 50, 100, 250, 300], dtype=np.int64)
-    s = SampleSeries(subject_id="s", period_ms=50, ts=ts, values=np.arange(15.0).reshape(5, 3))
+    s = SampleSeries(subject_id="s", ts=ts, values=np.arange(15.0).reshape(5, 3))
     parts = split_on_gaps(s)
     assert series_equal(join(parts), s)
     assert join(parts[:1]) is parts[0]
