@@ -194,6 +194,9 @@ def _run_pipeline(eff, out) -> None:
     labelling.windowize([], eff["span"])
     if not (eff["script"] or (eff["inertial"] and eff["events"])):
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")
+    if eff["script"]:
+        pipeline.simulation_script(eff["script"], eff["days"], eff["start_day_ms"],
+                                   eff["tick_ms"], eff["subject"])
     out = Path(out)
     calibration = None if eff["model"] else simulate.Calibration(
         noise, spec, eff["window_len"], eff["overlap"])

@@ -136,6 +136,30 @@ def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
     return ticks
 
 
+def simulation_script(script_path, days: int, start_day_ms: int, tick_ms: int,
+                      subject_id: str) -> list[simulate.ScheduleEntry]:
+    """The daily script at script_path, refused with the options that
+    simulate runs it with: days below 1 or that overlap, days that leave
+    the int64 clock, a tick_ms below 1, or a subject id that a log
+    cannot carry."""
+    from . import simulate, timeseries
+
+    if days < 1:
+        raise PipelineError(f"days must be positive, got {days}")
+    fusion.check_tick_ms(tick_ms)
+    timeseries.check_subject_id(subject_id)
+    script = simulate.load_script(script_path)
+    if days > 1 and script[-1].clock_end_ms > simulate.MS_PER_DAY + script[0].clock_start_ms:
+        raise PipelineError(f"{script_path}: line {tables.record_line(script_path, -1)}: entries "
+                            f"overlap at clock offset {script[0].clock_start_ms} ms of the next day")
+    first = start_day_ms + script[0].clock_start_ms
+    last = start_day_ms + (days - 1) * simulate.MS_PER_DAY + script[-1].clock_end_ms
+    if not (-(2**63) <= first and last < 2**63):
+        raise PipelineError(f"start_day_ms {start_day_ms}: the script's {days} day(s) run "
+                            f"{first}..{last} ms, outside the int64 clock")
+    return script
+
+
 def stage_simulate(
     script_path,
     out_inertial,
@@ -152,23 +176,12 @@ def stage_simulate(
 ) -> dict:
     """Run the daily script for `days` consecutive days and write the
     inertial log, ambient event log, and ground-truth derived timeline,
-    making their directories; days that overlap, or that leave the int64
-    clock, are refused first. With hand_on, `logged` is the inertial log
-    as it reads back."""
+    making their directories once the script and options pass
+    simulation_script. With hand_on, `logged` is the inertial log as it
+    reads back."""
     from . import simulate, timeseries
 
-    if days < 1:
-        raise PipelineError(f"days must be positive, got {days}")
-    fusion.check_tick_ms(tick_ms)
-    script = simulate.load_script(script_path)
-    if days > 1 and script[-1].clock_end_ms > simulate.MS_PER_DAY + script[0].clock_start_ms:
-        raise PipelineError(f"{script_path}: line {tables.record_line(script_path, -1)}: entries "
-                            f"overlap at clock offset {script[0].clock_start_ms} ms of the next day")
-    first = start_day_ms + script[0].clock_start_ms
-    last = start_day_ms + (days - 1) * simulate.MS_PER_DAY + script[-1].clock_end_ms
-    if not (-(2**63) <= first and last < 2**63):
-        raise PipelineError(f"start_day_ms {start_day_ms}: the script's {days} day(s) run "
-                            f"{first}..{last} ms, outside the int64 clock")
+    script = simulation_script(script_path, days, start_day_ms, tick_ms, subject_id)
     for path in (out_inertial, out_events, out_truth):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     all_events = []
@@ -216,7 +229,7 @@ def stage_filter(
     try:
         pieces = timeseries.interpolate_gaps(series, max_gap_ms)
         for i, piece in enumerate(pieces):
-            filtered = timeseries.butterworth_lowpass(piece, spec)
+            filtered = timeseries.lowpass_for_log(piece, spec)
             written = timeseries.write_inertial(out_path, filtered, append=i > 0)
             if hand_on:
                 handed.append(replace(filtered, values=written))

@@ -31,6 +31,7 @@ from .timeseries import (
     DEFAULT_WINDOW_LEN,
     FilterSpec,
     SampleSeries,
+    WindowBatch,
     butterworth_lowpass,
     interpolate_gaps,
     join,
@@ -350,16 +351,18 @@ def calibrate_centroids(
             tail = synth_motion(basic, (hop + window_len) * DEFAULT_PERIOD_MS, noise=noise,
                                 start_ts=boundary_ts, rng=rng, window_len=window_len)
             runs.append(join([head, tail]))
-        feats = []
+        kept = []  # (start_ts, end_ts, values) of the windows each run keeps
         for run_idx, run in enumerate(runs):
-            rows = []
-            for piece in interpolate_gaps(run):
-                batch = segment(butterworth_lowpass(piece, filter_spec), window_len, overlap_frac)
-                matrix, _ = extract_all(batch)
-                rows.append(matrix if run_idx == 0 else matrix[batch.start_ts >= boundary_ts])
-            rows = np.vstack(rows)
-            feats.append(rows[skip:] if run_idx == 0 else rows[:2])
-        feats_by_class.append(np.vstack(feats))
+            batches = [segment(butterworth_lowpass(piece, filter_spec), window_len, overlap_frac)
+                       for piece in interpolate_gaps(run)]
+            start_ts, end_ts, values = (np.concatenate([getattr(batch, name) for batch in batches])
+                                        for name in ("start_ts", "end_ts", "values"))
+            keep = (slice(skip, None) if run_idx == 0
+                    else np.flatnonzero(start_ts >= boundary_ts)[:2])
+            kept.append((start_ts[keep], end_ts[keep], values[keep]))
+        # extract_all's rows are independent: one call gives each row's bits
+        matrix, _ = extract_all(WindowBatch(*map(np.concatenate, zip(*kept))))
+        feats_by_class.append(matrix)
     centroids = np.vstack([f.mean(axis=0) for f in feats_by_class])
     pooled = np.sqrt(np.mean([f.var(axis=0) for f in feats_by_class], axis=0))
     spread = centroids.max(axis=0) - centroids.min(axis=0)

@@ -7,6 +7,8 @@ All operations are pure: they return new objects and never mutate inputs.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -251,6 +253,218 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     ))
 
 
+def lowpass_for_log(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
+    """butterworth_lowpass(series, spec) as write_inertial logs it.
+
+    Each value gives the micro-units and the slow flag (_micro_units) of
+    butterworth_lowpass's value, and a slow value is that value, so both
+    write the same bytes and read back the same floats; the values may
+    differ from lfilter's in their last bits. Each channel runs as block
+    products (_BlockLowpass) in chunks of _CHUNK samples. A value that
+    the products cannot certify makes lfilter rerun the channel up to
+    it, and a channel whose bound certifies nothing runs through lfilter
+    alone.
+    """
+    if not series.is_grid_aligned():
+        raise SeriesError("series must be gapless and grid-aligned before filtering")
+    b, a = spec.design()
+    zi = lfilter_zi(b, a)
+    blocks = _BlockLowpass(b, a, zi)
+    out = np.empty_like(series.values)
+    for k, channel in enumerate(series.values.T):
+        z = zi * channel[0]
+        last = blocks.run(channel, z, out[:, k])
+        if last >= 0:
+            out[:last + 1, k] = lfilter(b, a, channel[:last + 1], z)
+    return replace(series, values=out)
+
+
+# Samples per block product, and per chunk of blocks of lowpass_for_log.
+_BLOCK = 64
+_CHUNK = 256 * _BLOCK
+
+
+class _BlockLowpass:
+    """The filter (b, a), a[0] == 1, of order N, run as products over
+    blocks of B = _BLOCK samples, with the bound ε on how far they may lie
+    from lfilter's values.
+
+    The blocks. After sample k, lfilter's delays are z_k = A·z_{k-1} + v·x_k
+    and its output is y_k = c·z_{k-1} + b0·x_k: A is the companion matrix
+    of a, v = b[1:] - a[1:]·b0 and c picks delay 0. A block that starts in
+    state s gives y_j = O_j·s + Σ_{i<=j} h_{j-i}·x_i at its sample j, and
+    ends in state P·s + G·x: h is the impulse response (h_0 = b0,
+    h_m = c·A^(m-1)·v), O_j = c·A^j, column i of G is A^(B-1-i)·v, and
+    P = A^B. These are computed over the integers, exactly, and each entry
+    is rounded once to float64. The products run in float64, the state
+    carried from block to block in Python floats.
+
+    The bound, with u = 2^-53, γ_n = n·u/(1 - n·u), M = max|x| and the
+    absolute row sums ρ_n of P, ρ = max ρ_n. It needs ρ < 1: then
+    A^(tB+j) = A^j·P^t, and each infinite sum below is its first block's
+    terms plus a geometric tail. Let
+      H = Σ_m |h_m| and H_B = Σ_{m<B} |h_m|, the gain from x to y;
+      Γ_n = Σ_{k<B} |(A^k·v)_n| and Γ*_n = Σ_k |(A^k·v)_n|, to delay n;
+      Ω = max_j ‖O_j‖_1, the largest gain from a state to y;
+      R = Σ_m |r_m|, r the impulse response of 1/a.
+    Both outputs are measured from the exact filter that starts from
+    x_0·z*, z* the exact steady state: the delays after an endless run of
+    x_0. That filter keeps |y| <= Y = H·M and each |z_n| <= S_n = Γ*_n·M.
+    Both runs start from the float state zi·x_0 instead, which lies within
+    δ = M·max|zi - z*| + u·max|zi·x_0| of x_0·z*; that moves an output by
+    at most Ω·δ. Each float operation errs by at most u times its exact
+    result, or by 2^-1075 below the normal range: ε adds 2^-1000 for
+    those, more than any value gathers.
+    - lfilter. Sample k errs on y by at most u·(|b0|M + Y), and on delay n
+      by u·(2|b_{n+1}|M + S_{n+1} + |a_{n+1}|Y + S_n), with S_N = 0. An
+      error on delay n reaches y n + 1 samples later and then runs through
+      1/a, so lfilter errs by at most
+      E_l = Ω·δ + u·R·(|b0|M + Y + Σ_n (2|b_{n+1}|M + S_{n+1} + |a_{n+1}|Y + S_n)).
+    - Blocks. A sum of n products errs by at most γ_n times the sum of
+      their magnitudes, and each rounded entry by u times itself. The
+      carried state errs by d with d <= |P|·d + l after each block, where
+      l_n = (γ_B + u)·Γ_n·M + γ_{N+1}·((|P|·S)_n + Γ_n·M) + u·(|P|·S)_n,
+      so d_n <= D_n = l_n + ρ_n·max(l)/(1 - ρ). So the blocks err by at most
+      E_b = Ω·δ + (γ_B + u)·H_B·M + max_j Σ_n |O_jn|·((γ_N + u)·S_n + D_n) + u·Y.
+    - The writer rounds p = fl(v·1e6), which errs by u·|p| for each value.
+    So lfilter's p and the blocks' p lie within 1e6·ε of each other, where
+      ε = 1.01·(E_l + E_b + 2u·(Y + E_l + E_b)).
+    Terms of second order in u are left out: each is a first-order term
+    times a factor below κ, the bound ε for M = 1 and zi·x_0 = 1, which
+    must be at most 2^-30. The factor 1.01 covers them and the float
+    evaluation of ε.
+
+    The check (run). A value with p̃ = fl(ỹ·1e6) further than 1e6·ε from
+    every half-integer has lfilter's p on the same side of each, so the
+    same rint and no tie; and a value with |ỹ| > ε has the sign of
+    lfilter's. Every other value is doubtful. ε < 0.5e-6, without which no
+    value is certain, implies Y < 2^52/1e6, so no certified value is slow.
+    """
+
+    def __init__(self, b: np.ndarray, a: np.ndarray, zi: np.ndarray):
+        n = a.size - 1
+        o, av, p, dz = _companion_steps(b, a, zi)
+        self.carry = p.tolist()
+        row_sums = np.abs(p).sum(axis=1)
+        rho = float(row_sums.max())
+        self.per_x = self.per_z = math.inf  # ε per unit of M and of max|zi·x_0|
+        if not rho < 1:
+            return
+        u = 2.0**-53
+        gamma_b, gamma_n, gamma_n1 = (k * u / (1 - k * u) for k in (_BLOCK, n, n + 1))
+        tail = row_sums / (1 - rho)  # per unit ‖A^j·w‖ summed over the first block
+        gamma = np.abs(av).sum(axis=0)
+        s = gamma + tail * float(np.abs(av).max(axis=1).sum())  # Γ*
+        h = np.r_[b[0], av[:, 0]]
+        h_b = float(np.abs(h[:_BLOCK]).sum())
+        self.toeplitz_t = np.zeros((_BLOCK, _BLOCK))  # T transposed
+        for j in range(_BLOCK):
+            self.toeplitz_t[:j + 1, j] = h[j::-1]
+        self.gain_t = av[::-1].copy()  # G transposed
+        self.state_t = o.T.copy()
+        o = np.abs(o)
+        omega = float(o.sum(axis=1).max())
+        h_all = abs(float(b[0])) + float(s[0])
+        r_all = float(o[:, 0].sum()) + float(o.sum()) * rho / (1 - rho)
+        ab, aa = np.abs(b).tolist(), np.abs(a).tolist()
+        sn = [*s.tolist(), 0.0]
+        e_l = u * r_all * (ab[0] + h_all + sum(
+            2 * ab[i + 1] + sn[i + 1] + aa[i + 1] * h_all + sn[i] for i in range(n)))
+        ps = np.abs(p) @ s
+        local = (gamma_b + u) * gamma + gamma_n1 * (ps + gamma) + u * ps
+        d = local + row_sums * float(local.max()) / (1 - rho)
+        e_b = ((gamma_b + u) * h_b + float((o @ ((gamma_n + u) * s + d)).max())
+               + u * h_all)
+        self.per_x = 1.01 * (e_l + e_b + 2 * omega * dz
+                             + 2 * u * (h_all + e_l + e_b + 2 * omega * dz))
+        self.per_z = 1.01 * 2 * omega * u * (1 + 2 * u)
+        if self.per_x + self.per_z > 2.0**-30:
+            self.per_x = math.inf
+
+    def run(self, x: np.ndarray, z: np.ndarray, out: np.ndarray) -> int:
+        """Write the blocks' filter of x from state z into out, and return
+        the index of its last doubtful value, or -1; where ε certifies
+        nothing, return the last index without computing a product."""
+        x_max = max(float(x.max()), -float(x.min()))
+        eps = self.per_x * x_max + self.per_z * float(np.abs(z).max()) + 2.0**-1000
+        if not 1e6 * eps < 0.5:
+            return x.size - 1
+        micro_eps = 1e6 * eps
+        last, s = -1, z.tolist()
+        for lo in range(0, x.size, _CHUNK):
+            piece = x[lo:lo + _CHUNK]
+            blocks = np.zeros((-(-piece.size // _BLOCK), _BLOCK))
+            blocks.ravel()[:piece.size] = piece
+            starts, s = self._starts(s, (blocks @ self.gain_t).tolist())
+            y = blocks @ self.toeplitz_t
+            y += np.array(starts) @ self.state_t
+            y = y.ravel()[:piece.size]
+            p = y * 1e6
+            off = np.abs(p - np.rint(p))
+            doubtful = (off + micro_eps >= 0.5) | (np.abs(y) <= eps)
+            if doubtful.any():
+                last = lo + int(np.flatnonzero(doubtful)[-1])
+            out[lo:lo + piece.size] = y
+        return last
+
+
+    def _starts(self, s: list, increments: list) -> tuple[list, list]:
+        """The state at each block's start, from s and each block's
+        increment q: the next block starts in P·s + q. Order 3, the
+        default, runs as straight-line code."""
+        starts = []
+        if len(s) != 3:
+            for q in increments:
+                starts.append(s)
+                s = [sum(map(operator.mul, row, s), qi) for row, qi in zip(self.carry, q)]
+            return starts, s
+        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = self.carry
+        s0, s1, s2 = s
+        for q0, q1, q2 in increments:
+            starts.append((s0, s1, s2))
+            s0, s1, s2 = (q0 + p00 * s0 + p01 * s1 + p02 * s2,
+                          q1 + p10 * s0 + p11 * s1 + p12 * s2,
+                          q2 + p20 * s0 + p21 * s1 + p22 * s2)
+        return starts, [s0, s1, s2]
+
+
+def _companion_steps(b: np.ndarray, a: np.ndarray, zi: np.ndarray):
+    """The exact powers of the filter's companion matrix A that
+    _BlockLowpass needs, each entry rounded once to float64: O (B, N),
+    row j c·A^j; Av (B, N), row k A^k·v; and P = A^B; then max|zi - z*|
+    for the float steady state zi, z* the exact one.
+
+    The coefficients are dyadic, so with 2^e their largest denominator,
+    2^e·A, 2^e·a and 2^e·b are integer: the k-th power of A is exact
+    over the integers at scale 2^(k·e), and an int / int quotient is
+    correctly rounded.
+    """
+    n = a.size - 1
+    ratios = [v.as_integer_ratio() for v in [*b.tolist(), *a.tolist()]]
+    e = max(q.bit_length() - 1 for _, q in ratios)
+    bi, ai = ([p * (1 << e) // q for p, q in ratios[k:k + n + 1]] for k in (0, n + 1))
+
+    def step(w):  # A·w, one more factor 2^e
+        return [(w[i + 1] << e if i + 1 < n else 0) - ai[i + 1] * w[0] for i in range(n)]
+
+    units = [[int(i == c) for i in range(n)] for c in range(n)]
+    v = [(bi[i + 1] << e) - ai[i + 1] * bi[0] for i in range(n)]  # at scale 2^(2e)
+    rows, av = [], []
+    for k in range(_BLOCK):
+        rows.append([w[0] / (1 << (k * e)) for w in units])
+        av.append([w / (1 << ((k + 2) * e)) for w in v])
+        units, v = [step(w) for w in units], step(v)
+    scale = 1 << (_BLOCK * e)
+
+    # z*_i = Σ_{m>i} (b_m - a_m·y*), y* = Σb / Σa, over the denominator 2^e·Σa
+    den = (1 << e) * sum(ai)
+    exact = [sum(bi[i + 1:]) * sum(ai) - sum(ai[i + 1:]) * sum(bi) for i in range(n)]
+    dzi = max(abs(p * den - x * q) / abs(q * den)
+              for (p, q), x in zip(map(float.as_integer_ratio, zi.tolist()), exact))
+    p = [[w[i] / scale for w in units] for i in range(n)]
+    return np.array(rows), np.array(av), np.array(p), dzi
+
+
 def window_hop(window_len: int, overlap_frac: float) -> int:
     """Samples from one window's start to the next's; refuses a window
     below one sample and an overlap outside [0, 1)."""
@@ -436,6 +650,13 @@ def load_inertial(path: str | Path) -> list[SampleSeries]:
     return _load_inertial_columnar(path) or _load_inertial_lines(path)
 
 
+def check_subject_id(subject_id: str) -> None:
+    """Refuse a subject id that would not read back unchanged from a log."""
+    if any(c in subject_id for c in ",\r\n") or subject_id[:1].isspace():
+        raise SeriesError(f"subject id {subject_id!r} cannot be logged: it holds a "
+                          "comma or a line break, or starts with whitespace")
+
+
 def write_inertial(
     path: str | Path,
     series: SampleSeries,
@@ -451,11 +672,10 @@ def write_inertial(
     text is n's digits (_format_block). A block that holds a value
     _micro_units calls slow, or a negative timestamp, is formatted by the
     template, and its slow values are parsed from their `%.6f` text. A
-    subject id that would not read back unchanged is refused.
+    subject id that would not read back unchanged is refused
+    (check_subject_id).
     """
-    if any(c in series.subject_id for c in ",\r\n") or series.subject_id[:1].isspace():
-        raise SeriesError(f"subject id {series.subject_id!r} cannot be logged: it holds a "
-                          "comma or a line break, or starts with whitespace")
+    check_subject_id(series.subject_id)
     prefix = (series.subject_id + ",,").encode("utf-8")
     line = (series.subject_id.replace("%", "%%") + ",,%d"
             + ",%.6f" * series.values.shape[1] + ";\n")

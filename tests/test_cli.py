@@ -485,7 +485,12 @@ class TestCalibrator:
         assert (run / "features.csv").exists() and not (run / "centroids.json").exists()
         assert_nothing_left(fds)
 
-    def test_a_script_refused_after_the_fork_leaves_no_child(self, tmp_path, capsys, fds):
+    def test_a_script_refused_before_the_fork_leaves_no_child(self, tmp_path, capsys,
+                                                              monkeypatch, fds):
+        def no_fork():
+            raise AssertionError("forked before the script was refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         script = self.short_script(tmp_path, [
             (3_600_000, 60_000, "Hall", "Sit"),
             (simulate.MS_PER_DAY - 60_000, 7_200_000, "Hall", "Walk")])
@@ -587,6 +592,8 @@ class TestRefusedOptions:
     that owns its rule before --out is made and before `pipeline` forks
     its calibrator."""
 
+    SUBJECT = ("subject id 'a,b' cannot be logged: it holds a comma or a line break, "
+               "or starts with whitespace")
     REFUSED = {
         "pipeline --window-len 0": "window_len must be positive, got 0",
         "pipeline --overlap 1": "overlap_frac must lie in [0, 1), got 1.0",
@@ -595,6 +602,12 @@ class TestRefusedOptions:
         "pipeline --timeout-ms 0": "timeout_ms must be positive, got 0",
         "pipeline --tick-ms 0": "tick_ms must be positive, got 0",
         "simulate --tick-ms 0": "tick_ms must be positive, got 0",
+        "pipeline --days 0": "days must be positive, got 0",
+        "pipeline --start-day-ms 9223372036854775000": (
+            "start_day_ms 9223372036854775000: the script's 1 day(s) run "
+            "9223372036876375000..9223372036876435000 ms, outside the int64 clock"),
+        "pipeline --subject a,b": SUBJECT,
+        "simulate --subject a,b": SUBJECT,
     }
 
     @pytest.mark.parametrize("args", REFUSED)
@@ -855,7 +868,8 @@ class TestDispatch:
             def load(_loader=loader):
                 calls.append(_loader)
             monkeypatch.setattr(module, loader, load)
-        argv = ["pipeline", "--script", str(tmp_path / "script.csv"),
+        # the script is read, and checked with the options, before the first stage
+        argv = ["pipeline", "--script", str(TestCalibrator.short_script(tmp_path)),
                 "--out", str(tmp_path / "run"), "--model", str(tmp_path / "model.json")]
         assert cli.main(argv) == 0
         assert calls == ["load_default_rules", "load_default_priorities",

@@ -194,6 +194,27 @@ class TestBatchMatchesOracle:
         assert np.array_equal(matrix, np.array(want).reshape(len(batch), width))
         assert spans == batch.spans()
 
+    @given(segmented_series(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_split_gives_the_rows_of_one_call(self, case, data):
+        """Each row depends on its window alone, so the calibrator may
+        extract a class's windows in one call: the pieces of any split,
+        1-row pieces included, each a view or a contiguous copy, give the
+        bits of one call over the whole batch."""
+        batch, with_gyro = case
+        n = len(batch)
+        cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        rows = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            values = batch.values[lo:hi]
+            if data.draw(st.booleans()):
+                values = values.copy()
+            piece = WindowBatch(batch.start_ts[lo:hi], batch.end_ts[lo:hi], values)
+            rows.append(extract_all(piece, include_gyro=with_gyro)[0])
+        whole, _ = extract_all(batch, include_gyro=with_gyro)
+        assert np.concatenate(rows).tobytes() == whole.tobytes()
+
     def test_every_edge_value_lands_in_the_histogram_bin(self):
         for value in EDGE_VALUES + BEYOND:
             vec = features_of(np.full(4, value))

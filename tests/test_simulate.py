@@ -1,5 +1,7 @@
 """Scripted household synthesis and classifier calibration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,19 @@ class TestCalibration:
             matrix, _ = extract_all(segment(filtered))
             for label in quiet_model.classify(matrix[2:]):
                 assert label == basic
+
+    @pytest.mark.parametrize("dropout, window_len, digest", [
+        (0.05, 128, "808c72b5ca2092a8bdba8d9350da344f996f92e8a65ad1997e5146dce166970b"),
+        # gaps over a second split each run into up to 5 pieces
+        (0.8, 16, "abb001f346b1f366df6f4b1b69195ca511830e5e439cc658eefbb83f00cec5b9"),
+    ])
+    def test_centroid_and_scale_digests_are_pinned(self, dropout, window_len, digest):
+        """sha256 of the centroids and scale, recorded while each run's
+        windows were extracted on their own, piece by piece."""
+        model = calibrate_centroids(NoiseSpec((0.5, 0.3, 0.8), dropout, seed=7),
+                                    window_len=window_len)
+        got = hashlib.sha256(model.centroids.tobytes() + model.scale.tobytes()).hexdigest()
+        assert got == digest
 
     def test_calibration_is_deterministic(self):
         noise = NoiseSpec(0.25, 0.01, seed=5)

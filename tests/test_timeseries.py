@@ -267,6 +267,90 @@ class TestButterworth:
         assert got.tobytes() == want.tobytes()
 
 
+# Values on or near a rounding boundary of the log's `%.6f` text, and zeros
+# of either sign, whose text keeps the sign.
+HELD = [2.0000005, -2.0000005, 0.0000005, 0.0, -0.0, 1e-9, 9.81]
+
+
+class TestLowpassForLog:
+    """lowpass_for_log logs what butterworth_lowpass logs: the same
+    micro-units and slow flags, and the same value where one is slow."""
+
+    @staticmethod
+    def assert_logged_alike(got, want):
+        n_got, slow_got = timeseries._micro_units(got.values)
+        n_want, slow_want = timeseries._micro_units(want.values)
+        assert n_got.tobytes() == n_want.tobytes()  # tells -0.0 from 0.0
+        assert np.array_equal(slow_got, slow_want)
+        assert got.values[slow_got].tobytes() == want.values[slow_want].tobytes()
+        assert np.array_equal(got.ts, want.ts)
+
+    @given(
+        order=st.integers(1, 8),
+        cutoff=st.floats(0.1, 9.9),
+        scale=st.sampled_from([1e-6, 1e-3, 0.5, 20.0, 1e3, 1e6, 1e9]),
+        length=(st.integers(1, 300) | st.integers(1, 300) | st.integers(1, 300)
+                | st.integers(timeseries._CHUNK - 64, timeseries._CHUNK + 200)),
+        channels=st.sampled_from([3, 6]),
+        kind=st.sampled_from(["noise", "walk", "tone", "held"]),
+        logged=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_micro_units_and_slow_flags_are_butterworth_lowpass(
+            self, order, cutoff, scale, length, channels, kind, logged, seed):
+        rng = np.random.default_rng(seed)
+        shape = (length, channels)
+        if kind == "noise":
+            values = scale * rng.normal(size=shape)
+        elif kind == "walk":
+            values = scale * np.cumsum(rng.normal(size=shape), axis=0) / np.sqrt(length)
+        elif kind == "tone":
+            t = np.arange(length)[:, None] / 20.0
+            values = scale * np.sin(2 * np.pi * rng.uniform(0, 10, channels) * t
+                                    + rng.uniform(0, 7, channels)) + rng.normal(size=channels)
+        else:
+            values = np.broadcast_to(rng.choice(HELD, channels), shape).copy()
+        if logged:  # as a log reads back
+            values = np.rint(values * 1e6) / 1e6
+        series = make_series(values)
+        spec = FilterSpec(order, cutoff)
+        self.assert_logged_alike(timeseries.lowpass_for_log(series, spec),
+                                 butterworth_lowpass(series, spec))
+
+    @pytest.mark.parametrize("held", [2.0000005, -0.0])
+    def test_a_channel_on_a_rounding_boundary_reruns_through_lfilter(self, held):
+        """Every filtered value of a channel held on 2.0000005 lies on a
+        half micro-unit, and every one held on -0.0 may print either sign,
+        so the check doubts the last sample and lfilter reruns the whole
+        channel; a noisy channel beside it keeps its block products."""
+        x = np.full(3 * timeseries._BLOCK + 5, held)
+        noise = np.random.default_rng(3).normal(size=x.size)
+        series = make_series(np.column_stack([noise, x, noise]))
+        spec = FilterSpec()
+        b, a = spec.design()
+        zi = timeseries.lfilter_zi(b, a)
+        blocks = timeseries._BlockLowpass(b, a, zi)
+        assert blocks.run(x, zi * x[0], np.empty(x.size)) == x.size - 1
+        assert blocks.run(noise, zi * noise[0], np.empty(x.size)) == -1
+        got, want = timeseries.lowpass_for_log(series, spec), butterworth_lowpass(series, spec)
+        assert got.values[:, 1].tobytes() == want.values[:, 1].tobytes()
+        self.assert_logged_alike(got, want)
+
+    def test_a_filter_that_certifies_nothing_computes_no_product(self):
+        """Poles this close to 1 leave the blocks' carried state unbounded
+        (row sums of A^64 above 1), and values of 1e308 overflow any
+        product: both channels run through lfilter alone."""
+        slow = FilterSpec(8, 0.2).design()
+        blocks = timeseries._BlockLowpass(*slow, timeseries.lfilter_zi(*slow))
+        x = np.ones(10)
+        assert blocks.run(x, x[:8], None) == 9
+        b, a = FilterSpec().design()
+        blocks = timeseries._BlockLowpass(b, a, timeseries.lfilter_zi(b, a))
+        x = np.full(10, 1e308)
+        assert blocks.run(x, np.zeros(3), None) == 9
+
+
 class TestSegment:
     def test_default_window_plan(self):
         s = make_series(np.arange(256, dtype=np.float64))
