@@ -10,10 +10,17 @@ restates what the input fixes: `filter` takes the one sample rate of
 every log and `classify` a bundle's window length. Option precedence is
 flags over config file over built-in defaults; the effective configuration is
 echoed to stderr at startup so runs are auditable. All outputs are
-deterministic given the same configuration and seed. `pipeline` without
---model calibrates its centroid model in a forked child process beside
-its first stages (simulate.Calibration), and waits for it before
-classify.
+deterministic given the same configuration and seed. `pipeline` hands
+every table it writes on to the stages that read it (see the pipeline
+module), so it reads only its inputs: --script or --inertial, --events
+and --model. Without --model it calibrates its centroid model in a
+forked child process beside its first stages (simulate.Calibration), and
+waits for it before classify.
+
+`python -m homeactivity.cli` and the console script run `entry`, which
+exits without the interpreter's last collections of the objects main()
+left (gc.freeze); main() itself returns its exit code, for callers in
+process.
 
 The option defaults come from `defaults`, so importing this module loads
 no NumPy: only the inertial commands (simulate, filter, segment,
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import sys
 from pathlib import Path
@@ -150,8 +158,8 @@ def _with_tables(eff: dict) -> dict:
 
 def _run(name: str, eff: dict, *files, **given) -> dict:
     """Command `name` over its files (see the module docstring), plus the
-    keywords `given` with which `pipeline` hands an inertial log on;
-    returns what the stage returns. Stages are looked up at call time, so
+    keyword `handed` with which `pipeline` hands its tables on; returns
+    what the stage returns. Stages are looked up at call time, so
     wrappers installed on their modules (as the benchmark's tracer does)
     see the call."""
     command = COMMANDS[name]
@@ -174,11 +182,12 @@ def _simulate(eff, script, out, **given) -> dict:
 
 def _run_pipeline(eff, out) -> None:
     """The stage commands chained over fixed file names in one directory.
-    Each inertial log is handed from the stage that writes it to the stages
-    that read it, as that log reads back (see the pipeline docstring).
-    Without --model, the centroid calibration begins in a child process
-    once the options pass their checks, and runs beside the stages up to
-    features; the run waits for it just before classify."""
+    Each table is handed from the stage that writes it to the stages that
+    read it, as it reads back (see the pipeline docstring); each inertial
+    series is dropped once its last reader has run. Without --model, the
+    centroid calibration begins in a child process once the options pass
+    their checks, and runs beside the stages up to features; the run
+    waits for it just before classify."""
     from . import neural, simulate, timeseries
 
     eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
@@ -198,28 +207,31 @@ def _run_pipeline(eff, out) -> None:
         pipeline.simulation_script(eff["script"], eff["days"], eff["start_day_ms"],
                                    eff["tick_ms"], eff["subject"])
     out = Path(out)
+    handed = {}  # path -> the table this run wrote there, as it reads back
     calibration = None if eff["model"] else simulate.Calibration(
         noise, spec, eff["window_len"], eff["overlap"])
     with calibration or contextlib.nullcontext():
-        inertial, events, logged = eff["inertial"], eff["events"], None
+        inertial, events = eff["inertial"], eff["events"]
         if eff["script"]:  # simulate makes `out` once the script passes its checks
             inertial, events = out / "inertial.csv", out / "events.ndjson"
-            logged = _run("simulate", eff, eff["script"], out, hand_on=True).get("logged")
+            _run("simulate", eff, eff["script"], out, handed=handed)
         else:
             out.mkdir(parents=True, exist_ok=True)
-        logged = _run("filter", eff, inertial, out / "filtered.csv", logged=logged,
-                      hand_on=True).get("logged")
-        _run("features", eff, out / "filtered.csv", out / "features.csv", logged=logged)
+        _run("filter", eff, inertial, out / "filtered.csv", handed=handed)
+        handed.pop(inertial, None)
+        _run("features", eff, out / "filtered.csv", out / "features.csv", handed=handed)
         if calibration:
             eff["model"] = pipeline.stage_calibrate(calibration, out / "centroids.json")["model"]
+    source = out / "filtered.csv"  # a bundle's windows
     if isinstance(eff["model"], neural.CentroidModel):
-        _run("classify", eff, out / "features.csv", out / "basic_windows.csv")
-    else:
-        _run("classify", eff, out / "filtered.csv", out / "basic_windows.csv", logged=logged)
-    _run("occupancy", eff, events, out / "intervals.csv")
-    _run("fuse", eff, out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv")
-    _run("label", eff, out / "derived.csv", out / "window_labels.csv")
-    _run("profile", eff, out / "window_labels.csv", out / "report.json")
+        handed.pop(source, None)
+        source = out / "features.csv"
+    _run("classify", eff, source, out / "basic_windows.csv", handed=handed)
+    _run("occupancy", eff, events, out / "intervals.csv", handed=handed)
+    _run("fuse", eff, out / "basic_windows.csv", out / "intervals.csv", out / "derived.csv",
+         handed=handed)
+    _run("label", eff, out / "derived.csv", out / "window_labels.csv", handed=handed)
+    _run("profile", eff, out / "window_labels.csv", out / "report.json", handed=handed)
 
 
 class Command(NamedTuple):
@@ -311,5 +323,16 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """Exit with main()'s code. The objects left are frozen first, so the
+    interpreter's collections at exit do not walk them; in development
+    mode (-X dev) they are not, so that those collections still report an
+    object left open."""
+    code = main()
+    if not sys.flags.dev_mode:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -18,6 +18,7 @@ so downstream models can refuse mismatched inputs.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,15 +80,19 @@ def extract_all(batch: WindowBatch, include_gyro: bool = False):
     Each value sums its samples in the order that fixes its bytes: the
     per-axis statistics reduce axis 1 of the (n, window_len, 3) stack,
     which NumPy sums sample by sample; the peak threshold reduces a
-    contiguous copy of one axis, which NumPy sums pairwise.
+    contiguous copy of one axis, which NumPy sums pairwise. The deviations
+    from the mean are taken once, and the std and the magnitude are the
+    sums np.std and np.linalg.norm make, in their order, bit for bit.
     """
     xyz = batch.xyz
     mean = xyz.mean(axis=1)
+    dev = xyz - mean[:, None, :]
+    x, y, z = (xyz[..., k] for k in range(3))
     columns = [
         mean,
-        xyz.std(axis=1),
-        np.abs(xyz - mean[:, None, :]).mean(axis=1),
-        np.linalg.norm(xyz, axis=2).mean(axis=1)[:, None],
+        np.sqrt(np.add.reduce(dev * dev, axis=1) / xyz.shape[1]),
+        np.abs(dev).mean(axis=1),
+        np.sqrt(x * x + y * y + z * z).mean(axis=1)[:, None],
     ]
     spacing, shares = [], []
     for k in range(3):
@@ -126,8 +131,43 @@ def write_features(path: str | Path, matrix: np.ndarray, spans, layout: str) -> 
             fh.write("".join([line % (*span, *row) for span, row in rows]))
 
 
+# 10^k for the read-back's scales k = 0..22, each exact in binary64.
+_POWERS = 10.0 ** np.arange(23)
+
+
+def read_back(matrix: np.ndarray) -> np.ndarray:
+    """Each value as write_features' text reads back: float("%.9g" % v),
+    bit for bit, computed per block of _BLOCK_ROWS rows.
+
+    With k = 8 - floor(log10|v|) in 0..22, n = rint(v·10^k) is the text's
+    nine digits when 10^8 <= |n| < 10^9, and n / 10^k, the correctly
+    rounded quotient of two exact numbers, is what parsing the text
+    gives. v·10^k is rounded once; n is off only where that product is an
+    exact half-integer, and n out of range catches a floor(log10) that is
+    off by one. A zero reads back as itself. Every other value, NaN,
+    infinities and k outside 0..22 included, takes the `%` template.
+    """
+    out = np.empty_like(matrix, dtype=np.float64)
+    for lo in range(0, len(matrix), _BLOCK_ROWS):
+        v = matrix[lo:lo + _BLOCK_ROWS]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = 8 - np.floor(np.log10(np.abs(v)))
+            fast = (k >= 0) & (k <= 22)
+            scale = _POWERS[np.where(fast, k, 0).astype(np.intp)]
+            x = v * scale
+            n = np.rint(x)
+            fast &= (np.abs(n) >= 1e8) & (np.abs(n) < 1e9) & (np.abs(n - x) != 0.5)
+            fast |= v == 0  # scale 1: n / 1 is v, its sign kept
+        block = out[lo:lo + _BLOCK_ROWS]
+        np.divide(n, scale, out=block)
+        block[~fast] = [float("%.9g" % t) for t in v[~fast].tolist()]
+    return out
+
+
 def read_features(path: str | Path, expect_layout: str | None = None):
-    """Read a feature file; returns (matrix, spans, layout). Errors name the line."""
+    """Read a feature file; returns (matrix, spans, layout). Errors name
+    the line. A non-finite value is refused: it has no nearest centroid,
+    as every distance from it is inf or NaN."""
     layout = None
     spans = []
     rows = []
@@ -151,8 +191,11 @@ def read_features(path: str | Path, expect_layout: str | None = None):
         elif len(fields) != len(header):
             raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
         else:
+            row = [float(v) for v in fields[2:]]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite feature value")
             spans.append((int(fields[0]), int(fields[1])))
-            rows.append([float(v) for v in fields[2:]])
+            rows.append(row)
 
     tables.parse_lines(path, parse)
     if layout is None:

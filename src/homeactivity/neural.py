@@ -305,9 +305,22 @@ def forward_bundle(bundle: WeightsBundle, windows: np.ndarray) -> np.ndarray:
     return x
 
 
-def best_class(class_names, scores: np.ndarray) -> str:
-    """The highest-scoring class; a tie goes to the alphabetically first name."""
-    return min(class_names[i] for i in np.flatnonzero(scores == scores.max()))
+def best_class(class_names, scores: np.ndarray) -> str | list[str]:
+    """The highest-scoring class of one score row, or of each row of an
+    (n, classes) matrix; a tie goes to the alphabetically first name. A
+    NaN score is refused.
+
+    The columns are taken in name order, so argmax, which returns the
+    first of equal maxima, picks that name.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if np.isnan(scores).any():
+        raise ValueError("a class score is NaN")
+    order = sorted(range(len(class_names)), key=class_names.__getitem__)
+    picks = np.asarray(order)[scores[..., order].argmax(axis=-1)]
+    if picks.ndim == 0:
+        return class_names[int(picks)]
+    return [class_names[i] for i in picks.tolist()]
 
 
 def save_bundle(path: str | Path, bundle: WeightsBundle) -> None:
@@ -457,7 +470,7 @@ class CentroidModel:
         scale = 1.0 if self.scale is None else self.scale  # x / 1.0 is exactly x
         distances = np.column_stack(
             [np.linalg.norm((c - features) / scale, axis=1) for c in self.centroids])
-        return [best_class(self.class_names, -row) for row in distances]
+        return best_class(self.class_names, -distances)
 
 
 def save_centroids(path: str | Path, model: CentroidModel) -> None:

@@ -12,14 +12,21 @@ the one sample rate, a sample every DEFAULT_PERIOD_MS, at which every log
 is read and simulated, and `classify` cuts a weights bundle's windows at
 its input_len.
 
-A log holds one subject. It is not read back within one `pipeline` run.
-Asked with `hand_on`, `simulate` and `filter` return the log they wrote
-as `logged`, with the values timeseries.write_inertial returned: the
-series that load_inertial would read from it. The next stage takes it
-under that keyword in place of reading its input file, so the stages
-see the same floats, and write the same bytes, as when run by hand;
-errors still name the input file and its line. `fuse` fuses its ticks
-by the simulator's rule for its ground truth, fusion.fuse_ticks.
+A log holds one subject. No table is read back within one `pipeline`
+run. Each stage that the run chains takes the keyword `handed`, a dict
+shared by the run: the stage puts each table it writes there, under its
+path, as that table's reader would give it back, and reads an input
+whose path is there from the dict in place of the file. The values are
+the reader's, bit for bit: an inertial log's are those
+timeseries.write_inertial returned, a feature matrix's are
+features.read_back's, and every other table holds ints and the strings
+it was written from. So the stages see the same values, and write the
+same bytes, as when run by hand. A table its reader would refuse (a
+non-finite feature) is not handed on, so the next stage reads the file
+and fails as by hand; every other error names the file and line it
+names by hand, found in the file only once the error is raised. `fuse`
+fuses its ticks by the simulator's rule for its ground truth,
+fusion.fuse_ticks.
 
 The centroid model depends on the options alone, so `pipeline` without
 --model begins its calibration (simulate.Calibration) in a forked child
@@ -51,11 +58,16 @@ class PipelineError(ValueError):
     """Raised when a stage's inputs are unusable."""
 
 
-def _single_series(path, logged=None) -> timeseries.SampleSeries:
-    """The series of the log at path; `logged` if given, which is that log
-    as load_inertial reads it."""
-    if logged is not None:
-        return logged
+def _read(path, read, handed):
+    """read(path), or the value `handed` holds for path: that table as
+    this run wrote it, as read would give it back."""
+    if handed is not None and path in handed:
+        return handed[path]
+    return read(path)
+
+
+def _single_series(path) -> timeseries.SampleSeries:
+    """The series of the log at path."""
     from . import timeseries
 
     return timeseries.load_inertial(path)[0]
@@ -80,11 +92,11 @@ def _row_error(path, exc: tables.RowError) -> PipelineError:
 
 
 def _windows(path, window_len: int, overlap: float, gyro: bool = False,
-             logged=None) -> timeseries.WindowBatch:
+             handed=None) -> timeseries.WindowBatch:
     """segment() over the one series of a log; errors name the line."""
     from . import timeseries
 
-    series = _single_series(path, logged)
+    series = _read(path, _single_series, handed)
     if gyro and series.gyro is None:
         raise PipelineError(f"{path}: line {_line_of(path, 0)}: --gyro needs "
                             "gyroscope samples, but the log has 6 fields a line, not 9")
@@ -172,13 +184,12 @@ def stage_simulate(
     tick_ms: int = fusion.DEFAULT_TICK_MS,
     subject_id: str = "sim",
     *,
-    hand_on: bool = False,
+    handed: dict | None = None,
 ) -> dict:
     """Run the daily script for `days` consecutive days and write the
     inertial log, ambient event log, and ground-truth derived timeline,
     making their directories once the script and options pass
-    simulation_script. With hand_on, `logged` is the inertial log as it
-    reads back."""
+    simulation_script. The log and the events are handed on."""
     from . import simulate, timeseries
 
     script = simulation_script(script_path, days, start_day_ms, tick_ms, subject_id)
@@ -186,7 +197,7 @@ def stage_simulate(
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     all_events = []
     truth = []
-    handed = []  # each day as written, when hand_on
+    written = []  # each day's series as it reads back, when handed on
     for day in range(days):
         data = simulate.generate_day(
             script,
@@ -196,15 +207,18 @@ def stage_simulate(
             tick_ms=tick_ms,
             subject_id=subject_id,
         )
-        written = timeseries.write_inertial(out_inertial, data.series, append=day > 0)
-        if hand_on:
-            handed.append(replace(data.series, values=written))
+        values = timeseries.write_inertial(out_inertial, data.series, append=day > 0)
+        if handed is not None:
+            written.append(replace(data.series, values=values))
         all_events.append(data.events)
         truth.extend(data.derived_ticks)
-    ambient.write_events(out_events, ambient.merge_streams(all_events))
+    events = ambient.merge_streams(all_events)
+    ambient.write_events(out_events, events)
     fusion.write_derived(out_truth, truth)
-    return {"days": days, "truth_ticks": len(truth),
-            "logged": timeseries.join(handed) if hand_on else None}
+    if handed is not None:
+        handed[out_inertial] = timeseries.join(written)
+        handed[out_events] = events
+    return {"days": days, "truth_ticks": len(truth)}
 
 
 def stage_filter(
@@ -214,29 +228,28 @@ def stage_filter(
     cutoff_hz: float = defaults.DEFAULT_CUTOFF_HZ,
     max_gap_ms: int = defaults.DEFAULT_MAX_GAP_MS,
     *,
-    logged: timeseries.SampleSeries | None = None,
-    hand_on: bool = False,
+    handed: dict | None = None,
 ) -> dict:
-    """Gap-repair then low-pass one subject's log (`logged`, if given, in
-    place of reading it), the filter designed for the one sample rate;
-    gaps wider than max_gap_ms survive as timestamp jumps in the output.
-    With hand_on, `logged` is the output as it reads back."""
+    """Gap-repair then low-pass one subject's log, the filter designed
+    for the one sample rate; gaps wider than max_gap_ms survive as
+    timestamp jumps in the output."""
     from . import timeseries
 
     spec = timeseries.FilterSpec(order, cutoff_hz)
-    series = _single_series(in_path, logged)
-    handed = []  # each piece as written, when hand_on
+    series = _read(in_path, _single_series, handed)
+    written = []  # each piece as it reads back, when handed on
     try:
         pieces = timeseries.interpolate_gaps(series, max_gap_ms)
         for i, piece in enumerate(pieces):
             filtered = timeseries.lowpass_for_log(piece, spec)
-            written = timeseries.write_inertial(out_path, filtered, append=i > 0)
-            if hand_on:
-                handed.append(replace(filtered, values=written))
+            values = timeseries.write_inertial(out_path, filtered, append=i > 0)
+            if handed is not None:
+                written.append(replace(filtered, values=values))
     except timeseries.SampleError as exc:  # repaired or filtered values overflowed
         raise _located(in_path, series, exc) from None
-    return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces),
-            "logged": timeseries.join(handed) if hand_on else None}
+    if handed is not None:
+        handed[out_path] = timeseries.join(written)
+    return {"pieces": len(pieces), "samples": sum(len(p) for p in pieces)}
 
 
 def stage_segment(
@@ -258,18 +271,21 @@ def stage_features(
     overlap: float = defaults.DEFAULT_OVERLAP,
     gyro: bool = False,
     *,
-    logged: timeseries.SampleSeries | None = None,
+    handed: dict | None = None,
 ) -> dict:
-    """Extract the feature rows of a filtered log (`logged`, if given, in
-    place of reading it)."""
+    """Extract the feature rows of a filtered log."""
+    import numpy as np
+
     from . import features
 
-    batch = _windows(in_path, window_len, overlap, gyro, logged)
+    batch = _windows(in_path, window_len, overlap, gyro, handed)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
     matrix, spans = features.extract_all(batch, gyro)
     layout = features.layout_for(gyro)
     features.write_features(out_path, matrix, spans, layout)
+    if handed is not None and np.isfinite(matrix).all():  # what read_features accepts
+        handed[out_path] = (features.read_back(matrix), spans, layout)
     return {"windows": len(batch), "layout": layout}
 
 
@@ -321,13 +337,13 @@ def stage_classify(
     overlap: float = defaults.DEFAULT_OVERLAP,
     probs=None,
     *,
-    logged: timeseries.SampleSeries | None = None,
+    handed: dict | None = None,
 ) -> dict:
     """Label windows with a loaded model of either kind.
 
     A centroid model reads a feature file; a weights bundle reads a
-    filtered inertial log (or takes it as `logged`) in windows of its
-    input_len and can also write per-class probabilities to `probs`.
+    filtered inertial log in windows of its input_len and can also write
+    per-class probabilities to `probs`.
     """
     from . import features, neural
 
@@ -337,15 +353,21 @@ def stage_classify(
         if probs is not None:
             raise PipelineError("probability output requires a weights bundle")
         fmt = neural.CENTROID_FORMAT
-        matrix, spans, _layout = features.read_features(in_path, model.layout)
+        matrix, spans, layout = _read(
+            in_path, lambda path: features.read_features(path, model.layout), handed)
+        if layout != model.layout:  # handed on; the reader names the marker's line
+            features.read_features(in_path, model.layout)
         labels = model.classify(matrix)
     else:
         fmt = neural.BUNDLE_FORMAT
-        batch = _windows(in_path, model.input_len, overlap, logged=logged)
+        batch = _windows(in_path, model.input_len, overlap, handed=handed)
         spans = batch.spans()
         class_probs = neural.forward_bundle(model, batch.xyz)
-        labels = [neural.best_class(model.class_names, p) for p in class_probs]
-    write_basic_windows(out_path, [(*span, label) for span, label in zip(spans, labels)])
+        labels = neural.best_class(model.class_names, class_probs)
+    windows = [(*span, label) for span, label in zip(spans, labels)]
+    write_basic_windows(out_path, windows)
+    if handed is not None:
+        handed[out_path] = windows
     if probs is not None:
         rows = [[*span, *(f"{p:.9g}" for p in row)] for span, row in zip(spans, class_probs)]
         tables.write_table(probs, ["window_start", "window_end", *model.class_names], rows)
@@ -356,15 +378,20 @@ def stage_occupancy(
     events_path,
     out_path,
     timeout_ms: int | None = None,
+    *,
+    handed: dict | None = None,
 ) -> dict:
     """Detect room and appliance intervals; room overlaps are resolved
     to the single-occupant timeline before writing."""
-    events = ambient.load_events(events_path)
+    events = _read(events_path, ambient.load_events, handed)
     rooms = occupancy.resolve_single_person(
         occupancy.detect_room_intervals(events, timeout_ms=timeout_ms)
     )
     appliances = occupancy.appliance_intervals(events, timeout_ms=timeout_ms)
-    occupancy.write_intervals(out_path, sorted(rooms + appliances))
+    intervals = sorted(rooms + appliances)
+    occupancy.write_intervals(out_path, intervals)
+    if handed is not None:
+        handed[out_path] = intervals
     return {"rooms": len(rooms), "appliances": len(appliances)}
 
 
@@ -375,15 +402,17 @@ def stage_fuse(
     rules: fusion.FusionRuleTable,
     tick_ms: int = fusion.DEFAULT_TICK_MS,
     min_still_ms: int = fusion.DEFAULT_MIN_STILL_MS,
+    *,
+    handed: dict | None = None,
 ) -> dict:
     """Resample classified windows to ticks, apply the sleep rule, and
     fuse with room occupancy and appliance state."""
-    basic_windows = read_basic_windows(windows_path)
+    basic_windows = _read(windows_path, read_basic_windows, handed)
     for index, (_, _, label) in enumerate(basic_windows):
         if label not in fusion.BASIC_ACTIVITIES:
             line = tables.record_line(windows_path, index + 1)
             raise PipelineError(f"{windows_path}: line {line}: unknown basic activity {label!r}")
-    intervals = occupancy.read_intervals(intervals_path)
+    intervals = _read(intervals_path, occupancy.read_intervals, handed)
     rooms = [iv for iv in intervals if iv.kind == "pir"]
     appliances = [iv for iv in intervals if iv.kind != "pir"]
     try:
@@ -393,6 +422,8 @@ def stage_fuse(
     contexts = occupancy.context_sweep((ts for ts, _ in ticks), rooms, appliances)
     derived = fusion.fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms)
     fusion.write_derived(out_path, derived)
+    if handed is not None:
+        handed[out_path] = derived
     return {"ticks": len(derived)}
 
 
@@ -401,18 +432,22 @@ def stage_label(
     out_path,
     span: int,
     priorities: labelling.PriorityTable,
+    *,
+    handed: dict | None = None,
 ) -> dict:
-    timeline = [(ts, d.name) for ts, d in fusion.read_derived(derived_path)]
+    timeline = [(ts, d.name) for ts, d in _read(derived_path, fusion.read_derived, handed)]
     try:
         windows = labelling.windowize(timeline, span, priorities)
     except tables.RowError as exc:
         raise _row_error(derived_path, exc) from None
     labelling.write_window_labels(out_path, windows)
+    if handed is not None:
+        handed[out_path] = windows
     return {"windows": len(windows)}
 
 
-def _day_profiles(windows_path, tz):
-    windows = labelling.read_window_labels(windows_path)
+def _day_profiles(windows_path, tz, handed=None):
+    windows = _read(windows_path, labelling.read_window_labels, handed)
     if not windows:
         raise PipelineError(f"{windows_path}: no windows to profile")
     try:
@@ -422,9 +457,10 @@ def _day_profiles(windows_path, tz):
     return [profiles.day_profile(day, tz) for day in days]
 
 
-def stage_profile(windows_path, out_path, timezone=profiles.UTC) -> dict:
+def stage_profile(windows_path, out_path, timezone=profiles.UTC, *,
+                  handed: dict | None = None) -> dict:
     """Day reports, plus a week report when the days are 7 consecutive ones."""
-    days = _day_profiles(windows_path, timezone)
+    days = _day_profiles(windows_path, timezone, handed)
     doc = {"days": [profiles.day_report(p) for p in days]}
     week = len(days) == 7 and (days[-1].day - days[0].day).days == 6  # days are sorted
     doc["week"] = profiles.week_report(profiles.week_profile(days)) if week else None

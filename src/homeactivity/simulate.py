@@ -398,6 +398,8 @@ class Calibration:
     def __init__(self, *args):
         self.args, self.pid, self.guarded = args, None, False
         if hasattr(os, "fork"):
+            import numpy.random  # noqa: F401  imported once here, not again in the child
+
             read, write = os.pipe()
             self.pid = os.fork()
             if self.pid == 0:

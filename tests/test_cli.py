@@ -639,6 +639,21 @@ class TestLayoutMismatch:
         assert error_line(capsys.readouterr().err) == (
             f"error: {path}: line 2: expected layout acc43.v1, file has accgyro49.v1")
 
+    def test_pipeline_names_the_marker_of_the_features_it_handed_on(self, tmp_path, capsys,
+                                                                     quiet_model):
+        from homeactivity import neural
+
+        model, run = tmp_path / "model.json", tmp_path / "run"
+        neural.save_centroids(model, neural.CentroidModel(
+            quiet_model.class_names, np.zeros((len(quiet_model.class_names), 49)),
+            "accgyro49.v1"))
+        argv = ["pipeline", "--script", str(TestCalibrator.short_script(tmp_path)),
+                "--out", str(run), "--model", str(model)]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {run / 'features.csv'}: line 2: expected layout accgyro49.v1, "
+            "file has acc43.v1")
+
 
 class TestStartDay:
     """--start-day-ms places the simulated days on the epoch clock."""
@@ -879,19 +894,29 @@ class TestDispatch:
 
 def test_commands_without_a_runner_pass_their_options_by_name():
     """`_run` calls pipeline.stage_<command>(*files, **options): after its
-    files, each such stage takes exactly the command's options, and then
-    only the keyword-only ones with which `pipeline` hands an inertial log
-    on: `logged`, the log it reads, and `hand_on`, to return the log it
-    writes."""
+    files, each such stage takes exactly the command's options, and then,
+    if `pipeline` runs it, only the keyword-only `handed`, with which
+    `pipeline` hands its tables on."""
     plain = {name: c for name, c in cli.COMMANDS.items() if c.run is None}
     assert set(cli.COMMANDS) - set(plain) == {"simulate", "pipeline"}
     for name, command in plain.items():
         params = inspect.signature(getattr(pipeline, f"stage_{name}")).parameters
-        handed = {"filter": ["logged", "hand_on"], "features": ["logged"],
-                  "classify": ["logged"]}.get(name, [])
+        handed = [] if name in ("segment", "report") else ["handed"]
         assert list(params)[len(command.files):] == [*command.options, *command.own,
                                                      *handed], name
         assert all(params[key].kind is inspect.Parameter.KEYWORD_ONLY for key in handed)
+
+
+def test_entry_exits_with_mains_code_and_freezes_outside_development_mode(monkeypatch):
+    """The process entry point leaves with main()'s code; the objects left
+    are frozen first unless -X dev asks the final collections to run."""
+    frozen = []
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 3
+    assert frozen == ([] if sys.flags.dev_mode else [True])
 
 
 def test_stage_defaults_are_the_option_defaults():

@@ -11,6 +11,7 @@ from homeactivity.features import (
     FeatureLayoutError,
     extract_all,
     layout_for,
+    read_back,
     read_features,
     write_features,
 )
@@ -268,3 +269,101 @@ class TestFeatureFile:
     def test_width_must_match_layout(self, tmp_path):
         with pytest.raises(FeatureLayoutError, match="43"):
             write_features(tmp_path / "x.csv", np.zeros((1, 10)), [(0, 1)], "acc43.v1")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_a_non_finite_value_names_file_and_line(self, tmp_path, text):
+        path = tmp_path / "features.csv"
+        write_features(path, np.zeros((3, 43)), [(0, 6400), (3200, 9600), (6400, 12800)],
+                       "acc43.v1")
+        lines = path.read_bytes().decode().split("\r\n")  # the marker ends in \n alone
+        lines[2] = lines[2][: lines[2].rindex(",") + 1] + text  # the second row, line 4
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ValueError) as exc:
+            read_features(path)
+        assert str(exc.value) == f"{path}: line 4: non-finite feature value"
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# Values where the read-back's fast path is easiest to get wrong: zeros,
+# subnormals, the ends of the float range, exact half-integer scalings
+# (n + 0.5) / 10^k, powers of ten and their neighbours one ulp away.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+          123456789.5, -123456788.5, 1234567.845, 0.5, 1e-14, 1e-15, 1e22, 1e23,
+          float("nan"), float("inf"), float("-inf")]
+_EDGES += [s * np.nextafter(10.0 ** e, d) for e in range(-16, 24) for d in (0, np.inf)
+           for s in (1, -1)]
+_EDGES += [s * 10.0 ** e for e in range(-20, 25) for s in (1, -1)]
+
+
+@st.composite
+def readback_values(draw):
+    """One double: an edge, a scaled tie, a power of ten's neighbour, or any
+    finite double of magnitude 1e-300..1e300."""
+    kind = draw(st.sampled_from(["edge", "tie", "ten", "any", "subnormal"]))
+    if kind == "edge":
+        return draw(st.sampled_from(_EDGES))
+    if kind == "tie":  # (n + 0.5) / 10^k with a 9-digit n, rounded to a double
+        n = draw(st.integers(10**8, 10**9 - 1))
+        return draw(st.sampled_from([1, -1])) * (n + 0.5) / 10.0 ** draw(st.integers(0, 22))
+    if kind == "ten":
+        x = 10.0 ** draw(st.integers(-300, 300))
+        return float(np.nextafter(x, np.inf if draw(st.booleans()) else 0) if
+                     draw(st.booleans()) else x)
+    if kind == "subnormal":
+        return draw(st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True))
+    v = draw(st.floats(1e-300, 1e300))
+    return v if draw(st.booleans()) else -v
+
+
+class TestReadBack:
+    """read_back is float("%.9g" % v), the value write_features' text
+    parses to, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(readback_values(), min_size=1, max_size=60), st.integers(1, 5))
+    def test_is_the_format_parsed(self, values, width):
+        matrix = np.resize(np.array(values), (-(-len(values) // width), width))
+        want = [[float("%.9g" % v) for v in row] for row in matrix.tolist()]
+        assert _bits(read_back(matrix)) == _bits(want)
+
+    def test_every_edge_and_a_block_boundary(self):
+        rng = np.random.default_rng(4)
+        matrix = np.concatenate([
+            np.resize(np.array(_EDGES), (1100, 43)),
+            rng.normal(0, 1, size=(900, 43)) * 10.0 ** rng.integers(-12, 12, size=(900, 43)),
+        ])
+        want = [[float("%.9g" % v) for v in row] for row in matrix.tolist()]
+        assert _bits(read_back(matrix)) == _bits(want)
+
+    def test_is_what_the_file_reads_back(self, tmp_path):
+        rng = np.random.default_rng(8)
+        mat, spans = extract_all(make_windows(rng.normal(size=(40, 128, 3)) * 3))
+        path = tmp_path / "features.csv"
+        write_features(path, mat, spans, "acc43.v1")
+        back, back_spans, _layout = read_features(path)
+        assert _bits(read_back(mat)) == _bits(back) and back_spans == spans
+
+
+class TestDeviationPass:
+    """extract_all's std, mean absolute deviation and magnitude columns are
+    np.std's, np.abs(x - mean).mean's and np.linalg.norm's, bit for bit."""
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_columns_match_numpy(self, strided):
+        rng = np.random.default_rng(12)
+        if strided:  # the (n, window_len, 3) views segment takes of a series
+            series = SampleSeries("s", 50 * np.arange(3000),
+                                  rng.normal(0, 4, size=(3000, 3)) + [0.1, 9.8, -2.0])
+            batch = segment(series, 128, 0.5)
+            assert not batch.xyz.flags.c_contiguous
+        else:
+            batch = make_windows(rng.normal(0, 4, size=(50, 128, 3)) + [0.1, 9.8, -2.0])
+        xyz = batch.xyz
+        matrix, _ = extract_all(batch)
+        mean = xyz.mean(axis=1)
+        assert _bits(matrix[:, 3:6]) == _bits(xyz.std(axis=1))
+        assert _bits(matrix[:, 6:9]) == _bits(np.abs(xyz - mean[:, None, :]).mean(axis=1))
+        assert _bits(matrix[:, 9]) == _bits(np.linalg.norm(xyz, axis=2).mean(axis=1))

@@ -197,6 +197,30 @@ class TestBundle:
         probs = forward_bundle(bundle, np.zeros((128, 3)))
         assert best_class(bundle.class_names, probs) == "a"
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_call_over_a_matrix_is_the_rule_per_row(self, data):
+        """Highest score, then the alphabetically first name among exact
+        ties, whether asked of one row or of the whole matrix."""
+        names = tuple(data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=6,
+                                         unique=True)))
+        k = len(names)
+        n = data.draw(st.integers(0, 12))
+        # few distinct scores, so that exact ties, at the top too, are common
+        palette = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+        scores = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=n * k,
+                                             max_size=n * k))).reshape(n, k)
+
+        def rule(row):
+            return min(names[i] for i in np.flatnonzero(row == row.max()))
+
+        assert best_class(names, scores) == [rule(row) for row in scores]
+        assert [best_class(names, row) for row in scores] == [rule(row) for row in scores]
+
+    def test_a_nan_score_is_refused(self):
+        with pytest.raises(ValueError, match="NaN"):
+            best_class(("a", "b"), np.array([[0.5, 0.5], [np.nan, 1.0]]))
+
     def test_validation_rejects_bad_stacks(self):
         base = tiny_bundle()
         with pytest.raises(BundleError, match="sequence"):

@@ -7,11 +7,15 @@ in any stage points at the first file that went wrong.
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homeactivity import (
+    ambient,
     cli,
     features,
     fusion,
@@ -272,11 +276,12 @@ class TestBundleClassify:
 
 class TestMultiDay:
     def test_days_repeat_with_shifted_clocks(self, chain, default_rules, tmp_path):
+        handed = {}
         info = pipeline.stage_simulate(
             chain / "script.csv", tmp_path / "i.csv", tmp_path / "e.ndjson",
-            tmp_path / "t.csv", QUIET, default_rules, days=2, hand_on=True,
+            tmp_path / "t.csv", QUIET, default_rules, days=2, handed=handed,
         )
-        logged = info.pop("logged")
+        logged = handed[tmp_path / "i.csv"]
         assert info == {"days": 2, "truth_ticks": 288}
         (series,) = timeseries.load_inertial(tmp_path / "i.csv")
         assert series_equal(logged, series)
@@ -305,8 +310,9 @@ class TestMultiDay:
                                           "offset 3600000 ms of the next day")
             assert not any(path.exists() for path in paths)
         days = 1 if overrun_s else 2  # one day of any script overlaps nothing
-        logged = pipeline.stage_simulate(script, *paths, QUIET, default_rules, days=days,
-                                         hand_on=True)["logged"]
+        handed = {}
+        pipeline.stage_simulate(script, *paths, QUIET, default_rules, days=days, handed=handed)
+        logged = handed[paths[0]]
         (series,) = timeseries.load_inertial(paths[0])
         assert series_equal(logged, series)
 
@@ -932,19 +938,24 @@ def assert_same_files(a, b):
 
 
 class TestHandOff:
-    """`pipeline` hands each inertial log on as it reads back, never
-    re-reading a file it wrote, and writes the bytes of the stages by hand."""
+    """`pipeline` hands each table on as it reads back, never re-reading a
+    file it wrote, and writes the bytes of the stages by hand."""
+
+    READERS = [(timeseries, "load_inertial"), (features, "read_features"),
+               (pipeline, "read_basic_windows"), (occupancy, "read_intervals"),
+               (fusion, "read_derived"), (labelling, "read_window_labels"),
+               (ambient, "load_events")]
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        """The paths load_inertial is called on."""
-        made, load = [], timeseries.load_inertial
+        """(reader, path) of each call of a log's or a table's reader."""
+        made = []
+        for module, name in self.READERS:
+            def counted(path, *args, _read=getattr(module, name), _name=name):
+                made.append((_name, str(path)))
+                return _read(path, *args)
 
-        def counted(path, *args):
-            made.append(str(path))
-            return load(path, *args)
-
-        monkeypatch.setattr(timeseries, "load_inertial", counted)
+            monkeypatch.setattr(module, name, counted)
         return made
 
     @pytest.mark.parametrize("model", ["centroids", "bundle", "calibrated"])
@@ -966,7 +977,7 @@ class TestHandOff:
         argv = ["pipeline", "--inertial", str(log), "--events", str(events),
                 "--out", str(tmp_path / "run")]
         assert run_cli(argv, capsys)[0] == 0
-        assert reads == [str(log)]
+        assert reads == [("load_inertial", str(log)), ("load_events", str(events))]
 
     def test_a_gapped_log_gives_the_bytes_by_hand(self, chain, gate_runs, tmp_path, capsys):
         _, hand = gate_runs
@@ -1011,3 +1022,150 @@ class TestHandOff:
             f"error: {script}: line 3: entries overlap at clock offset 3600000 ms "
             "of the next day")
         assert not auto.exists() and not hand.exists()
+
+    def by_hand_until_it_fails(self, out, script, model, failing):
+        """The stage commands `pipeline --script ... --model` chains, run by
+        hand into `out` until `failing`, which must fail; its stderr."""
+        def at(name):
+            return str(out / name)
+
+        bundle = json.loads(model.read_text())["format"] == neural.BUNDLE_FORMAT
+        steps = [
+            ["simulate", "--script", str(script), "--out", str(out)],
+            ["filter", "--in", at("inertial.csv"), "--out", at("filtered.csv")],
+            ["features", "--in", at("filtered.csv"), "--out", at("features.csv")],
+            ["classify", "--in", at("filtered.csv" if bundle else "features.csv"),
+             "--model", str(model), "--out", at("basic_windows.csv")],
+            ["occupancy", "--events", at("events.ndjson"), "--out", at("intervals.csv")],
+            ["fuse", "--windows", at("basic_windows.csv"), "--intervals", at("intervals.csv"),
+             "--out", at("derived.csv")],
+        ]
+        for argv in steps:
+            if argv[0] == failing:
+                assert cli.main(argv) == 1
+                return
+            assert cli.main(argv) == 0, argv[0]
+        raise AssertionError(f"no step {failing}")
+
+    def assert_fails_as_by_hand(self, chain, tmp_path, capsys, model, failing):
+        """`pipeline` over the chain's script fails with the error line of
+        the stage `failing` run by hand, its own directory in the path."""
+        auto, hand = tmp_path / "pipeline", tmp_path / "hand"
+        code, err = run_cli(["pipeline", "--script", str(chain / "script.csv"),
+                             "--out", str(auto), "--model", str(model)], capsys)
+        assert code == 1
+        self.by_hand_until_it_fails(hand, chain / "script.csv", model, failing)
+        by_hand = capsys.readouterr().err
+        assert (TestCli.error_line(err).replace(str(auto), "<out>")
+                == TestCli.error_line(by_hand).replace(str(hand), "<out>"))
+        return TestCli.error_line(err)
+
+    def test_a_bundle_class_fuse_does_not_know_fails_as_by_hand(self, chain, tmp_path,
+                                                                   capsys):
+        """The windows are handed on; the error still names the line of the
+        first window with a class that is no basic activity."""
+        model = tmp_path / "bundle.json"
+        neural.save_bundle(model, neural.make_default_bundle(("Nap", "Sit"), seed=1))
+        error = self.assert_fails_as_by_hand(chain, tmp_path, capsys, model, "fuse")
+        head = f"error: {tmp_path / 'pipeline' / 'basic_windows.csv'}: line "
+        assert error.startswith(head) and error.endswith(": unknown basic activity 'Nap'")
+
+    def test_a_non_finite_feature_fails_as_by_hand(self, chain, tmp_path, capsys,
+                                                  monkeypatch):
+        """A matrix the reader would refuse is not handed on: classify
+        reads the file and refuses it, as by hand."""
+        extract = features.extract_all
+
+        def with_inf(batch, *args):
+            matrix, spans = extract(batch, *args)
+            matrix[5, 3] = np.inf
+            return matrix, spans
+
+        monkeypatch.setattr(features, "extract_all", with_inf)
+        error = self.assert_fails_as_by_hand(chain, tmp_path, capsys, chain / "model.json",
+                                             "classify")
+        assert error == (f"error: {tmp_path / 'pipeline' / 'features.csv'}: line 8: "
+                         "non-finite feature value")
+
+
+# Text a table cell carries: any that UTF-8 encodes. Python 3.10's csv
+# reader refuses NUL, so there a label with NUL fails to read back.
+_CELL = st.text(st.characters(exclude_categories=("Cs",),
+                              exclude_characters="\x00" if sys.version_info < (3, 11) else ""),
+                max_size=8)
+_TS = st.integers(-(2**63), 2**63 - 2)
+
+
+@st.composite
+def _spans(draw):
+    start = draw(_TS)
+    return start, draw(st.integers(start + 1, 2**63 - 1))
+
+
+class TestHandedTablesReadBack:
+    """Each table `pipeline` hands on is the value its reader gives back
+    from the written file. The inertial log's is TestAsLogged's property
+    (tests/test_inertial_io.py)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_spans(), _CELL), max_size=6))
+    def test_basic_windows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("t") / "basic_windows.csv"
+        windows = [(*span, label) for span, label in rows]
+        pipeline.write_basic_windows(path, windows)
+        assert pipeline.read_basic_windows(path) == windows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_spans(), st.sampled_from(ambient.EVENT_KINDS), st.data(),
+                              st.booleans()), max_size=6))
+    def test_intervals(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("t") / "intervals.csv"
+        intervals = [
+            occupancy.Interval(start, end, kind, data.draw(st.sampled_from(
+                ambient.ROOMS if kind == "pir" else ambient.APPLIANCES)), truncated)
+            for (start, end), kind, data, truncated in rows]
+        occupancy.write_intervals(path, intervals)
+        assert occupancy.read_intervals(path) == intervals
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_TS, _CELL, st.sampled_from(fusion.FLAGS)), max_size=6))
+    def test_derived_timeline(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("t") / "derived.csv"
+        timeline = [(ts, fusion.DerivedActivity(name, flag)) for ts, name, flag in rows]
+        fusion.write_derived(path, timeline)
+        assert fusion.read_derived(path) == timeline
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_spans(), _CELL, st.sampled_from(labelling.METHODS)),
+                    max_size=6))
+    def test_window_labels(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("t") / "window_labels.csv"
+        windows = [labelling.WindowLabel(*span, label, method) for span, label, method in rows]
+        labelling.write_window_labels(path, windows)
+        assert labelling.read_window_labels(path) == windows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_TS, st.sampled_from(ambient.EVENT_KINDS), st.data(),
+                              st.booleans()), max_size=6))
+    def test_events(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("t") / "events.ndjson"
+        events = [
+            ambient.AmbientEvent(ts, kind, data.draw(st.sampled_from(
+                ambient.ROOMS if kind == "pir" else ambient.APPLIANCES)), state)
+            for ts, kind, data, state in rows]
+        ambient.write_events(path, events)
+        assert ambient.load_events(path) == events
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_spans(), st.lists(st.floats(allow_nan=False,
+                                                           allow_infinity=False),
+                                                 min_size=43, max_size=43)),
+                    min_size=1, max_size=4))
+    def test_features(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("t") / "features.csv"
+        spans = [span for span, _ in rows]
+        matrix = np.array([values for _, values in rows])
+        features.write_features(path, matrix, spans, features.LAYOUT_ACC)
+        back, back_spans, layout = features.read_features(path)
+        assert back.tobytes() == features.read_back(matrix).tobytes()
+        assert (back_spans, layout) == (spans, features.LAYOUT_ACC)
