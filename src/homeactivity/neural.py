@@ -1,24 +1,12 @@
 """Forward-pass primitives for small sequence classifiers.
 
 Everything here is inference only and written against plain numpy so the
-arithmetic stays inspectable: conv/pool/dense layers, LSTM and GRU cells,
-a JSON weights-bundle format that composes them into a stack, and a
+arithmetic stays inspectable: conv/pool/dense layers, the GRU cell, a
+JSON weights-bundle format that composes them into a stack, and a
 nearest-centroid fallback classifier for feature vectors. Every layer
 acts on the last axes and carries leading batch axes through, so a
 bundle runs on one (steps, channels) window or an (n, steps, channels)
 stack of them.
-
-The LSTM cell follows the gate equations
-
-    i_t = sigmoid(W_i h_{t-1} + U_i x_t + b_i)
-    f_t = sigmoid(W_f h_{t-1} + U_f x_t + b_f)
-    o_t = sigmoid(W_o h_{t-1} + U_o x_t + b_o)
-    s~  = g(W_c h_{t-1} + U_c x_t + b_c)
-    s_t = f_t * s_{t-1} + i_t * s~
-    h_t = o_t * g(s_t)
-
-with the candidate activation g defaulting to the logistic function; pass
-candidate_activation="tanh" for the more common variant.
 """
 
 from __future__ import annotations
@@ -34,7 +22,6 @@ from . import tables
 BUNDLE_FORMAT = "weights.v1"
 CENTROID_FORMAT = "centroids.v1"
 
-LSTM_GATES = ("input", "forget", "output", "candidate")
 GRU_GATES = ("update", "reset", "candidate")
 
 
@@ -108,21 +95,6 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
     return x @ weights.T + np.asarray(bias, dtype=np.float64)
 
 
-def lstm_cell_step(x, h_prev, s_prev, W, U, b, candidate_activation="sigmoid"):
-    """One LSTM step; W is (4, units, units), U is (4, units, in_dim),
-    b is (4, units) in gate order input, forget, output, candidate.
-    x is (..., in_dim), h_prev and s_prev are (..., units).
-    Returns (h_t, s_t)."""
-    g = ACTIVATIONS[candidate_activation]
-    i = sigmoid(h_prev @ W[0].T + x @ U[0].T + b[0])
-    f = sigmoid(h_prev @ W[1].T + x @ U[1].T + b[1])
-    o = sigmoid(h_prev @ W[2].T + x @ U[2].T + b[2])
-    s_tilde = g(h_prev @ W[3].T + x @ U[3].T + b[3])
-    s = f * s_prev + i * s_tilde
-    h = o * g(s)
-    return h, s
-
-
 def gru_cell_step(x, h_prev, W, U, b):
     """One GRU step; W is (3, units, units), U is (3, units, in_dim),
     b is (3, units) in gate order update, reset, candidate.
@@ -133,28 +105,15 @@ def gru_cell_step(x, h_prev, W, U, b):
     return (1.0 - z) * h_prev + z * h_tilde
 
 
-def _scan(x, units: int, states: int, return_sequences: bool, step):
-    """Step a recurrent layer over (..., steps, in_dim) input from zero
-    state: step(x_t, *state) returns the next state, its output h first."""
-    x = np.asarray(x, dtype=np.float64)
-    state = [np.zeros(x.shape[:-2] + (units,)) for _ in range(states)]
-    outputs = np.empty(x.shape[:-1] + (units,))
-    for t in range(x.shape[-2]):
-        state = step(x[..., t, :], *state)
-        outputs[..., t, :] = state[0]
-    return outputs if return_sequences else state[0]
-
-
-def lstm_forward(x, W, U, b, return_sequences=False, candidate_activation="sigmoid"):
-    """Run an LSTM over (..., steps, in_dim) input from zero initial state."""
-    return _scan(x, np.asarray(b).shape[1], 2, return_sequences,
-                 lambda x_t, h, s: lstm_cell_step(x_t, h, s, W, U, b, candidate_activation))
-
-
 def gru_forward(x, W, U, b, return_sequences=False):
     """Run a GRU over (..., steps, in_dim) input from zero initial state."""
-    return _scan(x, np.asarray(b).shape[1], 1, return_sequences,
-                 lambda x_t, h: (gru_cell_step(x_t, h, W, U, b),))
+    x = np.asarray(x, dtype=np.float64)
+    h = np.zeros(x.shape[:-2] + (np.asarray(b).shape[1],))
+    outputs = np.empty(x.shape[:-1] + h.shape[-1:])
+    for t in range(x.shape[-2]):
+        h = gru_cell_step(x[..., t, :], h, W, U, b)
+        outputs[..., t, :] = h
+    return outputs if return_sequences else h
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +162,7 @@ def _layer(spec: LayerSpec, steps: int | None, dim: int):
     None for a vector; return the (steps, dim) it emits and its forward
     function. The parameter defaults of the bundle format live here."""
     kind, params, w = spec.kind, spec.params, spec.weights
-    if steps is None and kind in ("conv1d", "maxpool1d", "lstm", "gru"):
+    if steps is None and kind in ("conv1d", "maxpool1d", "gru"):
         raise BundleError(f"{kind} after a non-sequence layer")
     if kind == "conv1d":
         kernel, bias = w["kernel"], w["bias"]
@@ -231,20 +190,16 @@ def _layer(spec: LayerSpec, steps: int | None, dim: int):
         if not (0 <= rate < 1):
             raise BundleError(f"dropout rate {rate} outside [0, 1)")
         return steps, dim, lambda x: x  # the identity at inference
-    if kind in ("lstm", "gru"):
-        n = len(LSTM_GATES if kind == "lstm" else GRU_GATES)
-        units = int(params["units"])
+    if kind == "gru":
+        n, units = len(GRU_GATES), int(params["units"])
         for key, want in (("W", (n, units, units)), ("U", (n, units, dim)), ("b", (n, units))):
             if w[key].shape != want:
-                raise BundleError(f"{kind} {key} has shape {w[key].shape}, want {want}")
+                raise BundleError(f"gru {key} has shape {w[key].shape}, want {want}")
         W, U, b = w["W"], w["U"], w["b"]
-        sequences = bool(params.get("return_sequences", False))
-        steps = steps if sequences else None
-        if kind == "gru":
-            return steps, units, lambda x: gru_forward(x, W, U, b, sequences)
-        candidate = params.get("candidate_activation", "sigmoid")
-        _activation(candidate)
-        return steps, units, lambda x: lstm_forward(x, W, U, b, sequences, candidate)
+        sequences = params.get("return_sequences", False)
+        if not isinstance(sequences, bool):
+            raise BundleError(f"gru return_sequences must be true or false, not {sequences!r}")
+        return steps if sequences else None, units, lambda x: gru_forward(x, W, U, b, sequences)
     if kind == "dense":
         weights, bias = w["weights"], w["bias"]
         if steps is not None:
@@ -434,32 +389,31 @@ def make_default_bundle(
 class CentroidModel:
     """Nearest-centroid classifier over extracted feature vectors.
 
-    scale, when present, holds per-feature divisors so the distance is
-    standardized Euclidean; without it, feature units with large noise
-    variance (peak spacings in ms) would drown out the stable ones.
+    scale holds per-feature divisors, so the distance is standardized
+    Euclidean: unscaled, feature units with large noise variance (peak
+    spacings in ms) would drown out the stable ones.
     """
 
     class_names: tuple[str, ...]
     centroids: np.ndarray
     layout: str
-    scale: np.ndarray | None = None
+    scale: np.ndarray
 
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=np.float64)
+        scale = np.asarray(self.scale, dtype=np.float64)
         object.__setattr__(self, "centroids", centroids)
+        object.__setattr__(self, "scale", scale)
         if centroids.ndim != 2 or centroids.shape[0] != len(self.class_names):
             raise ValueError(
                 f"{len(self.class_names)} classes but centroid matrix is {centroids.shape}"
             )
         if not np.isfinite(centroids).all():
             raise ValueError("centroids hold a non-finite value")
-        if self.scale is not None:
-            scale = np.asarray(self.scale, dtype=np.float64)
-            object.__setattr__(self, "scale", scale)
-            if scale.shape != (centroids.shape[1],):
-                raise ValueError(f"scale shape {scale.shape} != feature width")
-            if not np.all((scale > 0) & np.isfinite(scale)):
-                raise ValueError("scale values must be positive and finite")
+        if scale.shape != (centroids.shape[1],):
+            raise ValueError(f"scale shape {scale.shape} != feature width")
+        if not np.all((scale > 0) & np.isfinite(scale)):
+            raise ValueError("scale values must be positive and finite")
 
     def classify(self, features: np.ndarray) -> list[str]:
         """The nearest class of each row of an (n, width) feature matrix."""
@@ -467,9 +421,8 @@ class CentroidModel:
         width = self.centroids.shape[1]
         if features.ndim != 2 or features.shape[1] != width:
             raise ValueError(f"feature matrix {features.shape} != (n, {width})")
-        scale = 1.0 if self.scale is None else self.scale  # x / 1.0 is exactly x
         distances = np.column_stack(
-            [np.linalg.norm((c - features) / scale, axis=1) for c in self.centroids])
+            [np.linalg.norm((c - features) / self.scale, axis=1) for c in self.centroids])
         return best_class(self.class_names, -distances)
 
 
@@ -479,7 +432,7 @@ def save_centroids(path: str | Path, model: CentroidModel) -> None:
         "layout": model.layout,
         "class_names": list(model.class_names),
         "centroids": model.centroids.tolist(),
-        "scale": None if model.scale is None else model.scale.tolist(),
+        "scale": model.scale.tolist(),
     }
     tables.write_json(path, doc)
 
@@ -489,10 +442,9 @@ def load_centroids(path: str | Path, doc: dict | None = None) -> CentroidModel:
     with _model_file(path, doc) as doc:
         if doc.get("format") != CENTROID_FORMAT:
             raise BundleError(f"unsupported centroid format {doc.get('format')!r}")
-        scale = doc.get("scale")
         return CentroidModel(
             class_names=tuple(doc["class_names"]),
             centroids=np.asarray(doc["centroids"], dtype=np.float64),
             layout=doc["layout"],
-            scale=None if scale is None else np.asarray(scale, dtype=np.float64),
+            scale=np.asarray(doc["scale"], dtype=np.float64),
         )

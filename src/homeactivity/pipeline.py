@@ -16,14 +16,13 @@ A log holds one subject. No table is read back within one `pipeline`
 run. Each stage that the run chains takes the keyword `handed`, a dict
 shared by the run: the stage puts each table it writes there, under its
 path, as that table's reader would give it back, and reads an input
-whose path is there from the dict in place of the file. The values are
-the reader's, bit for bit: an inertial log's are those
-timeseries.write_inertial returned, a feature matrix's are
+whose path is there from the dict in place of the file. `pipeline`
+hands `simulate` the script it checked before the first stage the same
+way. The values are the reader's, bit for bit: an inertial log's are
+those timeseries.write_inertial returned, a feature matrix's are
 features.read_back's, and every other table holds ints and the strings
 it was written from. So the stages see the same values, and write the
-same bytes, as when run by hand. A table its reader would refuse (a
-non-finite feature) is not handed on, so the next stage reads the file
-and fails as by hand; every other error names the file and line it
+same bytes, as when run by hand. An error names the file and line it
 names by hand, found in the file only once the error is raised. `fuse`
 fuses its ticks by the simulator's rule for its ground truth,
 fusion.fuse_ticks.
@@ -189,10 +188,12 @@ def stage_simulate(
     """Run the daily script for `days` consecutive days and write the
     inertial log, ambient event log, and ground-truth derived timeline,
     making their directories once the script and options pass
-    simulation_script. The log and the events are handed on."""
+    simulation_script; a script handed under script_path is that
+    function's result. The log and the events are handed on."""
     from . import simulate, timeseries
 
-    script = simulation_script(script_path, days, start_day_ms, tick_ms, subject_id)
+    script = _read(script_path, lambda path: simulation_script(
+        path, days, start_day_ms, tick_ms, subject_id), handed)
     for path in (out_inertial, out_events, out_truth):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
     all_events = []
@@ -273,18 +274,25 @@ def stage_features(
     *,
     handed: dict | None = None,
 ) -> dict:
-    """Extract the feature rows of a filtered log."""
+    """Extract the feature rows of a filtered log; a window whose features
+    overflow float64 is refused at the line of its first sample."""
     import numpy as np
 
-    from . import features
+    from . import features, timeseries
 
     batch = _windows(in_path, window_len, overlap, gyro, handed)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
-    matrix, spans = features.extract_all(batch, gyro)
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        matrix, spans = features.extract_all(batch, gyro)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        start, end = spans[bad[0]]
+        raise _located(in_path, _read(in_path, _single_series, handed), timeseries.SampleError(
+            f"window {start}..{end} has a non-finite feature value", start))
     layout = features.layout_for(gyro)
     features.write_features(out_path, matrix, spans, layout)
-    if handed is not None and np.isfinite(matrix).all():  # what read_features accepts
+    if handed is not None:
         handed[out_path] = (features.read_back(matrix), spans, layout)
     return {"windows": len(batch), "layout": layout}
 

@@ -26,37 +26,6 @@ def sig(v):
     return 1.0 / (1.0 + math.exp(-v))
 
 
-def scalar_lstm(x, W, U, b, candidate="sigmoid"):
-    """Step-by-step LSTM trace. x is steps x in_dim; weights are nested
-    lists shaped [gate][unit][...] in gate order input, forget, output,
-    candidate. Returns the per-step hidden states."""
-    g = sig if candidate == "sigmoid" else math.tanh
-    units = len(b[0])
-    h = [0.0] * units
-    s = [0.0] * units
-    trace = []
-    for x_t in x:
-        gates = []
-        for k in range(4):
-            row = []
-            for u in range(units):
-                acc = b[k][u]
-                for j in range(units):
-                    acc += W[k][u][j] * h[j]
-                for j in range(len(x_t)):
-                    acc += U[k][u][j] * x_t[j]
-                row.append(acc)
-            gates.append(row)
-        i = [sig(v) for v in gates[0]]
-        f = [sig(v) for v in gates[1]]
-        o = [sig(v) for v in gates[2]]
-        cand = [g(v) for v in gates[3]]
-        s = [f[u] * s[u] + i[u] * cand[u] for u in range(units)]
-        h = [o[u] * g(s[u]) for u in range(units)]
-        trace.append(list(h))
-    return trace
-
-
 def scalar_gru(x, W, U, b):
     """Step-by-step GRU trace; gate order update, reset, candidate."""
     units = len(b[0])

@@ -149,33 +149,6 @@ def test_ten_minute_window_labelling_cases():
     assert time.perf_counter() - start < 1.0
 
 
-def test_lstm_cell_matches_scalar_trace():
-    """Zero-weight step is exact; random small cells track the oracle."""
-    start = time.perf_counter()
-    assert float(neural.sigmoid(0.0)) == 0.5  # every gate at zero weights
-    W, U, b = np.zeros((4, 1, 1)), np.zeros((4, 1, 1)), np.zeros((4, 1))
-    h, s = neural.lstm_cell_step(np.array([0.7]), np.zeros(1), np.zeros(1), W, U, b)
-    assert abs(s[0] - 0.25) < 1e-12
-    assert abs(h[0] - 0.2810885) < 1e-6
-
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        units = int(rng.integers(1, 5))
-        in_dim = int(rng.integers(1, 4))
-        steps = int(rng.integers(1, 7))
-        W = rng.normal(0.0, 0.6, (4, units, units))
-        U = rng.normal(0.0, 0.6, (4, units, in_dim))
-        b = rng.normal(0.0, 0.6, (4, units))
-        x = rng.normal(0.0, 1.0, (steps, in_dim))
-        cand = "tanh" if rng.integers(2) else "sigmoid"
-        got = neural.lstm_forward(
-            x, W, U, b, return_sequences=True, candidate_activation=cand
-        )
-        want = oracles.scalar_lstm(x.tolist(), W.tolist(), U.tolist(), b.tolist(), cand)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-    assert time.perf_counter() - start < 5.0
-
-
 def test_numeric_kernels_match_naive_oracles():
     """conv/pool/dense/softmax agree with triple-loop references, 500 shapes."""
     start = time.perf_counter()

@@ -646,7 +646,7 @@ class TestLayoutMismatch:
         model, run = tmp_path / "model.json", tmp_path / "run"
         neural.save_centroids(model, neural.CentroidModel(
             quiet_model.class_names, np.zeros((len(quiet_model.class_names), 49)),
-            "accgyro49.v1"))
+            "accgyro49.v1", np.ones(49)))
         argv = ["pipeline", "--script", str(TestCalibrator.short_script(tmp_path)),
                 "--out", str(run), "--model", str(model)]
         assert cli.main(argv) == 1

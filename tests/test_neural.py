@@ -1,4 +1,4 @@
-"""Numeric kernels, recurrent cells, weight bundles, centroid models."""
+"""Numeric kernels, the GRU cell, weight bundles, centroid models."""
 
 import json
 
@@ -20,8 +20,6 @@ from homeactivity.neural import (
     gru_forward,
     load_bundle,
     load_centroids,
-    lstm_cell_step,
-    lstm_forward,
     make_default_bundle,
     maxpool1d,
     save_bundle,
@@ -49,45 +47,6 @@ class TestActivations:
     def test_softmax_survives_large_inputs(self):
         got = softmax(np.array([1000.0, 1000.0, 500.0]))
         np.testing.assert_allclose(got[:2], 0.5, atol=1e-12)
-
-
-class TestLstm:
-    def test_zero_weight_single_step(self):
-        """With all weights zero every gate is sigmoid(0) = 0.5, the
-        first cell state is 0.25, and h1 = 0.5 * sigmoid(0.25)."""
-        W = np.zeros((4, 1, 1))
-        U = np.zeros((4, 1, 1))
-        b = np.zeros((4, 1))
-        h, s = lstm_cell_step(np.array([1.0]), np.zeros(1), np.zeros(1), W, U, b)
-        assert s[0] == pytest.approx(0.25, abs=1e-12)
-        assert h[0] == pytest.approx(0.5 * sigmoid(0.25), abs=1e-12)
-        assert h[0] == pytest.approx(0.2810885, abs=1e-6)
-
-    def test_matches_scalar_trace(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            units = int(rng.integers(1, 5))
-            in_dim = int(rng.integers(1, 5))
-            steps = int(rng.integers(1, 6))
-            W = rng.normal(size=(4, units, units))
-            U = rng.normal(size=(4, units, in_dim))
-            b = rng.normal(size=(4, units))
-            x = rng.normal(size=(steps, in_dim))
-            got = lstm_forward(x, W, U, b, return_sequences=True)
-            want = oracles.scalar_lstm(x.tolist(), W.tolist(), U.tolist(), b.tolist())
-            np.testing.assert_allclose(got, want, atol=1e-9)
-
-    def test_tanh_candidate_switch(self):
-        rng = np.random.default_rng(12)
-        W = rng.normal(size=(4, 2, 2))
-        U = rng.normal(size=(4, 2, 3))
-        b = rng.normal(size=(4, 2))
-        x = rng.normal(size=(4, 3))
-        got = lstm_forward(x, W, U, b, candidate_activation="tanh")
-        want = oracles.scalar_lstm(
-            x.tolist(), W.tolist(), U.tolist(), b.tolist(), candidate="tanh"
-        )
-        np.testing.assert_allclose(got, want[-1], atol=1e-9)
 
 
 def test_gru_matches_scalar_trace():
@@ -289,10 +248,9 @@ def pool(**params):
     return LayerSpec("maxpool1d", params)
 
 
-def recurrent(kind="gru", in_dim=4, units=3, shapes=None, **params):
-    n = 4 if kind == "lstm" else 3
-    want = {"W": (n, units, units), "U": (n, units, in_dim), "b": (n, units)}
-    return LayerSpec(kind, {"units": units, **params},
+def recurrent(in_dim=4, units=3, shapes=None, **params):
+    want = {"W": (3, units, units), "U": (3, units, in_dim), "b": (3, units)}
+    return LayerSpec("gru", {"units": units, **params},
                      {k: np.zeros(v) for k, v in {**want, **(shapes or {})}.items()})
 
 
@@ -326,9 +284,6 @@ REJECTIONS = {
                         "unknown activation 'swish'"),
     "dense_activation": (stack(conv(), pool(), recurrent(), dense(activation="gelu")),
                          "unknown activation 'gelu'"),
-    "lstm_candidate": (
-        stack(conv(), pool(), recurrent("lstm", candidate_activation="foo"), dense()),
-        "unknown activation 'foo'"),
     "conv_channels": (stack(conv(kernel=(3, 3, 4)), pool(), recurrent(), dense()),
                       "conv1d kernel (3, 3, 4) cannot act on 2 channels"),
     "conv_bias": (stack(conv(bias=(5,)), pool(), recurrent(), dense()),
@@ -353,15 +308,16 @@ REJECTIONS = {
                           "maxpool1d after a non-sequence layer"),
     "gru_after_vector": (stack(conv(), pool(), recurrent(), recurrent(in_dim=3), dense()),
                          "gru after a non-sequence layer"),
-    "lstm_after_vector": (stack(conv(), pool(), recurrent(), recurrent("lstm", in_dim=3),
-                                dense()),
-                          "lstm after a non-sequence layer"),
     "gru_W": (stack(conv(), pool(), recurrent(shapes={"W": (3, 2, 2)}), dense()),
               "gru W has shape (3, 2, 2), want (3, 3, 3)"),
     "gru_U": (stack(conv(), pool(), recurrent(shapes={"U": (3, 3, 3)}), dense()),
               "gru U has shape (3, 3, 3), want (3, 3, 4)"),
-    "lstm_b": (stack(conv(), pool(), recurrent("lstm", shapes={"b": (3, 3)}), dense()),
-               "lstm b has shape (3, 3), want (4, 3)"),
+    "gru_sequences_text": (stack(conv(), pool(), recurrent(return_sequences="false"), dense()),
+                           "gru return_sequences must be true or false, not 'false'"),
+    "gru_sequences_number": (stack(conv(), pool(), recurrent(return_sequences=1), dense()),
+                             "gru return_sequences must be true or false, not 1"),
+    "lstm": (stack(conv(), pool(), LayerSpec("lstm", {"units": 3}), dense()),
+             "unknown layer kind 'lstm'"),
     "dense_weights": (stack(conv(), pool(), recurrent(), dense(weights=(2, 4))),
                       "dense weights (2, 4) cannot act on 3 inputs"),
     "dense_bias": (stack(conv(), pool(), recurrent(), dense(bias=(3,))),
@@ -388,24 +344,21 @@ def test_each_rejection_has_its_message(case):
 @st.composite
 def stacks(draw):
     """A random valid bundle and an (n, input_len, input_channels) stack:
-    sequence layers (conv1d, maxpool1d, dropout, and LSTM or GRU
-    returning sequences), a closing LSTM or GRU, then dropout and dense
-    layers, the last naming the classes."""
+    sequence layers (conv1d, maxpool1d, dropout, and GRU returning
+    sequences), a closing GRU, then dropout and dense layers, the last
+    naming the classes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     input_len, channels = draw(st.integers(1, 12)), draw(st.integers(1, 3))
     steps, dim, layers = input_len, channels, []
 
-    def recurrent(kind, units, return_sequences):
-        n = 4 if kind == "lstm" else 3
+    def recurrent(units, return_sequences):
         params = {"units": units, "return_sequences": return_sequences}
-        if kind == "lstm":
-            params["candidate_activation"] = draw(st.sampled_from(["sigmoid", "tanh"]))
-        return LayerSpec(kind, params, {"W": rng.normal(size=(n, units, units)),
-                                        "U": rng.normal(size=(n, units, dim)),
-                                        "b": rng.normal(size=(n, units))})
+        return LayerSpec("gru", params, {"W": rng.normal(size=(3, units, units)),
+                                         "U": rng.normal(size=(3, units, dim)),
+                                         "b": rng.normal(size=(3, units))})
 
     for kind in draw(st.lists(st.sampled_from(
-            ["conv1d", "maxpool1d", "dropout", "lstm", "gru"]), max_size=4)):
+            ["conv1d", "maxpool1d", "dropout", "gru"]), max_size=4)):
         if kind == "conv1d":
             klen, filters = draw(st.integers(1, steps)), draw(st.integers(1, 3))
             activation = draw(st.sampled_from(["relu", "tanh", "sigmoid", "linear"]))
@@ -421,10 +374,10 @@ def stacks(draw):
             layers.append(LayerSpec("dropout", {"rate": 0.5}))
         else:
             units = draw(st.integers(1, 3))
-            layers.append(recurrent(kind, units, True))
+            layers.append(recurrent(units, True))
             dim = units
     units = draw(st.integers(1, 3))
-    layers.append(recurrent(draw(st.sampled_from(["lstm", "gru"])), units, False))
+    layers.append(recurrent(units, False))
     dim = units
     for out in draw(st.lists(st.integers(1, 3), max_size=2)) + [draw(st.integers(1, 4))]:
         if draw(st.booleans()):
@@ -468,6 +421,7 @@ class TestCentroids:
             class_names=("far", "near"),
             centroids=np.array([[10.0, 10.0], [1.0, 1.0]]),
             layout="acc43.v1",
+            scale=np.ones(2),
         )
         assert model.classify(np.array([[0.0, 0.0]])) == ["near"]
 
@@ -476,6 +430,7 @@ class TestCentroids:
             class_names=("b", "a"),
             centroids=np.array([[1.0], [-1.0]]),
             layout="acc43.v1",
+            scale=np.ones(1),
         )
         assert model.classify(np.array([[0.0]])) == ["a"]
 
@@ -483,7 +438,7 @@ class TestCentroids:
         # unscaled, the first axis dominates; scaling flips the winner
         centroids = np.array([[6.0, 0.0], [0.0, 2.0]])
         x = np.array([[0.0, 0.0]])
-        flat = CentroidModel(("wide", "tall"), centroids, "acc43.v1")
+        flat = CentroidModel(("wide", "tall"), centroids, "acc43.v1", scale=np.ones(2))
         assert flat.classify(x) == ["tall"]
         scaled = CentroidModel(("wide", "tall"), centroids, "acc43.v1",
                                scale=np.array([10.0, 0.1]))

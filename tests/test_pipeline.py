@@ -8,6 +8,7 @@ in any stage points at the first file that went wrong.
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -570,18 +571,16 @@ class TestCli:
                  "weights": {"kernel": rng.normal(size=(3, 3, 2)).tolist(),
                              "bias": [0.0, 0.0]}},
                 {"kind": "maxpool1d", "params": {"pool": 2, "stride": 2}},
-                {"kind": "lstm", "params": {"units": 2},
-                 "weights": {"W": rng.normal(size=(4, 2, 2)).tolist(),
-                             "U": rng.normal(size=(4, 2, 2)).tolist(),
-                             "b": np.zeros((4, 2)).tolist()}},
+                {"kind": "gru", "params": {"units": 2},
+                 "weights": {"W": rng.normal(size=(3, 2, 2)).tolist(),
+                             "U": rng.normal(size=(3, 2, 2)).tolist(),
+                             "b": np.zeros((3, 2)).tolist()}},
                 {"kind": "dense", "params": {"activation": "softmax"},
                  "weights": {"weights": np.eye(2).tolist(), "bias": [0.0, 0.0]}},
             ],
         }
 
     BAD_BUNDLES = {
-        "unknown_candidate_activation":
-            lambda doc: doc["layers"][2]["params"].update(candidate_activation="foo"),
         "conv_weights_null": lambda doc: doc["layers"][0].update(weights=None),
         "maxpool_stride_zero": lambda doc: doc["layers"][1]["params"].update(stride=0),
         "layers_not_a_list": lambda doc: doc.update(layers=5),
@@ -591,7 +590,7 @@ class TestCli:
         # json reads NaN and Infinity; each used to fail later, naming no file
         "dense_bias_nan": lambda doc: doc["layers"][3]["weights"].update(
             bias=[float("nan"), 0.0]),
-        "lstm_W_infinite": lambda doc: doc["layers"][2]["weights"]["W"][0][0].__setitem__(
+        "gru_W_infinite": lambda doc: doc["layers"][2]["weights"]["W"][0][0].__setitem__(
             0, float("inf")),
         "mean_nan": lambda doc: doc["feature_norm"].update(mean=[0.0, float("nan"), 0.0]),
     }
@@ -670,7 +669,7 @@ class TestCli:
         assert not (tmp_path / "w.csv").exists()
 
     @pytest.mark.parametrize("change, values, layout", [
-        ({"centroids": [[0.0] * 10] * 7, "scale": None}, 10, repr(features.LAYOUT_ACC)),
+        ({"centroids": [[0.0] * 10] * 7, "scale": [1.0] * 10}, 10, repr(features.LAYOUT_ACC)),
         ({"layout": "bogus.v1"}, 43, "'bogus.v1'"),
     ], ids=["width_differs_from_layout", "unknown_layout"])
     def test_centroids_that_fit_no_layout_are_refused_at_load(
@@ -689,6 +688,20 @@ class TestCli:
         assert code == 1
         assert self.error_line(err) == expected
         assert not out.exists()
+
+    def test_pipeline_parses_the_script_once(self, chain, tmp_path, capsys, monkeypatch):
+        parsed = []
+
+        def load_script(p, _load=simulate.load_script):
+            parsed.append(p)
+            return _load(p)
+
+        monkeypatch.setattr(simulate, "load_script", load_script)
+        script = str(chain / "script.csv")
+        code, _ = run_cli(["pipeline", "--script", script, "--out", str(tmp_path / "run"),
+                           "--model", str(chain / "model.json")], capsys)
+        assert code == 0
+        assert parsed == [script]
 
     def test_pipeline_parses_the_bundle_once(self, chain, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bundle.json"
@@ -730,6 +743,78 @@ class TestCli:
                              str(path), "--out", str(tmp_path / "w.csv")], capsys)
         assert code == 1
         assert self.error_line(err).startswith(f"error: {path}: ")
+
+    def test_return_sequences_must_be_a_boolean(self, chain, tmp_path, capsys):
+        """The text "false" is no JSON boolean; read as truth, it used to
+        fail at the dense layer with a message that named no option."""
+        doc = self.small_bundle()
+        doc["layers"][2]["params"]["return_sequences"] = "false"
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli(["classify", "--in", str(chain / "filtered.csv"), "--model",
+                             str(path), "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 1
+        assert self.error_line(err) == (
+            f"error: {path}: gru return_sequences must be true or false, not 'false'")
+
+    def write_refused_model(self, case, path, quiet_model) -> str:
+        """A model file in a format no command writes; its error message."""
+        if case == "lstm_layer":
+            doc = self.small_bundle()
+            doc["layers"][2] = {"kind": "lstm", "params": {"units": 2},
+                                "weights": {"W": np.zeros((4, 2, 2)).tolist(),
+                                            "U": np.zeros((4, 2, 2)).tolist(),
+                                            "b": np.zeros((4, 2)).tolist()}}
+            path.write_text(json.dumps(doc))
+            return "unknown layer kind 'lstm'"
+        neural.save_centroids(path, quiet_model)
+        doc = json.loads(path.read_text())
+        if case == "scale_null":
+            doc["scale"] = None
+            message = "scale shape () != feature width"
+        else:
+            del doc["scale"]
+            message = "missing key 'scale'"
+        path.write_text(json.dumps(doc))
+        return message
+
+    @pytest.mark.parametrize("case", ["lstm_layer", "scale_null", "scale_absent"])
+    def test_formats_no_command_writes_are_refused(self, chain, quiet_model, tmp_path,
+                                                   capsys, case):
+        """An LSTM layer, and a centroid file without divisors, are refused
+        by classify and pipeline alike, before either writes a file."""
+        path = tmp_path / "model.json"
+        expected = f"error: {path}: {self.write_refused_model(case, path, quiet_model)}"
+        code, err = run_cli(["classify", "--in", str(chain / "filtered.csv"), "--model",
+                             str(path), "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 1
+        assert self.error_line(err) == expected
+        assert not (tmp_path / "w.csv").exists()
+        out = tmp_path / "run"
+        code, err = run_cli(["pipeline", "--script", str(chain / "script.csv"), "--out",
+                             str(out), "--model", str(path)], capsys)
+        assert code == 1
+        assert self.error_line(err) == expected
+        assert not out.exists()
+
+    def test_features_refuse_a_window_that_overflows(self, tmp_path, capsys):
+        """Samples near 1e200 are finite, but their squares are not: the
+        first window they reach is refused at its first line, with no
+        NumPy warning and no feature file."""
+        n = 300
+        values = np.ones((n, 3))
+        values[192:] = np.where(np.arange(n - 192)[:, None] % 2, -1e200, 1e200)
+        log, out = tmp_path / "big.csv", tmp_path / "features.csv"
+        timeseries.write_inertial(log, timeseries.SampleSeries(
+            "s", np.arange(n, dtype=np.int64) * 50, values))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_cli(["features", "--in", str(log), "--out", str(out)], capsys)
+        assert code == 1
+        assert caught == []
+        assert self.error_line(err) == (
+            f"error: {log}: line 129: window 6400..12800 has a non-finite feature value")
+        assert not out.exists()
 
     BAD_CENTROIDS = {
         "class_names_not_a_list": {"class_names": 3},
@@ -1072,8 +1157,8 @@ class TestHandOff:
 
     def test_a_non_finite_feature_fails_as_by_hand(self, chain, tmp_path, capsys,
                                                   monkeypatch):
-        """A matrix the reader would refuse is not handed on: classify
-        reads the file and refuses it, as by hand."""
+        """features refuses a window with a non-finite feature, naming the
+        line of its first sample, and writes no feature file."""
         extract = features.extract_all
 
         def with_inf(batch, *args):
@@ -1083,9 +1168,10 @@ class TestHandOff:
 
         monkeypatch.setattr(features, "extract_all", with_inf)
         error = self.assert_fails_as_by_hand(chain, tmp_path, capsys, chain / "model.json",
-                                             "classify")
-        assert error == (f"error: {tmp_path / 'pipeline' / 'features.csv'}: line 8: "
-                         "non-finite feature value")
+                                             "features")
+        assert error == (f"error: {tmp_path / 'pipeline' / 'filtered.csv'}: line 321: "
+                         "window 21616000..21622400 has a non-finite feature value")
+        assert not (tmp_path / "pipeline" / "features.csv").exists()
 
 
 # Text a table cell carries: any that UTF-8 encodes. Python 3.10's csv

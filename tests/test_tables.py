@@ -93,7 +93,7 @@ def _companions(tmp):
     fusion.write_derived(tmp / "good_derived.csv", [(0, DerivedActivity("Sitting in Hall"))])
     save_centroids(
         tmp / "centroids.json",
-        CentroidModel(("Sit", "Walk"), np.zeros((2, 43)), features.LAYOUT_ACC),
+        CentroidModel(("Sit", "Walk"), np.zeros((2, 43)), features.LAYOUT_ACC, np.ones(43)),
     )
 
 
@@ -247,7 +247,8 @@ INPUTS = {
     ),
     "model": (
         lambda p: save_centroids(
-            p, CentroidModel(("Sit", "Walk"), np.zeros((2, 43)), features.LAYOUT_ACC)),
+            p, CentroidModel(("Sit", "Walk"), np.zeros((2, 43)), features.LAYOUT_ACC,
+                             np.ones(43))),
         lambda t, bad: ["classify", "--in", t / "features.csv", "--model", bad],
     ),
     "config": (
