@@ -44,8 +44,8 @@ print(f"stream: {len(gappy)} samples with a "
       f"{int(np.diff(gappy.ts).max())} ms hole")
 
 # Gaps up to a second are filled back onto the 50 ms grid; anything
-# wider would split the stream instead of inventing data.
-(repaired,) = timeseries.interpolate_gaps(gappy, max_gap_ms=1000)
+# wider would stay a jump in the timestamps instead of inventing data.
+repaired = timeseries.interpolate_gaps(gappy, max_gap_ms=1000)
 print(f"repaired: {len(repaired)} samples, gapless "
       f"({int(np.diff(repaired.ts).max())} ms stride)")
 

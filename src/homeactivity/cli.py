@@ -123,8 +123,6 @@ def _effective(args: argparse.Namespace, keys) -> dict:
         if value is None:
             value = config.get(key)
         eff[key] = OPTIONS[key].default if value is None else value
-    if eff.get("min_still_ms", 0) < 0:
-        raise ValueError(f"min_still_ms must not be negative, got {eff['min_still_ms']}")
     return eff
 
 
@@ -200,6 +198,7 @@ def _run_pipeline(eff, out) -> None:
     timeseries.window_hop(eff["window_len"], eff["overlap"])
     occupancy.detect_intervals([], timeout_ms=eff["timeout_ms"])
     fusion.check_tick_ms(eff["tick_ms"])
+    fusion.check_min_still_ms(eff["min_still_ms"])
     labelling.windowize([], eff["span"])
     if not (eff["script"] or (eff["inertial"] and eff["events"])):
         raise pipeline.PipelineError("pipeline needs --script, or both --inertial and --events")

@@ -147,6 +147,12 @@ def check_tick_ms(tick_ms: int) -> None:
         raise ValueError(f"tick_ms must be positive, got {tick_ms}")
 
 
+def check_min_still_ms(min_still_ms: int) -> None:
+    """The one rule for the sleep threshold: a duration, never negative."""
+    if min_still_ms < 0:
+        raise ValueError(f"min_still_ms must not be negative, got {min_still_ms}")
+
+
 def runs(items):
     """Maximal runs of ordered (start, end, value) items, as
     (start, end, value, count).
@@ -180,6 +186,7 @@ def derive_sleep(
     duration (first tick start to last tick end) reaches min_still_ms
     becomes Sleep for its whole duration; shorter runs are untouched.
     """
+    check_min_still_ms(min_still_ms)
     out = list(timeline)
     i = 0
     for start, end, basic, count in runs([(ts, ts + tick_ms, basic) for ts, basic in out]):

@@ -157,6 +157,13 @@ def _activation(name):
     return ACTIVATIONS[name]
 
 
+def _integer(name: str, value) -> int:
+    """value, refused unless a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise BundleError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _layer(spec: LayerSpec, steps: int | None, dim: int):
     """Check one layer against the (steps, dim) input it receives, steps
     None for a vector; return the (steps, dim) it emits and its forward
@@ -178,20 +185,22 @@ def _layer(spec: LayerSpec, steps: int | None, dim: int):
         return (steps - kernel.shape[0] + 1, kernel.shape[2],
                 lambda x: act(conv1d_forward(x, kernel, bias)))
     if kind == "maxpool1d":
-        pool = int(params.get("pool", 2))
-        stride = int(params.get("stride", pool))
+        pool = _integer("maxpool1d pool", params.get("pool", 2))
+        stride = _integer("maxpool1d stride", params.get("stride", pool))
         if pool < 1 or stride < 1:
             raise BundleError(f"maxpool1d pool {pool} and stride {stride} must be positive")
         if steps < pool:
             raise BundleError(f"maxpool1d pool {pool} exceeds remaining {steps} steps")
         return (steps - pool) // stride + 1, dim, lambda x: maxpool1d(x, pool, stride)
     if kind == "dropout":
-        rate = float(params.get("rate", 0.0))
+        rate = params.get("rate", 0.0)
+        if type(rate) not in (int, float):
+            raise BundleError(f"dropout rate must be a number, not {rate!r}")
         if not (0 <= rate < 1):
             raise BundleError(f"dropout rate {rate} outside [0, 1)")
         return steps, dim, lambda x: x  # the identity at inference
     if kind == "gru":
-        n, units = len(GRU_GATES), int(params["units"])
+        n, units = len(GRU_GATES), _integer("gru units", params["units"])
         for key, want in (("W", (n, units, units)), ("U", (n, units, dim)), ("b", (n, units))):
             if w[key].shape != want:
                 raise BundleError(f"gru {key} has shape {w[key].shape}, want {want}")
@@ -322,8 +331,8 @@ def load_bundle(path: str | Path, doc: dict | None = None) -> WeightsBundle:
         return WeightsBundle(
             layers=layers,
             class_names=tuple(doc["class_names"]),
-            input_len=int(doc["input_len"]),
-            input_channels=int(doc["input_channels"]),
+            input_len=_integer("input_len", doc["input_len"]),
+            input_channels=_integer("input_channels", doc["input_channels"]),
             feature_norm=doc.get("feature_norm"),
         )
 

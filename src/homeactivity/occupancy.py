@@ -35,10 +35,6 @@ class Interval:
         if self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown interval kind {self.kind!r}")
 
-    @property
-    def duration_ms(self) -> int:
-        return self.end_ts - self.start_ts
-
     def contains(self, ts: int) -> bool:
         return self.start_ts <= ts < self.end_ts
 

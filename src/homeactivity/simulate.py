@@ -353,13 +353,11 @@ def calibrate_centroids(
             runs.append(join([head, tail]))
         kept = []  # (start_ts, end_ts, values) of the windows each run keeps
         for run_idx, run in enumerate(runs):
-            batches = [segment(butterworth_lowpass(piece, filter_spec), window_len, overlap_frac)
-                       for piece in interpolate_gaps(run)]
-            start_ts, end_ts, values = (np.concatenate([getattr(batch, name) for batch in batches])
-                                        for name in ("start_ts", "end_ts", "values"))
+            batch = segment(butterworth_lowpass(interpolate_gaps(run), filter_spec),
+                            window_len, overlap_frac)
             keep = (slice(skip, None) if run_idx == 0
-                    else np.flatnonzero(start_ts >= boundary_ts)[:2])
-            kept.append((start_ts[keep], end_ts[keep], values[keep]))
+                    else np.flatnonzero(batch.start_ts >= boundary_ts)[:2])
+            kept.append((batch.start_ts[keep], batch.end_ts[keep], batch.values[keep]))
         # extract_all's rows are independent: one call gives each row's bits
         matrix, _ = extract_all(WindowBatch(*map(np.concatenate, zip(*kept))))
         feats_by_class.append(matrix)

@@ -8,6 +8,7 @@ samples in the order that fixes the bytes of a feature file, so the
 batched `features.extract_all` must equal them exactly. The run oracles
 are hand-written loops over one timeline each; the sleep and flag loops
 do not look at holes, so they are references on hole-free pieces only.
+The repair oracle repairs a log one piece at a time, a list per gap.
 """
 
 import math
@@ -20,6 +21,7 @@ from homeactivity.features import BIN_COUNT, BIN_RANGE
 from homeactivity.fusion import APPLIANCE_PRECEDENCE, RULE_COLUMNS
 from homeactivity.labelling import NO_DATA, PRIORITY_COLUMNS
 from homeactivity.profiles import Bout
+from homeactivity.timeseries import SampleSeries
 
 
 def sig(v):
@@ -271,4 +273,20 @@ def hole_free_pieces(timeline, tick_ms):
             pieces.append([])
         pieces[-1].append(tick)
         prev_end = tick[0] + tick_ms
+    return pieces
+
+
+def repair_pieces(series, max_gap_ms, period_ms=50):
+    """Gap repair as a list of pieces, one at a time: a piece ends where
+    the next sample lies more than max_gap_ms after it, and each piece is
+    resampled on its own grid, every period_ms from its first timestamp
+    up to its last sample, each axis by np.interp over the piece alone."""
+    ts = series.ts.tolist()
+    starts = [0] + [i for i in range(1, len(ts)) if ts[i] - ts[i - 1] > max_gap_ms]
+    pieces = []
+    for lo, hi in zip(starts, starts[1:] + [len(ts)]):
+        grid = np.array(range(ts[lo], ts[hi - 1] + 1, period_ms), dtype=np.int64)
+        values = np.column_stack([np.interp(grid, series.ts[lo:hi], series.values[lo:hi, k])
+                                  for k in range(series.values.shape[1])])
+        pieces.append(SampleSeries(series.subject_id, grid, values))
     return pieces

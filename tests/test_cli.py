@@ -598,7 +598,9 @@ class TestRefusedOptions:
         "pipeline --window-len 0": "window_len must be positive, got 0",
         "pipeline --overlap 1": "overlap_frac must lie in [0, 1), got 1.0",
         "pipeline --span 3": "span must be one of (2, 5, 10), got 3",
-        "pipeline --max-gap-ms 0": "max_gap_ms must be positive, got 0",
+        "pipeline --max-gap-ms 0": "max_gap_ms must be at least the sample period, 50 ms, got 0",
+        "pipeline --max-gap-ms 49": (
+            "max_gap_ms must be at least the sample period, 50 ms, got 49"),
         "pipeline --timeout-ms 0": "timeout_ms must be positive, got 0",
         "pipeline --tick-ms 0": "tick_ms must be positive, got 0",
         "simulate --tick-ms 0": "tick_ms must be positive, got 0",
@@ -624,6 +626,17 @@ class TestRefusedOptions:
         assert error_line(capsys.readouterr().err) == f"error: {self.REFUSED[args]}"
         assert not run.exists()
         assert_nothing_left(fds)
+
+    def test_filter_refuses_a_gap_below_one_period_before_writing(self, tmp_path, capsys):
+        """Every step of a log is then a gap: each sample was once its own
+        stretch, filtered as itself."""
+        log, out = tmp_path / "log.csv", tmp_path / "filtered.csv"
+        log.write_text("s,,0,1,2,3;\ns,,50,1,2,3;\n", encoding="utf-8")
+        assert cli.main(["filter", "--in", str(log), "--out", str(out),
+                         "--max-gap-ms", "49"]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: max_gap_ms must be at least the sample period, 50 ms, got 49")
+        assert not out.exists()
 
 
 class TestLayoutMismatch:
@@ -766,6 +779,20 @@ class TestFilterOverflow:
         assert cli.main(["filter", "--in", str(log), "--out", str(out)]) == 1
         assert error_line(capsys.readouterr().err) == (
             f"error: {log}: line 12: non-finite sample value")
+        assert not out.exists()
+
+    def test_a_later_stretch_leaves_no_partial_log(self, tmp_path, capsys):
+        """Two stretches of 200 samples, 5 s apart; the second alternates
+        ±1.7e308 and overflows at its second sample, line 202. The log is
+        written only once the whole series is filtered."""
+        log, out = tmp_path / "log.csv", tmp_path / "filtered.csv"
+        with open(log, "w", encoding="utf-8") as fh:
+            for i in range(400):
+                v = 0.0 if i < 200 else 1.7e308 * (-1) ** i
+                fh.write(f"s,,{50 * i + 5000 * (i >= 200)},{v:.6f},0.000000,0.000000;\n")
+        assert cli.main(["filter", "--in", str(log), "--out", str(out)]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {log}: line 202: non-finite sample value")
         assert not out.exists()
 
 

@@ -21,3 +21,15 @@ def test_demo_exits_zero(demo, tmp_path):
     out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_library_tour_runs():
+    """The code block of README's library tour runs as printed, and its
+    shapes are the ones its comment gives."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = text[text.index("## Library tour"):]
+    block = tour[tour.index("```python\n") + len("```python\n"):]
+    namespace = {}
+    exec(compile(block[:block.index("```")], "README.md", "exec"), namespace)
+    batch = namespace["batch"]
+    assert (batch.values.shape, batch.gyro.shape) == ((3, 128, 6), (3, 128, 3))

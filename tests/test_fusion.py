@@ -15,6 +15,7 @@ from homeactivity.fusion import (
     RuleFileError,
     derive_sleep,
     flag_stream,
+    fuse_ticks,
     load_default_rules,
     load_rules,
     read_derived,
@@ -229,6 +230,14 @@ class TestDeriveSleep:
         got = derive_sleep(timeline, min_still_ms=20_000)
         assert [label for _, label in got] == ["Sleep"] * 4
         assert DEFAULT_MIN_STILL_MS == 300_000
+
+    def test_a_negative_threshold_is_refused(self):
+        """-1 ms was once met by any run, so 15 s of Lie slept."""
+        with pytest.raises(ValueError, match="min_still_ms must not be negative, got -1"):
+            derive_sleep(self.ticks([("Lie", 3)]), min_still_ms=-1)
+        with pytest.raises(ValueError, match="min_still_ms must not be negative, got -1"):
+            fuse_ticks([(0, "Lie")], [(None, frozenset())], load_default_rules(),
+                       min_still_ms=-1)
 
 
 class TestFlagStream:

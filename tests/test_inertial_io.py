@@ -247,6 +247,8 @@ class TestWriterAgainstOracle:
         self.assert_same_bytes(tmp_path, make_series(subject, ts, xyz, g), block)
 
     def test_append_continues_the_file(self, tmp_path):
+        """One call over a gapped series writes what the oracle writes
+        appending each gapless stretch."""
         rng = np.random.default_rng(3)
         first = make_series("s", np.arange(7, dtype=np.int64) * 50, rng.normal(size=(7, 3)))
         second = make_series("s", 1000 + np.arange(5, dtype=np.int64) * 50,
@@ -254,8 +256,7 @@ class TestWriterAgainstOracle:
         oracle_write(tmp_path / "want.csv", first)
         oracle_write(tmp_path / "want.csv", second, append=True)
         with block_lines(3):
-            write_inertial(tmp_path / "got.csv", first)
-            write_inertial(tmp_path / "got.csv", second, append=True)
+            write_inertial(tmp_path / "got.csv", timeseries.join([first, second]))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_written_logs_take_the_block_path(self, tmp_path):
@@ -349,7 +350,8 @@ class TestAsLogged:
         series = SampleSeries("s", data.draw(stamps(n)), values)
         with block_lines(block):
             got = write_inertial(path, series)
-        assert same_bits(got, through_text(values))
+        assert same_bits(got.values, through_text(values))
+        assert got.subject_id == "s" and np.array_equal(got.ts, series.ts)
 
     def test_ties_and_their_neighbours(self, tmp_path):
         """Three real blocks, of which the first is all ties and one ulp
@@ -363,27 +365,24 @@ class TestAsLogged:
             size = timeseries._BLOCK_LINES * width
             values = np.concatenate([near[:size], plain[:2 * size]]).reshape(-1, width)
             series = SampleSeries("s", 50 * np.arange(len(values), dtype=np.int64), values)
-            got = write_inertial(tmp_path / "log.csv", series)
+            got = write_inertial(tmp_path / "log.csv", series).values
             assert same_bits(got, through_text(values))
             (back,) = load_inertial(tmp_path / "log.csv")
             assert same_bits(got, back.values)
 
     @pytest.mark.parametrize("gyro", [False, True])
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 12), block=st.integers(1, 5), append=st.booleans(),
-           data=st.data())
-    def test_is_the_series_the_log_reads_back(self, tmp_path_factory, gyro, n, block, append,
-                                              data):
+    @given(n=st.integers(1, 12), block=st.integers(1, 5), data=st.data())
+    def test_is_the_series_the_log_reads_back(self, tmp_path_factory, gyro, n, block, data):
         width = 6 if gyro else 3
         path = tmp_path_factory.mktemp("back") / "log.csv"
         values = data.draw(arrays(np.float64, (n, width), elements=written_values))
         series = SampleSeries("s", data.draw(stamps(n)), values)
-        if append:  # a line before every stamp that stamps() draws
-            path.write_text("s,,%d" % -(2**63) + ",1.000000" * width + ";\n", encoding="utf-8")
         with block_lines(block):
-            got = write_inertial(path, series, append)
+            got = write_inertial(path, series)
         (back,) = load_inertial(path)
-        assert same_bits(got, back.values[int(append):])
+        assert series_equal(got, back)
+        assert same_bits(got.values, back.values)
 
 
 class TestBlockFormatter:
@@ -394,19 +393,18 @@ class TestBlockFormatter:
     @SETTINGS
     @given(subject=subjects | st.sampled_from(["%d", "a%%b", "é", "受试者", "🙂%s"]),
            width=st.sampled_from((3, 6)), n=st.integers(1, 20), block=st.integers(1, 6),
-           append=st.booleans(), data=st.data())
-    def test_matches_the_template(self, tmp_path_factory, subject, width, n, block, append,
-                                  data):
+           data=st.data())
+    def test_matches_the_template(self, tmp_path_factory, subject, width, n, block, data):
+        """One call over the series writes what the template writes
+        appending each of its gapless stretches."""
         tmp_path = tmp_path_factory.mktemp("fmt")
         values = data.draw(arrays(np.float64, (n, width), elements=written_values))
         series = SampleSeries(subject, data.draw(stamps(n)), values)
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-        if append:
-            for path in (want, got):
-                path.write_text("sim,,0,1.000000,2.000000,3.000000;\n", encoding="utf-8")
-        template_write(want, series, append)
+        for i, stretch in enumerate(timeseries.split_on_gaps(series)):
+            template_write(want, stretch, append=i > 0)
         with block_lines(block):
-            write_inertial(got, series, append)
+            write_inertial(got, series)
         assert got.read_bytes() == want.read_bytes()
 
     def test_plain_blocks_take_the_matrix_and_the_rest_the_template(self, tmp_path):

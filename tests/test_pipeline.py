@@ -196,17 +196,40 @@ class TestStageChain:
 class TestStageGuards:
     def test_two_subjects_are_rejected(self, tmp_path):
         path = tmp_path / "two.csv"
-        for subject, append in (("a", False), ("b", True)):
+        logs = []
+        for subject in ("a", "b"):
             series = timeseries.SampleSeries(
                 subject_id=subject,
                 ts=np.arange(10, dtype=np.int64) * 50,
                 values=np.ones((10, 3)),
             )
-            timeseries.write_inertial(path, series, append=append)
+            timeseries.write_inertial(path, series)
+            logs.append(path.read_bytes())
+        path.write_bytes(b"".join(logs))
         with pytest.raises(timeseries.SeriesError) as exc:
             pipeline.stage_filter(path, tmp_path / "out.csv")
         assert str(exc.value) == (
             f"{path}: line 11: subject 'b' after 'a': a log holds one subject")
+
+    def test_one_filter_is_built_for_a_log_of_three_stretches(self, tmp_path, monkeypatch):
+        """The filter's block products are set up once per log, not once
+        per gapless stretch."""
+        ts = np.r_[np.arange(100), np.arange(200, 300), np.arange(400, 500)] * 50
+        series = timeseries.SampleSeries("s", ts, np.random.default_rng(2).normal(
+            size=(300, 3)))
+        timeseries.write_inertial(tmp_path / "log.csv", series)
+        built = []
+
+        class Counted(timeseries._BlockLowpass):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(timeseries, "_BlockLowpass", Counted)
+        pipeline.stage_filter(tmp_path / "log.csv", tmp_path / "out.csv")
+        assert len(built) == 1
+        (out,) = timeseries.load_inertial(tmp_path / "out.csv")
+        assert len(timeseries.split_on_gaps(out)) == 3
 
     def test_log_shorter_than_a_window(self, tmp_path):
         series = timeseries.SampleSeries(
@@ -414,7 +437,8 @@ class TestCli:
         out = tmp_path / "o.csv"
         code, _ = run_cli(["filter", "--in", str(log), "--out", str(out)], capsys)
         assert code == 0
-        pieces = timeseries.interpolate_gaps(timeseries.load_inertial(out)[0])
+        (filtered,) = timeseries.load_inertial(out)
+        pieces = timeseries.split_on_gaps(timeseries.interpolate_gaps(filtered))
         assert [p.ts.tolist() for p in pieces] == [[-2**63], [2**63 - 1]]
 
     @pytest.mark.parametrize("blank", [False, True], ids=["plain", "blank_line"])
@@ -756,6 +780,40 @@ class TestCli:
         assert code == 1
         assert self.error_line(err) == (
             f"error: {path}: gru return_sequences must be true or false, not 'false'")
+
+    NOT_INTEGERS = {
+        "pool_float": (lambda doc: doc["layers"][1]["params"].update(pool=2.9),
+                       "maxpool1d pool must be an integer, not 2.9"),
+        "stride_text": (lambda doc: doc["layers"][1]["params"].update(stride="2"),
+                        "maxpool1d stride must be an integer, not '2'"),
+        "units_float": (lambda doc: doc["layers"][2]["params"].update(units=2.7),
+                        "gru units must be an integer, not 2.7"),
+        "rate_text": (lambda doc: doc["layers"].insert(2, {"kind": "dropout",
+                                                           "params": {"rate": "0.5"}}),
+                      "dropout rate must be a number, not '0.5'"),
+        "input_len_float": (lambda doc: doc.update(input_len=16.9),
+                            "input_len must be an integer, not 16.9"),
+        "input_len_text": (lambda doc: doc.update(input_len="16"),
+                           "input_len must be an integer, not '16'"),
+        "input_len_true": (lambda doc: doc.update(input_len=True),
+                           "input_len must be an integer, not True"),
+        "input_channels_float": (lambda doc: doc.update(input_channels=3.0),
+                                 "input_channels must be an integer, not 3.0"),
+    }
+
+    @pytest.mark.parametrize("case", NOT_INTEGERS)
+    def test_integer_fields_must_be_json_integers(self, chain, tmp_path, capsys, case):
+        """Each was once truncated or converted by int() or float() and run."""
+        edit, message = self.NOT_INTEGERS[case]
+        doc = self.small_bundle()
+        edit(doc)
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_cli(["classify", "--in", str(chain / "filtered.csv"), "--model",
+                             str(path), "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 1
+        assert self.error_line(err) == f"error: {path}: {message}"
+        assert not (tmp_path / "w.csv").exists()
 
     def write_refused_model(self, case, path, quiet_model) -> str:
         """A model file in a format no command writes; its error message."""

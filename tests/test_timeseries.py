@@ -21,7 +21,7 @@ from homeactivity.timeseries import (
     split_on_gaps,
     write_inertial,
 )
-from oracles import series_equal
+from oracles import repair_pieces, series_equal
 
 
 def make_series(values, start=0, subject="s1"):
@@ -30,6 +30,61 @@ def make_series(values, start=0, subject="s1"):
         values = np.column_stack([values, values, values])
     ts = start + DEFAULT_PERIOD_MS * np.arange(values.shape[0], dtype=np.int64)
     return SampleSeries(subject_id=subject, ts=ts, values=values)
+
+
+def same_bits(a: SampleSeries, b: SampleSeries) -> bool:
+    return (a.subject_id == b.subject_id and a.ts.tobytes() == b.ts.tobytes()
+            and a.values.tobytes() == b.values.tobytes())
+
+
+@st.composite
+def on_the_clock(draw, steps):
+    """Increasing int64 timestamps with these steps, placed from -2^63,
+    up to 2^63 - 1, anywhere between, or split across the whole clock by
+    one step wider than int64 holds."""
+    rel = [0]
+    for step in steps:
+        rel.append(rel[-1] + step)
+    place = draw(st.sampled_from(["bottom", "top", "across", "anywhere"]))
+    bottom, top = -(2**63), 2**63 - 1 - rel[-1]
+    if place == "across" and len(rel) > 1:
+        k = draw(st.integers(1, len(rel) - 1))
+        return np.array([bottom + r for r in rel[:k]] + [top + r for r in rel[k:]],
+                        dtype=np.int64)
+    if place == "bottom":
+        start = bottom
+    elif place == "top":
+        start = top
+    else:
+        start = draw(st.integers(-10**12, 10**12))
+    return np.array([start + r for r in rel], dtype=np.int64)
+
+
+@st.composite
+def off_grid_logs(draw):
+    """1 to 60 samples at steps of one period or of 1 ms to 3 s."""
+    steps = draw(st.lists(st.just(DEFAULT_PERIOD_MS) | st.integers(1, 3000), max_size=59))
+    ts = draw(on_the_clock(steps))
+    width = draw(st.sampled_from([3, 6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return SampleSeries("s", ts, np.random.default_rng(seed).uniform(-1e6, 1e6, (ts.size, width)))
+
+
+@st.composite
+def gapped_logs(draw):
+    """1 to 4 gapless stretches of 1 to 150 samples, a gap of any step but
+    one period between two; values of one scale, 3 or 6 channels."""
+    sizes = draw(st.lists(st.integers(1, 150), min_size=1, max_size=4))
+    steps = []
+    for i, size in enumerate(sizes):
+        if i:
+            steps.append(draw(st.integers(1, 3000).filter(lambda k: k != DEFAULT_PERIOD_MS)))
+        steps += [DEFAULT_PERIOD_MS] * (size - 1)
+    ts = draw(on_the_clock(steps))
+    width = draw(st.sampled_from([3, 6]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 20.0, 1e6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return SampleSeries("s", ts, scale * np.random.default_rng(seed).normal(size=(ts.size, width)))
 
 
 class TestSampleSeries:
@@ -48,16 +103,6 @@ class TestSampleSeries:
                 ts=np.array([0, 50]),
                 values=np.zeros((3, 3)),
             )
-
-    def test_grid_alignment(self):
-        s = make_series([1.0, 2.0, 3.0])
-        assert s.is_grid_aligned()
-        gappy = SampleSeries(
-            subject_id="s",
-            ts=np.array([0, 50, 150]),
-            values=np.zeros((3, 3)),
-        )
-        assert not gappy.is_grid_aligned()
 
 
 class TestInertialFormat:
@@ -135,7 +180,7 @@ class TestInterpolateGaps:
         ts = np.array([0, 50, 200], dtype=np.int64)
         xyz = np.array([[0, 0, 0], [1, 10, -1], [4, 40, -4]], dtype=np.float64)
         s = SampleSeries(subject_id="s", ts=ts, values=xyz)
-        (out,) = interpolate_gaps(s, max_gap_ms=1000)
+        out = interpolate_gaps(s, max_gap_ms=1000)
         assert np.array_equal(out.ts, [0, 50, 100, 150, 200])
         expected = np.interp([0, 50, 100, 150, 200], ts, xyz[:, 0])
         np.testing.assert_allclose(out.xyz[:, 0], expected)
@@ -143,7 +188,7 @@ class TestInterpolateGaps:
 
     def test_existing_samples_preserved(self):
         s = make_series(np.sin(np.arange(10)))
-        (out,) = interpolate_gaps(s)
+        out = interpolate_gaps(s)
         assert series_equal(out, s)
 
     def test_large_gap_splits(self):
@@ -151,30 +196,30 @@ class TestInterpolateGaps:
         s = SampleSeries(
             subject_id="s", ts=ts, values=np.ones((4, 3))
         )
-        pieces = interpolate_gaps(s, max_gap_ms=1000)
-        assert [p.ts[0] for p in pieces] == [0, 2000]
-        assert all(len(p) == 2 for p in pieces)
+        out = interpolate_gaps(s, max_gap_ms=1000)
+        assert out.ts.tolist() == [0, 50, 2000, 2050]  # the gap stays a jump
+        assert [p.ts.tolist() for p in split_on_gaps(out)] == [[0, 50], [2000, 2050]]
 
     def test_gap_at_threshold_is_filled(self):
         ts = np.array([0, 1000], dtype=np.int64)
         s = SampleSeries(
             subject_id="s", ts=ts, values=np.ones((2, 3))
         )
-        (out,) = interpolate_gaps(s, max_gap_ms=1000)
+        out = interpolate_gaps(s, max_gap_ms=1000)
         assert len(out) == 21  # 0..1000 inclusive on the 50 ms grid
 
     def test_off_grid_samples_resampled(self):
         ts = np.array([0, 30, 100], dtype=np.int64)
         xyz = np.array([[0.0] * 3, [3.0] * 3, [10.0] * 3])
         s = SampleSeries(subject_id="s", ts=ts, values=xyz)
-        (out,) = interpolate_gaps(s)
+        out = interpolate_gaps(s)
         assert np.array_equal(out.ts, [0, 50, 100])
         np.testing.assert_allclose(out.xyz[1], [5.0, 5.0, 5.0])
 
     @given(
         start=st.integers(-10**12, 10**12),
         steps=st.lists(st.integers(1, 3000), max_size=60),
-        max_gap_ms=st.integers(1, 2000),
+        max_gap_ms=st.integers(DEFAULT_PERIOD_MS, 2000),
         gyro=st.booleans(),
         data=st.data(),
     )
@@ -186,7 +231,7 @@ class TestInterpolateGaps:
                                                min_size=ts.size, max_size=ts.size)))
                    for _ in range(2))
         s = SampleSeries("s", ts, np.hstack([xyz, gy]) if gyro else xyz)
-        pieces = interpolate_gaps(s, max_gap_ms=max_gap_ms)
+        pieces = split_on_gaps(interpolate_gaps(s, max_gap_ms=max_gap_ms))
         firsts = [int(p.ts[0]) for p in pieces]
         assert firsts[0] == ts[0]
         for k, p in enumerate(pieces):
@@ -206,6 +251,21 @@ class TestInterpolateGaps:
                     assert np.array_equal(p.gyro[:, axis],
                                           np.interp(p.ts, src_ts, gy[src, axis]))
             assert gyro or p.gyro is None
+
+
+    @given(log=off_grid_logs(), max_gap_ms=st.integers(DEFAULT_PERIOD_MS, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_stretches_are_the_pieces_repaired_one_by_one(self, log, max_gap_ms):
+        got = split_on_gaps(interpolate_gaps(log, max_gap_ms))
+        want = repair_pieces(log, max_gap_ms)
+        assert len(got) == len(want)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    def test_a_max_gap_below_one_period_is_refused(self):
+        """Steps of one period would then be gaps, and repair would join
+        stretches that the filter and the windows tell apart."""
+        with pytest.raises(ValueError, match="at least the sample period, 50 ms, got 49"):
+            interpolate_gaps(make_series(np.zeros(3)), max_gap_ms=49)
 
 
 class TestButterworth:
@@ -241,15 +301,6 @@ class TestButterworth:
         steady = out.xyz[200:, 0]
         assert np.abs(steady).max() <= 0.1
 
-    def test_requires_grid_alignment(self):
-        s = SampleSeries(
-            subject_id="s",
-            ts=np.array([0, 50, 150]),
-            values=np.zeros((3, 3)),
-        )
-        with pytest.raises(SeriesError, match="grid"):
-            butterworth_lowpass(s, FilterSpec())
-
     @given(
         wn=st.floats(0.01, 0.99),
         x=st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, -0.0]),
@@ -265,6 +316,18 @@ class TestButterworth:
         zi = timeseries.lfilter_zi(b, a) * x[0] if zi is None else np.array(zi)
         got, want = timeseries.lfilter(b, a, x, zi), timeseries._lfilter_loop(b, a, x, zi)
         assert got.tobytes() == want.tobytes()
+
+
+@given(log=gapped_logs(), order=st.integers(1, 8), cutoff=st.floats(0.1, 9.9))
+@settings(max_examples=100, deadline=None)
+def test_filters_are_their_stretches_concatenated(log, order, cutoff):
+    """Each filter starts each gapless stretch from its own first sample's
+    steady state, as a call over that stretch alone does, bit for bit."""
+    spec = FilterSpec(order, cutoff)
+    stretches = split_on_gaps(log)
+    for lowpass in (butterworth_lowpass, timeseries.lowpass_for_log):
+        want = np.concatenate([lowpass(stretch, spec).values for stretch in stretches])
+        assert same_bits(lowpass(log, spec), SampleSeries("s", log.ts, want))
 
 
 # Values on or near a rounding boundary of the log's `%.6f` text, and zeros
