@@ -13,8 +13,8 @@ normalizes to the canonical spelling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import tables
 
@@ -30,8 +30,7 @@ class EventParseError(ValueError):
     """Raised for an event that does not parse or names an unknown sensor."""
 
 
-@dataclass(frozen=True, order=True)
-class AmbientEvent:
+class AmbientEvent(NamedTuple):
     """One binary sensor edge; state True means active/on/pressed."""
 
     ts: int

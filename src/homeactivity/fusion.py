@@ -5,18 +5,24 @@ derived_name, flag) so a household can rewrite what counts as Unnatural
 without touching code. Lookup precedence: appliance-bound rules first
 (water_bottle, then mirror_bulb, bathroom_switch, tv), then exact
 (basic, room) rules, then room wildcards, then a catch-all default.
+The fuse stage carries tick runs (`ticks_of`), so its work grows with
+the changes of label and context, not with the ticks. The records are
+NamedTuples, checked where they are read.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+import io
+from bisect import bisect_right
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import tables
 from .ambient import APPLIANCES, ROOMS
+from .occupancy import DEFAULT_ROOM
 
 BASIC_ACTIVITIES = ("Walk", "Jog", "Sit", "Stand", "Lie", "Sleep", "StairUp", "StairDown")
 FLAGS = ("Normal", "Unnatural", "Anomaly")
@@ -32,18 +38,19 @@ class RuleFileError(ValueError):
     """Raised when a fusion rule file fails validation."""
 
 
-@dataclass(frozen=True, order=True)
-class DerivedActivity:
+class DerivedActivity(NamedTuple):
     name: str
     flag: str = "Normal"
 
-    def __post_init__(self):
-        if self.flag not in FLAGS:
-            raise ValueError(f"unknown flag {self.flag!r}")
+
+def _derived(name: str, flag: str) -> DerivedActivity:
+    """The activity as a rule file or derived timeline gives it."""
+    if flag not in FLAGS:
+        raise ValueError(f"unknown flag {flag!r}")
+    return DerivedActivity(name, flag)
 
 
-@dataclass(frozen=True)
-class FusionRule:
+class FusionRule(NamedTuple):
     """One row; None fields are wildcards."""
 
     basic: str | None
@@ -105,7 +112,7 @@ def _parse_rule_row(basic, room, appliance, name, flag) -> FusionRule:
         raise RuleFileError("empty derived_name")
     if basic is None and room is None and appliance is None:
         raise RuleFileError("rule matches everything")
-    return FusionRule(basic, room, appliance, DerivedActivity(name, flag))
+    return FusionRule(basic, room, appliance, _derived(name, flag))
 
 
 def load_rules(path: str | Path) -> FusionRuleTable:
@@ -174,40 +181,47 @@ def runs(items):
         yield tuple(run)
 
 
-def derive_sleep(
-    timeline,
-    min_still_ms: int = DEFAULT_MIN_STILL_MS,
-    tick_ms: int = DEFAULT_TICK_MS,
-):
+def ticks_of(tick_runs, tick_ms: int = DEFAULT_TICK_MS):
+    """The (ts, value) ticks of tick runs (first_ts, end_ts, value): one
+    or more at first_ts + k·tick_ms, the last ending at end_ts."""
+    return [(ts, value) for first, end, value in tick_runs for ts in range(first, end, tick_ms)]
+
+
+def derive_sleep(basic_runs, min_still_ms: int = DEFAULT_MIN_STILL_MS):
     """Rewrite sustained stillness to Sleep.
 
-    timeline is an ordered list of (ts, basic) pairs at tick_ms cadence.
-    Every run of Lie ticks (see `runs`: a hole ends it) whose covered
-    duration (first tick start to last tick end) reaches min_still_ms
-    becomes Sleep for its whole duration; shorter runs are untouched.
+    basic_runs are ordered tick runs (`ticks_of`). Each stretch of Lie
+    runs that `runs` merges (a hole ends it) whose covered duration (first
+    tick start to last tick end) reaches min_still_ms becomes Sleep, run by
+    run; shorter stretches are untouched.
     """
     check_min_still_ms(min_still_ms)
-    out = list(timeline)
+    out = list(basic_runs)
     i = 0
-    for start, end, basic, count in runs([(ts, ts + tick_ms, basic) for ts, basic in out]):
+    for start, end, basic, count in runs(out):
         if basic == "Lie" and end - start >= min_still_ms:
-            out[i:i + count] = [(ts, "Sleep") for ts, _ in out[i:i + count]]
+            out[i:i + count] = [(first, last, "Sleep") for first, last, _ in out[i:i + count]]
         i += count
     return out
 
 
-def fuse_ticks(ticks, contexts, rules: FusionRuleTable,
-               min_still_ms: int = DEFAULT_MIN_STILL_MS, tick_ms: int = DEFAULT_TICK_MS):
-    """The (ts, DerivedActivity) timeline of ordered (ts, basic) ticks in
-    their (room, appliances) `contexts`: derive_sleep, then the rule table,
-    asked once per distinct (basic, room, appliances)."""
-    fused = {}  # (basic, room, appliances) -> the rule table's answer
+def fuse_runs(basic_runs, edges, contexts, rules: FusionRuleTable,
+              min_still_ms: int = DEFAULT_MIN_STILL_MS, tick_ms: int = DEFAULT_TICK_MS):
+    """Ordered basic tick runs (`ticks_of`) as derived ones: derive_sleep,
+    then each run split at its first tick at or after each edge, and the
+    rule table asked once per piece, in the context of the last edge at or
+    before it. edges increase, contexts holds the (room, appliances) from
+    each edge on, and before every edge is DEFAULT_ROOM with none on."""
     derived = []
-    for (ts, basic), (room, active) in zip(derive_sleep(ticks, min_still_ms, tick_ms), contexts):
-        key = (basic, room, active)
-        if key not in fused:
-            fused[key] = rules.fuse(basic, room, active)
-        derived.append((ts, fused[key]))
+    for first, end, basic in derive_sleep(basic_runs, min_still_ms):
+        k = bisect_right(edges, first)  # edges[k] is the first edge after `first`
+        start = first
+        while start < end:
+            room, active = contexts[k - 1] if k else (DEFAULT_ROOM, frozenset())
+            cut = end if k == len(edges) else min(end, edges[k] + (first - edges[k]) % tick_ms)
+            derived.append((start, cut, rules.fuse(basic, room, active)))
+            k = bisect_right(edges, cut, k)
+            start = cut
     return derived
 
 
@@ -221,15 +235,25 @@ def flag_stream(derived_timeline, tick_ms: int = DEFAULT_TICK_MS):
     return [(start, end, flag) for start, end, flag, _ in runs(ticks) if flag != "Normal"]
 
 
-def write_derived(path: str | Path, timeline) -> None:
-    """Serialize an ordered (ts, DerivedActivity) timeline."""
-    tables.write_table(path, DERIVED_COLUMNS, ((ts, d.name, d.flag) for ts, d in timeline))
+def write_derived(path: str | Path, derived_runs, tick_ms: int = DEFAULT_TICK_MS) -> None:
+    """A row per tick of ordered derived tick runs: a run's rows are one
+    join, on its activity's csv-quoted ",name,flag\\r\\n", built once."""
+    suffixes = {}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(DERIVED_COLUMNS)
+        for first, end, derived in derived_runs:
+            if derived not in suffixes:
+                line = io.StringIO()
+                csv.writer(line).writerow(("", *derived))
+                suffixes[derived] = line.getvalue()
+            suffix = suffixes[derived]
+            fh.write(suffix.join(map(str, range(first, end, tick_ms))) + suffix)
 
 
 def read_derived(path: str | Path):
     """(ts, DerivedActivity) per row; rows with the same name and flag
     share one DerivedActivity, built and checked at its first row."""
-    derived = functools.cache(DerivedActivity)
+    derived = functools.cache(_derived)
     return tables.read_table(
         path, DERIVED_COLUMNS, lambda ts, name, flag: (int(ts), derived(name, flag))
     )

@@ -13,9 +13,9 @@ matched case-insensitively and reported in canonical form.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import tables
 
@@ -64,19 +64,11 @@ class PriorityTable:
 EMPTY_PRIORITIES = PriorityTable({})
 
 
-@dataclass(frozen=True, order=True)
-class WindowLabel:
+class WindowLabel(NamedTuple):
     start_ts: int
     end_ts: int
     label: str
     method: str
-
-    def __post_init__(self):
-        if self.end_ts <= self.start_ts:
-            raise ValueError(f"empty window [{self.start_ts}, {self.end_ts})")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown labelling method {self.method!r}; "
-                             f"expected one of {', '.join(METHODS)}")
 
     @property
     def span_ms(self) -> int:
@@ -90,6 +82,11 @@ def label_window(labels, priorities: PriorityTable) -> tuple[str, str]:
     priority, frequency, or tie.
     """
     observed = [priorities.canonicalize(lab) for lab in labels]
+    return _label_canonical(observed, {lab: priorities.rank(lab) for lab in observed})
+
+
+def _label_canonical(observed, ranks: dict) -> tuple[str, str]:
+    """label_window over canonical names, ranked by `ranks`."""
     if not observed:
         raise ValueError("no labels")
 
@@ -97,8 +94,8 @@ def label_window(labels, priorities: PriorityTable) -> tuple[str, str]:
     for pos, lab in enumerate(observed):
         first_seen.setdefault(lab, pos)
 
-    ranked = [(priorities.rank(lab), first_seen[lab], lab)
-              for lab in first_seen if priorities.rank(lab) is not None]
+    ranked = [(ranks.get(lab), first_seen[lab], lab)
+              for lab in first_seen if ranks.get(lab) is not None]
     if ranked:
         return min(ranked)[2], METHOD_PRIORITY
 
@@ -122,7 +119,7 @@ def windowize(
     explicit NoData windows, so the output always tiles the timeline
     without holes, from the window that holds the first timestamp. The
     first timestamp not after the one before it raises a tables.RowError
-    with its index.
+    with its index. Each distinct label is canonicalized once.
     """
     if span_minutes not in WINDOW_SPANS_MIN:
         raise ValueError(f"span must be one of {WINDOW_SPANS_MIN}, got {span_minutes}")
@@ -134,6 +131,8 @@ def windowize(
             raise tables.RowError(
                 f"ts {b} is not after {a}: timeline must be strictly increasing in time", index)
 
+    canonical = {label: priorities.canonicalize(label) for label in {lab for _, lab in timeline}}
+    ranks = dict(priorities.items())  # canonical name -> rank, or None
     span_ms = span_minutes * 60_000
     origin = timeline[0][0] // span_ms * span_ms
     out = []
@@ -143,7 +142,7 @@ def windowize(
     def flush(idx: int):
         start = origin + idx * span_ms
         if bucket:
-            label, method = label_window(bucket, priorities)
+            label, method = _label_canonical(bucket, ranks)
         else:
             label, method = NO_DATA, METHOD_NO_DATA
         out.append(WindowLabel(start, start + span_ms, label, method))
@@ -154,7 +153,7 @@ def windowize(
             flush(window_idx)
             bucket.clear()
             window_idx += 1
-        bucket.append(label)
+        bucket.append(canonical[label])
     flush(window_idx)
     return out
 
@@ -193,9 +192,15 @@ def write_window_labels(path: str | Path, windows) -> None:
     tables.write_table(path, WINDOW_LABEL_COLUMNS, rows)
 
 
+def _window_label(start, end, label, method) -> WindowLabel:
+    window = WindowLabel(int(start), int(end), label, method)
+    if window.end_ts <= window.start_ts:
+        raise ValueError(f"empty window [{window.start_ts}, {window.end_ts})")
+    if method not in METHODS:
+        raise ValueError(f"unknown labelling method {method!r}; "
+                         f"expected one of {', '.join(METHODS)}")
+    return window
+
+
 def read_window_labels(path: str | Path) -> list[WindowLabel]:
-    return tables.read_table(
-        path,
-        WINDOW_LABEL_COLUMNS,
-        lambda start, end, label, method: WindowLabel(int(start), int(end), label, method),
-    )
+    return tables.read_table(path, WINDOW_LABEL_COLUMNS, _window_label)

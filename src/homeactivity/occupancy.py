@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import tables
 from .ambient import APPLIANCES, EVENT_KINDS, ROOMS
@@ -21,19 +21,12 @@ DEFAULT_ROOM = "Outside"
 INTERVAL_COLUMNS = ("kind", "location", "start_ts", "end_ts", "truncated")
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(NamedTuple):
     start_ts: int
     end_ts: int
     kind: str
     location: str
     truncated: bool = False
-
-    def __post_init__(self):
-        if self.end_ts <= self.start_ts:
-            raise ValueError(f"empty interval [{self.start_ts}, {self.end_ts})")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown interval kind {self.kind!r}")
 
     def contains(self, ts: int) -> bool:
         return self.start_ts <= ts < self.end_ts
@@ -118,7 +111,7 @@ def resolve_single_person(intervals) -> list[Interval]:
         elif iv.start_ts == current.start_ts:
             current = iv
         else:
-            out.append(replace(current, end_ts=iv.start_ts, truncated=True))
+            out.append(current._replace(end_ts=iv.start_ts, truncated=True))
             current = iv
     if current is not None:
         out.append(current)
@@ -187,7 +180,12 @@ def _interval(kind, location, start_ts, end_ts, truncated) -> Interval:
         raise ValueError(f"unknown room {location!r}")
     if kind in ("relay", "force") and location not in APPLIANCES:
         raise ValueError(f"unknown appliance {location!r}")
-    return Interval(int(start_ts), int(end_ts), kind, location, bool(int(truncated)))
+    interval = Interval(int(start_ts), int(end_ts), kind, location, bool(int(truncated)))
+    if interval.end_ts <= interval.start_ts:
+        raise ValueError(f"empty interval [{interval.start_ts}, {interval.end_ts})")
+    if kind not in EVENT_KINDS:
+        raise ValueError(f"unknown interval kind {kind!r}")
+    return interval
 
 
 def read_intervals(path: str | Path) -> list[Interval]:

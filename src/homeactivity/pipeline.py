@@ -24,8 +24,7 @@ features.read_back's, and every other table holds ints and the strings
 it was written from. So the stages see the same values, and write the
 same bytes, as when run by hand. An error names the file and line it
 names by hand, found in the file only once the error is raised. `fuse`
-fuses its ticks by the simulator's rule for its ground truth,
-fusion.fuse_ticks.
+fuses tick runs (fusion.ticks_of) by the ground truth's rule, fuse_runs.
 
 The centroid model depends on the options alone, so `pipeline` without
 --model begins its calibration (simulate.Calibration) in a forked child
@@ -115,35 +114,45 @@ def read_basic_windows(path) -> list[tuple[int, int, str]]:
 
 
 def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
-    """Resample per-window labels onto a fixed tick grid.
+    """Resample per-window labels onto a fixed tick grid, as tick runs.
 
     windows is a (start, end, label) list of equal-length, possibly
     overlapping windows, ordered by start and by end; the first window
     that is empty, or whose start or end goes back, raises a
     tables.RowError with its index. Each tick takes the label of the
     latest-starting window that covers it, and ticks in coverage holes
-    are omitted.
+    are omitted; consecutive ticks that share a label form one run.
     """
     fusion.check_tick_ms(tick_ms)
-    for index, (start, end, _) in enumerate(windows):
-        if end <= start:
-            raise tables.RowError(f"window {start}..{end} is empty", index)
-        last_start, last_end, _ = windows[index - 1]
-        if index and (start < last_start or end < last_end):
-            raise tables.RowError(f"window {start}..{end} goes back from window "
-                                  f"{last_start}..{last_end}: windows must be ordered", index)
     if not windows:
         return []
-    ticks = []
-    idx = 0
-    t = windows[0][0]
-    while t < windows[-1][1]:
-        while idx + 1 < len(windows) and windows[idx + 1][0] <= t:
-            idx += 1
-        if windows[idx][0] <= t < windows[idx][1]:
-            ticks.append((t, windows[idx][2]))
-        t += tick_ms
-    return ticks
+    tick_runs = []  # [first_ts, end_ts, label]
+
+    def own(start, stop, label):  # the ticks in [start, stop) take label
+        first = start + (origin - start) % tick_ms  # the first tick at or after start
+        if first < stop:
+            stop += (origin - stop) % tick_ms
+            if tick_runs and tick_runs[-1][1] == first and tick_runs[-1][2] == label:
+                tick_runs[-1][1] = stop
+            else:
+                tick_runs.append([first, stop, label])
+
+    # A stretch of windows that share a label, with no hole, owns the ticks
+    # from its first start to its last end or the next start, if sooner.
+    origin, last_end, last_label = windows[0]
+    last_start = stretch = origin
+    for index, (start, end, label) in enumerate(windows):
+        if end <= start:
+            raise tables.RowError(f"window {start}..{end} is empty", index)
+        if start < last_start or end < last_end:
+            raise tables.RowError(f"window {start}..{end} goes back from window "
+                                  f"{last_start}..{last_end}: windows must be ordered", index)
+        if label != last_label or last_end < start:
+            own(stretch, min(last_end, start), last_label)
+            stretch = start
+        last_start, last_end, last_label = start, end, label
+    own(stretch, last_end, last_label)
+    return [tuple(run) for run in tick_runs]
 
 
 def simulation_script(script_path, days: int, start_day_ms: int, tick_ms: int,
@@ -200,15 +209,15 @@ def stage_simulate(
                  for start in starts]
     series = timeseries.join([data.series for data in generated])
     events = ambient.merge_streams([data.events for data in generated])
-    truth = [tick for data in generated for tick in data.derived_ticks]
+    truth = [run for data in generated for run in data.derived_runs]
     del generated  # each day's own copy of its samples
     logged = timeseries.write_inertial(out_inertial, series)
     ambient.write_events(out_events, events)
-    fusion.write_derived(out_truth, truth)
+    fusion.write_derived(out_truth, truth, tick_ms)
     if handed is not None:
         handed[out_inertial] = logged
         handed[out_events] = events
-    return {"days": days, "truth_ticks": len(truth)}
+    return {"days": days, "truth_ticks": sum(len(range(f, e, tick_ms)) for f, e, _ in truth)}
 
 
 def stage_filter(
@@ -400,8 +409,8 @@ def stage_fuse(
     *,
     handed: dict | None = None,
 ) -> dict:
-    """Resample classified windows to ticks, apply the sleep rule, and
-    fuse with room occupancy and appliance state."""
+    """Resample classified windows to tick runs, apply the sleep rule, and
+    fuse with room occupancy and appliance state, taken at interval edges."""
     basic_windows = _read(windows_path, read_basic_windows, handed)
     for index, (_, _, label) in enumerate(basic_windows):
         if label not in fusion.BASIC_ACTIVITIES:
@@ -411,15 +420,16 @@ def stage_fuse(
     rooms = [iv for iv in intervals if iv.kind == "pir"]
     appliances = [iv for iv in intervals if iv.kind != "pir"]
     try:
-        ticks = ticks_from_windows(basic_windows, tick_ms)
+        basic_runs = ticks_from_windows(basic_windows, tick_ms)
     except tables.RowError as exc:
         raise _row_error(windows_path, exc) from None
-    contexts = occupancy.context_sweep((ts for ts, _ in ticks), rooms, appliances)
-    derived = fusion.fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms)
-    fusion.write_derived(out_path, derived)
+    edges = sorted({ts for iv in intervals for ts in (iv.start_ts, iv.end_ts)})
+    contexts = list(occupancy.context_sweep(edges, rooms, appliances))
+    derived = fusion.fuse_runs(basic_runs, edges, contexts, rules, min_still_ms, tick_ms)
+    fusion.write_derived(out_path, derived, tick_ms)
     if handed is not None:
-        handed[out_path] = derived
-    return {"ticks": len(derived)}
+        handed[out_path] = fusion.ticks_of(derived, tick_ms)
+    return {"ticks": sum(len(range(f, e, tick_ms)) for f, e, _ in derived)}
 
 
 def stage_label(

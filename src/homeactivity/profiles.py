@@ -8,9 +8,9 @@ add day-by-day occurrence booleans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
+from typing import NamedTuple
 from zoneinfo import ZoneInfo
 
 from . import tables
@@ -23,8 +23,7 @@ DAY_BOUNDARY_ERROR = "split at day boundary first"
 ORDER_ERROR = "windows must be ordered and non-overlapping"
 
 
-@dataclass(frozen=True, order=True)
-class Bout:
+class Bout(NamedTuple):
     label: str
     start_ts: int
     end_ts: int
@@ -34,8 +33,7 @@ class Bout:
         return self.end_ts - self.start_ts
 
 
-@dataclass(frozen=True, eq=False)
-class DayProfile:
+class DayProfile(NamedTuple):
     day: date
     duration_ms: dict[str, int]
     bout_count: dict[str, int]
@@ -49,8 +47,7 @@ class DayProfile:
         return self.duration_ms.get(label, 0) / self.coverage_ms
 
 
-@dataclass(frozen=True, eq=False)
-class WeekProfile:
+class WeekProfile(NamedTuple):
     days: tuple[DayProfile, ...]
     occurrence: dict[str, tuple[bool, ...]]
 

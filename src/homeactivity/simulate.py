@@ -230,7 +230,12 @@ class DayData:
 
     series: SampleSeries
     events: list[AmbientEvent]
-    derived_ticks: list[tuple[int, object]]
+    derived_runs: list[tuple[int, int, fusion.DerivedActivity]]
+    tick_ms: int
+
+    @property
+    def derived_ticks(self) -> list[tuple[int, fusion.DerivedActivity]]:
+        return fusion.ticks_of(self.derived_runs, self.tick_ms)
 
 
 def _context_edges(ts: int, old, new) -> list[AmbientEvent]:
@@ -261,8 +266,8 @@ def generate_day(
     day_start_ms is the epoch timestamp of local midnight; entry clock
     offsets are added to it. PIR edges fire on room changes (the first
     entry opens, the last closes), appliance edges on active-set changes,
-    and the ground-truth timeline is fused per tick with the sleep rule
-    applied to sustained lying.
+    and the ground truth is fused as `fuse` fuses it (fusion.fuse_runs),
+    each block a tick run from its start in its own context.
     """
     fusion.check_tick_ms(tick_ms)
     entries = _validate_script(script)
@@ -270,8 +275,7 @@ def generate_day(
 
     pieces = []
     events: list[AmbientEvent] = []
-    basic_ticks: list[tuple[int, str]] = []
-    tick_context: list[tuple[str, frozenset]] = []
+    basic_runs, starts, contexts = [], [], []
 
     nobody = (None, frozenset())
     context, prev_end = nobody, None
@@ -295,16 +299,16 @@ def generate_day(
                 rng=rng,
             )
         )
-        for ts in range(start, end, tick_ms):
-            basic_ticks.append((ts, entry.basic))
-            tick_context.append(here)
+        basic_runs.append((start, start + len(range(start, end, tick_ms)) * tick_ms, entry.basic))
+        starts.append(start)
+        contexts.append(here)
         context, prev_end = here, end
 
     events += _context_edges(prev_end, context, nobody)
     events.sort()
 
-    derived_ticks = fusion.fuse_ticks(basic_ticks, tick_context, rules, tick_ms=tick_ms)
-    return DayData(series=join(pieces), events=events, derived_ticks=derived_ticks)
+    derived_runs = fusion.fuse_runs(basic_runs, starts, contexts, rules, tick_ms=tick_ms)
+    return DayData(join(pieces), events, derived_runs, tick_ms)
 
 
 def calibrate_centroids(

@@ -268,7 +268,8 @@ def lowpass_for_log(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     gapless stretch runs as block products (_BlockLowpass) in chunks of
     _CHUNK samples. A value that the products cannot certify makes
     lfilter rerun the channel up to it, and a channel whose bound
-    certifies nothing runs through lfilter alone.
+    certifies nothing, or a stretch shorter than a block, runs through
+    lfilter alone.
     """
     b, a = spec.design()
     zi = lfilter_zi(b, a)
@@ -277,7 +278,7 @@ def lowpass_for_log(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     for lo, hi in _stretches(series.ts):
         for k, channel in enumerate(series.values[lo:hi].T):
             z = zi * channel[0]
-            last = blocks.run(channel, z, out[lo:hi, k])
+            last = hi - lo - 1 if hi - lo < _BLOCK else blocks.run(channel, z, out[lo:hi, k])
             if last >= 0:
                 out[lo:lo + last + 1, k] = lfilter(b, a, channel[:last + 1], z)
     return replace(series, values=out)

@@ -9,6 +9,9 @@ batched `features.extract_all` must equal them exactly. The run oracles
 are hand-written loops over one timeline each; the sleep and flag loops
 do not look at holes, so they are references on hole-free pieces only.
 The repair oracle repairs a log one piece at a time, a list per gap.
+The fuse oracles are the fuse stage and the simulator's ground truth a
+tick at a time: the per-tick path that the tick runs of `fusion` and
+`pipeline.ticks_from_windows` replace.
 """
 
 import math
@@ -18,7 +21,8 @@ import numpy as np
 from homeactivity import tables
 from homeactivity.ambient import AmbientEvent
 from homeactivity.features import BIN_COUNT, BIN_RANGE
-from homeactivity.fusion import APPLIANCE_PRECEDENCE, RULE_COLUMNS
+from homeactivity.fusion import APPLIANCE_PRECEDENCE, DERIVED_COLUMNS, RULE_COLUMNS, runs
+from homeactivity.occupancy import context_sweep
 from homeactivity.labelling import NO_DATA, PRIORITY_COLUMNS
 from homeactivity.profiles import Bout
 from homeactivity.timeseries import SampleSeries
@@ -290,3 +294,69 @@ def repair_pieces(series, max_gap_ms, period_ms=50):
                                   for k in range(series.values.shape[1])])
         pieces.append(SampleSeries(series.subject_id, grid, values))
     return pieces
+
+
+def runs_of_ticks(timeline, tick_ms):
+    """An ordered (ts, value) timeline as tick runs of one tick each."""
+    return [(ts, ts + tick_ms, value) for ts, value in timeline]
+
+
+def ticks_from_windows_loop(windows, tick_ms):
+    """Each tick of the grid from the first window's start, up to the last
+    window's end, labelled by the last window that starts at or before it
+    if that window covers it; windows ordered by start and by end."""
+    ticks = []
+    idx = 0
+    t = windows[0][0] if windows else 0
+    while windows and t < windows[-1][1]:
+        while idx + 1 < len(windows) and windows[idx + 1][0] <= t:
+            idx += 1
+        if windows[idx][0] <= t < windows[idx][1]:
+            ticks.append((t, windows[idx][2]))
+        t += tick_ms
+    return ticks
+
+
+def derive_sleep_ticks(timeline, min_still_ms, tick_ms):
+    """The sleep rule a tick at a time: each run (`fusion.runs`) of Lie
+    ticks (ts, ts + tick_ms) covering min_still_ms becomes Sleep."""
+    out = list(timeline)
+    i = 0
+    for start, end, basic, count in runs([(ts, ts + tick_ms, basic) for ts, basic in out]):
+        if basic == "Lie" and end - start >= min_still_ms:
+            out[i:i + count] = [(ts, "Sleep") for ts, _ in out[i:i + count]]
+        i += count
+    return out
+
+
+def fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms):
+    """The (ts, DerivedActivity) timeline of ordered (ts, basic) ticks in
+    their (room, appliances) contexts, one tick at a time."""
+    return [(ts, rules.fuse(basic, room, active)) for (ts, basic), (room, active)
+            in zip(derive_sleep_ticks(ticks, min_still_ms, tick_ms), contexts)]
+
+
+def fuse_stage_ticks(windows, intervals, rules, min_still_ms, tick_ms):
+    """The fuse stage's timeline, with the context swept at every tick."""
+    ticks = ticks_from_windows_loop(windows, tick_ms)
+    rooms = [iv for iv in intervals if iv.kind == "pir"]
+    appliances = [iv for iv in intervals if iv.kind != "pir"]
+    contexts = context_sweep([ts for ts, _ in ticks], rooms, appliances)
+    return fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms)
+
+
+def script_truth_ticks(script, rules, day_start_ms, min_still_ms, tick_ms):
+    """A simulated day's ground truth: each block's ticks from its start,
+    every tick_ms before its end, in the block's room and appliances."""
+    ticks, contexts = [], []
+    for entry in script:
+        start = day_start_ms + entry.clock_start_ms
+        for ts in range(start, day_start_ms + entry.clock_end_ms, tick_ms):
+            ticks.append((ts, entry.basic))
+            contexts.append((entry.room, entry.appliances))
+    return fuse_ticks(ticks, contexts, rules, min_still_ms, tick_ms)
+
+
+def write_derived_ticks(path, timeline):
+    """A derived timeline file, one csv.writer row per tick."""
+    tables.write_table(path, DERIVED_COLUMNS, ((ts, d.name, d.flag) for ts, d in timeline))

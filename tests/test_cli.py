@@ -296,10 +296,10 @@ NUMERIC = ("numpy", "homeactivity.timeseries", "homeactivity.features", "homeact
            "homeactivity.simulate")
 
 
-def test_no_context_command_imports_numpy(tmp_path):
-    """Importing the package alone loads none of its modules; importing the
-    CLI, and running each context command through cli.main, loads neither
-    NumPy nor a module that needs it."""
+def _context_imports(tmp_path, watched, code_before_cli=""):
+    """The names in `watched` that a fresh interpreter has loaded after
+    `code_before_cli`, after `from homeactivity import cli`, and after
+    each context command run through cli.main, in that order."""
     events, windows = write_context_inputs(tmp_path)
     intervals, derived, labels = (tmp_path / name for name in
                                   ("intervals.csv", "derived.csv", "labels.csv"))
@@ -312,11 +312,10 @@ def test_no_context_command_imports_numpy(tmp_path):
              "--format", "csv"]]
     code = (
         "import sys\n"
-        f"numeric = {NUMERIC!r}\n"
+        f"watched = {tuple(watched)!r}\n"
         "def loaded():\n"
-        "    return [name for name in numeric if name in sys.modules]\n"
-        "import homeactivity\n"
-        "seen = [loaded() + [m for m in sys.modules if m.startswith('homeactivity.')]]\n"
+        "    return [name for name in watched if name in sys.modules]\n"
+        f"{code_before_cli}"
         "from homeactivity import cli\n"
         "seen.append(loaded())\n"
         f"for argv in {runs!r}:\n"
@@ -327,8 +326,26 @@ def test_no_context_command_imports_numpy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=child_env(), timeout=120, check=False)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == str([[]] * (len(runs) + 2))
     assert (tmp_path / "report.json").exists() and (tmp_path / "report.csv").exists()
+    return out.stdout.strip(), len(runs)
+
+
+def test_no_context_command_imports_numpy(tmp_path):
+    """Importing the package alone loads none of its modules; importing the
+    CLI, and running each context command through cli.main, loads neither
+    NumPy nor a module that needs it."""
+    seen, runs = _context_imports(tmp_path, NUMERIC, (
+        "import homeactivity\n"
+        "seen = [loaded() + [m for m in sys.modules if m.startswith('homeactivity.')]]\n"))
+    assert seen == str([[]] * (runs + 2))
+
+
+def test_no_context_command_imports_dataclasses(tmp_path):
+    """The context records are NamedTuples: importing the CLI, and running
+    each context command through cli.main, loads neither dataclasses nor
+    the inspect module it imports."""
+    seen, runs = _context_imports(tmp_path, ("dataclasses", "inspect"), "seen = []\n")
+    assert seen == str([[]] * (runs + 1))
 
 
 class TestTickMs:
@@ -853,7 +870,7 @@ class TestRowErrors:
 
     def test_label(self, tmp_path, capsys):
         derived, out = tmp_path / "derived.csv", tmp_path / "labels.csv"
-        fusion.write_derived(derived, [(ts, fusion.DerivedActivity("Sitting"))
+        fusion.write_derived(derived, [(ts, ts + 5_000, fusion.DerivedActivity("Sitting"))
                                        for ts in (0, 10_000, 5_000)])
         assert cli.main(["label", "--in", str(derived), "--out", str(out)]) == 1
         assert error_line(capsys.readouterr().err) == (
@@ -993,9 +1010,7 @@ class TestTypedConfig:
 
     def test_null_means_unset(self, tmp_path, capsys):
         derived = tmp_path / "derived.csv"
-        fusion.write_derived(
-            derived, [(i * 5_000, fusion.DerivedActivity("Sitting")) for i in range(48)]
-        )
+        fusion.write_derived(derived, [(0, 48 * 5_000, fusion.DerivedActivity("Sitting"))])
         labels = tmp_path / "labels.csv"
         config = write_config(tmp_path, {"span": None, "priorities": None})
         argv = ["label", "--in", str(derived), "--out", str(labels), "--config", config]

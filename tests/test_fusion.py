@@ -1,10 +1,12 @@
-"""Context fusion rules, the sleep rewrite, and flag runs."""
+"""Context fusion rules, the sleep rewrite, flag runs, and the tick-run
+path of the fuse stage and the simulator's ground truth."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeactivity.ambient import ROOMS
+from homeactivity import occupancy, pipeline, simulate
+from homeactivity.ambient import APPLIANCES, ROOMS
 from homeactivity.fusion import (
     APPLIANCE_PRECEDENCE,
     DEFAULT_MIN_STILL_MS,
@@ -15,11 +17,12 @@ from homeactivity.fusion import (
     RuleFileError,
     derive_sleep,
     flag_stream,
-    fuse_ticks,
+    fuse_runs,
     load_default_rules,
     load_rules,
     read_derived,
     runs,
+    ticks_of,
     write_derived,
 )
 from homeactivity.tables import TableError
@@ -27,7 +30,11 @@ from oracles import (
     derive_sleep_loop,
     flag_stream_loop,
     fuse_by_precedence,
+    fuse_stage_ticks,
     hole_free_pieces,
+    runs_of_ticks,
+    script_truth_ticks,
+    write_derived_ticks,
     write_rules,
 )
 
@@ -178,6 +185,12 @@ class TestRuleFiles:
 
 
 class TestDeriveSleep:
+    """derive_sleep over one-tick runs, expanded back to ticks."""
+
+    @staticmethod
+    def sleep(timeline, min_still_ms=DEFAULT_MIN_STILL_MS, tick_ms=5000):
+        return ticks_of(derive_sleep(runs_of_ticks(timeline, tick_ms), min_still_ms), tick_ms)
+
     def ticks(self, spec, tick_ms=5000, start=0):
         out = []
         ts = start
@@ -191,17 +204,17 @@ class TestDeriveSleep:
         # 60 ticks at 5 s: span = 59 * 5000 + 5000 = 300000 ms, exactly
         # the five-minute threshold
         timeline = self.ticks([("Lie", 60)])
-        got = derive_sleep(timeline)
+        got = self.sleep(timeline)
         assert all(label == "Sleep" for _, label in got)
 
     def test_just_under_threshold_stays_lie(self):
         timeline = self.ticks([("Lie", 59)])
-        got = derive_sleep(timeline)
+        got = self.sleep(timeline)
         assert all(label == "Lie" for _, label in got)
 
     def test_runs_are_maximal_not_windowed(self):
         timeline = self.ticks([("Sit", 3), ("Lie", 70), ("Walk", 2)])
-        got = derive_sleep(timeline)
+        got = self.sleep(timeline)
         labels = [label for _, label in got]
         assert labels[:3] == ["Sit"] * 3
         assert labels[3:73] == ["Sleep"] * 70
@@ -209,35 +222,39 @@ class TestDeriveSleep:
 
     def test_interrupted_lie_does_not_sleep(self):
         timeline = self.ticks([("Lie", 30), ("Sit", 1), ("Lie", 30)])
-        got = derive_sleep(timeline)
+        got = self.sleep(timeline)
         assert not any(label == "Sleep" for _, label in got)
 
     def test_lie_either_side_of_a_hole_does_not_sleep(self):
         # 2 min of Lie, an hour with no ticks, 2 min of Lie: neither run
         # reaches the five-minute threshold
         timeline = self.ticks([("Lie", 24)]) + self.ticks([("Lie", 24)], start=3_720_000)
-        got = derive_sleep(timeline)
+        got = self.sleep(timeline)
         assert [label for _, label in got] == ["Lie"] * 48
 
     def test_ticks_closer_than_a_tick_are_contiguous(self):
         # the second run starts 2.5 s before the first one's last tick
         # ends; together they cover 302.5 s
         timeline = self.ticks([("Lie", 30)]) + self.ticks([("Lie", 31)], start=147_500)
-        assert all(label == "Sleep" for _, label in derive_sleep(timeline))
+        assert all(label == "Sleep" for _, label in self.sleep(timeline))
 
     def test_threshold_is_configurable(self):
         timeline = self.ticks([("Lie", 4)])
-        got = derive_sleep(timeline, min_still_ms=20_000)
+        got = self.sleep(timeline, min_still_ms=20_000)
         assert [label for _, label in got] == ["Sleep"] * 4
         assert DEFAULT_MIN_STILL_MS == 300_000
 
     def test_a_negative_threshold_is_refused(self):
         """-1 ms was once met by any run, so 15 s of Lie slept."""
         with pytest.raises(ValueError, match="min_still_ms must not be negative, got -1"):
-            derive_sleep(self.ticks([("Lie", 3)]), min_still_ms=-1)
+            self.sleep(self.ticks([("Lie", 3)]), min_still_ms=-1)
         with pytest.raises(ValueError, match="min_still_ms must not be negative, got -1"):
-            fuse_ticks([(0, "Lie")], [(None, frozenset())], load_default_rules(),
-                       min_still_ms=-1)
+            fuse_runs([(0, 5000, "Lie")], [], [], load_default_rules(), min_still_ms=-1)
+
+    def test_a_run_is_relabelled_whole(self):
+        basic_runs = [(0, 150_000, "Lie"), (150_000, 300_000, "Lie"), (300_000, 305_000, "Sit")]
+        assert derive_sleep(basic_runs) == [
+            (0, 150_000, "Sleep"), (150_000, 300_000, "Sleep"), (300_000, 305_000, "Sit")]
 
 
 class TestFlagStream:
@@ -307,7 +324,8 @@ class TestRunsMatchTheLoops:
     def test_derive_sleep(self, timeline, min_still_ms):
         want = [tick for piece in hole_free_pieces(timeline, TICK_MS)
                 for tick in derive_sleep_loop(piece, min_still_ms, TICK_MS)]
-        assert derive_sleep(timeline, min_still_ms, TICK_MS) == want
+        got = derive_sleep(runs_of_ticks(timeline, TICK_MS), min_still_ms)
+        assert ticks_of(got, TICK_MS) == want
 
     @settings(max_examples=300, deadline=None)
     @given(timeline=holey_timelines(FLAGS_DRAWN))
@@ -323,7 +341,7 @@ def test_derived_csv_roundtrip(tmp_path):
         (5_000, DerivedActivity("Jogging in Hall", "Unnatural")),
     ]
     path = tmp_path / "derived.csv"
-    write_derived(path, timeline)
+    write_derived(path, runs_of_ticks(timeline, 5_000))
     assert read_derived(path) == timeline
 
 
@@ -341,3 +359,91 @@ def test_derived_rows_share_one_activity_and_a_bad_flag_fails_at_its_first_row(t
 def test_default_rules_loadable_without_a_path():
     table = load_default_rules()
     assert table.fuse("Stand", "Worship").name == "Sanding in Worship"
+
+
+RULES = load_default_rules()
+LABELS = ("Lie", "Lie", "Lie", "Sit", "Walk")  # mostly Lie, so that sleep runs form
+
+
+@st.composite
+def basic_windows(draw):
+    """Ordered windows of one length: some start together, some after a
+    hole, most end past the next one's start."""
+    length = draw(st.integers(1, 20_000))
+    steps = draw(st.lists(st.one_of(st.just(0), st.integers(1, length),
+                                    st.integers(length + 1, 4 * length)), max_size=30))
+    start = draw(st.integers(-10**6, 10**6))
+    windows = []
+    for step in [0, *steps]:
+        start += step
+        windows.append((start, start + length, draw(st.sampled_from(LABELS))))
+    return windows[:draw(st.integers(0, len(windows)))]
+
+
+@st.composite
+def context_intervals(draw, lo=-10**6, hi=2 * 10**6):
+    """Room and appliance intervals, overlapping or not, with edges off
+    any tick grid."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("pir", "pir", "relay", "force")))
+        start = draw(st.integers(lo, hi))
+        location = draw(st.sampled_from(ROOMS if kind == "pir" else APPLIANCES))
+        out.append(occupancy.Interval(start, start + draw(st.integers(1, 200_000)), kind,
+                                      location))
+    return sorted(out)
+
+
+TICKS = st.one_of(st.sampled_from((5_000, 7_000)), st.integers(1_001, 9_000))
+
+
+def min_still(tick_ms):
+    """Thresholds a whole number of ticks long, which some Lie runs meet
+    exactly, and others."""
+    return st.one_of(st.integers(0, 12).map(lambda n: n * tick_ms), st.integers(0, 60_000))
+
+
+class TestRunPathMatchesTheTicks:
+    """The tick runs write the bytes, and hand on the ticks, that the fuse
+    stage and the simulator's ground truth gave a tick at a time
+    (oracles.fuse_stage_ticks, oracles.script_truth_ticks)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows=basic_windows(), intervals=context_intervals(), tick_ms=TICKS,
+           data=st.data())
+    def test_fuse_stage(self, tmp_path_factory, windows, intervals, tick_ms, data):
+        min_still_ms = data.draw(min_still(tick_ms))
+        tmp = tmp_path_factory.mktemp("fuse")
+        pipeline.write_basic_windows(tmp / "windows.csv", windows)
+        occupancy.write_intervals(tmp / "intervals.csv", intervals)
+        handed = {}
+        got = pipeline.stage_fuse(tmp / "windows.csv", tmp / "intervals.csv", tmp / "derived.csv",
+                                  RULES, tick_ms, min_still_ms, handed=handed)
+        want = fuse_stage_ticks(windows, intervals, RULES, min_still_ms, tick_ms)
+        write_derived_ticks(tmp / "want.csv", want)
+        assert (tmp / "derived.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+        assert handed[tmp / "derived.csv"] == want
+        assert got == {"ticks": len(want)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=st.lists(st.tuples(
+               st.one_of(st.just(0), st.integers(1, 600_000)),  # gap before the block
+               st.one_of(st.integers(7_000, 400_000), st.integers(290_000, 300_000)),
+               st.sampled_from(ROOMS), st.sampled_from(simulate.CLASSIFIER_CLASSES[:3]),
+               st.frozensets(st.sampled_from(APPLIANCES), max_size=2)), min_size=1, max_size=6),
+           start_ms=st.integers(0, 3_600_000), day=st.integers(-3, 3), tick_ms=TICKS)
+    def test_simulated_truth(self, tmp_path_factory, blocks, start_ms, tick_ms, day):
+        """Blocks of any length in ms, most not a whole number of ticks."""
+        script, clock = [], start_ms
+        for gap, duration, room, basic, appliances in blocks:
+            clock += gap
+            script.append(simulate.ScheduleEntry(clock, duration, room, basic, appliances))
+            clock += duration
+        day_start_ms = day * simulate.MS_PER_DAY
+        truth = simulate.generate_day(script, simulate.QUIET, RULES, day_start_ms, tick_ms)
+        want = script_truth_ticks(script, RULES, day_start_ms, DEFAULT_MIN_STILL_MS, tick_ms)
+        assert truth.derived_ticks == want
+        tmp = tmp_path_factory.mktemp("truth")
+        write_derived(tmp / "got.csv", truth.derived_runs, tick_ms)
+        write_derived_ticks(tmp / "want.csv", want)
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()

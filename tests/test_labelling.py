@@ -155,6 +155,22 @@ class TestWindowize:
         got = windowize(timeline, 2, table)
         assert got[0].label == "Walking Outside"
 
+    def test_each_distinct_label_is_canonicalized_once(self, monkeypatch):
+        """Once per distinct name, not once per tick; each window is still
+        label_window over its ticks' names."""
+        table = PriorityTable({"Drinking Activity": 1}, vocabulary=["Sitting in Hall"])
+        names = ("sitting in hall", "SITTING IN HALL", "drinking activity", "Grooming")
+        timeline = [(i * 5_000, names[i * 7 % 11 % 4]) for i in range(240)]
+        want = [label_window([name for ts, name in timeline if ts // 120_000 == w], table)
+                for w in range(10)]
+        calls = []
+        canonicalize = PriorityTable.canonicalize
+        monkeypatch.setattr(PriorityTable, "canonicalize",
+                            lambda self, label: calls.append(label) or canonicalize(self, label))
+        got = windowize(timeline, 2, table)
+        assert sorted(calls) == sorted(names)
+        assert [(w.label, w.method) for w in got] == want
+
 
 class TestPriorityFiles:
     def test_roundtrip_with_vocabulary_rows(self, tmp_path):

@@ -25,6 +25,10 @@ KEPT = {
     "fusion.flag_stream": "kept for the anomaly report of ROADMAP item 2",
     "occupancy.locate": "the oracle TestContextSweep holds context_sweep to; demo 04 uses it",
     "profiles.interval_query": "demo 07's weekday query; ROADMAP items 2 and 7 need it",
+    "labelling.label_window": "the one-window rule on raw names; windowize applies it to "
+                              "names it canonicalized once; demo 06 and the tests call it",
+    "simulate.DayData.derived_ticks": "the benchmark and the tests read a day's truth a tick "
+                                      "at a time",
 }
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from homeactivity import (
     ambient,
     cli,
+    defaults,
     features,
     fusion,
     labelling,
@@ -31,7 +32,7 @@ from homeactivity import (
 )
 from homeactivity.pipeline import PipelineError, ticks_from_windows
 from homeactivity.simulate import MS_PER_DAY, QUIET, ScheduleEntry, write_script
-from oracles import series_equal
+from oracles import runs_of_ticks, series_equal
 
 SIX_AM = 21_600_000
 
@@ -42,17 +43,23 @@ SCRIPT = [
 
 
 class TestTicksFromWindows:
+    """Each test expands the tick runs to ticks before it compares."""
+
+    @staticmethod
+    def ticks(windows, tick_ms=fusion.DEFAULT_TICK_MS):
+        return fusion.ticks_of(ticks_from_windows(windows, tick_ms), tick_ms)
+
     def test_latest_starting_window_wins(self):
         windows = [(0, 6400, "a"), (3200, 9600, "b")]
-        assert ticks_from_windows(windows, tick_ms=5000) == [(0, "a"), (5000, "b")]
+        assert self.ticks(windows, tick_ms=5000) == [(0, "a"), (5000, "b")]
 
     def test_holes_are_omitted(self):
         windows = [(0, 6400, "a"), (12800, 19200, "b")]
-        ticks = ticks_from_windows(windows, tick_ms=5000)
+        ticks = self.ticks(windows, tick_ms=5000)
         assert ticks == [(0, "a"), (5000, "a"), (15000, "b")]
 
     def test_grid_anchors_at_first_window_start(self):
-        ticks = ticks_from_windows([(SIX_AM, SIX_AM + 6400, "a")], tick_ms=5000)
+        ticks = self.ticks([(SIX_AM, SIX_AM + 6400, "a")], tick_ms=5000)
         assert [t for t, _ in ticks] == [SIX_AM, SIX_AM + 5000]
 
     def test_empty_input(self):
@@ -71,7 +78,13 @@ class TestTicksFromWindows:
                 if covering:
                     expect.append((t, max(covering, key=lambda w: w[0])[2]))
                 t += 100
-            assert ticks_from_windows(windows, tick_ms=100) == expect
+            assert self.ticks(windows, tick_ms=100) == expect
+
+    def test_one_run_per_stretch_of_a_label(self):
+        windows = [(0, 6400, "a"), (3200, 9600, "a"), (6400, 12800, "b"),
+                   (20000, 26400, "b"), (23200, 29600, "b")]
+        assert ticks_from_windows(windows, tick_ms=5000) == [
+            (0, 10000, "a"), (10000, 15000, "b"), (20000, 30000, "b")]
 
 
 class TestBasicWindowsFile:
@@ -230,6 +243,27 @@ class TestStageGuards:
         assert len(built) == 1
         (out,) = timeseries.load_inertial(tmp_path / "out.csv")
         assert len(timeseries.split_on_gaps(out)) == 3
+
+    def test_stretches_shorter_than_a_block_skip_the_block_filter(self, tmp_path,
+                                                                    monkeypatch):
+        """200 one-sample stretches and one of 63 samples run through lfilter
+        alone, and log the bytes they logged through the block products."""
+        ts = np.r_[np.arange(200) * 2000, 1_000_000 + np.arange(63) * 50].astype(np.int64)
+        series = timeseries.SampleSeries("s", ts, np.random.default_rng(4).normal(size=(263, 3)))
+        timeseries.write_inertial(tmp_path / "log.csv", series)
+        runs = []
+        run = timeseries._BlockLowpass.run
+        monkeypatch.setattr(timeseries._BlockLowpass, "run",
+                            lambda self, *args: runs.append(args) or run(self, *args))
+        pipeline.stage_filter(tmp_path / "log.csv", tmp_path / "out.csv")
+        assert runs == []
+        assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == (
+            "3e8d140fbb3017ee24bfe2ba23bdd82f33471ecdc8b210f646e2cd9c26989e68")
+        (logged,) = timeseries.load_inertial(tmp_path / "log.csv")
+        timeseries.write_inertial(tmp_path / "slow.csv", timeseries.butterworth_lowpass(
+            timeseries.interpolate_gaps(logged, defaults.DEFAULT_MAX_GAP_MS),
+            timeseries.FilterSpec(defaults.DEFAULT_ORDER, defaults.DEFAULT_CUTOFF_HZ)))
+        assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "slow.csv").read_bytes()
 
     def test_log_shorter_than_a_window(self, tmp_path):
         series = timeseries.SampleSeries(
@@ -1276,7 +1310,7 @@ class TestHandedTablesReadBack:
     def test_derived_timeline(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("t") / "derived.csv"
         timeline = [(ts, fusion.DerivedActivity(name, flag)) for ts, name, flag in rows]
-        fusion.write_derived(path, timeline)
+        fusion.write_derived(path, runs_of_ticks(timeline, fusion.DEFAULT_TICK_MS))
         assert fusion.read_derived(path) == timeline
 
     @settings(max_examples=60, deadline=None)

@@ -90,7 +90,7 @@ def _companions(tmp):
     """Well-formed files for the inputs a command reads besides the broken one."""
     pipeline.write_basic_windows(tmp / "good_windows.csv", [(0, 6400, "Sit"), (3200, 9600, "Sit")])
     occupancy.write_intervals(tmp / "good_intervals.csv", [Interval(0, 9600, "pir", "Hall")])
-    fusion.write_derived(tmp / "good_derived.csv", [(0, DerivedActivity("Sitting in Hall"))])
+    fusion.write_derived(tmp / "good_derived.csv", [(0, 5000, DerivedActivity("Sitting in Hall"))])
     save_centroids(
         tmp / "centroids.json",
         CentroidModel(("Sit", "Walk"), np.zeros((2, 43)), features.LAYOUT_ACC, np.ones(43)),
@@ -114,7 +114,8 @@ MATRIX = {
     ),
     "derived": (
         lambda p: fusion.write_derived(
-            p, [(0, DerivedActivity("Sitting in Hall")), (5000, DerivedActivity("Walking"))]
+            p, [(0, 5000, DerivedActivity("Sitting in Hall")),
+                (5000, 10000, DerivedActivity("Walking"))]
         ),
         lambda t, bad: ["label", "--in", bad],
         0,
@@ -418,7 +419,8 @@ TABLES = {
     "derived": (
         st.lists(st.tuples(TS, st.builds(DerivedActivity, TEXT, st.sampled_from(fusion.FLAGS))),
                  max_size=5),
-        fusion.write_derived, fusion.read_derived, list, (TableError,),
+        lambda p, timeline: fusion.write_derived(p, oracles.runs_of_ticks(timeline, 5000)),
+        fusion.read_derived, list, (TableError,),
     ),
     "window_labels": (
         st.lists(st.builds(lambda s, label, method: WindowLabel(*s, label, method),
