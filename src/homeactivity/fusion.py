@@ -7,7 +7,8 @@ without touching code. Lookup precedence: appliance-bound rules first
 (basic, room) rules, then room wildcards, then a catch-all default.
 The fuse stage carries tick runs (`ticks_of`), so its work grows with
 the changes of label and context, not with the ticks. The records are
-NamedTuples, checked where they are read.
+NamedTuples, checked where they are read. CLASSIFIER_CLASSES lives here,
+free of NumPy, and `simulate` imports it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from . import tables
 from .ambient import APPLIANCES, ROOMS
 from .occupancy import DEFAULT_ROOM
 
-BASIC_ACTIVITIES = ("Walk", "Jog", "Sit", "Stand", "Lie", "Sleep", "StairUp", "StairDown")
+# Sleep is derived from sustained lying, never scripted or classified.
+CLASSIFIER_CLASSES = ("Jog", "Lie", "Sit", "Stand", "StairDown", "StairUp", "Walk")
+BASIC_ACTIVITIES = (*CLASSIFIER_CLASSES, "Sleep")
 FLAGS = ("Normal", "Unnatural", "Anomaly")
 APPLIANCE_PRECEDENCE = ("water_bottle", "mirror_bulb", "bathroom_switch", "tv")
 RULE_COLUMNS = ("basic", "room", "appliance", "derived_name", "flag")
@@ -160,6 +163,11 @@ def check_min_still_ms(min_still_ms: int) -> None:
         raise ValueError(f"min_still_ms must not be negative, got {min_still_ms}")
 
 
+def next_tick(ts: int, origin: int, tick_ms: int) -> int:
+    """The first tick at or after ts on the tick_ms grid through origin."""
+    return ts + (origin - ts) % tick_ms
+
+
 def runs(items):
     """Maximal runs of ordered (start, end, value) items, as
     (start, end, value, count).
@@ -218,7 +226,7 @@ def fuse_runs(basic_runs, edges, contexts, rules: FusionRuleTable,
         start = first
         while start < end:
             room, active = contexts[k - 1] if k else (DEFAULT_ROOM, frozenset())
-            cut = end if k == len(edges) else min(end, edges[k] + (first - edges[k]) % tick_ms)
+            cut = end if k == len(edges) else min(end, next_tick(edges[k], first, tick_ms))
             derived.append((start, cut, rules.fuse(basic, room, active)))
             k = bisect_right(edges, cut, k)
             start = cut

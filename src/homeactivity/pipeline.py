@@ -121,46 +121,37 @@ def ticks_from_windows(windows, tick_ms: int = fusion.DEFAULT_TICK_MS):
     that is empty, or whose start or end goes back, raises a
     tables.RowError with its index. Each tick takes the label of the
     latest-starting window that covers it, and ticks in coverage holes
-    are omitted; consecutive ticks that share a label form one run.
+    are omitted; consecutive ticks that share a label form one run
+    (fusion.runs), on the grid through the first window's start.
     """
     fusion.check_tick_ms(tick_ms)
     if not windows:
         return []
-    tick_runs = []  # [first_ts, end_ts, label]
-
-    def own(start, stop, label):  # the ticks in [start, stop) take label
-        first = start + (origin - start) % tick_ms  # the first tick at or after start
-        if first < stop:
-            stop += (origin - stop) % tick_ms
-            if tick_runs and tick_runs[-1][1] == first and tick_runs[-1][2] == label:
-                tick_runs[-1][1] = stop
-            else:
-                tick_runs.append([first, stop, label])
-
-    # A stretch of windows that share a label, with no hole, owns the ticks
-    # from its first start to its last end or the next start, if sooner.
-    origin, last_end, last_label = windows[0]
-    last_start = stretch = origin
-    for index, (start, end, label) in enumerate(windows):
+    origin = last_start = windows[0][0]
+    last_end = windows[0][1]
+    for index, (start, end, _) in enumerate(windows):
         if end <= start:
             raise tables.RowError(f"window {start}..{end} is empty", index)
         if start < last_start or end < last_end:
             raise tables.RowError(f"window {start}..{end} goes back from window "
                                   f"{last_start}..{last_end}: windows must be ordered", index)
-        if label != last_label or last_end < start:
-            own(stretch, min(last_end, start), last_label)
-            stretch = start
-        last_start, last_end, last_label = start, end, label
-    own(stretch, last_end, last_label)
-    return [tuple(run) for run in tick_runs]
+        last_start, last_end = start, end
+    # A stretch of same-label windows with no hole (fusion.runs) owns the ticks
+    # up to its end or the next stretch's start; touching runs of one label join.
+    stretches = list(fusion.runs(windows))
+    stops = [start for start, *_ in stretches[1:]] + [last_end]
+    owned = [(fusion.next_tick(start, origin, tick_ms),
+              fusion.next_tick(min(end, stop), origin, tick_ms), label)
+             for (start, end, label, _), stop in zip(stretches, stops)]
+    return [run[:3] for run in fusion.runs(run for run in owned if run[0] < run[1])]
 
 
 def simulation_script(script_path, days: int, start_day_ms: int, tick_ms: int,
                       subject_id: str) -> list[simulate.ScheduleEntry]:
     """The daily script at script_path, refused with the options that
     simulate runs it with: days below 1 or that overlap, days that leave
-    the int64 clock, a tick_ms below 1, or a subject id that a log
-    cannot carry."""
+    the int64 clock or whose first or last millisecond has no date in UTC,
+    a tick_ms below 1, or a subject id that a log cannot carry."""
     from . import simulate, timeseries
 
     if days < 1:
@@ -173,9 +164,13 @@ def simulation_script(script_path, days: int, start_day_ms: int, tick_ms: int,
                             f"overlap at clock offset {script[0].clock_start_ms} ms of the next day")
     first = start_day_ms + script[0].clock_start_ms
     last = start_day_ms + (days - 1) * simulate.MS_PER_DAY + script[-1].clock_end_ms
+    run = f"start_day_ms {start_day_ms}: the script's {days} day(s) run {first}..{last} ms"
     if not (-(2**63) <= first and last < 2**63):
-        raise PipelineError(f"start_day_ms {start_day_ms}: the script's {days} day(s) run "
-                            f"{first}..{last} ms, outside the int64 clock")
+        raise PipelineError(f"{run}, outside the int64 clock")
+    try:
+        profiles.local_time(first, profiles.UTC), profiles.local_time(last - 1, profiles.UTC)
+    except (ValueError, OverflowError) as exc:
+        raise PipelineError(f"{run}, with no date in UTC: {exc}") from None
     return script
 
 

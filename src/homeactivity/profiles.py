@@ -52,7 +52,7 @@ class WeekProfile(NamedTuple):
     occurrence: dict[str, tuple[bool, ...]]
 
 
-def _local(ts_ms: int, tz: ZoneInfo) -> datetime:
+def local_time(ts_ms: int, tz: ZoneInfo) -> datetime:
     return datetime.fromtimestamp(ts_ms / 1000.0, tz)
 
 
@@ -72,16 +72,16 @@ def bouts(window_labels) -> list[Bout]:
 def day_profile(window_labels, tz: ZoneInfo = UTC) -> DayProfile:
     """Aggregate one calendar day of windows.
 
-    Every window must fall entirely inside the same local day, as
-    `split_days` groups them; duration attributes each window's full
-    span to its label.
+    The windows must be ordered and lie inside the local day of the
+    first, as `split_days` groups them, so the last must end by that
+    day's end. Duration attributes each window's full span to its label.
     """
     windows = list(window_labels)
     if not windows:
         raise ValueError("no windows to profile")
-    if len(split_days(windows, tz)) != 1:
+    day = local_time(windows[0].start_ts, tz).date()
+    if local_time(windows[-1].end_ts - 1, tz).date() != day:
         raise ValueError(DAY_BOUNDARY_ERROR)
-    day = _local(windows[0].start_ts, tz).date()
 
     duration: dict[str, int] = {}
     coverage = 0
@@ -107,7 +107,7 @@ def split_days(window_labels, tz: ZoneInfo = UTC) -> list[list[WindowLabel]]:
             raise tables.RowError(f"window {w.start_ts}..{w.end_ts} starts before the "
                                   f"window before it ends at {end}: {ORDER_ERROR}", index)
         try:
-            start_day, end_day = (_local(ts, tz).date() for ts in (w.start_ts, w.end_ts - 1))
+            start_day, end_day = (local_time(ts, tz).date() for ts in (w.start_ts, w.end_ts - 1))
         except (ValueError, OverflowError) as exc:
             raise tables.RowError(
                 f"window {w.start_ts}..{w.end_ts} has no date in {tz}: {exc}", index) from None
@@ -146,9 +146,7 @@ def interval_query(window_labels, clock_start: str, clock_end: str, label: str,
     end = time.fromisoformat(clock_end)
     if start >= end:
         raise ValueError(f"inverted clock range {start}..{end}")
-    hits = [
-        w for w in window_labels if start <= _local(w.start_ts, tz).timetz().replace(tzinfo=None) < end
-    ]
+    hits = [w for w in window_labels if start <= local_time(w.start_ts, tz).time() < end]
     matching = [b for b in bouts(hits) if b.label == label]
     return len(matching), sum(b.duration_ms for b in matching)
 

@@ -4,7 +4,8 @@ Motion generators are deliberately crude but well separated in feature
 space; they exist to give every pipeline stage a ground-truth oracle,
 not to imitate human biomechanics. All randomness flows from the
 NoiseSpec seed, so identical inputs reproduce identical bytes.
-Calibration runs calibrate_centroids in a forked child process.
+Calibration runs calibrate_centroids in a forked child process. The
+classes it scripts and calibrates are fusion.CLASSIFIER_CLASSES.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import fusion, tables
 from .ambient import APPLIANCES, ROOMS, AmbientEvent
 from .features import extract_all, layout_for
-from .fusion import DEFAULT_TICK_MS, FusionRuleTable
+from .fusion import CLASSIFIER_CLASSES, DEFAULT_TICK_MS, FusionRuleTable
 from .neural import CentroidModel
 from .timeseries import (
     DEFAULT_OVERLAP,
@@ -38,9 +39,6 @@ from .timeseries import (
     segment,
     window_hop,
 )
-
-# Sleep is derived from sustained lying, never scripted or classified.
-CLASSIFIER_CLASSES = ("Jog", "Lie", "Sit", "Stand", "StairDown", "StairUp", "Walk")
 
 GRAVITY = 9.81
 MS_PER_DAY = 86_400_000
@@ -299,7 +297,7 @@ def generate_day(
                 rng=rng,
             )
         )
-        basic_runs.append((start, start + len(range(start, end, tick_ms)) * tick_ms, entry.basic))
+        basic_runs.append((start, fusion.next_tick(end, start, tick_ms), entry.basic))
         starts.append(start)
         contexts.append(here)
         context, prev_end = here, end

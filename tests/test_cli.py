@@ -689,6 +689,8 @@ class TestStartDay:
     """--start-day-ms places the simulated days on the epoch clock."""
 
     LAST = 2**63 - 1 - 21_660_000  # the 1-minute entry at 06:00 ends at 2^63 - 1 ms
+    FIRST_DATED = -62_135_596_800_000 - 21_600_000  # ... starts at 0001-01-01 00:00 UTC
+    LAST_DATED = 253_402_300_800_000 - 21_660_000  # ... ends at 10000-01-01 00:00 UTC
 
     @pytest.mark.parametrize("command", ["simulate", "pipeline"])
     def test_days_past_the_int64_clock_are_refused_before_any_file(self, command, tmp_path,
@@ -703,14 +705,52 @@ class TestStartDay:
         assert not run.exists()
         assert_nothing_left(fds)
 
-    def test_days_that_end_at_the_last_millisecond_are_simulated(self, tmp_path, capsys):
-        script, run = TestCalibrator.short_script(tmp_path), tmp_path / "run"
-        argv = ["simulate", "--script", str(script), "--out", str(run), "--start-day-ms"]
-        assert cli.main([*argv, str(self.LAST)]) == 0
-        assert (run / "inertial.csv").read_text().endswith(
-            f"sim,,{2**63 - 1 - 50},9.810000,0.300000,0.300000;\n")
-        assert cli.main([*argv, str(self.LAST + 1)]) == 1
-        assert "outside the int64 clock" in error_line(capsys.readouterr().err)
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("acceptance_day, start, run_ms, year", [
+        (True, -9223372036854775000, "-9223372036833175000..-9223372036827415000", -292275055),
+        (False, LAST, "9223372036854715807..9223372036854775807", 292278994),
+    ], ids=["acceptance_day", "last_millisecond"])
+    def test_days_with_no_date_in_utc_are_refused_before_any_file(
+            self, command, acceptance_day, start, run_ms, year, tmp_path, capsys, fds):
+        """Both starts pass the int64 check; profile would refuse them
+        only once every other file was written."""
+        from test_acceptance import WEEK_SCRIPT
+
+        script = TestCalibrator.short_script(tmp_path)
+        if acceptance_day:
+            simulate.write_script(script, WEEK_SCRIPT)
+        run = tmp_path / "run"
+        argv = [command, "--script", str(script), "--out", str(run), "--start-day-ms", str(start)]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: start_day_ms {start}: the script's 1 day(s) run {run_ms} ms, "
+            f"with no date in UTC: year {year} is out of range")
+        assert not run.exists()
+        assert_nothing_left(fds)
+
+    @pytest.mark.parametrize("start, day", [(FIRST_DATED, "0001-01-01"),
+                                            (LAST_DATED, "9999-12-31")], ids=["first", "last"])
+    def test_days_at_the_ends_of_the_utc_calendar_are_profiled(self, start, day, tmp_path,
+                                                               capsys, quiet_model):
+        """A millisecond further out is refused; a zone that moves the
+        edge day out of the calendar gets profile's located error."""
+        from homeactivity import neural
+
+        model, script = tmp_path / "model.json", TestCalibrator.short_script(tmp_path)
+        neural.save_centroids(model, quiet_model)
+        argv = ["pipeline", "--script", str(script), "--model", str(model), "--out"]
+        assert cli.main([*argv, str(tmp_path / "run"), "--start-day-ms", str(start)]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert [d["day"] for d in report["days"]] == [day]
+        beyond = start - 1 if start == self.FIRST_DATED else start + 1
+        assert cli.main([*argv, str(tmp_path / "beyond"), "--start-day-ms", str(beyond)]) == 1
+        assert "with no date in UTC: year" in error_line(capsys.readouterr().err)
+        assert not (tmp_path / "beyond").exists()
+        zone = "America/New_York" if start == self.FIRST_DATED else "Asia/Tokyo"
+        argv += [str(tmp_path / "zoned"), "--start-day-ms", str(start), "--timezone", zone]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err).startswith(
+            f"error: {tmp_path / 'zoned' / 'window_labels.csv'}: line 2: window ")
 
     def test_days_that_begin_a_minute_before_midnight_are_profiled(self, tmp_path,
                                                                    quiet_model):

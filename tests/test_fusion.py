@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homeactivity import occupancy, pipeline, simulate
+from homeactivity import fusion, occupancy, pipeline, simulate
 from homeactivity.ambient import APPLIANCES, ROOMS
 from homeactivity.fusion import (
     APPLIANCE_PRECEDENCE,
@@ -20,6 +20,7 @@ from homeactivity.fusion import (
     fuse_runs,
     load_default_rules,
     load_rules,
+    next_tick,
     read_derived,
     runs,
     ticks_of,
@@ -290,6 +291,18 @@ class TestRuns:
 
     def test_no_items_no_runs(self):
         assert list(runs([])) == []
+
+
+@given(ts=st.integers(-(2**62), 2**62), origin=st.integers(-(2**62), 2**62),
+       tick_ms=st.integers(1, 10**7))
+def test_next_tick_is_the_first_grid_tick_at_or_after_ts(ts, origin, tick_ms):
+    tick = next_tick(ts, origin, tick_ms)
+    assert ts <= tick < ts + tick_ms and (tick - origin) % tick_ms == 0
+
+
+def test_one_tuple_names_the_classifier_classes():
+    assert simulate.CLASSIFIER_CLASSES is fusion.CLASSIFIER_CLASSES
+    assert fusion.BASIC_ACTIVITIES == (*fusion.CLASSIFIER_CLASSES, "Sleep")
 
 
 TICK_MS = 5_000

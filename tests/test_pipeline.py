@@ -199,6 +199,23 @@ class TestStageChain:
         assert len(built) == 1
         assert (tmp_path / "r.json").read_bytes() == (chain / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("report_format", ["profile", "json", "csv"])
+    def test_profile_and_report_split_the_days_once(self, chain, tmp_path, monkeypatch,
+                                                     report_format):
+        split = []
+        split_days = profiles.split_days
+
+        def counted(*args):
+            split.append(args)
+            return split_days(*args)
+
+        monkeypatch.setattr(profiles, "split_days", counted)
+        if report_format == "profile":
+            pipeline.stage_profile(chain / "labels.csv", tmp_path / "report.json")
+        else:
+            pipeline.stage_report(chain / "labels.csv", tmp_path / "report", format=report_format)
+        assert len(split) == 1
+
     def test_csv_report(self, chain, tmp_path):
         pipeline.stage_report(chain / "labels.csv", tmp_path / "r.csv", format="csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()

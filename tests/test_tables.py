@@ -5,7 +5,9 @@ files run through the CLI, a write-then-read round trip on generated
 rows (labels with commas, quotes, line breaks and non-ASCII text), and
 every byte-prefix of a written file, which must read cleanly or fail
 with one error naming the file and a line. The ambient event log, one
-JSON object per line, gets the round trip and the prefix check too.
+JSON object per line, gets the round trip and the prefix check too. A
+prefix of an inertial log reads back its leading samples or names a line,
+and one of a model file names a line unless it holds the whole object.
 Every input kind reports a byte that is not UTF-8 the same way, and
 `tables` is the only module that opens an input file.
 """
@@ -24,13 +26,13 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from homeactivity import (
-    ambient, cli, features, fusion, labelling, occupancy, pipeline, simulate, timeseries,
+    ambient, cli, features, fusion, labelling, neural, occupancy, pipeline, simulate, timeseries,
 )
 from homeactivity.ambient import APPLIANCES, EVENT_KINDS, ROOMS, AmbientEvent, EventParseError
 from homeactivity.features import FeatureLayoutError
 from homeactivity.fusion import DerivedActivity, FusionRule, FusionRuleTable, RuleFileError
 from homeactivity.labelling import PriorityFileError, PriorityTable, WindowLabel
-from homeactivity.neural import CentroidModel, save_centroids
+from homeactivity.neural import CentroidModel, LayerSpec, WeightsBundle, save_centroids
 from homeactivity.occupancy import Interval
 from homeactivity.simulate import ScheduleEntry, ScriptError
 from homeactivity.tables import TableError, read_table, write_table
@@ -516,3 +518,81 @@ def test_any_prefix_of_an_event_log_reads_or_names_a_line(events, tmp_path_facto
             ambient.load_events(path)
         except EventParseError as exc:
             assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
+
+
+@st.composite
+def inertial_series(draw, channels):
+    """A few samples of one subject, 3 channels (a 6-field log) or 6 (9-field)."""
+    n = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.integers(1, 10**6), min_size=n - 1, max_size=n - 1))
+    ts = np.cumsum([draw(st.integers(-(2**40), 2**40)), *steps])
+    values = draw(arrays(np.float64, (n, channels), elements=st.floats(-1e9, 1e9)))
+    return SampleSeries(draw(st.sampled_from(["sim", "é中"])), ts, values)
+
+
+@pytest.mark.parametrize("channels", [3, 6])
+@SETTINGS
+@given(data=st.data())
+def test_any_prefix_of_an_inertial_log_reads_its_leading_samples_or_names_a_line(
+        channels, data, tmp_path_factory):
+    """A sample is read once its line holds the closing `;`."""
+    path = tmp_path_factory.mktemp("log") / "inertial.csv"
+    logged = timeseries.write_inertial(path, data.draw(inertial_series(channels)))
+    blob = path.read_bytes()
+    for cut in range(len(blob) + 1):
+        path.write_bytes(blob[:cut])
+        try:
+            (got,) = timeseries.load_inertial(path)
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
+        else:
+            n = blob[:cut].count(b";")
+            assert got.subject_id == logged.subject_id
+            assert got.ts.tolist() == logged.ts[:n].tolist()
+            assert got.values.tobytes() == logged.values[:n].tobytes()
+
+
+def _small_centroids():
+    rng = np.random.default_rng(5)
+    return CentroidModel(("Lie", "Walk"), rng.normal(size=(2, 43)), features.LAYOUT_ACC,
+                         rng.uniform(0.5, 2.0, 43))
+
+
+def _small_bundle():
+    rng = np.random.default_rng(6)
+    return WeightsBundle(
+        layers=(
+            LayerSpec("gru", {"units": 2}, {"W": rng.normal(size=(3, 2, 2)),
+                                            "U": rng.normal(size=(3, 2, 3)),
+                                            "b": rng.normal(size=(3, 2))}),
+            LayerSpec("dense", {"activation": "softmax"},
+                      {"weights": rng.normal(size=(2, 2)), "bias": rng.normal(size=2)}),
+        ),
+        class_names=("Lie", "Walk"), input_len=4, input_channels=3,
+        feature_norm={"mean": [0.0, 9.81, 0.0], "scale": [1.0, 2.0, 3.0]},
+    )
+
+
+MODELS = {"centroids": (_small_centroids, save_centroids),
+          "bundle": (_small_bundle, neural.save_bundle)}
+
+
+@pytest.mark.parametrize("kind", sorted(MODELS))
+def test_any_prefix_of_a_model_file_names_a_line_unless_it_holds_the_whole_object(
+        kind, tmp_path):
+    make, save = MODELS[kind]
+    path = tmp_path / "model.json"
+    save(path, make())
+    blob = path.read_bytes()
+    whole = len(blob.rstrip())  # the JSON object without its final newline
+    for cut in range(len(blob) + 1):
+        path.write_bytes(blob[:cut])
+        try:
+            got = pipeline.load_model(path)
+        except ValueError as exc:
+            assert cut < whole
+            assert re.match(rf"{re.escape(str(path))}: line \d+: ", str(exc)), str(exc)
+        else:
+            assert cut >= whole
+            save(tmp_path / "again.json", got)
+            assert (tmp_path / "again.json").read_bytes() == blob
