@@ -111,15 +111,7 @@ _BLOCK_ROWS = 1024
 
 
 def write_features(path: str | Path, matrix: np.ndarray, spans, layout: str) -> None:
-    if layout not in FEATURE_COUNTS:
-        raise FeatureLayoutError(f"unknown layout: {layout}")
-    if matrix.ndim != 2 or matrix.shape[1] != FEATURE_COUNTS[layout]:
-        raise FeatureLayoutError(
-            f"layout {layout} expects {FEATURE_COUNTS[layout]} columns, "
-            f"got {matrix.shape}"
-        )
-    if len(spans) != matrix.shape[0]:
-        raise ValueError("one span per feature row required")
+    """One row per span; matrix is extract_all's, of the layout's width."""
     # `%.9g` and `f"{v:.9g}"` share one float formatter; no field needs
     # csv quoting, so each row is one `%` string ending as csv.writer ends it.
     header = ["window_start", "window_end"] + [f"f{i:02d}" for i in range(matrix.shape[1])]

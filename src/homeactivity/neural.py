@@ -30,17 +30,16 @@ class BundleError(ValueError):
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def softmax(x):
     """Softmax over the last axis."""
-    v = np.asarray(x, dtype=np.float64)
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -48,9 +47,11 @@ ACTIVATIONS = {
     "sigmoid": sigmoid,
     "tanh": np.tanh,
     "relu": relu,
-    "linear": lambda x: np.asarray(x, dtype=np.float64),
+    "linear": lambda x: x,
     "softmax": softmax,
 }
+
+# The kernels check nothing: _layer checks each bundle layer once, at build.
 
 
 def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -59,28 +60,14 @@ def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.nd
     x is (..., steps, channels), kernel is (kernel_len, channels, filters),
     bias is (filters,); output is (..., steps - kernel_len + 1, filters).
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    steps, channels = x.shape[-2:]
-    kernel_len, in_channels, filters = kernel.shape
-    if in_channels != channels:
-        raise ValueError(f"kernel expects {in_channels} channels, input has {channels}")
-    if steps < kernel_len:
-        raise ValueError(f"input of {steps} steps is shorter than kernel {kernel_len}")
-    taps = np.lib.stride_tricks.sliding_window_view(x, kernel_len, axis=-2)
+    taps = np.lib.stride_tricks.sliding_window_view(x, kernel.shape[0], axis=-2)
     # taps is (..., out_steps, channels, kernel_len)
-    return np.einsum("...tck,kcf->...tf", taps, kernel) + np.asarray(bias, dtype=np.float64)
+    return np.einsum("...tck,kcf->...tf", taps, kernel) + bias
 
 
 def maxpool1d(x: np.ndarray, pool: int = 2, stride: int = 2) -> np.ndarray:
     """Max over non-padded time windows; trailing remainder is dropped."""
-    x = np.asarray(x, dtype=np.float64)
-    if pool < 1 or stride < 1:
-        raise ValueError(f"pool and stride must be positive, got {pool}, {stride}")
-    steps = x.shape[-2]
-    if steps < pool:
-        raise ValueError(f"input of {steps} steps is shorter than pool {pool}")
-    count = (steps - pool) // stride + 1
+    count = (x.shape[-2] - pool) // stride + 1
     idx = np.arange(count)[:, None] * stride + np.arange(pool)
     return x[..., idx, :].max(axis=-2)
 
@@ -88,30 +75,21 @@ def maxpool1d(x: np.ndarray, pool: int = 2, stride: int = 2) -> np.ndarray:
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """weights is (units, in_dim); returns weights @ x + bias for each
     in_dim vector on the last axis of x."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if x.ndim < 1 or weights.shape[1] != x.shape[-1]:
-        raise ValueError(f"dense weights {weights.shape} cannot act on input {x.shape}")
-    return x @ weights.T + np.asarray(bias, dtype=np.float64)
-
-
-def gru_cell_step(x, h_prev, W, U, b):
-    """One GRU step; W is (3, units, units), U is (3, units, in_dim),
-    b is (3, units) in gate order update, reset, candidate.
-    x is (..., in_dim), h_prev is (..., units)."""
-    z = sigmoid(h_prev @ W[0].T + x @ U[0].T + b[0])
-    r = sigmoid(h_prev @ W[1].T + x @ U[1].T + b[1])
-    h_tilde = np.tanh((r * h_prev) @ W[2].T + x @ U[2].T + b[2])
-    return (1.0 - z) * h_prev + z * h_tilde
+    return x @ weights.T + bias
 
 
 def gru_forward(x, W, U, b, return_sequences=False):
-    """Run a GRU over (..., steps, in_dim) input from zero initial state."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.zeros(x.shape[:-2] + (np.asarray(b).shape[1],))
-    outputs = np.empty(x.shape[:-1] + h.shape[-1:])
+    """Run a GRU over (..., steps, in_dim) input from zero initial state;
+    W is (3, units, units), U is (3, units, in_dim), b is (3, units) in
+    gate order update, reset, candidate."""
+    h = np.zeros(x.shape[:-2] + b.shape[1:])
+    outputs = np.empty(x.shape[:-1] + b.shape[1:])
     for t in range(x.shape[-2]):
-        h = gru_cell_step(x[..., t, :], h, W, U, b)
+        xt = x[..., t, :]
+        z = sigmoid(h @ W[0].T + xt @ U[0].T + b[0])
+        r = sigmoid(h @ W[1].T + xt @ U[1].T + b[1])
+        h_tilde = np.tanh((r * h) @ W[2].T + xt @ U[2].T + b[2])
+        h = (1.0 - z) * h + z * h_tilde
         outputs[..., t, :] = h
     return outputs if return_sequences else h
 
@@ -138,7 +116,8 @@ class WeightsBundle:
     """A validated stack of layers plus labelling metadata.
 
     feature_norm, when present, holds per-channel "mean" and "scale"
-    lists applied to the input window as (x - mean) / scale.
+    lists applied to the input window as (x - mean) / scale. forwards
+    holds the steps that validate_bundle builds once, with the bundle.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -146,9 +125,10 @@ class WeightsBundle:
     input_len: int
     input_channels: int
     feature_norm: dict | None = None
+    forwards: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        validate_bundle(self)
+        object.__setattr__(self, "forwards", tuple(validate_bundle(self)))
 
 
 def _activation(name):
@@ -264,7 +244,7 @@ def forward_bundle(bundle: WeightsBundle, windows: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"window shape {x.shape} != ([n,] {bundle.input_len}, {bundle.input_channels})"
         )
-    for forward in validate_bundle(bundle):
+    for forward in bundle.forwards:
         x = forward(x)
     return x
 
@@ -425,11 +405,8 @@ class CentroidModel:
             raise ValueError("scale values must be positive and finite")
 
     def classify(self, features: np.ndarray) -> list[str]:
-        """The nearest class of each row of an (n, width) feature matrix."""
-        features = np.asarray(features, dtype=np.float64)
-        width = self.centroids.shape[1]
-        if features.ndim != 2 or features.shape[1] != width:
-            raise ValueError(f"feature matrix {features.shape} != (n, {width})")
+        """The nearest class of each row of an (n, width) feature matrix;
+        load_model and read_features check the width where a file comes in."""
         distances = np.column_stack(
             [np.linalg.norm((c - features) / self.scale, axis=1) for c in self.centroids])
         return best_class(self.class_names, -distances)
@@ -453,7 +430,7 @@ def load_centroids(path: str | Path, doc: dict | None = None) -> CentroidModel:
             raise BundleError(f"unsupported centroid format {doc.get('format')!r}")
         return CentroidModel(
             class_names=tuple(doc["class_names"]),
-            centroids=np.asarray(doc["centroids"], dtype=np.float64),
+            centroids=doc["centroids"],
             layout=doc["layout"],
-            scale=np.asarray(doc["scale"], dtype=np.float64),
+            scale=doc["scale"],
         )

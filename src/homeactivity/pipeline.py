@@ -449,7 +449,7 @@ def stage_label(
 def _day_profiles(windows_path, tz, handed=None):
     windows = _read(windows_path, labelling.read_window_labels, handed)
     if not windows:
-        raise PipelineError(f"{windows_path}: no windows to profile")
+        raise PipelineError(f"{windows_path}: line 2: no windows to profile")
     try:
         days = profiles.split_days(windows, tz)
     except tables.RowError as exc:

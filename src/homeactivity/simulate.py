@@ -309,6 +309,7 @@ def generate_day(
     return DayData(join(pieces), events, derived_runs, tick_ms)
 
 
+@np.errstate(all="ignore")  # a fit that overflows is refused below
 def calibrate_centroids(
     noise: NoiseSpec,
     filter_spec: FilterSpec = FilterSpec(),
@@ -368,6 +369,8 @@ def calibrate_centroids(
     spread = centroids.max(axis=0) - centroids.min(axis=0)
     scale = np.maximum(pooled, 0.01 * spread)
     scale[scale == 0] = 1.0
+    if not (np.isfinite(centroids).all() and np.isfinite(scale).all()):
+        raise ValueError(f"sigma {noise.gaussian_sigma}: calibration features overflow float64")
     return CentroidModel(
         class_names=CLASSIFIER_CLASSES,
         centroids=centroids,

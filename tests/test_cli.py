@@ -422,6 +422,19 @@ class TestNonFiniteSigma:
         assert not run.exists()
 
 
+@pytest.mark.parametrize("sigma, code", [("0.1,0.2", 1), ("0.1,0.2,0.3", 0)])
+def test_sigma_is_one_value_or_three(sigma, code, tmp_path, capsys):
+    script = tmp_path / "script.csv"
+    simulate.write_script(script, [simulate.ScheduleEntry(21_600_000, 60_000, "Hall", "Lie")])
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--script", str(script), "--out", str(run),
+                     "--sigma", sigma]) == code
+    if code:
+        assert error_line(capsys.readouterr().err) == (
+            "error: sigma must be one value or three, got '0.1,0.2'")
+    assert run.exists() == (code == 0)
+
+
 class TestNegativeSeed:
     """A negative --seed is refused as the option, before --out is made and
     before `pipeline` forks its calibrator."""
@@ -526,6 +539,19 @@ class TestCalibrator:
         assert cli.main(argv) == 1
         assert "non-finite sample value" in error_line(capsys.readouterr().err)
         assert_nothing_left(fds)
+
+    def test_a_fit_that_overflows_is_one_error_line(self, tmp_path, cli_child):
+        """The child shares fd 2 and writes no NumPy warning to it: a sigma
+        whose calibration features overflow is one line that names it."""
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--script", str(self.short_script(tmp_path)),
+                         "--out", str(sim)]) == 0
+        code, err = cli_child("pipeline", "--inertial", sim / "inertial.csv",
+                              "--events", sim / "events.ndjson", "--out", tmp_path / "run",
+                              "--sigma", "1e200")
+        assert code == 1
+        assert error_line(err) == (
+            "error: sigma (1e+200, 1e+200, 1e+200): calibration features overflow float64")
 
     def test_a_run_with_a_model_never_forks(self, tmp_path, monkeypatch, quiet_model):
         from homeactivity import neural

@@ -266,10 +266,6 @@ class TestFeatureFile:
             read_features(path)
         assert str(exc.value) == f"{path}: line {line}: {reason}"
 
-    def test_width_must_match_layout(self, tmp_path):
-        with pytest.raises(FeatureLayoutError, match="43"):
-            write_features(tmp_path / "x.csv", np.zeros((1, 10)), [(0, 1)], "acc43.v1")
-
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_a_non_finite_value_names_file_and_line(self, tmp_path, text):
         path = tmp_path / "features.csv"

@@ -79,12 +79,6 @@ class TestKernels:
             want = oracles.naive_conv1d(x.tolist(), kernel.tolist(), bias.tolist())
             np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_conv1d_shape_guards(self):
-        with pytest.raises(ValueError, match="channels"):
-            conv1d_forward(np.zeros((5, 2)), np.zeros((3, 4, 1)), np.zeros(1))
-        with pytest.raises(ValueError, match="shorter"):
-            conv1d_forward(np.zeros((2, 1)), np.zeros((3, 1, 1)), np.zeros(1))
-
     def test_maxpool_matches_naive(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
@@ -213,6 +207,16 @@ class TestBundle:
             forward_bundle(shifted, window), forward_bundle(bundle, manual),
             atol=1e-12,
         )
+
+    def test_forward_runs_the_steps_checked_at_build(self, monkeypatch):
+        """A bundle is checked once, when it is built; forwards reuse its steps."""
+        bundle, calls = tiny_bundle(), []
+        monkeypatch.setattr("homeactivity.neural.validate_bundle",
+                            lambda b: calls.append(b) or [])
+        window = np.random.default_rng(24).normal(size=(10, 2))
+        assert forward_bundle(bundle, window).shape == (2,)
+        assert forward_bundle(bundle, np.stack([window, window])).shape == (2, 2)
+        assert calls == []
 
     def test_save_load_roundtrip(self, tmp_path):
         bundle = tiny_bundle()

@@ -223,6 +223,59 @@ def test_fuse_names_the_line_of_an_unknown_name(table, row, reason, tmp_path, ca
     assert err == [f"error: {bad}: line {lines}: {reason}"]
 
 
+# input kind -> (the header of a file of that kind, command reading it)
+HEADED = {
+    "events": ("", lambda t, bad: ["occupancy", "--events", bad]),
+    "rules": ("basic,room,appliance,derived_name,flag",
+              lambda t, bad: ["fuse", "--windows", t / "good_windows.csv",
+                              "--intervals", t / "good_intervals.csv", "--rules", bad]),
+    "priorities": ("activity,priority",
+                   lambda t, bad: ["label", "--in", t / "good_derived.csv", "--priorities", bad]),
+    "window_labels": ("window_start,window_end,label,method",
+                      lambda t, bad: ["profile", "--in", bad]),
+    "window_labels_csv": ("window_start,window_end,label,method",
+                          lambda t, bad: ["report", "--in", bad, "--format", "csv"]),
+    "intervals": ("kind,location,start_ts,end_ts,truncated",
+                  lambda t, bad: ["fuse", "--windows", t / "good_windows.csv",
+                                  "--intervals", bad]),
+    "script": ("clock_start,duration_s,room,basic,appliances",
+               lambda t, bad: ["simulate", "--script", bad]),
+}
+
+
+@pytest.mark.parametrize("kind, row, reason", [
+    ("events", '{"payload": "1", "topic": "home/relay/toaster", "ts": 0}',
+     "line 1: unknown appliance 'toaster'"),
+    ("events", '{"topic": "home/pir/Hall", "ts": 0}', "line 1: missing field 'payload'"),
+    ("events", "[1, 2]", "line 1: event line must be a JSON object"),
+    ("rules", "Dance,Hall,,X,Normal", "line 2: unknown basic activity 'Dance'"),
+    ("rules", "Sit,Hall,toaster,X,Normal", "line 2: unknown appliance 'toaster'"),
+    ("rules", "Sit,Hall,,,Normal", "line 2: empty derived_name"),
+    ("priorities", ",1", "line 2: empty activity name"),
+    ("priorities", "Walk,0", "line 2: priority must be >= 1"),
+    ("window_labels", "6400,6400,Sit,frequency", "line 2: empty window [6400, 6400)"),
+    ("window_labels", None, "line 2: no windows to profile"),
+    ("window_labels_csv", None, "line 2: no windows to profile"),
+    ("intervals", "pir,Hall,9600,9600,0", "line 2: empty interval [9600, 9600)"),
+    ("intervals", "door,Hall,0,9600,0", "line 2: unknown interval kind 'door'"),
+    ("script", "06:00:00,0,Hall,Sit,", "line 2: duration must be positive, got 0"),
+    ("script", "6h,60,Hall,Sit,", "line 2: bad clock time '6h'"),
+    ("script", "24:00,60,Hall,Sit,", "line 2: bad clock time '24:00'"),
+])
+def test_a_refused_row_is_one_error_line_naming_it(kind, row, reason, tmp_path, capsys):
+    """Each reader's refusal of a row, or of a table with no row (None), is
+    one `error: <file>: line N: ` line, and the command writes no output."""
+    header, command = HEADED[kind]
+    _companions(tmp_path)
+    bad, out = tmp_path / f"{kind}.in", tmp_path / "out"
+    bad.write_text("".join(f"{line}\r\n" for line in (header, row) if line),
+                   encoding="utf-8", newline="")
+    assert cli.main([str(a) for a in command(tmp_path, bad)] + ["--out", str(out)]) == 1
+    err = [l for l in capsys.readouterr().err.splitlines() if not l.startswith("config: ")]
+    assert err == [f"error: {bad}: {reason}"]
+    assert not out.exists()
+
+
 def _inertial(path, first_semicolon=True):
     """A 400-line (14 kB) inertial log; its first line may lack its `;`."""
     ts = 50 * np.arange(400, dtype=np.int64)
