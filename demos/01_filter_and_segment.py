@@ -49,9 +49,9 @@ repaired = timeseries.interpolate_gaps(gappy, max_gap_ms=1000)
 print(f"repaired: {len(repaired)} samples, gapless "
       f"({int(np.diff(repaired.ts).max())} ms stride)")
 
-# Order-3 Butterworth low-pass at 3 Hz. The stride survives, the
-# jitter does not.
-smooth = timeseries.butterworth_lowpass(repaired, timeseries.FilterSpec())
+# Order-3 Butterworth low-pass at 3 Hz, as the `filter` command runs it.
+# The stride survives, the jitter does not.
+smooth = timeseries.lowpass_for_log(repaired, timeseries.FilterSpec())
 print(f"y-axis std before {repaired.xyz[:, 1].std():.2f}  "
       f"after {smooth.xyz[:, 1].std():.2f}")
 

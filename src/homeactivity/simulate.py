@@ -33,9 +33,10 @@ from .timeseries import (
     FilterSpec,
     SampleSeries,
     WindowBatch,
-    butterworth_lowpass,
     interpolate_gaps,
     join,
+    logged,
+    lowpass_for_log,
     segment,
     window_hop,
 )
@@ -318,11 +319,11 @@ def calibrate_centroids(
 ) -> CentroidModel:
     """Average per-class features from matched-noise synthetic motion.
 
-    Calibration runs the exact preprocessing path used at classification
-    time (repair, filter, segment, extract) so noise-induced feature
-    bias cancels instead of shifting the centroids. Each class's own run
-    gives 200 windows after its first two, which are discarded as filter
-    warm-up.
+    Each run goes through the functions that make the windows classify
+    sees (logged, repair, lowpass_for_log, logged, segment, extract) so
+    noise-induced feature bias cancels instead of shifting the centroids.
+    Each class's own run gives 200 windows after its first two, which
+    are discarded as filter warm-up.
 
     Alongside the centroids this fits a per-feature distance scale: the
     within-class feature std pooled over classes, floored at 1% of the
@@ -356,14 +357,16 @@ def calibrate_centroids(
             runs.append(join([head, tail]))
         kept = []  # (start_ts, end_ts, values) of the windows each run keeps
         for run_idx, run in enumerate(runs):
-            batch = segment(butterworth_lowpass(interpolate_gaps(run), filter_spec),
-                            window_len, overlap_frac)
+            filtered = lowpass_for_log(interpolate_gaps(logged(run)), filter_spec)
+            batch = segment(logged(filtered), window_len, overlap_frac)
             keep = (slice(skip, None) if run_idx == 0
                     else np.flatnonzero(batch.start_ts >= boundary_ts)[:2])
             kept.append((batch.start_ts[keep], batch.end_ts[keep], batch.values[keep]))
         # extract_all's rows are independent: one call gives each row's bits
         matrix, _ = extract_all(WindowBatch(*map(np.concatenate, zip(*kept))))
         feats_by_class.append(matrix)
+        if not np.isfinite(matrix).all():
+            break  # its centroid is not finite: refused below, without the classes left
     centroids = np.vstack([f.mean(axis=0) for f in feats_by_class])
     pooled = np.sqrt(np.mean([f.var(axis=0) for f in feats_by_class], axis=0))
     spread = centroids.max(axis=0) - centroids.min(axis=0)
@@ -392,9 +395,11 @@ class Calibration:
     ValueError or OSError of the child's as a ValueError with its message,
     and any other exception as a RuntimeError holding the child's
     traceback. close() kills and reaps a child that was not joined; a
-    `with` block calls it on leaving. SIGTERM unwinds no `with` block, so
-    while the child lives, a parent on its main thread whose SIGTERM has
-    its default action kills and reaps the child on that signal, then dies
+    `with` block calls it on leaving, and first joins the child if a
+    ValueError or OSError ends it, so that a refused calibration raises
+    its own error instead. SIGTERM unwinds no `with` block, so while the
+    child lives, a parent on its main thread whose SIGTERM has its
+    default action kills and reaps the child on that signal, then dies
     of it as before.
     """
 
@@ -423,7 +428,9 @@ class Calibration:
     def __enter__(self) -> Calibration:
         return self
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, kind, error, trace) -> None:
+        if self.pid is not None and isinstance(error, (ValueError, OSError)):
+            self.join()
         self.close()
 
     def join(self) -> CentroidModel:

@@ -11,6 +11,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -63,6 +64,11 @@ class FilterSpec:
                 f"invalid cutoff: {self.cutoff_hz} Hz must lie in (0, {rate / 2}) Hz"
             )
         return butter(self.order, self.cutoff_hz / (rate / 2))
+
+    @cached_property
+    def blocks(self) -> _BlockLowpass:
+        """The designed filter as lowpass_for_log runs it, built once per spec."""
+        return _BlockLowpass(*self.design())
 
 
 class _Channels:
@@ -203,28 +209,9 @@ def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.n
 
     Direct form II transposed, one sample at a time over Python floats in
     the operation order of scipy.signal.lfilter's C loop, so the output
-    is the same bits as scipy.signal.lfilter(b, a, x, zi=zi)[0]. Order 3,
-    the default, runs as straight-line code with its three delays in
-    local variables; every other order runs the loop of `_lfilter_loop`.
+    is the same bits as scipy.signal.lfilter(b, a, x, zi=zi)[0]. The
+    pipeline runs it only where lowpass_for_log's block products cannot.
     """
-    if a.size != 4:
-        return _lfilter_loop(b, a, x, zi)
-    b0, b1, b2, b3 = b.tolist()
-    _, a1, a2, a3 = a.tolist()
-    z0, z1, z2 = zi.tolist()
-    out = []
-    append = out.append
-    for xi in x.tolist():
-        y = z0 + b0 * xi
-        z0 = z1 + xi * b1 - y * a1
-        z1 = z2 + xi * b2 - y * a2
-        z2 = xi * b3 - y * a3
-        append(y)
-    return np.array(out, dtype=np.float64)
-
-
-def _lfilter_loop(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """lfilter for any order: the reference that its order-3 code must match."""
     b0, bs, as_ = float(b[0]), b[1:].tolist(), a[1:].tolist()
     last = len(bs) - 1
     middle = range(last)
@@ -247,7 +234,7 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
     each gapless stretch (split_on_gaps). Initial conditions are set to
     the step steady state of the stretch's first sample, so a constant
     signal passes through unchanged from sample zero. Timestamps are
-    preserved.
+    preserved. This is the reference that lowpass_for_log is held to.
     """
     b, a = spec.design()
     zi = lfilter_zi(b, a)
@@ -259,28 +246,24 @@ def butterworth_lowpass(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
 
 
 def lowpass_for_log(series: SampleSeries, spec: FilterSpec) -> SampleSeries:
-    """butterworth_lowpass(series, spec) as write_inertial logs it.
+    """butterworth_lowpass(series, spec) as it is logged (logged).
 
-    Each value gives the micro-units and the slow flag (_micro_units) of
-    butterworth_lowpass's value, and a slow value is that value, so both
-    write the same bytes and read back the same floats; the values may
-    differ from lfilter's in their last bits. Each channel of each
-    gapless stretch runs as block products (_BlockLowpass) in chunks of
-    _CHUNK samples. A value that the products cannot certify makes
-    lfilter rerun the channel up to it, and a channel whose bound
-    certifies nothing, or a stretch shorter than a block, runs through
-    lfilter alone.
+    Each value has the micro-units and slow flag (_micro_units) of
+    butterworth_lowpass's, and a slow value is that value, so both log
+    the same bytes; the values may differ from lfilter's in their last
+    bits. Each channel of each gapless stretch runs as block products
+    (spec.blocks) in chunks of _CHUNK samples; lfilter reruns it up to a
+    value they cannot certify, and runs alone where the bound certifies
+    nothing or over a stretch shorter than a block.
     """
-    b, a = spec.design()
-    zi = lfilter_zi(b, a)
-    blocks = _BlockLowpass(b, a, zi)
+    blocks = spec.blocks
     out = np.empty_like(series.values)
     for lo, hi in _stretches(series.ts):
         for k, channel in enumerate(series.values[lo:hi].T):
-            z = zi * channel[0]
+            z = blocks.zi * channel[0]
             last = hi - lo - 1 if hi - lo < _BLOCK else blocks.run(channel, z, out[lo:hi, k])
             if last >= 0:
-                out[lo:lo + last + 1, k] = lfilter(b, a, channel[:last + 1], z)
+                out[lo:lo + last + 1, k] = lfilter(blocks.b, blocks.a, channel[:last + 1], z)
     return replace(series, values=out)
 
 
@@ -290,9 +273,9 @@ _CHUNK = 256 * _BLOCK
 
 
 class _BlockLowpass:
-    """The filter (b, a), a[0] == 1, of order N, run as products over
-    blocks of B = _BLOCK samples, with the bound ε on how far they may lie
-    from lfilter's values.
+    """The filter (b, a), a[0] == 1, of order N and step steady state zi
+    (lfilter_zi), run as products over blocks of B = _BLOCK samples, with
+    the bound ε on how far they may lie from lfilter's values.
 
     The blocks. After sample k, lfilter's delays are z_k = A·z_{k-1} + v·x_k
     and its output is y_k = c·z_{k-1} + b0·x_k: A is the companion matrix
@@ -346,9 +329,10 @@ class _BlockLowpass:
     value is certain, implies Y < 2^52/1e6, so no certified value is slow.
     """
 
-    def __init__(self, b: np.ndarray, a: np.ndarray, zi: np.ndarray):
+    def __init__(self, b: np.ndarray, a: np.ndarray):
+        self.b, self.a, self.zi = b, a, lfilter_zi(b, a)
         n = a.size - 1
-        o, av, p, dz = _companion_steps(b, a, zi)
+        o, av, p, dz = _companion_steps(b, a, self.zi)
         self.carry = p.tolist()
         row_sums = np.abs(p).sum(axis=1)
         rho = float(row_sums.max())
@@ -411,7 +395,6 @@ class _BlockLowpass:
                 last = lo + int(np.flatnonzero(doubtful)[-1])
             out[lo:lo + piece.size] = y
         return last
-
 
     def _starts(self, s: list, increments: list) -> tuple[list, list]:
         """The state at each block's start, from s and each block's
@@ -666,24 +649,20 @@ def check_subject_id(subject_id: str) -> None:
 
 
 def write_inertial(path: str | Path, series: SampleSeries) -> SampleSeries:
-    """Write one series as log lines, in blocks, and return it as the
-    text reads back: float("%.6f" % v) of each value, bit for bit.
+    """Write one series as log lines, in blocks, and return it as logged.
 
     The bytes are those of the `%d` and `%.6f` template, line by line.
     Text and values both come from each block's micro-units n
-    (_micro_units): the values are n / 1e6, the correctly rounded
-    quotient of two exact numbers, as parsing the text gives, and the
-    text is n's digits (_format_block). A block that holds a value
-    _micro_units calls slow, or a negative timestamp, is formatted by the
-    template, and its slow values are parsed from their `%.6f` text. A
-    subject id that would not read back unchanged is refused
-    (check_subject_id).
+    (_micro_units): the text is n's digits (_format_block), or the
+    template's for a block with a slow value or a negative timestamp,
+    and the values are _read_back's. A subject id that would not read
+    back unchanged is refused (check_subject_id).
     """
     check_subject_id(series.subject_id)
     prefix = (series.subject_id + ",,").encode("utf-8")
     line = (series.subject_id.replace("%", "%%") + ",,%d"
             + ",%.6f" * series.values.shape[1] + ";\n")
-    logged = np.empty_like(series.values)
+    back = np.empty_like(series.values)
     with open(path, "wb") as fh:
         for lo in range(0, len(series), _BLOCK_LINES):
             ts, values = series.ts[lo:lo + _BLOCK_LINES], series.values[lo:lo + _BLOCK_LINES]
@@ -693,10 +672,23 @@ def write_inertial(path: str | Path, series: SampleSeries) -> SampleSeries:
                 fh.write("".join([line % row for row in zip(*columns)]).encode("utf-8"))
             else:
                 fh.write(_format_block(prefix, ts, n))
-            n /= 1e6  # now the values as the text reads back
-            n[slow] = [float("%.6f" % v) for v in values[slow].tolist()]
-            logged[lo:lo + _BLOCK_LINES] = n
-    return replace(series, values=logged)
+            back[lo:lo + _BLOCK_LINES] = _read_back(values, n, slow)
+    return replace(series, values=back)
+
+
+def logged(series: SampleSeries) -> SampleSeries:
+    """The series as write_inertial logs it and load_inertial reads it back."""
+    return replace(series, values=_read_back(series.values, *_micro_units(series.values)))
+
+
+def _read_back(values: np.ndarray, n: np.ndarray, slow: np.ndarray) -> np.ndarray:
+    """float("%.6f" % v) of each value, bit for bit, from its micro-units n
+    and slow flag (_micro_units): n / 1e6, the correctly rounded quotient
+    of two exact numbers, as the text parses. A slow value below 2^53/1e6
+    is parsed from its text; from there up it is itself (0.5e-6 < ulp/2)."""
+    back = n / 1e6
+    back[slow] = [v if abs(v) >= _MICRO_EXACT else float("%.6f" % v) for v in values[slow].tolist()]
+    return back
 
 
 # A byte that UTF-8 text never holds: it marks a matrix cell that is no character.

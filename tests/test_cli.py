@@ -494,7 +494,7 @@ def fds():
 
 class TestCalibrator:
     """`pipeline` without --model calibrates in one forked child, which it
-    joins before classify, or kills and reaps when the run fails first."""
+    joins before classify, or as soon as a stage before classify fails."""
 
     @staticmethod
     def short_script(where, entries=((21_600_000, 60_000, "Hall", "Lie"),)):
@@ -552,6 +552,18 @@ class TestCalibrator:
         assert code == 1
         assert error_line(err) == (
             "error: sigma (1e+200, 1e+200, 1e+200): calibration features overflow float64")
+
+    def test_a_log_refused_beside_an_overflowing_fit_names_the_sigma(self, tmp_path,
+                                                                     cli_child):
+        """At --sigma 1e200 the simulated log's features overflow too, and
+        `features` refuses them before the fit ends; the run waits for the
+        calibrator, whose error names the sigma, and prints that line alone."""
+        code, err = cli_child("pipeline", "--script", self.short_script(tmp_path),
+                              "--out", tmp_path / "run", "--sigma", "1e200")
+        assert code == 1
+        assert error_line(err) == (
+            "error: sigma (1e+200, 1e+200, 1e+200): calibration features overflow float64")
+        assert not (tmp_path / "run" / "centroids.json").exists()
 
     def test_a_run_with_a_model_never_forks(self, tmp_path, monkeypatch, quiet_model):
         from homeactivity import neural

@@ -336,10 +336,11 @@ def stamps(draw, n):
 
 
 class TestAsLogged:
-    """write_inertial returns the series as logged: float("%.6f" % v) of
-    every value, bit for bit, which load_inertial also reads from the
-    file, on the blocks its byte matrix formats and on those that fall
-    back to the template (a slow value or a negative timestamp)."""
+    """write_inertial returns the series as logged, and logged gives it
+    without a file: float("%.6f" % v) of every value, bit for bit, which
+    load_inertial also reads from the file, on the blocks its byte matrix
+    formats and on those that fall back to the template (a slow value or
+    a negative timestamp)."""
 
     @settings(max_examples=200, deadline=None)
     @given(width=st.sampled_from((3, 6)), n=st.integers(1, 12), block=st.integers(1, 5),
@@ -369,6 +370,7 @@ class TestAsLogged:
             assert same_bits(got, through_text(values))
             (back,) = load_inertial(tmp_path / "log.csv")
             assert same_bits(got, back.values)
+            assert same_bits(timeseries.logged(series).values, back.values)
 
     @pytest.mark.parametrize("gyro", [False, True])
     @settings(max_examples=100, deadline=None)
@@ -383,6 +385,8 @@ class TestAsLogged:
         (back,) = load_inertial(path)
         assert series_equal(got, back)
         assert same_bits(got.values, back.values)
+        assert series_equal(timeseries.logged(series), back)
+        assert same_bits(timeseries.logged(series).values, back.values)
 
 
 class TestBlockFormatter:

@@ -19,6 +19,8 @@ PACKAGE = Path(homeactivity.__file__).parent
 KEPT = {
     "pipeline._model_format": "a target of the benchmark's tracer",
     "occupancy.active_at": "a target of the benchmark's tracer",
+    "timeseries.butterworth_lowpass": "a target of the benchmark's tracer, and the oracle "
+                                      "lowpass_for_log is held to",
     "simulate.write_script": "tests, demos and the benchmark build CLI inputs with it",
     "neural.save_bundle": "tests, demos and the benchmark build CLI inputs with it",
     "neural.make_default_bundle": "tests, demos and the benchmark build CLI inputs with it",

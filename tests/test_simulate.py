@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from homeactivity import pipeline, simulate, timeseries
 from homeactivity.ambient import AmbientEvent
 from homeactivity.fusion import load_default_rules
 from homeactivity.simulate import (
@@ -177,9 +178,9 @@ class TestCalibration:
                 assert label == basic
 
     @pytest.mark.parametrize("dropout, window_len, digest", [
-        (0.05, 128, "808c72b5ca2092a8bdba8d9350da344f996f92e8a65ad1997e5146dce166970b"),
+        (0.05, 128, "b148cc0cb6ecb7c9d4baa7ca46cea380c1576ef9b6db6970489cc3ab3fa19b1c"),
         # gaps over a second split each run into up to 5 pieces
-        (0.8, 16, "abb001f346b1f366df6f4b1b69195ca511830e5e439cc658eefbb83f00cec5b9"),
+        (0.8, 16, "de6fc5eaff1cdcbc1d423761794bf969d5bcde16f67d7ab8c027edf1e8f57d97"),
     ])
     def test_centroid_and_scale_digests_are_pinned(self, dropout, window_len, digest):
         """sha256 of the centroids and scale, recorded while each run's
@@ -189,9 +190,49 @@ class TestCalibration:
         got = hashlib.sha256(model.centroids.tobytes() + model.scale.tobytes()).hexdigest()
         assert got == digest
 
+    def test_each_window_is_the_one_the_pipeline_makes_of_its_samples(
+            self, tmp_path, monkeypatch):
+        """Every window calibrate_centroids extracts is, bit for bit, a
+        window that `filter` and `segment` make of its run's raw samples
+        logged by write_inertial; so each value is its own logged value."""
+        calls = []
+
+        def recording(function):
+            def record(*args):
+                calls.append((function.__name__, args[0], function(*args)))
+                return calls[-1][2]
+            return record
+
+        for name in ("logged", "segment", "extract_all"):
+            monkeypatch.setattr(simulate, name, recording(getattr(simulate, name)))
+        calibrate_centroids(NoiseSpec(0.5, 0.05, seed=2), window_len=32)
+        logged_args, windows, runs = [], set(), 0
+        for name, arg, out in calls:
+            if name == "logged":
+                logged_args.append(arg)
+            elif name == "segment":  # each run is logged raw, then filtered
+                timeseries.write_inertial(tmp_path / "raw.csv", logged_args[-2])
+                pipeline.stage_filter(tmp_path / "raw.csv", tmp_path / "filtered.csv")
+                (back,) = timeseries.load_inertial(tmp_path / "filtered.csv")
+                want = segment(back, 32)
+                assert same_bits(out.values, want.values)
+                assert same_bits(out.start_ts, want.start_ts)
+                assert same_bits(out.end_ts, want.end_ts)
+                values = out.values.ravel()
+                assert same_bits(values, np.array([float("%.6f" % v) for v in values.tolist()]))
+                windows.update(w.tobytes() for w in want.values)
+                runs += 1
+            else:
+                assert all(w.tobytes() in windows for w in arg.values)
+        assert runs == 7 * 7
+
     def test_calibration_is_deterministic(self):
         noise = NoiseSpec(0.25, 0.01, seed=5)
         a = calibrate_centroids(noise)
         b = calibrate_centroids(noise)
         np.testing.assert_array_equal(a.centroids, b.centroids)
         np.testing.assert_array_equal(a.scale, b.scale)
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

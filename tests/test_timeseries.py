@@ -301,22 +301,6 @@ class TestButterworth:
         steady = out.xyz[200:, 0]
         assert np.abs(steady).max() <= 0.1
 
-    @given(
-        wn=st.floats(0.01, 0.99),
-        x=st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, -0.0]),
-                   min_size=1, max_size=200),
-        zi=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3) | st.none(),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_order_three_code_is_the_generic_loop(self, wn, x, zi):
-        """lfilter's straight-line order 3 gives the bits of the loop every
-        other order runs (which tests/test_scipy_oracle.py holds to SciPy)."""
-        b, a = timeseries.butter(3, wn)
-        x = np.array(x)
-        zi = timeseries.lfilter_zi(b, a) * x[0] if zi is None else np.array(zi)
-        got, want = timeseries.lfilter(b, a, x, zi), timeseries._lfilter_loop(b, a, x, zi)
-        assert got.tobytes() == want.tobytes()
-
 
 @given(log=gapped_logs(), order=st.integers(1, 8), cutoff=st.floats(0.1, 9.9))
 @settings(max_examples=100, deadline=None)
@@ -391,25 +375,36 @@ class TestLowpassForLog:
         noise = np.random.default_rng(3).normal(size=x.size)
         series = make_series(np.column_stack([noise, x, noise]))
         spec = FilterSpec()
-        b, a = spec.design()
-        zi = timeseries.lfilter_zi(b, a)
-        blocks = timeseries._BlockLowpass(b, a, zi)
-        assert blocks.run(x, zi * x[0], np.empty(x.size)) == x.size - 1
-        assert blocks.run(noise, zi * noise[0], np.empty(x.size)) == -1
+        blocks = spec.blocks
+        assert blocks.run(x, blocks.zi * x[0], np.empty(x.size)) == x.size - 1
+        assert blocks.run(noise, blocks.zi * noise[0], np.empty(x.size)) == -1
         got, want = timeseries.lowpass_for_log(series, spec), butterworth_lowpass(series, spec)
         assert got.values[:, 1].tobytes() == want.values[:, 1].tobytes()
         self.assert_logged_alike(got, want)
+
+    def test_a_spec_builds_its_blocks_once(self, monkeypatch):
+        built = []
+
+        class Counted(timeseries._BlockLowpass):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(timeseries, "_BlockLowpass", Counted)
+        spec = FilterSpec(4, 2.5)
+        series = make_series(np.random.default_rng(1).normal(size=300))
+        first = timeseries.lowpass_for_log(series, spec)
+        assert same_bits(timeseries.lowpass_for_log(series, spec), first)
+        assert len(built) == 1
 
     def test_a_filter_that_certifies_nothing_computes_no_product(self):
         """Poles this close to 1 leave the blocks' carried state unbounded
         (row sums of A^64 above 1), and values of 1e308 overflow any
         product: both channels run through lfilter alone."""
-        slow = FilterSpec(8, 0.2).design()
-        blocks = timeseries._BlockLowpass(*slow, timeseries.lfilter_zi(*slow))
+        blocks = FilterSpec(8, 0.2).blocks
         x = np.ones(10)
         assert blocks.run(x, x[:8], None) == 9
-        b, a = FilterSpec().design()
-        blocks = timeseries._BlockLowpass(b, a, timeseries.lfilter_zi(b, a))
+        blocks = FilterSpec().blocks
         x = np.full(10, 1e308)
         assert blocks.run(x, np.zeros(3), None) == 9
 
