@@ -74,8 +74,9 @@ def layout_for(include_gyro: bool) -> str:
 def extract_all(batch: WindowBatch, include_gyro: bool = False):
     """Feature matrix, one row per window, plus the (start_ts, end_ts) spans.
 
-    include_gyro requires gyroscope samples and switches the layout to
-    accgyro49.v1 (43 accelerometer values plus gyro means and stds).
+    include_gyro switches the layout to accgyro49.v1 (43 accelerometer
+    values plus gyro means and stds); the batch then has gyroscope
+    samples, as stage_features checks the log first.
 
     Each value sums its samples in the order that fixes its bytes: the
     per-axis statistics reduce axis 1 of the (n, window_len, 3) stack,
@@ -101,8 +102,6 @@ def extract_all(batch: WindowBatch, include_gyro: bool = False):
         shares.append(_bin_shares(axis))
     columns += [np.column_stack(spacing), *shares]
     if include_gyro:
-        if batch.gyro is None:
-            raise ValueError("window has no gyroscope samples")
         columns += [batch.gyro.mean(axis=1), batch.gyro.std(axis=1)]
     return np.concatenate(columns, axis=1), batch.spans()
 

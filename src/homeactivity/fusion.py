@@ -90,10 +90,8 @@ class FusionRuleTable:
         self._ordered = sorted(self.rules, key=lambda r: (order[r.appliance], -r.specificity))
 
     def fuse(self, basic, room, appliances=frozenset()) -> DerivedActivity:
-        if basic is not None and basic not in BASIC_ACTIVITIES:
-            raise ValueError(f"unknown basic activity {basic!r}")
-        if room not in ROOMS:
-            raise ValueError(f"unknown room {room!r}")
+        """basic is in BASIC_ACTIVITIES or None and room is in ROOMS, as the
+        readers and stage_fuse's label check have made sure."""
         for rule in self._ordered:
             if rule.matches(basic, room, appliances):
                 return rule.derived

@@ -36,12 +36,10 @@ class PriorityFileError(ValueError):
 
 
 class PriorityTable:
-    """Activity ranks (1 = highest priority) plus canonical spellings."""
+    """Activity ranks, each >= 1 as load_priorities checks (1 = highest
+    priority), plus canonical spellings."""
 
     def __init__(self, ranks: dict[str, int], vocabulary=()):
-        for name, rank in ranks.items():
-            if rank < 1:
-                raise ValueError(f"rank for {name!r} must be >= 1, got {rank}")
         self._ranks = dict(ranks)
         self._canonical = {name.lower(): name for name in ranks}
         for name in vocabulary:
@@ -76,7 +74,7 @@ class WindowLabel(NamedTuple):
 
 
 def label_window(labels, priorities: PriorityTable) -> tuple[str, str]:
-    """Label one window of observed activity names.
+    """Label one window of observed activity names; there is at least one.
 
     Returns (label, method) where method records which rule fired:
     priority, frequency, or tie.
@@ -86,10 +84,8 @@ def label_window(labels, priorities: PriorityTable) -> tuple[str, str]:
 
 
 def _label_canonical(observed, ranks: dict) -> tuple[str, str]:
-    """label_window over canonical names, ranked by `ranks`."""
-    if not observed:
-        raise ValueError("no labels")
-
+    """label_window over canonical names, ranked by `ranks`; windowize
+    labels an empty window NoData itself."""
     first_seen: dict[str, int] = {}
     for pos, lab in enumerate(observed):
         first_seen.setdefault(lab, pos)

@@ -459,11 +459,11 @@ def _day_profiles(windows_path, tz, handed=None):
 
 def stage_profile(windows_path, out_path, timezone=profiles.UTC, *,
                   handed: dict | None = None) -> dict:
-    """Day reports, plus a week report when the days are 7 consecutive ones."""
+    """Day reports, plus a week report when the days make one (profiles.week_profile)."""
     days = _day_profiles(windows_path, timezone, handed)
-    doc = {"days": [profiles.day_report(p) for p in days]}
-    week = len(days) == 7 and (days[-1].day - days[0].day).days == 6  # days are sorted
-    doc["week"] = profiles.week_report(profiles.week_profile(days)) if week else None
+    week = profiles.week_profile(days)
+    doc = {"days": [profiles.day_report(p) for p in days],
+           "week": profiles.week_report(week) if week else None}
     profiles.write_report_json(out_path, doc)
     return {"days": len(days)}
 

@@ -19,9 +19,6 @@ from .labelling import NO_DATA, WindowLabel
 
 UTC = ZoneInfo("UTC")
 
-DAY_BOUNDARY_ERROR = "split at day boundary first"
-ORDER_ERROR = "windows must be ordered and non-overlapping"
-
 
 class Bout(NamedTuple):
     label: str
@@ -57,31 +54,24 @@ def local_time(ts_ms: int, tz: ZoneInfo) -> datetime:
 
 
 def bouts(window_labels) -> list[Bout]:
-    """The same-label runs (see `fusion.runs`) of ordered windows.
+    """The same-label runs (see `fusion.runs`) of windows ordered as `split_days` checks.
 
     NoData windows never produce bouts and always terminate the current
     run, as does any hole between consecutive windows.
     """
-    windows = list(window_labels)
-    if any(b.start_ts < a.end_ts for a, b in zip(windows, windows[1:])):
-        raise ValueError(ORDER_ERROR)
-    items = ((w.start_ts, w.end_ts, w.label) for w in windows)
+    items = ((w.start_ts, w.end_ts, w.label) for w in window_labels)
     return [Bout(label, start, end) for start, end, label, _ in runs(items) if label != NO_DATA]
 
 
 def day_profile(window_labels, tz: ZoneInfo = UTC) -> DayProfile:
     """Aggregate one calendar day of windows.
 
-    The windows must be ordered and lie inside the local day of the
-    first, as `split_days` groups them, so the last must end by that
-    day's end. Duration attributes each window's full span to its label.
+    The windows are one of `split_days`' groups: at least one, ordered,
+    and inside the local day of the first. Duration attributes each
+    window's full span to its label.
     """
     windows = list(window_labels)
-    if not windows:
-        raise ValueError("no windows to profile")
     day = local_time(windows[0].start_ts, tz).date()
-    if local_time(windows[-1].end_ts - 1, tz).date() != day:
-        raise ValueError(DAY_BOUNDARY_ERROR)
 
     duration: dict[str, int] = {}
     coverage = 0
@@ -105,7 +95,8 @@ def split_days(window_labels, tz: ZoneInfo = UTC) -> list[list[WindowLabel]]:
     for index, w in enumerate(window_labels):
         if end is not None and w.start_ts < end:
             raise tables.RowError(f"window {w.start_ts}..{w.end_ts} starts before the "
-                                  f"window before it ends at {end}: {ORDER_ERROR}", index)
+                                  f"window before it ends at {end}: windows must be ordered and "
+                                  "non-overlapping", index)
         try:
             start_day, end_day = (local_time(ts, tz).date() for ts in (w.start_ts, w.end_ts - 1))
         except (ValueError, OverflowError) as exc:
@@ -113,20 +104,17 @@ def split_days(window_labels, tz: ZoneInfo = UTC) -> list[list[WindowLabel]]:
                 f"window {w.start_ts}..{w.end_ts} has no date in {tz}: {exc}", index) from None
         if end_day != start_day:
             raise tables.RowError(f"window {w.start_ts}..{w.end_ts} crosses midnight in "
-                                  f"{tz}: {DAY_BOUNDARY_ERROR}", index)
+                                  f"{tz}: split at day boundary first", index)
         groups.setdefault(start_day, []).append(w)
         end = w.end_ts
     return [groups[d] for d in sorted(groups)]
 
 
-def week_profile(day_profiles) -> WeekProfile:
-    """Assemble 7 consecutive day profiles into a weekly view."""
+def week_profile(day_profiles) -> WeekProfile | None:
+    """7 consecutive day profiles as a weekly view; None for any other set of days."""
     days = tuple(day_profiles)
-    if len(days) != 7:
-        raise ValueError(f"expected 7 day profiles, got {len(days)}")
-    for a, b in zip(days, days[1:]):
-        if b.day - a.day != timedelta(days=1):
-            raise ValueError(f"days are not consecutive: {a.day} then {b.day}")
+    if len(days) != 7 or any(b.day - a.day != timedelta(days=1) for a, b in zip(days, days[1:])):
+        return None
     labels = sorted({lab for d in days for lab in d.duration_ms})
     occurrence = {
         lab: tuple(d.duration_ms.get(lab, 0) > 0 for d in days) for lab in labels
@@ -140,7 +128,7 @@ def interval_query(window_labels, clock_start: str, clock_end: str, label: str,
 
     The range is local-time half-open [clock_start, clock_end), given as
     "HH:MM[:SS]", and filters windows by their start time; bouts are then
-    formed within the filtered subsequence.
+    formed within the filtered subsequence of the ordered windows.
     """
     start = time.fromisoformat(clock_start)
     end = time.fromisoformat(clock_end)

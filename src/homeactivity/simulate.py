@@ -105,18 +105,6 @@ class ScheduleEntry:
         return self.clock_start_ms + self.duration_ms
 
 
-def _validate_script(script) -> list[ScheduleEntry]:
-    entries = list(script)
-    if not entries:
-        raise ScriptError("script has no entries")
-    for a, b in zip(entries, entries[1:]):
-        if b.clock_start_ms < a.clock_end_ms:
-            raise ScriptError(
-                f"entries overlap at clock offset {b.clock_start_ms} ms"
-            )
-    return entries
-
-
 def _parse_clock_ms(text: str) -> int:
     parts = text.strip().split(":")
     if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
@@ -132,16 +120,16 @@ def load_script(path: str | Path) -> list[ScheduleEntry]:
     entries = []
 
     def add(clock_start, duration_s, room, basic, appliances):
-        entries.append(
-            ScheduleEntry(
-                clock_start_ms=_parse_clock_ms(clock_start),
-                duration_ms=int(duration_s) * 1000,
-                room=room.strip(),
-                basic=basic.strip(),
-                appliances=frozenset(a.strip() for a in appliances.split("|") if a.strip()),
-            )
+        entry = ScheduleEntry(
+            clock_start_ms=_parse_clock_ms(clock_start),
+            duration_ms=int(duration_s) * 1000,
+            room=room.strip(),
+            basic=basic.strip(),
+            appliances=frozenset(a.strip() for a in appliances.split("|") if a.strip()),
         )
-        _validate_script(entries[-2:])
+        if entries and entry.clock_start_ms < entries[-1].clock_end_ms:
+            raise ScriptError(f"entries overlap at clock offset {entry.clock_start_ms} ms")
+        entries.append(entry)
 
     tables.read_table(path, SCRIPT_COLUMNS, add, ScriptError)
     if not entries:
@@ -266,10 +254,9 @@ def generate_day(
     offsets are added to it. PIR edges fire on room changes (the first
     entry opens, the last closes), appliance edges on active-set changes,
     and the ground truth is fused as `fuse` fuses it (fusion.fuse_runs),
-    each block a tick run from its start in its own context.
+    each block a tick run from its start in its own context. The script
+    is load_script's (entries in order, none overlapping) and tick_ms >= 1.
     """
-    fusion.check_tick_ms(tick_ms)
-    entries = _validate_script(script)
     rng = np.random.default_rng([noise.seed, day_start_ms % (2**31)])
 
     pieces = []
@@ -278,7 +265,7 @@ def generate_day(
 
     nobody = (None, frozenset())
     context, prev_end = nobody, None
-    for entry in entries:
+    for entry in script:
         start = day_start_ms + entry.clock_start_ms
         end = day_start_ms + entry.clock_end_ms
         if prev_end is not None and start > prev_end:
@@ -395,16 +382,16 @@ class Calibration:
     ValueError or OSError of the child's as a ValueError with its message,
     and any other exception as a RuntimeError holding the child's
     traceback. close() kills and reaps a child that was not joined; a
-    `with` block calls it on leaving, and first joins the child if a
-    ValueError or OSError ends it, so that a refused calibration raises
-    its own error instead. SIGTERM unwinds no `with` block, so while the
-    child lives, a parent on its main thread whose SIGTERM has its
-    default action kills and reaps the child on that signal, then dies
-    of it as before.
+    `with` block calls it on leaving, and first joins a calibration not
+    yet joined if a ValueError or OSError ends it, so that a refused
+    calibration raises its own error instead, forked or in process.
+    SIGTERM unwinds no `with` block, so while the child lives, a parent
+    on its main thread whose SIGTERM has its default action kills and
+    reaps the child on that signal, then dies of it as before.
     """
 
     def __init__(self, *args):
-        self.args, self.pid, self.guarded = args, None, False
+        self.args, self.pid, self.guarded, self.joined = args, None, False, False
         if hasattr(os, "fork"):
             import numpy.random  # noqa: F401  imported once here, not again in the child
 
@@ -429,11 +416,12 @@ class Calibration:
         return self
 
     def __exit__(self, kind, error, trace) -> None:
-        if self.pid is not None and isinstance(error, (ValueError, OSError)):
+        if not self.joined and isinstance(error, (ValueError, OSError)):
             self.join()
         self.close()
 
     def join(self) -> CentroidModel:
+        self.joined = True
         if self.pid is None:
             return calibrate_centroids(*self.args)
         chunks = []

@@ -646,6 +646,8 @@ def check_subject_id(subject_id: str) -> None:
     if any(c in subject_id for c in ",\r\n") or subject_id[:1].isspace():
         raise SeriesError(f"subject id {subject_id!r} cannot be logged: it holds a "
                           "comma or a line break, or starts with whitespace")
+    if any("\ud800" <= c <= "\udfff" for c in subject_id):  # as from an argv byte not UTF-8
+        raise SeriesError(f"subject id {subject_id!r} cannot be logged: UTF-8 cannot encode it")
 
 
 def write_inertial(path: str | Path, series: SampleSeries) -> SampleSeries:

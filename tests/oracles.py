@@ -248,8 +248,6 @@ def bouts_loop(window_labels):
     current = None
     prev_end = None
     for w in window_labels:
-        if prev_end is not None and w.start_ts < prev_end:
-            raise ValueError("windows must be ordered and non-overlapping")
         contiguous = prev_end is not None and w.start_ts == prev_end
         if w.label == NO_DATA:
             if current is not None:

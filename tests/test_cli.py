@@ -594,6 +594,35 @@ class TestCalibrator:
         for name in names:
             assert (forked / name).read_bytes() == (alone / name).read_bytes(), name
 
+    def test_without_fork_a_refused_calibration_names_its_own_error(
+            self, tmp_path, monkeypatch, capsys, fds):
+        """As test_a_log_refused_beside_an_overflowing_fit_names_the_sigma,
+        in process: the run that fails first calibrates before it leaves."""
+        monkeypatch.delattr(os, "fork")
+        argv = ["pipeline", "--script", str(self.short_script(tmp_path)),
+                "--out", str(tmp_path / "run"), "--sigma", "1e200"]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: sigma (1e+200, 1e+200, 1e+200): calibration features overflow float64")
+        assert_nothing_left(fds)
+
+    def test_without_fork_a_calibration_refused_at_join_runs_once(
+            self, tmp_path, monkeypatch, capsys):
+        """The `with` block does not calibrate again after join() raised."""
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise ValueError("calibration broke")
+
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(simulate, "calibrate_centroids", broken)
+        argv = ["pipeline", "--script", str(self.short_script(tmp_path)),
+                "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == "error: calibration broke"
+        assert len(calls) == 1
+
     def test_any_other_exception_carries_the_childs_traceback(self, monkeypatch, fds):
         def broken(*args):
             raise KeyError("no such class")
@@ -649,6 +678,7 @@ class TestRefusedOptions:
 
     SUBJECT = ("subject id 'a,b' cannot be logged: it holds a comma or a line break, "
                "or starts with whitespace")
+    NOT_UTF8 = "subject id '\\udcff' cannot be logged: UTF-8 cannot encode it"
     REFUSED = {
         "pipeline --window-len 0": "window_len must be positive, got 0",
         "pipeline --overlap 1": "overlap_frac must lie in [0, 1), got 1.0",
@@ -665,6 +695,8 @@ class TestRefusedOptions:
             "9223372036876375000..9223372036876435000 ms, outside the int64 clock"),
         "pipeline --subject a,b": SUBJECT,
         "simulate --subject a,b": SUBJECT,
+        "pipeline --subject \udcff": NOT_UTF8,  # argv byte 0xff, as Python decodes it
+        "simulate --subject \udcff": NOT_UTF8,
     }
 
     @pytest.mark.parametrize("args", REFUSED)

@@ -119,8 +119,6 @@ class TestExtract:
         assert vec.shape == (49,)
         np.testing.assert_allclose(vec[43:46], gyro.mean(axis=0))
         np.testing.assert_allclose(vec[46:49], gyro.std(axis=0))
-        with pytest.raises(ValueError, match="gyro"):
-            features_of(xyz, include_gyro=True)
 
     def test_layout_tokens(self):
         assert layout_for(False) == "acc43.v1"

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -449,9 +449,10 @@ class TestBlockFormatter:
 
 class TestSubjectIds:
     """A subject id goes into the first field of every line, so it must
-    read back: no comma, no line break, no leading whitespace."""
+    read back: no comma, no line break, no leading whitespace, and no lone
+    surrogate, which is what Python makes of an argv byte that is not UTF-8."""
 
-    @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb", " a", "\ta", "\x1ca"])
+    @pytest.mark.parametrize("subject", ["a,b", "a\nb", "a\rb", " a", "\ta", "\x1ca", "\udcff"])
     def test_an_id_the_log_cannot_carry_is_refused_before_the_file_opens(self, tmp_path,
                                                                          subject):
         path = tmp_path / "log.csv"
@@ -462,6 +463,7 @@ class TestSubjectIds:
 
     @SETTINGS
     @given(subject=st.text(st.characters() | st.sampled_from(",;%\r\n \t\x1c"), max_size=6))
+    @example(subject="\ud800")
     def test_an_accepted_id_reads_back_unchanged(self, tmp_path_factory, subject):
         path = tmp_path_factory.mktemp("id") / "log.csv"
         series = make_series(subject, 50 * np.arange(3, dtype=np.int64), np.ones((3, 3)))

@@ -1,6 +1,5 @@
 """Interval state machine, single-occupant resolution, room lookup."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -155,10 +154,6 @@ class TestContextSweep:
         got = list(context_sweep([0, 9, 10, 11, 12], rooms, tv))
         assert got == [("Outside", {"tv"}), ("Hall", {"tv"}), ("Kitchen", {"tv"}),
                        ("Kitchen", set()), ("Outside", set())]
-
-    def test_decreasing_timestamps_rejected(self):
-        with pytest.raises(ValueError, match="must not decrease"):
-            list(context_sweep([5, 4], [], []))
 
 
 class TestRoundTrips:
