@@ -27,9 +27,8 @@ for basic, room, appliances in [
 
 # The classifier never says "Sleep"; lying still for at least five
 # minutes of ticks is rewritten to Sleep before fusing. The fuse stage
-# carries tick runs (first_ts, end_ts, basic): the ticks at first_ts,
-# first_ts + tick_ms, ... before end_ts, so a run is relabelled whole.
-tick_ms = 5000
+# carries tick runs (first_ts, end_ts, basic): the 5 s ticks from
+# first_ts up to end_ts, so a run is relabelled whole.
 basic_runs = [
     (0, 360_000, "Lie"),            # six minutes
     (360_000, 420_000, "Walk"),
@@ -47,8 +46,10 @@ first = derived[0][2]
 print(f"\nfirst run fused: {first.name} [{first.flag}]; "
       f"as Normal: {first._replace(flag='Normal')}")
 
-# Expand to ticks and pull out the non-Normal runs.
-ticks = fusion.ticks_of(derived, tick_ms)
-print(f"\nflagged stretches in the kitchen ({len(ticks)} ticks):")
-for start, end, flag in fusion.flag_stream(ticks, tick_ms=tick_ms):
-    print(f"  [{start:>6}, {end:>6}) {flag}")
+# Coalesce the derived runs by flag and keep the non-Normal ones: an
+# Unnatural or Anomaly stretch, whatever activity names it spans.
+flags = ((start, end, d.flag) for start, end, d in derived)
+print("\nflagged stretches in the kitchen:")
+for start, end, flag, _ in fusion.runs(flags):
+    if flag != "Normal":
+        print(f"  [{start:>6}, {end:>6}) {flag}")

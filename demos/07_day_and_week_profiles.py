@@ -37,12 +37,12 @@ for label, ms in sorted(day0.duration_ms.items(), key=lambda kv: -kv[1]):
     print(f"  {label:<20} {ms // 60000:>3} min in "
           f"{day0.bout_count[label]} bout(s), share {day0.share(label):.2f}")
 
-# A bout is one maximal run; the interval query counts time inside a
-# clock range, useful for questions like "how long was the morning walk".
-n_bouts, walk_ms = profiles.interval_query(make_day(0, weekday), "06:30", "08:00",
-                                           "Walking Outside")
-print(f"\nwalking between 06:30 and 08:00: {walk_ms // 60000} min "
-      f"in {n_bouts} bout(s)")
+# A bout is one maximal run; the bouts of the windows inside a clock
+# range answer questions like "how long was the morning walk".
+morning = [w for w in make_day(0, weekday) if SIX_AM + 30 * 60_000 <= w.start_ts < 8 * 3_600_000]
+walks = [b for b in profiles.bouts(morning) if b.label == "Walking Outside"]
+print(f"\nwalking between 06:30 and 08:00: {sum(b.duration_ms for b in walks) // 60000} min "
+      f"in {len(walks)} bout(s)")
 
 # Seven consecutive days make a week; occurrence marks which days saw
 # each activity at all.

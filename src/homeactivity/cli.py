@@ -184,8 +184,8 @@ def _run_pipeline(eff, out) -> None:
     read it, as it reads back (see the pipeline docstring); each inertial
     series is dropped once its last reader has run. Without --model, the
     centroid calibration begins in a child process once the options pass
-    their checks, and runs beside the stages up to features; the run
-    waits for it just before classify."""
+    their checks, and runs beside the stages up to features; the run joins it
+    after the first of them that it outlives, or waits for it before classify."""
     from . import neural, simulate, timeseries
 
     eff = {**{key: opt.default for key, opt in OPTIONS.items()}, **eff}
@@ -216,8 +216,12 @@ def _run_pipeline(eff, out) -> None:
             _run("simulate", eff, eff["script"], out, handed=handed)
         else:
             out.mkdir(parents=True, exist_ok=True)
+        if calibration:  # a refused calibration ends the run at the next stage
+            calibration.poll()
         _run("filter", eff, inertial, out / "filtered.csv", handed=handed)
         handed.pop(inertial, None)
+        if calibration:
+            calibration.poll()
         _run("features", eff, out / "filtered.csv", out / "features.csv", handed=handed)
         if calibration:
             eff["model"] = pipeline.stage_calibrate(calibration, out / "centroids.json")["model"]

@@ -231,16 +231,6 @@ def fuse_runs(basic_runs, edges, contexts, rules: FusionRuleTable,
     return derived
 
 
-def flag_stream(derived_timeline, tick_ms: int = DEFAULT_TICK_MS):
-    """The non-Normal runs (see `runs`) as (start_ts, end_ts, flag) entries.
-
-    derived_timeline is an ordered list of (ts, DerivedActivity). Adjacent
-    ticks sharing a flag coalesce even when the activity name changes.
-    """
-    ticks = ((ts, ts + tick_ms, d.flag) for ts, d in derived_timeline)
-    return [(start, end, flag) for start, end, flag, _ in runs(ticks) if flag != "Normal"]
-
-
 def write_derived(path: str | Path, derived_runs, tick_ms: int = DEFAULT_TICK_MS) -> None:
     """A row per tick of ordered derived tick runs: a run's rows are one
     join, on its activity's csv-quoted ",name,flag\\r\\n", built once."""

@@ -55,9 +55,6 @@ class PriorityTable:
         for name in self._canonical.values():
             yield name, self._ranks.get(name)
 
-    def __len__(self) -> int:
-        return len(self._ranks)
-
 
 EMPTY_PRIORITIES = PriorityTable({})
 

@@ -469,10 +469,9 @@ def stage_profile(windows_path, out_path, timezone=profiles.UTC, *,
 
 
 def stage_report(windows_path, out_path, timezone=profiles.UTC, format: str = "json") -> dict:
+    """stage_profile's report for "json"; for "csv", the other format, a row per day and label."""
     if format == "json":
         return stage_profile(windows_path, out_path, timezone)
-    if format != "csv":
-        raise PipelineError(f"unknown report format {format!r}")
     days = _day_profiles(windows_path, timezone)
     rows = []
     for p in days:

@@ -8,7 +8,7 @@ add day-by-day occurrence booleans.
 
 from __future__ import annotations
 
-from datetime import date, datetime, time, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import NamedTuple
 from zoneinfo import ZoneInfo
@@ -120,23 +120,6 @@ def week_profile(day_profiles) -> WeekProfile | None:
         lab: tuple(d.duration_ms.get(lab, 0) > 0 for d in days) for lab in labels
     }
     return WeekProfile(days=days, occurrence=occurrence)
-
-
-def interval_query(window_labels, clock_start: str, clock_end: str, label: str,
-                   tz: ZoneInfo = UTC):
-    """Count bouts and total duration of label inside a clock-time range.
-
-    The range is local-time half-open [clock_start, clock_end), given as
-    "HH:MM[:SS]", and filters windows by their start time; bouts are then
-    formed within the filtered subsequence of the ordered windows.
-    """
-    start = time.fromisoformat(clock_start)
-    end = time.fromisoformat(clock_end)
-    if start >= end:
-        raise ValueError(f"inverted clock range {start}..{end}")
-    hits = [w for w in window_labels if start <= local_time(w.start_ts, tz).time() < end]
-    matching = [b for b in bouts(hits) if b.label == label]
-    return len(matching), sum(b.duration_ms for b in matching)
 
 
 def day_report(profile: DayProfile) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import signal
 import threading
 import traceback
@@ -186,15 +187,9 @@ def synth_motion(
     start_ts: int = 0,
     subject_id: str = "sim",
     rng: np.random.Generator | None = None,
-    window_len: int = DEFAULT_WINDOW_LEN,
 ) -> SampleSeries:
-    """Synthesize one activity block of at least one window of window_len
-    samples, one every DEFAULT_PERIOD_MS; dropout may delete samples."""
-    if duration_ms < window_len * DEFAULT_PERIOD_MS:
-        raise ValueError(
-            f"duration {duration_ms} ms is shorter than one window "
-            f"({window_len * DEFAULT_PERIOD_MS} ms)"
-        )
+    """One activity block of duration_ms // DEFAULT_PERIOD_MS >= 1 samples, one every
+    DEFAULT_PERIOD_MS; dropout may delete any sample but the first."""
     if rng is None:
         rng = np.random.default_rng(noise.seed)
     n = duration_ms // DEFAULT_PERIOD_MS
@@ -332,15 +327,14 @@ def calibrate_centroids(
     feats_by_class = []
     for idx, basic in enumerate(CLASSIFIER_CLASSES):
         rng = np.random.default_rng([noise.seed, 7_000_001 + idx])
-        runs = [synth_motion(basic, n_samples * DEFAULT_PERIOD_MS, noise=noise, rng=rng,
-                             window_len=window_len)]
+        runs = [synth_motion(basic, n_samples * DEFAULT_PERIOD_MS, noise=noise, rng=rng)]
         boundary_ts = lead_n * DEFAULT_PERIOD_MS
         for prev in CLASSIFIER_CLASSES:
             if prev == basic:
                 continue
-            head = synth_motion(prev, boundary_ts, noise=noise, rng=rng, window_len=window_len)
+            head = synth_motion(prev, boundary_ts, noise=noise, rng=rng)
             tail = synth_motion(basic, (hop + window_len) * DEFAULT_PERIOD_MS, noise=noise,
-                                start_ts=boundary_ts, rng=rng, window_len=window_len)
+                                start_ts=boundary_ts, rng=rng)
             runs.append(join([head, tail]))
         kept = []  # (start_ts, end_ts, values) of the windows each run keeps
         for run_idx, run in enumerate(runs):
@@ -391,7 +385,7 @@ class Calibration:
     """
 
     def __init__(self, *args):
-        self.args, self.pid, self.guarded, self.joined = args, None, False, False
+        self.args, self.pid, self.guarded, self.joined, self.model = args, None, False, False, None
         if hasattr(os, "fork"):
             import numpy.random  # noqa: F401  imported once here, not again in the child
 
@@ -420,7 +414,14 @@ class Calibration:
             self.join()
         self.close()
 
+    def poll(self) -> None:
+        """join() now if the child has sent its outcome: a refusal raises at once."""
+        if self.pid is not None and select.select([self.pipe], [], [], 0)[0]:
+            self.model = self.join()
+
     def join(self) -> CentroidModel:
+        if self.joined:  # by poll()
+            return self.model
         self.joined = True
         if self.pid is None:
             return calibrate_centroids(*self.args)

@@ -11,6 +11,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -54,8 +55,8 @@ class FilterSpec:
     cutoff_hz: float = DEFAULT_CUTOFF_HZ
 
     def design(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients (b, a) for samples DEFAULT_PERIOD_MS apart; the
-        cutoff must lie below that rate's Nyquist frequency."""
+        """Coefficients (b, a) for samples DEFAULT_PERIOD_MS apart, refused unless the cutoff
+        is below Nyquist and each pole inside the unit circle (exact Schur-Cohn on a)."""
         if self.order < 1:
             raise ValueError(f"invalid order: {self.order}")
         rate = 1000 / DEFAULT_PERIOD_MS
@@ -63,7 +64,14 @@ class FilterSpec:
             raise ValueError(
                 f"invalid cutoff: {self.cutoff_hz} Hz must lie in (0, {rate / 2}) Hz"
             )
-        return butter(self.order, self.cutoff_hz / (rate / 2))
+        b, a = butter(self.order, self.cutoff_hz / (rate / 2))
+        step = [Fraction(v) for v in a.tolist()]
+        while len(step) > 1 and abs(step[-1]) < abs(step[0]):
+            step = [x - step[-1] / step[0] * y for x, y in zip(step[:-1], step[:0:-1])]
+        if len(step) > 1:
+            raise ValueError(f"order {self.order} at cutoff {self.cutoff_hz} Hz puts a "
+                             "pole of the filter on or outside the unit circle")
+        return b, a
 
     @cached_property
     def blocks(self) -> _BlockLowpass:
@@ -398,22 +406,12 @@ class _BlockLowpass:
 
     def _starts(self, s: list, increments: list) -> tuple[list, list]:
         """The state at each block's start, from s and each block's
-        increment q: the next block starts in P·s + q. Order 3, the
-        default, runs as straight-line code."""
+        increment q: the next block starts in P·s + q."""
         starts = []
-        if len(s) != 3:
-            for q in increments:
-                starts.append(s)
-                s = [sum(map(operator.mul, row, s), qi) for row, qi in zip(self.carry, q)]
-            return starts, s
-        (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = self.carry
-        s0, s1, s2 = s
-        for q0, q1, q2 in increments:
-            starts.append((s0, s1, s2))
-            s0, s1, s2 = (q0 + p00 * s0 + p01 * s1 + p02 * s2,
-                          q1 + p10 * s0 + p11 * s1 + p12 * s2,
-                          q2 + p20 * s0 + p21 * s1 + p22 * s2)
-        return starts, [s0, s1, s2]
+        for q in increments:
+            starts.append(s)
+            s = [sum(map(operator.mul, row, s), qi) for row, qi in zip(self.carry, q)]
+        return starts, s
 
 
 def _companion_steps(b: np.ndarray, a: np.ndarray, zi: np.ndarray):

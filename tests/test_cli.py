@@ -494,7 +494,8 @@ def fds():
 
 class TestCalibrator:
     """`pipeline` without --model calibrates in one forked child, which it
-    joins before classify, or as soon as a stage before classify fails."""
+    joins before classify, after a stage before classify by which the child
+    has sent its outcome, or as soon as a stage before classify fails."""
 
     @staticmethod
     def short_script(where, entries=((21_600_000, 60_000, "Hall", "Lie"),)):
@@ -512,7 +513,37 @@ class TestCalibrator:
         argv = ["pipeline", "--script", str(self.short_script(tmp_path)), "--out", str(run)]
         assert cli.main(argv) == 1
         assert error_line(capsys.readouterr().err) == "error: calibration broke"
-        assert (run / "features.csv").exists() and not (run / "centroids.json").exists()
+        assert (run / "inertial.csv").exists() and not (run / "centroids.json").exists()
+        assert_nothing_left(fds)
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.fork and os.waitid")
+    def test_a_refusal_sent_during_a_stage_ends_the_run_after_it(self, tmp_path, capsys,
+                                                                 monkeypatch, fds):
+        """simulate returns only once the child has exited, so its refusal
+        is in the pipe then, and filter never runs."""
+        forked, fork, stage = [], os.fork, pipeline.stage_simulate
+
+        def recorded_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        def simulate_then_wait(*args, **kwargs):
+            done = stage(*args, **kwargs)
+            os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)
+            return done
+
+        def broken(*args):
+            raise ValueError("calibration broke")
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(pipeline, "stage_simulate", simulate_then_wait)
+        monkeypatch.setattr(simulate, "calibrate_centroids", broken)
+        run = tmp_path / "run"
+        argv = ["pipeline", "--script", str(self.short_script(tmp_path)), "--out", str(run)]
+        assert cli.main(argv) == 1
+        assert error_line(capsys.readouterr().err) == "error: calibration broke"
+        assert (run / "inertial.csv").exists() and not (run / "filtered.csv").exists()
         assert_nothing_left(fds)
 
     def test_a_script_refused_before_the_fork_leaves_no_child(self, tmp_path, capsys,
@@ -697,6 +728,13 @@ class TestRefusedOptions:
         "simulate --subject a,b": SUBJECT,
         "pipeline --subject \udcff": NOT_UTF8,  # argv byte 0xff, as Python decodes it
         "simulate --subject \udcff": NOT_UTF8,
+        # designs whose denominator sums to exactly 0.0: a pole at z = 1
+        "pipeline --order 4 --cutoff-hz 0.0002182629930116345": (
+            "order 4 at cutoff 0.0002182629930116345 Hz puts a pole of the filter on or "
+            "outside the unit circle"),
+        "pipeline --order 6 --cutoff-hz 0.00495336728696132": (
+            "order 6 at cutoff 0.00495336728696132 Hz puts a pole of the filter on or "
+            "outside the unit circle"),
     }
 
     @pytest.mark.parametrize("args", REFUSED)
@@ -724,6 +762,37 @@ class TestRefusedOptions:
         assert error_line(capsys.readouterr().err) == (
             "error: max_gap_ms must be at least the sample period, 50 ms, got 49")
         assert not out.exists()
+
+    def test_filter_refuses_a_pole_on_the_unit_circle_before_writing(self, tmp_path, capsys):
+        log, out = tmp_path / "log.csv", tmp_path / "filtered.csv"
+        log.write_text("".join(f"s,,{50 * k},1,2,3;\n" for k in range(200)), encoding="utf-8")
+        assert cli.main(["filter", "--in", str(log), "--out", str(out), "--order", "4",
+                         "--cutoff-hz", "0.0002182629930116345"]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            "error: order 4 at cutoff 0.0002182629930116345 Hz puts a pole of the filter "
+            "on or outside the unit circle")
+        assert not out.exists()
+
+
+class TestShortBlocks:
+    """A scripted block shorter than one window is simulated like any
+    other; only a log with no complete window is refused, by features."""
+
+    def test_a_three_second_block_between_two_minutes_runs(self, tmp_path, capsys):
+        script = TestCalibrator.short_script(tmp_path, [
+            (21_600_000, 60_000, "Hall", "Walk"), (21_660_000, 3_000, "Hall", "Sit"),
+            (21_663_000, 60_000, "Hall", "Walk")])
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--script", str(script), "--out", str(run)]) == 0
+        assert json.loads((run / "report.json").read_text(encoding="utf-8"))["days"]
+
+    def test_a_script_with_no_complete_window_fails_at_features(self, tmp_path, capsys, fds):
+        script = TestCalibrator.short_script(tmp_path, [(21_600_000, 3_000, "Hall", "Sit")])
+        run = tmp_path / "run"
+        assert cli.main(["pipeline", "--script", str(script), "--out", str(run)]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {run / 'filtered.csv'}: no complete window of 128 samples")
+        assert_nothing_left(fds)
 
 
 class TestLayoutMismatch:
@@ -1146,6 +1215,23 @@ class TestJsonErrors:
         code = cli.main(required_argv("label", tmp_path) + ["--config", str(config)])
         assert code == 1
         assert error_line(capsys.readouterr().err) == f"error: {config}: line 1: not UTF-8"
+
+    @pytest.mark.parametrize("flag", ["--config", "--model"])
+    def test_a_file_that_is_not_an_object_names_the_file(self, flag, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        doc.write_text("[]", encoding="utf-8")
+        assert cli.main(required_argv("classify", tmp_path) + [flag, str(doc)]) == 1
+        assert error_line(capsys.readouterr().err) == f"error: {doc}: expected a JSON object"
+
+    def test_centroids_and_class_names_that_differ_in_count_name_the_file(self, tmp_path,
+                                                                          capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": "centroids.v1", "layout": "acc43.v1", "class_names": ["Sit", "Walk"],
+            "centroids": [[0.0] * 43], "scale": [1.0] * 43}), encoding="utf-8")
+        assert cli.main(required_argv("classify", tmp_path) + ["--model", str(model)]) == 1
+        assert error_line(capsys.readouterr().err) == (
+            f"error: {model}: 2 classes but centroid matrix is (1, 43)")
 
     def test_truncated_model_names_file_and_line(self, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -1,4 +1,4 @@
-"""Context fusion rules, the sleep rewrite, flag runs, and the tick-run
+"""Context fusion rules, the sleep rewrite, and the tick-run
 path of the fuse stage and the simulator's ground truth."""
 
 import pytest
@@ -16,7 +16,6 @@ from homeactivity.fusion import (
     FusionRuleTable,
     RuleFileError,
     derive_sleep,
-    flag_stream,
     fuse_runs,
     load_default_rules,
     load_rules,
@@ -29,7 +28,6 @@ from homeactivity.fusion import (
 from homeactivity.tables import TableError
 from oracles import (
     derive_sleep_loop,
-    flag_stream_loop,
     fuse_by_precedence,
     fuse_stage_ticks,
     hole_free_pieces,
@@ -252,29 +250,6 @@ class TestDeriveSleep:
             (0, 150_000, "Sleep"), (150_000, 300_000, "Sleep"), (300_000, 305_000, "Sit")]
 
 
-class TestFlagStream:
-    def test_non_normal_runs_coalesce_by_flag(self):
-        timeline = [
-            (0, DerivedActivity("Sitting in Hall", "Normal")),
-            (5_000, DerivedActivity("Jogging in Hall", "Unnatural")),
-            (10_000, DerivedActivity("Watching TV Jogging", "Unnatural")),
-            (15_000, DerivedActivity("Lying in Worship", "Anomaly")),
-            (20_000, DerivedActivity("Sitting in Hall", "Normal")),
-        ]
-        got = flag_stream(timeline)
-        assert got == [(5_000, 15_000, "Unnatural"), (15_000, 20_000, "Anomaly")]
-
-    def test_trailing_run_closed_by_tick_length(self):
-        timeline = [(0, DerivedActivity("Lying in Worship", "Anomaly"))]
-        assert flag_stream(timeline, tick_ms=5000) == [(0, 5_000, "Anomaly")]
-
-    def test_ticks_an_hour_apart_are_two_runs(self):
-        timeline = [(0, DerivedActivity("Lying in Worship", "Anomaly")),
-                    (3_600_000, DerivedActivity("Lying in Worship", "Anomaly"))]
-        assert flag_stream(timeline) == [
-            (0, 5_000, "Anomaly"), (3_600_000, 3_605_000, "Anomaly")]
-
-
 class TestRuns:
     def test_a_hole_ends_a_run(self):
         items = [(0, 5, "a"), (5, 10, "a"), (11, 16, "a"), (16, 21, "b")]
@@ -301,11 +276,6 @@ def test_one_tuple_names_the_classifier_classes():
 
 TICK_MS = 5_000
 BASICS = ("Lie", "Sit")
-FLAGS_DRAWN = (
-    DerivedActivity("Sitting in Hall"),
-    DerivedActivity("Jogging in Hall", "Unnatural"),
-    DerivedActivity("Lying in Worship", "Anomaly"),
-)
 
 
 @st.composite
@@ -333,13 +303,6 @@ class TestRunsMatchTheLoops:
                 for tick in derive_sleep_loop(piece, min_still_ms, TICK_MS)]
         got = derive_sleep(runs_of_ticks(timeline, TICK_MS), min_still_ms)
         assert ticks_of(got, TICK_MS) == want
-
-    @settings(max_examples=300, deadline=None)
-    @given(timeline=holey_timelines(FLAGS_DRAWN))
-    def test_flag_stream(self, timeline):
-        want = [run for piece in hole_free_pieces(timeline, TICK_MS)
-                for run in flag_stream_loop(piece, TICK_MS)]
-        assert flag_stream(timeline, TICK_MS) == want
 
 
 def test_derived_csv_roundtrip(tmp_path):

@@ -298,10 +298,6 @@ class TestStageGuards:
         with pytest.raises(PipelineError, match="unrecognized model format"):
             pipeline.load_model(path)
 
-    def test_unknown_report_format(self, chain, tmp_path):
-        with pytest.raises(PipelineError, match="unknown report format"):
-            pipeline.stage_report(chain / "labels.csv", tmp_path / "r.txt", format="txt")
-
     def test_days_must_be_positive(self, chain, default_rules, tmp_path):
         with pytest.raises(PipelineError, match="days must be positive"):
             pipeline.stage_simulate(

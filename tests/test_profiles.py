@@ -16,7 +16,6 @@ from homeactivity.profiles import (
     bouts,
     day_profile,
     day_report,
-    interval_query,
     split_days,
     week_profile,
     week_report,
@@ -155,26 +154,6 @@ class TestSplitAndWeek:
         assert week_profile(days[:5]) is None
         assert week_profile(days[:3] + days[4:] + [days[3]]) is None
         assert week_profile(days) is not None
-
-
-class TestIntervalQuery:
-    def test_clock_range_filters_and_counts(self):
-        # 06:00 on day one, four windows: walk walk sit walk
-        start = DAY1 + 6 * 3_600_000
-        windows = seq(start, ["walk", "walk", "sit", "walk"])
-        count, duration = interval_query(windows, "06:00", "06:04", "walk")
-        assert (count, duration) == (1, 2 * SPAN)
-        count, duration = interval_query(windows, "06:06", "06:08", "walk")
-        assert (count, duration) == (1, SPAN)
-
-    def test_range_is_half_open(self):
-        start = DAY1 + 6 * 3_600_000
-        windows = seq(start, ["walk"])
-        assert interval_query(windows, "05:58", "06:00", "walk") == (0, 0)
-
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError, match="inverted"):
-            interval_query([], "07:00", "06:00", "walk")
 
 
 class TestReports:

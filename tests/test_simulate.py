@@ -88,10 +88,6 @@ class TestScript:
 
 
 class TestSynthMotion:
-    def test_shorter_than_a_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            synth_motion("Walk", 6_000)
-
     def test_quiet_postures_are_constant(self):
         stand = synth_motion("Stand", 12_800)
         np.testing.assert_array_equal(stand.xyz[0], stand.xyz[-1])
