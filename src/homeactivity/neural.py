@@ -24,6 +24,12 @@ CENTROID_FORMAT = "centroids.v1"
 
 GRU_GATES = ("update", "reset", "candidate")
 
+# forward_bundle runs a stack this many windows at a time. A larger block
+# runs little faster but holds conv rows in proportion: over 224 stock
+# windows, blocks of 32 took 16 ms with a 3.8 MB peak, blocks of 128
+# 14 ms with 15 MB (2 vCPUs, NumPy 2.4, one BLAS thread).
+FORWARD_BLOCK = 32
+
 
 class BundleError(ValueError):
     """Raised when a weights bundle is malformed or internally inconsistent."""
@@ -55,14 +61,22 @@ ACTIVATIONS = {
 
 
 def conv1d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation along time.
+    """Valid cross-correlation along time, as one matrix product.
 
     x is (..., steps, channels), kernel is (kernel_len, channels, filters),
     bias is (filters,); output is (..., steps - kernel_len + 1, filters).
+    The taps of each output step are one row of channels·kernel_len
+    values, and one BLAS product takes all rows through the kernel laid
+    out as a (channels·kernel_len, filters) matrix. The rows are a copy,
+    kernel_len times the size of x, so forward_bundle hands this a block
+    of windows at a time.
     """
-    taps = np.lib.stride_tricks.sliding_window_view(x, kernel.shape[0], axis=-2)
-    # taps is (..., out_steps, channels, kernel_len)
-    return np.einsum("...tck,kcf->...tf", taps, kernel) + bias
+    klen, channels, filters = kernel.shape
+    taps = np.lib.stride_tricks.sliding_window_view(x, klen, axis=-2)
+    # taps is (..., out_steps, channels, kernel_len); a row's index is c·kernel_len + k
+    rows = taps.reshape(-1, channels * klen)
+    weights = kernel.transpose(1, 0, 2).reshape(channels * klen, filters)
+    return (rows @ weights).reshape(taps.shape[:-2] + (filters,)) + bias
 
 
 def maxpool1d(x: np.ndarray, pool: int = 2, stride: int = 2) -> np.ndarray:
@@ -235,18 +249,33 @@ def validate_bundle(bundle: WeightsBundle) -> list:
     return forwards
 
 
+def _forward_block(bundle: WeightsBundle, x: np.ndarray) -> np.ndarray:
+    """Class scores of an (n, input_len, input_channels) block."""
+    for forward in bundle.forwards:
+        x = forward(x)
+    return x
+
+
 def forward_bundle(bundle: WeightsBundle, windows: np.ndarray) -> np.ndarray:
     """Class scores of one (input_len, input_channels) window, or of each
     window of an (n, input_len, input_channels) stack as an
-    (n, classes) array."""
+    (n, classes) array.
+
+    The stack runs FORWARD_BLOCK windows at a time, each block's scores
+    written into one preallocated array, so the memory the pass holds is
+    that of a block, not of the stack. One window runs as a stack of one.
+    """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-2:] != (bundle.input_len, bundle.input_channels):
         raise ValueError(
             f"window shape {x.shape} != ([n,] {bundle.input_len}, {bundle.input_channels})"
         )
-    for forward in bundle.forwards:
-        x = forward(x)
-    return x
+    stack = x if x.ndim == 3 else x[None]
+    scores = np.empty((len(stack), len(bundle.class_names)))
+    for start in range(0, len(stack), FORWARD_BLOCK):
+        block = slice(start, start + FORWARD_BLOCK)
+        scores[block] = _forward_block(bundle, stack[block])
+    return scores if x.ndim == 3 else scores[0]
 
 
 def best_class(class_names, scores: np.ndarray) -> str | list[str]:

@@ -83,6 +83,21 @@ def _located(path, series, exc: timeseries.SampleError) -> PipelineError:
     return PipelineError(f"{path}: line {line}: {exc}")
 
 
+def _refuse_non_finite(path, rows, spans, what: str, handed) -> None:
+    """Refuse the first window of a log whose row of values (features or
+    class scores) holds a NaN or an infinity, at the line of its first
+    sample."""
+    import numpy as np
+
+    from . import timeseries
+
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        start, end = spans[bad[0]]
+        raise _located(path, _read(path, _single_series, handed), timeseries.SampleError(
+            f"window {start}..{end} has a non-finite {what}", start))
+
+
 def _row_error(path, exc: tables.RowError) -> PipelineError:
     """exc behind the line of the table row it names."""
     return PipelineError(f"{path}: line {tables.record_line(path, exc.index + 1)}: {exc}")
@@ -269,18 +284,14 @@ def stage_features(
     overflow float64 is refused at the line of its first sample."""
     import numpy as np
 
-    from . import features, timeseries
+    from . import features
 
     batch = _windows(in_path, window_len, overlap, gyro, handed)
     if not len(batch):
         raise PipelineError(f"{in_path}: no complete window of {window_len} samples")
     with np.errstate(all="ignore"):  # an overflow is refused below
         matrix, spans = features.extract_all(batch, gyro)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        start, end = spans[bad[0]]
-        raise _located(in_path, _read(in_path, _single_series, handed), timeseries.SampleError(
-            f"window {start}..{end} has a non-finite feature value", start))
+    _refuse_non_finite(in_path, matrix, spans, "feature value", handed)
     layout = features.layout_for(gyro)
     features.write_features(out_path, matrix, spans, layout)
     if handed is not None:
@@ -342,8 +353,11 @@ def stage_classify(
 
     A centroid model reads a feature file; a weights bundle reads a
     filtered inertial log in windows of its input_len and can also write
-    per-class probabilities to `probs`.
+    per-class probabilities to `probs`. A window with a non-finite class
+    score is refused at the line of its first sample.
     """
+    import numpy as np
+
     from . import features, neural
 
     if not model:
@@ -361,7 +375,9 @@ def stage_classify(
         fmt = neural.BUNDLE_FORMAT
         batch = _windows(in_path, model.input_len, overlap, handed=handed)
         spans = batch.spans()
-        class_probs = neural.forward_bundle(model, batch.xyz)
+        with np.errstate(all="ignore"):  # an overflow is refused below
+            class_probs = neural.forward_bundle(model, batch.xyz)
+        _refuse_non_finite(in_path, class_probs, spans, "class score", handed)
         labels = neural.best_class(model.class_names, class_probs)
     windows = [(*span, label) for span, label in zip(spans, labels)]
     write_basic_windows(out_path, windows)

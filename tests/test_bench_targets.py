@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from homeactivity import neural, simulate
 
@@ -44,6 +45,20 @@ class TestBundleForward:
         reference = load("workloads").reference_forward(self.bundle, self.windows)
         np.testing.assert_allclose(neural.forward_bundle(self.bundle, self.windows),
                                    reference, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
+    def test_stacks_across_block_bounds(self, n):
+        """Stacks short of, at and past one and two blocks of 32 windows
+        give the scores of their windows run one at a time, and of the
+        reference forward pass."""
+        assert neural.FORWARD_BLOCK == 32
+        windows = np.random.default_rng(2).normal(9.0, 2.0, (n, 128, 3))
+        got = neural.forward_bundle(self.bundle, windows)
+        assert got.shape == (n, len(simulate.CLASSIFIER_CLASSES))
+        one_at_a_time = [neural.forward_bundle(self.bundle, w) for w in windows]
+        np.testing.assert_allclose(got, np.reshape(one_at_a_time, got.shape), rtol=0, atol=1e-12)
+        reference = load("workloads").reference_forward(self.bundle, windows)
+        np.testing.assert_allclose(got, reference, rtol=0, atol=1e-7)
 
     def test_one_window_as_run_times_it(self):
         for w in self.windows[:2]:

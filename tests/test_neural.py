@@ -1,6 +1,7 @@
 """Numeric kernels, the GRU cell, weight bundles, centroid models."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from homeactivity.neural import (
+    FORWARD_BLOCK,
     BundleError,
     CentroidModel,
     LayerSpec,
@@ -78,6 +80,18 @@ class TestKernels:
             got = conv1d_forward(x, kernel, bias)
             want = oracles.naive_conv1d(x.tolist(), kernel.tolist(), bias.tolist())
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+    @pytest.mark.parametrize("steps, channels, filters", [(128, 3, 32), (65, 32, 128)])
+    def test_conv1d_matches_naive_at_the_stock_shapes(self, steps, channels, filters):
+        """The stock stack's two conv layers, 64 taps each: a product over
+        channels·64 terms, where a changed summation order would show."""
+        rng = np.random.default_rng(17)
+        x = rng.normal(9.0, 2.0, size=(steps, channels))
+        kernel = rng.normal(0.0, 0.05, size=(64, channels, filters))
+        bias = rng.normal(0.0, 0.05, size=filters)
+        got = conv1d_forward(x, kernel, bias)
+        want = oracles.naive_conv1d(x.tolist(), kernel.tolist(), bias.tolist())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_maxpool_matches_naive(self):
         rng = np.random.default_rng(15)
@@ -417,6 +431,26 @@ class TestStack:
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="window shape"):
             forward_bundle(tiny_bundle(), np.zeros(shape))
+
+
+def forward_peak(bundle, windows) -> int:
+    """The tracemalloc peak, in bytes, of one forward_bundle call."""
+    forward_bundle(bundle, windows[:1])
+    tracemalloc.start()
+    try:
+        forward_bundle(bundle, windows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_is_bounded_by_the_block():
+    """Ten blocks of the stock stack hold about what one block holds: the
+    conv rows of one block, not of the stack, are alive at once."""
+    bundle = make_default_bundle([f"c{i}" for i in range(7)], seed=1)
+    windows = np.random.default_rng(25).normal(9.0, 2.0, (10 * FORWARD_BLOCK, 128, 3))
+    one_block = forward_peak(bundle, windows[:FORWARD_BLOCK])
+    assert forward_peak(bundle, windows) <= 1.5 * one_block
 
 
 class TestCentroids:

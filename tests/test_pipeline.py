@@ -921,6 +921,46 @@ class TestCli:
             f"error: {log}: line 129: window 6400..12800 has a non-finite feature value")
         assert not out.exists()
 
+    @staticmethod
+    def classify_big_log(tmp_path, capsys, big_rows, big):
+        """classify --model --probs of the stock seeded bundle over a
+        384-sample log of zeros whose big_rows hold big; returns the exit
+        code, the log's path, the stderr lines and the warnings raised."""
+        values = np.zeros((384, 3))
+        values[big_rows] = big
+        log, model = tmp_path / "big.csv", tmp_path / "bundle.json"
+        timeseries.write_inertial(log, timeseries.SampleSeries(
+            "s", np.arange(384, dtype=np.int64) * 50, values))
+        neural.save_bundle(model, neural.make_default_bundle(simulate.CLASSIFIER_CLASSES, seed=1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_cli(["classify", "--in", str(log), "--model", str(model),
+                                 "--out", str(tmp_path / "w.csv"),
+                                 "--probs", str(tmp_path / "probs.csv")], capsys)
+        return code, log, err.splitlines(), caught
+
+    def test_classify_refuses_a_window_whose_scores_overflow(self, tmp_path, capsys):
+        """Sixty samples of ±1.7e308 from line 201 on overflow the conv
+        layers to a NaN score: the first window they reach is refused at
+        its first line, with no NumPy warning and no output file."""
+        big = 1.7e308 * (-1.0) ** np.arange(60)[:, None]
+        code, log, lines, caught = self.classify_big_log(tmp_path, capsys, slice(200, 260), big)
+        assert code == 1
+        assert caught == []
+        assert len(lines) == 2 and lines[0].startswith("config: ")
+        assert lines[1] == (
+            f"error: {log}: line 129: window 6400..12800 has a non-finite class score")
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "probs.csv").exists()
+
+    def test_classify_takes_a_large_sample_whose_scores_stay_finite(self, tmp_path, capsys):
+        """One sample of 1e300 overflows a GRU gate's exp, whose sigmoid is
+        still 0 or 1: every score is finite, and nothing is printed."""
+        code, _, lines, caught = self.classify_big_log(tmp_path, capsys, (200, 0), 1e300)
+        assert code == 0
+        assert caught == []
+        assert len(lines) == 1 and lines[0].startswith("config: ")
+        assert (tmp_path / "probs.csv").exists()
+
     BAD_CENTROIDS = {
         "class_names_not_a_list": {"class_names": 3},
         "centroids_not_numbers": {"centroids": "abc"},
